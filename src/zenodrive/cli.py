@@ -51,7 +51,6 @@ CONFIG_SPEC = {
     "gadget.tau": (float, 1.0, "decoherence time"),
     "gadget.tmax": (float, 4.0, "trace length in units of tau"),
     "gadget.samples": (int, 201, "number of trace samples"),
-    "seed": (int, 0, "random seed (reserved for property tests; not used here)"),
 }
 
 
@@ -163,14 +162,14 @@ def _build_model(config) -> LipkinModel:
     return LipkinModel(config["model.N"])
 
 
-def _build_trajectory(model, config, family=None, max_steps=None) -> Trajectory:
+def _build_trajectory(model, config, max_steps=None) -> Trajectory:
     needed = config["dense.steps"]
     if needed <= 0:
         target = max_steps if max_steps else max(config["steps.K"])
         needed = max(20000, 10 * int(target))
     return build_trajectory(
         model,
-        family or config["path.family"],
+        config["path.family"],
         np.array(config["path.start"]),
         np.array(config["path.end"]),
         dense_steps=needed,

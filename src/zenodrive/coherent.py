@@ -21,6 +21,8 @@ from .trajectories import Trajectory
 
 DEFAULT_TOLERANCE = 1e-8
 DEFAULT_STEP_CAP = 10**6
+SUBSTEP_CAP = 2**23
+SUBSTEP_CHUNK = 8192
 
 
 class IntegratorConvergenceError(RuntimeError):
@@ -50,23 +52,31 @@ class CoherentResult:
         return 1.0 - self.fidelity
 
 
-def _ground_state(model, point):
-    energies, states = eigh_many(model.hamiltonian_many(np.asarray(point)[None]))
-    return states[0][:, 0]
+def _ground_states(model, position_fn, fractions):
+    """Ground states at the given time fractions, shape (len(fractions), dim)."""
+    points = position_fn(np.asarray(fractions, dtype=float))
+    return eigh_many(model.hamiltonian_many(points))[1][..., :, 0]
 
 
-def _propagate(model, position_fn, total_time, substeps, chunk=8192):
-    """Apply the midpoint-frozen exponential chain; returns the final state.
+def _propagate(model, position_fn, total_time, substeps, checkpoints=None):
+    """Apply the midpoint-frozen exponential chain from the ground state at fraction 0.
 
     Substep unitaries are built in chunks and multiplied pairwise (tree
-    reduction), which keeps everything in batched linear algebra.
+    reduction), which keeps everything in batched linear algebra.  Returns the
+    final state; given ``checkpoints`` (substep indices in [0, substeps]),
+    chunks also end there and the stacked states at those indices are
+    returned instead.
     """
-    psi = _ground_state(model, position_fn(np.array(0.0))).astype(complex)
+    psi = _ground_states(model, position_fn, [0.0])[0].astype(complex)
     dt = total_time / substeps
-    for lo in range(0, substeps, chunk):
-        hi = min(substeps, lo + chunk)
+    marks = set() if checkpoints is None else {int(mark) for mark in checkpoints}
+    bounds = sorted(marks.union(range(0, substeps, SUBSTEP_CHUNK), [substeps]))
+    saved = [psi] if 0 in marks else []
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
         mids = (np.arange(lo, hi) + 0.5) / substeps
         pts = position_fn(mids)
+        # Plain eigh: the eigenvector phases cancel in V exp(-iE dt) V^dagger,
+        # and eigh_many's symmetrise and phase fix cost ~13% of the eigh here.
         energies, states = np.linalg.eigh(model.hamiltonian_many(pts))
         phases = np.exp(-1j * energies * dt)
         unitaries = np.einsum("kij,kj,klj->kil", states, phases, np.conj(states))
@@ -78,7 +88,9 @@ def _propagate(model, position_fn, total_time, substeps, chunk=8192):
                 prod = np.concatenate([prod, unitaries[-1:]], axis=0)
             unitaries = prod
         psi = unitaries[0] @ psi
-    return psi
+        if hi in marks:
+            saved.append(psi)
+    return psi if checkpoints is None else np.array(saved)
 
 
 def integrate_schrodinger(
@@ -87,35 +99,39 @@ def integrate_schrodinger(
     total_time: float,
     *,
     tolerance: float = DEFAULT_TOLERANCE,
-    initial_substeps: int | None = None,
     max_doublings: int = 22,
-    substep_cap: int = 2**23,
     trace_times: np.ndarray | None = None,
 ) -> CoherentResult:
     """Evolve the instantaneous ground state along a ramp and score the target overlap.
 
     ``position_fn`` maps an array of time fractions in [0, 1] to parameter
     points.  The state starts in the ground state at fraction 0; the fidelity
-    is the squared overlap with the ground state at fraction 1.  Substeps
-    double until the fidelity changes by less than ``tolerance``.
+    is the squared overlap with the ground state at fraction 1.  The first run
+    uses max(64, ceil(8 T)) substeps; substeps then double until the fidelity
+    changes by less than ``tolerance``, at most ``max_doublings`` times and
+    never beyond ``SUBSTEP_CAP`` (2**23).  ``trace_times`` adds the ground-state
+    fidelity at those times, rounded to the converged substep grid.
 
     Raises
     ------
+    ValueError
+        If ``total_time`` is negative, infinite or NaN.
     IntegratorConvergenceError
         If the doubling budget is exhausted; carries the last two fidelities.
     """
-    target = _ground_state(model, position_fn(np.array(1.0)))
+    if not (total_time >= 0 and np.isfinite(total_time)):
+        raise ValueError(f"total_time must be finite and >= 0, got {total_time!r}")
+    initial, target = _ground_states(model, position_fn, [0.0, 1.0])
     if total_time == 0:
-        initial = _ground_state(model, position_fn(np.array(0.0)))
         fid = float(np.abs(np.vdot(target, initial)) ** 2)
         return CoherentResult(state=initial.astype(complex), fidelity=fid, substeps=0)
 
-    substeps = initial_substeps or max(64, int(np.ceil(8 * total_time)))
+    substeps = max(64, int(np.ceil(8 * total_time)))
     psi = _propagate(model, position_fn, total_time, substeps)
     fid = float(np.abs(np.vdot(target, psi)) ** 2)
     new_fid = fid
     for _ in range(max_doublings):
-        if 2 * substeps > substep_cap:
+        if 2 * substeps > SUBSTEP_CAP:
             break
         substeps *= 2
         psi = _propagate(model, position_fn, total_time, substeps)
@@ -123,37 +139,15 @@ def integrate_schrodinger(
         if abs(new_fid - fid) < tolerance:
             result = CoherentResult(state=psi, fidelity=new_fid, substeps=substeps)
             if trace_times is not None:
-                result.trace_times, result.trace_fidelity = _fidelity_trace(
-                    model, position_fn, total_time, substeps, trace_times
-                )
+                fractions = np.asarray(trace_times, dtype=float) / total_time
+                marks = np.unique(np.clip(np.round(fractions * substeps), 0, substeps).astype(int))
+                states = _propagate(model, position_fn, total_time, substeps, marks)
+                grounds = _ground_states(model, position_fn, marks / substeps)
+                result.trace_times = marks / substeps * total_time
+                result.trace_fidelity = np.abs(np.sum(np.conj(grounds) * states, axis=-1)) ** 2
             return result
         fid = new_fid
     raise IntegratorConvergenceError(new_fid, fid, substeps)
-
-
-def _fidelity_trace(model, position_fn, total_time, substeps, sample_times):
-    """Instantaneous ground-state fidelity at requested times (diagnostic)."""
-    sample_times = np.asarray(sample_times, dtype=float)
-    marks = np.unique(np.clip(np.round(sample_times / total_time * substeps), 0, substeps).astype(int))
-    psi = _ground_state(model, position_fn(np.array(0.0))).astype(complex)
-    dt = total_time / substeps
-    fids = []
-    times = []
-    prev = 0
-    for mark in marks:
-        if mark > prev:
-            mids = (np.arange(prev, mark) + 0.5) / substeps
-            pts = position_fn(mids)
-            energies, states = np.linalg.eigh(model.hamiltonian_many(pts))
-            phases = np.exp(-1j * energies * dt)
-            unitaries = np.einsum("kij,kj,klj->kil", states, phases, np.conj(states))
-            for u in unitaries:
-                psi = u @ psi
-            prev = mark
-        here = _ground_state(model, position_fn(np.array(mark / substeps)))
-        fids.append(float(np.abs(np.vdot(here, psi)) ** 2))
-        times.append(mark / substeps * total_time)
-    return np.array(times), np.array(fids)
 
 
 def coherent_sweep(
@@ -196,8 +190,8 @@ def minimal_steps(
     ``(K_min, tau)`` with tau = T / K_min, or ``(None, None)`` if no step count
     up to ``cap`` (or resolvable by the trajectory table) wins.
     """
-    if total_time <= 0:
-        raise ValueError("total time must be positive")
+    if not total_time > 0:
+        raise ValueError(f"total time must be positive, got {total_time!r}")
     if coherent_infidelity is None:
         coherent_infidelity = integrate_schrodinger(
             model, trajectory.position_at, total_time, tolerance=tolerance

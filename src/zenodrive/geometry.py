@@ -16,12 +16,10 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .models import HamiltonianFamily
-from .spectral import eigh_many, warn_if_degenerate
+from .spectral import eigh_many, ground_step_lengths, warn_if_degenerate
 
 GAP_FLOOR = 1e-12
 METRIC_CAP = 1e12
-
-PARAMETERIZATIONS = ("constant-manifold-speed", "constant-euclidean-speed", "custom")
 
 
 class DegenerateGroundStateError(RuntimeError):
@@ -126,7 +124,7 @@ def _metric_impl(model, points, *, with_gradient):
     points = np.asarray(points, dtype=float)
     nparams = model.nparams
     ham = model.hamiltonian_many(points)
-    energies, states = np.linalg.eigh(0.5 * (ham + np.conj(np.swapaxes(ham, -1, -2))))
+    energies, states = eigh_many(ham)
     gap = energies[..., 1] - energies[..., 0]
     min_gap = float(gap.min())
     if min_gap <= GAP_FLOOR:
@@ -196,18 +194,11 @@ def _metric_impl(model, points, *, with_gradient):
     return g, dg
 
 
-def ground_states_along(model: HamiltonianFamily, points: np.ndarray) -> np.ndarray:
-    """Ground-state vectors at each point of a path, shape (M, dim)."""
-    energies, states = eigh_many(model.hamiltonian_many(points))
-    warn_if_degenerate(energies)
-    return states[..., :, 0]
-
-
 def step_lengths_along(model: HamiltonianFamily, points: np.ndarray) -> np.ndarray:
     """Exact quench lengths sqrt(1 - |<E0(k+1)|E0(k)>|^2) between consecutive points."""
-    v0 = ground_states_along(model, points)
-    overlap = np.abs(np.sum(np.conj(v0[:-1]) * v0[1:], axis=-1))
-    return np.sqrt(np.maximum(0.0, 1.0 - overlap**2))
+    energies, states = eigh_many(model.hamiltonian_many(points))
+    warn_if_degenerate(energies)
+    return ground_step_lengths(states)
 
 
 def step_length(model: HamiltonianFamily, a: np.ndarray, b: np.ndarray) -> float:
@@ -239,10 +230,15 @@ def cumulative_euclidean(points: np.ndarray) -> np.ndarray:
     return np.concatenate([[0.0], np.cumsum(seg)])
 
 
-def points_at_quantiles(points: np.ndarray, cumlen: np.ndarray, count: int) -> np.ndarray:
-    """Resample a polyline at ``count + 1`` equal quantiles of a cumulative table."""
-    targets = np.linspace(0.0, cumlen[-1], count + 1)
-    return interpolate_at(points, cumlen, targets)
+def resample(points: np.ndarray, table: np.ndarray, count: int) -> np.ndarray:
+    """Resample a polyline at ``count + 1`` equal quantiles of a cumulative table.
+
+    The end points are copied rather than interpolated, so they stay exact.
+    """
+    out = interpolate_at(points, table, np.linspace(0.0, table[-1], count + 1))
+    out[0] = points[0]
+    out[-1] = points[-1]
+    return out
 
 
 def interpolate_at(points: np.ndarray, cumlen: np.ndarray, targets: np.ndarray) -> np.ndarray:
@@ -259,11 +255,9 @@ def refine(path, factor: int) -> DiscretizedPath:
     points = _as_points(path)
     if factor < 1:
         raise ValueError("factor must be >= 1")
-    steps = points.shape[0] - 1
-    frac = np.linspace(0.0, 1.0, factor + 1)[:-1]
-    pieces = [points[k] + frac[:, None] * (points[k + 1] - points[k]) for k in range(steps)]
-    pieces.append(points[-1:])
-    dense = np.concatenate(pieces, axis=0)
+    frac = np.linspace(0.0, 1.0, factor + 1)[:-1, None]
+    pieces = points[:-1, None] + frac * (points[1:] - points[:-1])[:, None]
+    dense = np.concatenate([pieces.reshape(-1, points.shape[1]), points[-1:]], axis=0)
     family = path.family if isinstance(path, DiscretizedPath) else "custom"
     return DiscretizedPath(points=dense, family=family, parameterization="custom")
 
@@ -288,9 +282,7 @@ def reparameterize(model: HamiltonianFamily, path, count: int, mode: str) -> Dis
         table = cumulative_lengths(model, points)
     else:
         table = cumulative_euclidean(points)
-    out = points_at_quantiles(points, table, count)
-    out[0] = points[0]
-    out[-1] = points[-1]
+    out = resample(points, table, count)
     family = path.family if isinstance(path, DiscretizedPath) else "custom"
     return DiscretizedPath(points=out, family=family, parameterization=mode)
 
@@ -378,14 +370,6 @@ def _assemble_hessian(blocks, segs, nparams, damping):
     return mat
 
 
-def _constant_speed_resample(model, points):
-    table = cumulative_lengths(model, points)
-    out = points_at_quantiles(points, table, points.shape[0] - 1)
-    out[0] = points[0]
-    out[-1] = points[-1]
-    return out
-
-
 def geodesic(
     model: HamiltonianFamily,
     start: np.ndarray,
@@ -417,7 +401,7 @@ def geodesic(
     end = model.project_point(np.asarray(end, dtype=float))
     frac = np.linspace(0.0, 1.0, steps + 1)[:, None]
     points = start + frac * (end - start)
-    points = _constant_speed_resample(model, points)
+    points = resample(points, cumulative_lengths(model, points), steps)
     points[:, :] = model.project_point(points)
 
     diag = GeodesicDiagnostics()
@@ -466,7 +450,7 @@ def geodesic(
                         trial[1:-1] = points[1:-1] + scale * step
                         trial[:, :] = model.project_point(trial)
                         if resample_active:
-                            trial = _constant_speed_resample(model, trial)
+                            trial = resample(trial, cumulative_lengths(model, trial), steps)
                             trial[:, :] = model.project_point(trial)
                         trial_energy = _discrete_energy(model, trial)
                         if trial_energy < energy:

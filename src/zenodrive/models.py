@@ -159,6 +159,8 @@ class LipkinModel(HamiltonianFamily):
         point = np.asarray(point, dtype=float)
         if point.shape[-1] != 2:
             raise ValueError("expected a (lam, chi) pair")
+        if not np.all(np.isfinite(point)):
+            raise ValueError("parameter point must be finite (got NaN or infinity)")
         if np.any(point[..., 1] < 0):
             raise ValueError("chi must be >= 0 (model is defined on the halfplane)")
         return point

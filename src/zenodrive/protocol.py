@@ -14,9 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import _as_points
+from .geometry import _as_points, step_lengths_along
 from .models import HamiltonianFamily
-from .spectral import branching_along, eigh_many, warn_if_degenerate
+from .spectral import branching_along, eigh_many, ground_step_lengths, warn_if_degenerate
 from .trajectories import Trajectory
 
 
@@ -75,10 +75,7 @@ def run_stroboscopic(model: HamiltonianFamily, path) -> ProtocolResult:
     probs[0, 0] = 1.0
     for k in range(points.shape[0] - 1):
         probs[k + 1] = ratios[k] @ probs[k]
-    v0 = states[..., :, 0]
-    overlap = np.abs(np.sum(np.conj(v0[:-1]) * v0[1:], axis=-1))
-    dl = np.sqrt(np.maximum(0.0, 1.0 - overlap**2))
-    return ProtocolResult(probabilities=probs, step_lengths=dl)
+    return ProtocolResult(probabilities=probs, step_lengths=ground_step_lengths(states))
 
 
 def fidelity_product(model: HamiltonianFamily, path) -> float:
@@ -89,17 +86,8 @@ def fidelity_product(model: HamiltonianFamily, path) -> float:
     which return non-negative probability, so it never exceeds the exact
     final fidelity.
     """
-    points = _as_points(path)
-    dl = ground_overlaps(model, points)
+    dl = step_lengths_along(model, _as_points(path))
     return float(np.prod(1.0 - dl**2))
-
-
-def ground_overlaps(model: HamiltonianFamily, points: np.ndarray) -> np.ndarray:
-    """Exact step lengths dl_k along the given points (helper for products/sums)."""
-    energies, states = eigh_many(model.hamiltonian_many(points))
-    v0 = states[..., :, 0]
-    overlap = np.abs(np.sum(np.conj(v0[:-1]) * v0[1:], axis=-1))
-    return np.sqrt(np.maximum(0.0, 1.0 - overlap**2))
 
 
 def infidelity_terms(length: float, steps: int) -> tuple[float, float]:
@@ -108,10 +96,10 @@ def infidelity_terms(length: float, steps: int) -> tuple[float, float]:
     Returns ``(l^2/K, l^2/K - l^4/2K^2)``.  The additional excited-return
     contribution of order 1/K^2 is not predicted here; see ``fit_excited_return``.
     """
-    if length < 0:
-        raise ValueError("length must be >= 0")
-    if steps < 1:
-        raise ValueError("steps must be >= 1")
+    if not length >= 0:
+        raise ValueError(f"length must be >= 0, got {length!r}")
+    if not steps >= 1:
+        raise ValueError(f"steps must be >= 1, got {steps!r}")
     one = length**2 / steps
     two = one - length**4 / (2 * steps**2)
     return one, two

@@ -1,8 +1,8 @@
 """Dense Hermitian eigendecomposition and basis-overlap kernels.
 
-Everything downstream (metric tensors, branching ratios, propagators) consumes
-the two primitives defined here: a validated, phase-fixed eigendecomposition
-and the squared-overlap branching matrix between two eigenbases.
+Everything downstream (metric tensors, branching ratios, step lengths) consumes
+the primitives defined here: a phase-fixed eigendecomposition, and the squared
+overlaps and ground-state step lengths between consecutive eigenbases.
 """
 from __future__ import annotations
 
@@ -82,10 +82,7 @@ def eigh(matrix: np.ndarray, *, atol: float = HERMITICITY_ATOL) -> SpectralDecom
     NonHermitianError
         If the symmetry violation exceeds ``atol`` (absolute, entrywise).
     """
-    matrix = _validate_hermitian(matrix, atol)
-    sym = 0.5 * (matrix + matrix.conj().T)
-    energies, states = np.linalg.eigh(sym)
-    return SpectralDecomposition(energies=energies, states=fix_phases(states))
+    return SpectralDecomposition(*eigh_many(_validate_hermitian(matrix, atol)))
 
 
 def eigh_many(matrices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -138,3 +135,13 @@ def branching_along(states: np.ndarray) -> np.ndarray:
     """
     overlaps = np.einsum("kji,kjl->kil", np.conj(states[1:]), states[:-1])
     return np.abs(overlaps) ** 2
+
+
+def ground_step_lengths(states: np.ndarray) -> np.ndarray:
+    """Ground-state step lengths sqrt(1 - |<E0(k+1)|E0(k)>|^2) along a path.
+
+    ``states`` is an (M, n, n) stack from :func:`eigh_many`; returns M-1 lengths.
+    """
+    v0 = states[..., :, 0]
+    overlap = np.abs(np.sum(np.conj(v0[:-1]) * v0[1:], axis=-1))
+    return np.sqrt(np.maximum(0.0, 1.0 - overlap**2))

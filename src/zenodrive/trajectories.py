@@ -22,6 +22,7 @@ from .geometry import (
     geodesic,
     interpolate_at,
     refine,
+    resample,
 )
 from .models import HamiltonianFamily
 
@@ -73,11 +74,7 @@ class Trajectory:
                 f"trajectory table too coarse for {steps} steps "
                 f"({self.dense_steps} dense segments; need >= {10 * steps})"
             )
-        table = self._table()
-        targets = np.linspace(0.0, table[-1], steps + 1)
-        out = interpolate_at(self.points, table, targets)
-        out[0] = self.points[0]
-        out[-1] = self.points[-1]
+        out = resample(self.points, self._table(), steps)
         family = "geodesic" if self.family == "geodesic" else "linear"
         return DiscretizedPath(points=out, family=family, parameterization=self.mode)
 

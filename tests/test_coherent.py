@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from zenodrive.coherent import (
+    SUBSTEP_CHUNK,
     IntegratorConvergenceError,
     integrate_schrodinger,
     minimal_steps,
@@ -101,6 +102,45 @@ class TestIntegrator:
         assert result.trace_fidelity[-1] == pytest.approx(result.fidelity, abs=1e-9)
 
 
+    def test_trace_matches_sequential_product_at_interior_checkpoints(self):
+        model = LipkinModel(4)
+        trajectory = build_trajectory(
+            model, "linear-v", np.array([0.0, 0.0]), np.array([2.0, 0.5]), dense_steps=400
+        )
+        total_time = 10.0
+        samples = np.linspace(0.0, total_time, 13)
+        result = integrate_schrodinger(
+            model, trajectory.position_at, total_time, trace_times=samples
+        )
+        substeps = result.substeps
+        assert substeps > SUBSTEP_CHUNK   # the checkpoints straddle a chunk boundary
+        # reference: the same midpoint-frozen unitaries applied one substep at a time
+        marks = np.round(samples / total_time * substeps).astype(int)
+        hams = model.hamiltonian_many(trajectory.position_at((np.arange(substeps) + 0.5) / substeps))
+        energies, vectors = np.linalg.eigh(hams)
+        dt = total_time / substeps
+        psi = eigh(model.hamiltonian(trajectory.points[0])).ground_state().astype(complex)
+        expected = []
+        for k in range(substeps + 1):
+            if k in marks:
+                here = eigh(model.hamiltonian(trajectory.position_at(np.array(k / substeps))))
+                expected.append(abs(np.vdot(here.ground_state(), psi)) ** 2)
+            if k < substeps:
+                v = vectors[k]
+                psi = v @ (np.exp(-1j * energies[k] * dt) * (v.conj().T @ psi))
+        assert np.array_equal(result.trace_times, marks / substeps * total_time)
+        assert min(expected) < 0.95   # the state leaves the instantaneous ground state
+        assert np.abs(result.trace_fidelity - expected).max() <= 1e-12
+        assert result.trace_fidelity[-1] == pytest.approx(result.fidelity, abs=1e-12)
+
+    def test_rejects_negative_time(self, two_level):
+        with pytest.raises(ValueError, match="total_time"):
+            integrate_schrodinger(two_level, angle_ramp(np.pi), -5.0)
+
+    def test_rejects_nan_time(self, two_level):
+        with pytest.raises(ValueError, match="total_time"):
+            integrate_schrodinger(two_level, angle_ramp(np.pi), float("nan"))
+
     def test_matches_dop853_reference(self):
         # independent reference: the Schrodinger ODE under DOP853, integrated
         # knot to knot of the dense table so the drive is smooth on each piece
@@ -186,3 +226,5 @@ class TestMinimalSteps:
     def test_rejects_nonpositive_time(self, two_level, two_level_trajectory):
         with pytest.raises(ValueError):
             minimal_steps(two_level, two_level_trajectory, 0.0)
+        with pytest.raises(ValueError, match="total time"):
+            minimal_steps(two_level, two_level_trajectory, float("nan"))

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from zenodrive.geometry import (
     DegenerateGroundStateError,
@@ -13,6 +16,7 @@ from zenodrive.geometry import (
     path_length,
     refine,
     reparameterize,
+    resample,
     step_length,
     step_lengths_along,
 )
@@ -393,3 +397,42 @@ class TestReparameterize:
         table = cumulative_lengths(lipkin10, pts)
         assert table[0] == 0.0
         assert np.all(np.diff(table) >= 0)
+
+
+@st.composite
+def polylines(draw):
+    """A polyline of 2-30 points in 1-3 dimensions and a cumulative table on it.
+
+    Table increments may be zero (a segment the table does not advance over).
+    """
+    count = draw(st.integers(2, 30))
+    dims = draw(st.integers(1, 3))
+    coords = st.floats(-10.0, 10.0, allow_nan=False)
+    points = draw(arrays(float, (count, dims), elements=coords))
+    increments = draw(arrays(float, count - 1, elements=st.floats(0.0, 5.0)))
+    increments[draw(st.integers(0, count - 2))] += 0.5   # a table of nonzero length
+    return points, np.concatenate([[0.0], np.cumsum(increments)])
+
+
+class TestResampleProperties:
+    @settings(max_examples=200, deadline=None)
+    @given(polylines(), st.integers(1, 40))
+    def test_resample_at_equal_quantiles(self, line, count):
+        points, table = line
+        out = resample(points, table, count)
+        assert out.shape == (count + 1, points.shape[1])
+        assert np.array_equal(out[0], points[0]) and np.array_equal(out[-1], points[-1])
+        # carry the table along as one more coordinate: it reads back the targets
+        tagged = resample(np.column_stack([points, table]), table, count)
+        assert np.array_equal(tagged[1:-1, :-1], out[1:-1])
+        quantiles = np.linspace(0.0, table[-1], count + 1)
+        assert np.abs(tagged[1:-1, -1] - quantiles[1:-1]).max(initial=0.0) <= 1e-12 * table[-1]
+        assert np.all(np.diff(tagged[:, -1]) >= -1e-12 * table[-1])
+
+    @settings(max_examples=200, deadline=None)
+    @given(polylines(), st.integers(1, 8))
+    def test_refine_keeps_every_vertex(self, line, factor):
+        points, _ = line
+        dense = refine(points, factor).points
+        assert dense.shape == ((points.shape[0] - 1) * factor + 1, points.shape[1])
+        assert np.array_equal(dense[::factor], points)

@@ -1,0 +1,96 @@
+"""CLI outputs against stored goldens.
+
+Each run below writes one CSV that is compared cell by cell with the copy in
+``tests/data/golden/``: strings and integers must match exactly, floats to
+1e-12 relative.  A change that only restructures the code must pass this
+test unchanged.  After a change that is meant to alter the numbers, write
+new goldens with ``PYTHONPATH=src python tests/test_golden.py`` and say why
+in the commit.
+"""
+from __future__ import annotations
+
+import csv
+import sys
+import tempfile
+from pathlib import Path
+
+import pytest
+
+from zenodrive.cli import main
+
+GOLDEN_DIR = Path(__file__).resolve().parent / "data" / "golden"
+FLOAT_RTOL = 1e-12
+
+# name -> (command line, CSV file it writes)
+RUNS = {
+    "zeno-n4-geodesic": (
+        ["zeno", "--model.N", "4", "--path.family", "geodesic",
+         "--geodesic.segments", "48", "--dense.steps", "2000", "--steps.K", "20,40"],
+        "zeno.csv",
+    ),
+    "compare-n4-linear-v": (
+        ["compare", "--model.N", "4", "--path.family", "linear-v", "--times.T", "1,5,20"],
+        "compare.csv",
+    ),
+    "path-n6-geodesic": (
+        ["path", "--model.N", "6", "--path.family", "geodesic", "--steps.K", "200"],
+        "path.csv",
+    ),
+    "path-n6-linear-u": (
+        ["path", "--model.N", "6", "--path.family", "linear-u", "--steps.K", "200"],
+        "path.csv",
+    ),
+    "metric-map-21x11": (
+        ["metric-map", "--grid.lambda", "0:3:21", "--grid.chi", "0:1:11"],
+        "metric_map.csv",
+    ),
+}
+
+
+def _run(name: str, out_dir: Path) -> Path:
+    argv, csv_name = RUNS[name]
+    assert main([*argv, "--out", str(out_dir), "--jobs", "1"]) == 0
+    return out_dir / csv_name
+
+
+def _cell(text: str):
+    for cast in (int, float):
+        try:
+            return cast(text)
+        except ValueError:
+            pass
+    return text
+
+
+def _read(path: Path) -> list[list]:
+    with open(path, newline="", encoding="utf-8") as handle:
+        return [[_cell(cell) for cell in row] for row in csv.reader(handle)]
+
+
+@pytest.mark.parametrize("name", sorted(RUNS))
+def test_cli_output_matches_golden(name, tmp_path):
+    got = _read(_run(name, tmp_path))
+    want = _read(GOLDEN_DIR / f"{name}.csv")
+    assert len(got) == len(want), f"{name}: {len(got)} rows, golden has {len(want)}"
+    for line, (got_row, want_row) in enumerate(zip(got, want), 1):
+        assert len(got_row) == len(want_row), f"{name} line {line}: column count differs"
+        for column, (a, b) in enumerate(zip(got_row, want_row)):
+            where = f"{name} line {line} column {column}: {a!r} != golden {b!r}"
+            if isinstance(b, float):
+                assert isinstance(a, float), where
+                assert abs(a - b) <= FLOAT_RTOL * max(abs(a), abs(b)), where
+            else:
+                assert type(a) is type(b) and a == b, where
+
+
+def write_goldens() -> None:
+    GOLDEN_DIR.mkdir(parents=True, exist_ok=True)
+    with tempfile.TemporaryDirectory() as scratch:
+        for name in sorted(RUNS):
+            written = _run(name, Path(scratch) / name)
+            (GOLDEN_DIR / f"{name}.csv").write_bytes(written.read_bytes())
+            print(f"wrote {GOLDEN_DIR / name}.csv", file=sys.stderr)
+
+
+if __name__ == "__main__":
+    write_goldens()

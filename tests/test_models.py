@@ -120,6 +120,26 @@ def test_rejects_negative_chi():
         brute_force_lipkin(4, np.array([1.0, -0.1]))
 
 
+@pytest.mark.parametrize("entry", ["hamiltonian_many", "run_stroboscopic", "metric", "build_trajectory"])
+def test_rejects_nan_points(entry):
+    from zenodrive.geometry import metric
+    from zenodrive.protocol import run_stroboscopic
+    from zenodrive.trajectories import build_trajectory
+
+    model = LipkinModel(4)
+    point = np.array([np.nan, 0.2])
+    calls = {
+        "hamiltonian_many": lambda: model.hamiltonian_many(point[None]),
+        "run_stroboscopic": lambda: run_stroboscopic(model, np.array([[0.0, 0.0], point])),
+        "metric": lambda: metric(model, point),
+        "build_trajectory": lambda: build_trajectory(
+            model, "linear-v", np.zeros(2), point, dense_steps=100
+        ),
+    }
+    with pytest.raises(ValueError, match="finite"):
+        calls[entry]()
+
+
 def test_brute_force_scale_guard():
     with pytest.raises(ValueError, match="N <= 8"):
         brute_force_lipkin(9, np.array([1.0, 0.5]))

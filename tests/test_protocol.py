@@ -121,6 +121,10 @@ class TestInfidelityTerms:
         with pytest.raises(ValueError):
             infidelity_terms(1.0, 0)
 
+    def test_rejects_nan_length(self):
+        with pytest.raises(ValueError, match="length"):
+            infidelity_terms(float("nan"), 10)
+
 
 class TestFitExcitedReturn:
     def test_recovers_synthetic_coefficient(self):
