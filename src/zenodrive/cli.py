@@ -23,7 +23,7 @@ import numpy as np
 
 from . import __version__
 from .coherent import integrate_schrodinger, minimal_steps
-from .geometry import metric_many
+from .geometry import SEGMENTS_PER_STEP, metric_many
 from .models import LipkinModel
 from .protocol import run_stroboscopic, zeno_sweep
 from .spectator import evolve_gadget, reduced_density
@@ -166,7 +166,7 @@ def _build_trajectory(model, config, max_steps=None) -> Trajectory:
     needed = config["dense.steps"]
     if needed <= 0:
         target = max_steps if max_steps else max(config["steps.K"])
-        needed = max(20000, 10 * int(target))
+        needed = max(20000, SEGMENTS_PER_STEP * int(target))
     return build_trajectory(
         model,
         config["path.family"],

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .geometry import SEGMENTS_PER_STEP
 from .models import HamiltonianFamily
 from .protocol import run_stroboscopic
 from .spectral import eigh_many
@@ -58,18 +59,18 @@ def _ground_states(model, position_fn, fractions):
     return eigh_many(model.hamiltonian_many(points))[1][..., :, 0]
 
 
-def _propagate(model, position_fn, total_time, substeps, checkpoints=None):
-    """Apply the midpoint-frozen exponential chain from the ground state at fraction 0.
+def _propagate(model, position_fn, total_time, substeps, marks):
+    """States of the midpoint-frozen exponential chain at the substep indices ``marks``.
 
-    Substep unitaries are built in chunks and multiplied pairwise (tree
-    reduction), which keeps everything in batched linear algebra.  Returns the
-    final state; given ``checkpoints`` (substep indices in [0, substeps]),
-    chunks also end there and the stacked states at those indices are
-    returned instead.
+    The chain starts from the ground state at fraction 0.  Substep unitaries
+    are built in chunks that also end at every mark and are multiplied
+    pairwise (tree reduction), which keeps everything in batched linear
+    algebra.  Returns the states at ``marks`` (indices in [0, substeps]) in
+    sorted order, one row per distinct mark.
     """
     psi = _ground_states(model, position_fn, [0.0])[0].astype(complex)
     dt = total_time / substeps
-    marks = set() if checkpoints is None else {int(mark) for mark in checkpoints}
+    marks = {int(mark) for mark in marks}
     bounds = sorted(marks.union(range(0, substeps, SUBSTEP_CHUNK), [substeps]))
     saved = [psi] if 0 in marks else []
     for lo, hi in zip(bounds[:-1], bounds[1:]):
@@ -90,7 +91,7 @@ def _propagate(model, position_fn, total_time, substeps, checkpoints=None):
         psi = unitaries[0] @ psi
         if hi in marks:
             saved.append(psi)
-    return psi if checkpoints is None else np.array(saved)
+    return np.array(saved)
 
 
 def integrate_schrodinger(
@@ -115,36 +116,42 @@ def integrate_schrodinger(
     Raises
     ------
     ValueError
-        If ``total_time`` is negative, infinite or NaN.
+        If ``total_time`` is negative, infinite or NaN, or ``trace_times``
+        holds NaN or infinity.
     IntegratorConvergenceError
         If the doubling budget is exhausted; carries the last two fidelities.
     """
     if not (total_time >= 0 and np.isfinite(total_time)):
         raise ValueError(f"total_time must be finite and >= 0, got {total_time!r}")
+    trace = np.asarray([] if trace_times is None else trace_times, dtype=float)
+    if not np.all(np.isfinite(trace)):
+        raise ValueError("trace_times must be finite (got NaN or infinity)")
     initial, target = _ground_states(model, position_fn, [0.0, 1.0])
     if total_time == 0:
         fid = float(np.abs(np.vdot(target, initial)) ** 2)
         return CoherentResult(state=initial.astype(complex), fidelity=fid, substeps=0)
 
+    def run(substeps):
+        """Trace marks, the states there with the final state last, and the fidelity."""
+        marks = np.unique(np.clip(np.round(trace / total_time * substeps), 0, substeps).astype(int))
+        states = _propagate(model, position_fn, total_time, substeps, np.append(marks, substeps))
+        return marks, states, float(np.abs(np.vdot(target, states[-1])) ** 2)
+
     substeps = max(64, int(np.ceil(8 * total_time)))
-    psi = _propagate(model, position_fn, total_time, substeps)
-    fid = float(np.abs(np.vdot(target, psi)) ** 2)
+    fid = run(substeps)[2]
     new_fid = fid
     for _ in range(max_doublings):
         if 2 * substeps > SUBSTEP_CAP:
             break
         substeps *= 2
-        psi = _propagate(model, position_fn, total_time, substeps)
-        new_fid = float(np.abs(np.vdot(target, psi)) ** 2)
+        marks, states, new_fid = run(substeps)
         if abs(new_fid - fid) < tolerance:
-            result = CoherentResult(state=psi, fidelity=new_fid, substeps=substeps)
+            result = CoherentResult(state=states[-1], fidelity=new_fid, substeps=substeps)
             if trace_times is not None:
-                fractions = np.asarray(trace_times, dtype=float) / total_time
-                marks = np.unique(np.clip(np.round(fractions * substeps), 0, substeps).astype(int))
-                states = _propagate(model, position_fn, total_time, substeps, marks)
                 grounds = _ground_states(model, position_fn, marks / substeps)
                 result.trace_times = marks / substeps * total_time
-                result.trace_fidelity = np.abs(np.sum(np.conj(grounds) * states, axis=-1)) ** 2
+                overlaps = np.sum(np.conj(grounds) * states[: len(marks)], axis=-1)
+                result.trace_fidelity = np.abs(overlaps) ** 2
             return result
         fid = new_fid
     raise IntegratorConvergenceError(new_fid, fid, substeps)
@@ -197,7 +204,7 @@ def minimal_steps(
             model, trajectory.position_at, total_time, tolerance=tolerance
         ).infidelity
 
-    step_cap = min(cap, trajectory.dense_steps // 10)
+    step_cap = min(cap, trajectory.dense_steps // SEGMENTS_PER_STEP)
 
     def beats(steps: int) -> bool:
         path = trajectory.discretize(steps)

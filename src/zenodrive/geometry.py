@@ -20,6 +20,8 @@ from .spectral import eigh_many, ground_step_lengths, warn_if_degenerate
 
 GAP_FLOOR = 1e-12
 METRIC_CAP = 1e12
+# dense segments a table needs per output step before it resolves a resampling
+SEGMENTS_PER_STEP = 10
 
 
 class DegenerateGroundStateError(RuntimeError):
@@ -241,6 +243,17 @@ def resample(points: np.ndarray, table: np.ndarray, count: int) -> np.ndarray:
     return out
 
 
+def check_resolution(segments: int, steps: int, table: str) -> None:
+    """Reject resampling a ``segments``-segment table into ``steps`` steps it cannot resolve."""
+    if steps < 1:
+        raise ValueError("need at least one step")
+    if segments < SEGMENTS_PER_STEP * steps:
+        raise ValueError(
+            f"{table} too coarse: {segments} segments cannot resolve {steps} steps "
+            f"(need >= {SEGMENTS_PER_STEP * steps})"
+        )
+
+
 def interpolate_at(points: np.ndarray, cumlen: np.ndarray, targets: np.ndarray) -> np.ndarray:
     """Positions on a polyline at given cumulative-length values."""
     seg = np.diff(cumlen)
@@ -267,17 +280,13 @@ def reparameterize(model: HamiltonianFamily, path, count: int, mode: str) -> Dis
 
     ``mode`` selects the notion of length: ``constant-manifold-speed`` uses the
     exact metric step lengths, ``constant-euclidean-speed`` the parameter-plane
-    distance.  The input must resolve the output: at least 10 input segments
-    per output step.
+    distance.  The input must resolve the output: at least
+    ``SEGMENTS_PER_STEP`` input segments per output step.
     """
     if mode not in ("constant-manifold-speed", "constant-euclidean-speed"):
         raise ValueError(f"unknown parameterization mode {mode!r}")
     points = _as_points(path)
-    if points.shape[0] - 1 < 10 * count:
-        raise ValueError(
-            f"input path too coarse: {points.shape[0] - 1} segments "
-            f"cannot resolve {count} output steps (need >= {10 * count})"
-        )
+    check_resolution(points.shape[0] - 1, count, "input path")
     if mode == "constant-manifold-speed":
         table = cumulative_lengths(model, points)
     else:

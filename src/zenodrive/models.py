@@ -24,50 +24,61 @@ BRUTE_FORCE_MAX_QUBITS = 8
 
 
 class HamiltonianFamily:
-    """A smooth map from a D-dimensional parameter point to a Hermitian matrix.
+    """A smooth map from D-dimensional parameter points to Hermitian matrices.
 
-    Subclasses set ``dim`` and ``nparams`` and implement ``hamiltonian`` and
-    ``derivative``.  ``lower_bounds`` (length D, ``-inf`` where unconstrained)
-    declares the admissible parameter domain for path solvers.
+    Subclasses set ``dim`` and ``nparams`` and implement the batched trio
+    ``hamiltonian_many``, ``derivative_many`` and ``second_derivative_many``.
+    Each takes points of shape (..., D) and returns matrices of shape
+    (..., dim, dim), so a single (D,) point gives one (dim, dim) matrix; each
+    passes its input through ``check_points`` first.  ``hamiltonian``,
+    ``derivative`` and ``second_derivative`` are the same maps under their
+    single-point names.
 
-    The default batch and second-derivative implementations are generic loops
-    and central differences; concrete models override them with closed forms.
+    ``lower_bounds`` (length D, ``-inf`` where unconstrained) declares the
+    admissible parameter domain: ``check_points`` rejects points below it with
+    ``domain_error``, and path solvers project onto it.
     """
 
     dim: int
     nparams: int
     lower_bounds: np.ndarray | None = None
+    domain_error = "parameter point below the lower bounds of the model"
 
-    def hamiltonian(self, point: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
+    def check_points(self, points: np.ndarray, *axes: int) -> np.ndarray:
+        """Points as a float array, after checking them and the parameter ``axes``.
 
-    def derivative(self, point: np.ndarray, axis: int) -> np.ndarray:
-        raise NotImplementedError
-
-    def second_derivative(self, point: np.ndarray, axis1: int, axis2: int) -> np.ndarray:
-        h = 1e-4
-        point = np.asarray(point, dtype=float)
-        step = np.zeros(self.nparams)
-        step[axis1] = h
-        return (self.derivative(point + step, axis2) - self.derivative(point - step, axis2)) / (2 * h)
+        Raises ``ValueError`` for a wrong last-axis width, NaN or infinity, a
+        point below ``lower_bounds`` or an axis outside [0, D).
+        """
+        points = np.asarray(points, dtype=float)
+        if points.ndim == 0 or points.shape[-1] != self.nparams:
+            raise ValueError(f"expected points of width {self.nparams}, got shape {points.shape}")
+        if not np.all(np.isfinite(points)):
+            raise ValueError("parameter point must be finite (got NaN or infinity)")
+        if self.lower_bounds is not None and np.any(points < self.lower_bounds):
+            raise ValueError(self.domain_error)
+        for axis in axes:
+            if axis not in range(self.nparams):
+                raise ValueError(f"invalid parameter axis {axis}")
+        return points
 
     def hamiltonian_many(self, points: np.ndarray) -> np.ndarray:
-        points = np.asarray(points, dtype=float)
-        flat = points.reshape(-1, self.nparams)
-        out = np.stack([self.hamiltonian(p) for p in flat])
-        return out.reshape(points.shape[:-1] + (self.dim, self.dim))
+        raise NotImplementedError
 
     def derivative_many(self, points: np.ndarray, axis: int) -> np.ndarray:
-        points = np.asarray(points, dtype=float)
-        flat = points.reshape(-1, self.nparams)
-        out = np.stack([self.derivative(p, axis) for p in flat])
-        return out.reshape(points.shape[:-1] + (self.dim, self.dim))
+        raise NotImplementedError
 
     def second_derivative_many(self, points: np.ndarray, axis1: int, axis2: int) -> np.ndarray:
-        points = np.asarray(points, dtype=float)
-        flat = points.reshape(-1, self.nparams)
-        out = np.stack([self.second_derivative(p, axis1, axis2) for p in flat])
-        return out.reshape(points.shape[:-1] + (self.dim, self.dim))
+        raise NotImplementedError
+
+    def hamiltonian(self, point: np.ndarray) -> np.ndarray:
+        return self.hamiltonian_many(point)
+
+    def derivative(self, point: np.ndarray, axis: int) -> np.ndarray:
+        return self.derivative_many(point, axis)
+
+    def second_derivative(self, point: np.ndarray, axis1: int, axis2: int) -> np.ndarray:
+        return self.second_derivative_many(point, axis1, axis2)
 
     def project_point(self, point: np.ndarray) -> np.ndarray:
         """Clip a parameter point onto the admissible domain."""
@@ -135,15 +146,15 @@ class LipkinModel(HamiltonianFamily):
     """
 
     nparams = 2
+    lower_bounds = np.array([-np.inf, 0.0])
+    domain_error = "chi must be >= 0 (model is defined on the halfplane)"
 
     def __init__(self, n_qubits: int):
         if n_qubits < 1:
             raise ValueError("need at least one qubit")
         self.n_qubits = n_qubits
         self.dim = n_qubits + 1
-        self.lower_bounds = np.array([-np.inf, 0.0])
         self._a0, self._alam, self._achi, self._achi2 = _lipkin_monomials(n_qubits)
-        self._zero = np.zeros((self.dim, self.dim))
 
     @property
     def total_spin(self) -> float:
@@ -155,56 +166,24 @@ class LipkinModel(HamiltonianFamily):
         j = self.total_spin
         return np.arange(-j, j + 1)
 
-    def _check_domain(self, point: np.ndarray) -> np.ndarray:
-        point = np.asarray(point, dtype=float)
-        if point.shape[-1] != 2:
-            raise ValueError("expected a (lam, chi) pair")
-        if not np.all(np.isfinite(point)):
-            raise ValueError("parameter point must be finite (got NaN or infinity)")
-        if np.any(point[..., 1] < 0):
-            raise ValueError("chi must be >= 0 (model is defined on the halfplane)")
-        return point
-
-    def hamiltonian(self, point: np.ndarray) -> np.ndarray:
-        lam, chi = self._check_domain(point)
-        return self._a0 + lam * self._alam + chi * self._achi + chi**2 * self._achi2
-
-    def derivative(self, point: np.ndarray, axis: int) -> np.ndarray:
-        self._check_domain(point)
-        if axis == 0:
-            return self._alam.copy()
-        if axis == 1:
-            chi = float(point[1])
-            return self._achi + 2 * chi * self._achi2
-        raise ValueError(f"invalid parameter axis {axis}")
-
-    def second_derivative(self, point: np.ndarray, axis1: int, axis2: int) -> np.ndarray:
-        if {axis1, axis2} - {0, 1}:
-            raise ValueError(f"invalid parameter axes ({axis1}, {axis2})")
-        if axis1 == 1 and axis2 == 1:
-            return 2 * self._achi2
-        return self._zero.copy()
-
     def hamiltonian_many(self, points: np.ndarray) -> np.ndarray:
-        points = self._check_domain(np.asarray(points, dtype=float))
+        points = self.check_points(points)
         lam = points[..., 0, None, None]
         chi = points[..., 1, None, None]
         return self._a0 + lam * self._alam + chi * self._achi + chi**2 * self._achi2
 
     def derivative_many(self, points: np.ndarray, axis: int) -> np.ndarray:
-        points = self._check_domain(np.asarray(points, dtype=float))
-        shape = points.shape[:-1] + (self.dim, self.dim)
+        points = self.check_points(points, axis)
         if axis == 0:
-            return np.broadcast_to(self._alam, shape).copy()
-        if axis == 1:
-            chi = points[..., 1, None, None]
-            return self._achi + 2 * chi * self._achi2
-        raise ValueError(f"invalid parameter axis {axis}")
+            return np.broadcast_to(self._alam, points.shape[:-1] + (self.dim, self.dim)).copy()
+        chi = points[..., 1, None, None]
+        return self._achi + 2 * chi * self._achi2
 
     def second_derivative_many(self, points: np.ndarray, axis1: int, axis2: int) -> np.ndarray:
-        points = np.asarray(points, dtype=float)
-        shape = points.shape[:-1] + (self.dim, self.dim)
-        return np.broadcast_to(self.second_derivative(np.zeros(2), axis1, axis2), shape).copy()
+        shape = self.check_points(points, axis1, axis2).shape[:-1] + (self.dim, self.dim)
+        if axis1 == axis2 == 1:
+            return np.broadcast_to(2 * self._achi2, shape).copy()
+        return np.zeros(shape)
 
 
 class TwoLevelModel(HamiltonianFamily):
@@ -219,35 +198,17 @@ class TwoLevelModel(HamiltonianFamily):
 
     dim = 2
     nparams = 1
-    lower_bounds = None
-
-    def hamiltonian(self, point: np.ndarray) -> np.ndarray:
-        theta = float(np.asarray(point, dtype=float).reshape(-1)[0])
-        return -0.5 * (np.cos(theta) * SIGMA_Z + np.sin(theta) * SIGMA_X)
-
-    def derivative(self, point: np.ndarray, axis: int) -> np.ndarray:
-        if axis != 0:
-            raise ValueError(f"invalid parameter axis {axis}")
-        theta = float(np.asarray(point, dtype=float).reshape(-1)[0])
-        return -0.5 * (-np.sin(theta) * SIGMA_Z + np.cos(theta) * SIGMA_X)
-
-    def second_derivative(self, point: np.ndarray, axis1: int, axis2: int) -> np.ndarray:
-        if axis1 != 0 or axis2 != 0:
-            raise ValueError(f"invalid parameter axes ({axis1}, {axis2})")
-        return -self.hamiltonian(point)
 
     def hamiltonian_many(self, points: np.ndarray) -> np.ndarray:
-        theta = np.asarray(points, dtype=float)[..., 0, None, None]
+        theta = self.check_points(points)[..., 0, None, None]
         return -0.5 * (np.cos(theta) * SIGMA_Z + np.sin(theta) * SIGMA_X)
 
     def derivative_many(self, points: np.ndarray, axis: int) -> np.ndarray:
-        if axis != 0:
-            raise ValueError(f"invalid parameter axis {axis}")
-        theta = np.asarray(points, dtype=float)[..., 0, None, None]
+        theta = self.check_points(points, axis)[..., 0, None, None]
         return -0.5 * (-np.sin(theta) * SIGMA_Z + np.cos(theta) * SIGMA_X)
 
     def second_derivative_many(self, points: np.ndarray, axis1: int, axis2: int) -> np.ndarray:
-        return -self.hamiltonian_many(points)
+        return -self.hamiltonian_many(self.check_points(points, axis1, axis2))
 
     def ground_state_exact(self, theta: float) -> np.ndarray:
         return np.array([np.sin(theta / 2.0), np.cos(theta / 2.0)])
@@ -268,9 +229,7 @@ def brute_force_lipkin(n_qubits: int, point: np.ndarray) -> np.ndarray:
     """
     if n_qubits > BRUTE_FORCE_MAX_QUBITS:
         raise ValueError(f"brute-force oracle limited to N <= {BRUTE_FORCE_MAX_QUBITS}")
-    lam, chi = np.asarray(point, dtype=float)
-    if chi < 0:
-        raise ValueError("chi must be >= 0 (model is defined on the halfplane)")
+    lam, chi = LipkinModel(n_qubits).check_points(point)
     n = n_qubits
     dim = 2**n
     sx = [_site_operator(SIGMA_X, i, n) for i in range(n)]

@@ -17,6 +17,7 @@ import numpy as np
 
 from .geometry import (
     DiscretizedPath,
+    check_resolution,
     cumulative_euclidean,
     cumulative_lengths,
     geodesic,
@@ -67,13 +68,7 @@ class Trajectory:
 
     def discretize(self, steps: int) -> DiscretizedPath:
         """Stroboscopic path with ``steps`` quenches at the family's speed law."""
-        if steps < 1:
-            raise ValueError("need at least one step")
-        if self.dense_steps < 10 * steps:
-            raise ValueError(
-                f"trajectory table too coarse for {steps} steps "
-                f"({self.dense_steps} dense segments; need >= {10 * steps})"
-            )
+        check_resolution(self.dense_steps, steps, "trajectory table")
         out = resample(self.points, self._table(), steps)
         family = "geodesic" if self.family == "geodesic" else "linear"
         return DiscretizedPath(points=out, family=family, parameterization=self.mode)

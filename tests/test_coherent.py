@@ -73,7 +73,7 @@ class TestIntegrator:
         exact = integrate_schrodinger(two_level, ramp, total_time, tolerance=1e-11).fidelity
         errs = []
         for n in (64, 128, 256):
-            psi = _propagate(two_level, ramp, total_time, n)
+            psi = _propagate(two_level, ramp, total_time, n, [n])[0]
             errs.append(abs(float(np.abs(np.vdot(target, psi)) ** 2) - exact))
         ratios = [errs[i] / errs[i + 1] for i in range(2)]
         for ratio in ratios:
@@ -140,6 +140,18 @@ class TestIntegrator:
     def test_rejects_nan_time(self, two_level):
         with pytest.raises(ValueError, match="total_time"):
             integrate_schrodinger(two_level, angle_ramp(np.pi), float("nan"))
+
+    def test_rejects_nonfinite_trace_times_before_propagating(self, two_level):
+        requested = []
+
+        def ramp(fractions):
+            requested.append(fractions)
+            return angle_ramp(np.pi)(fractions)
+
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="trace_times"):
+                integrate_schrodinger(two_level, ramp, 5.0, trace_times=[0.0, bad])
+        assert not requested
 
     def test_matches_dop853_reference(self):
         # independent reference: the Schrodinger ODE under DOP853, integrated

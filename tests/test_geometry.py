@@ -20,11 +20,17 @@ from zenodrive.geometry import (
     step_length,
     step_lengths_along,
 )
-from zenodrive.models import HamiltonianFamily, LipkinModel, TwoLevelModel
+from zenodrive.models import SIGMA_X, HamiltonianFamily, LipkinModel, TwoLevelModel
 from zenodrive.spectral import DegeneracyWarning
 
 START = np.array([0.0, 0.0])
 END = np.array([2.0, 0.5])
+
+
+def batched_kron(a, b):
+    """Kronecker product of the last two axes, batched over the leading ones."""
+    out = np.einsum("...ij,...kl->...ikjl", a, b)
+    return out.reshape(out.shape[:-4] + (a.shape[-2] * b.shape[-2], a.shape[-1] * b.shape[-1]))
 
 
 class ConstantModel(HamiltonianFamily):
@@ -38,14 +44,15 @@ class ConstantModel(HamiltonianFamily):
         self._h = 0.5 * (m + m.T)
         self.dim = 4
 
-    def hamiltonian(self, point):
-        return self._h.copy()
+    def hamiltonian_many(self, points):
+        points = self.check_points(points)
+        return np.broadcast_to(self._h, points.shape[:-1] + (4, 4)).copy()
 
-    def derivative(self, point, axis):
-        return np.zeros((4, 4))
+    def derivative_many(self, points, axis):
+        return np.zeros(self.check_points(points, axis).shape[:-1] + (4, 4))
 
-    def second_derivative(self, point, axis1, axis2):
-        return np.zeros((4, 4))
+    def second_derivative_many(self, points, axis1, axis2):
+        return np.zeros(self.check_points(points, axis1, axis2).shape[:-1] + (4, 4))
 
 
 class FlatModel(HamiltonianFamily):
@@ -53,35 +60,25 @@ class FlatModel(HamiltonianFamily):
 
     dim = 4
     nparams = 2
+    qubit = TwoLevelModel()
 
-    @staticmethod
-    def _rot(theta):
-        sz = np.array([[-1.0, 0.0], [0.0, 1.0]])
-        sx = np.array([[0.0, 1.0], [1.0, 0.0]])
-        return -0.5 * (np.cos(theta) * sz + np.sin(theta) * sx)
+    def hamiltonian_many(self, points):
+        points = self.check_points(points)
+        x = self.qubit.hamiltonian_many(points[..., :1])
+        y = self.qubit.hamiltonian_many(points[..., 1:])
+        return batched_kron(x, np.eye(2)) + 2 * batched_kron(np.eye(2), y)
 
-    def hamiltonian(self, point):
-        x, y = np.asarray(point, dtype=float)
-        return np.kron(self._rot(x), np.eye(2)) + 2 * np.kron(np.eye(2), self._rot(y))
+    def derivative_many(self, points, axis):
+        points = self.check_points(points, axis)
+        d = self.qubit.derivative_many(points[..., axis : axis + 1], 0)
+        return batched_kron(d, np.eye(2)) if axis == 0 else 2 * batched_kron(np.eye(2), d)
 
-    def derivative(self, point, axis):
-        x, y = np.asarray(point, dtype=float)
-        h = 1e-6  # unused; analytic below
-        sz = np.array([[-1.0, 0.0], [0.0, 1.0]])
-        sx = np.array([[0.0, 1.0], [1.0, 0.0]])
-        if axis == 0:
-            d = -0.5 * (-np.sin(x) * sz + np.cos(x) * sx)
-            return np.kron(d, np.eye(2))
-        d = -0.5 * (-np.sin(y) * sz + np.cos(y) * sx)
-        return 2 * np.kron(np.eye(2), d)
-
-    def second_derivative(self, point, axis1, axis2):
+    def second_derivative_many(self, points, axis1, axis2):
+        points = self.check_points(points, axis1, axis2)
         if axis1 != axis2:
-            return np.zeros((4, 4))
-        x, y = np.asarray(point, dtype=float)
-        if axis1 == 0:
-            return np.kron(-self._rot(x), np.eye(2))
-        return 2 * np.kron(np.eye(2), -self._rot(y))
+            return np.zeros(points.shape[:-1] + (4, 4))
+        d2 = self.qubit.second_derivative_many(points[..., axis1 : axis1 + 1], 0, 0)
+        return batched_kron(d2, np.eye(2)) if axis1 == 0 else 2 * batched_kron(np.eye(2), d2)
 
 
 class NearDegenerateModel(HamiltonianFamily):
@@ -93,15 +90,77 @@ class NearDegenerateModel(HamiltonianFamily):
     def __init__(self, coupling):
         self.coupling = coupling
 
-    def hamiltonian(self, point):
-        x = float(np.asarray(point).reshape(-1)[0])
-        return np.array([[x, self.coupling], [self.coupling, -x]])
+    def hamiltonian_many(self, points):
+        x = self.check_points(points)[..., 0, None, None]
+        return x * np.diag([1.0, -1.0]) + self.coupling * SIGMA_X
 
-    def derivative(self, point, axis):
-        return np.array([[1.0, 0.0], [0.0, -1.0]])
+    def derivative_many(self, points, axis):
+        points = self.check_points(points, axis)
+        return np.broadcast_to(np.diag([1.0, -1.0]), points.shape[:-1] + (2, 2)).copy()
 
-    def second_derivative(self, point, axis1, axis2):
-        return np.zeros((2, 2))
+    def second_derivative_many(self, points, axis1, axis2):
+        return np.zeros(self.check_points(points, axis1, axis2).shape[:-1] + (2, 2))
+
+
+CONTRACT_MODELS = {
+    "lipkin6": lambda: LipkinModel(6),
+    "two-level": TwoLevelModel,
+    "constant": ConstantModel,
+    "flat": FlatModel,
+    "near-degenerate": lambda: NearDegenerateModel(coupling=0.3),
+}
+
+
+@pytest.mark.parametrize("name", CONTRACT_MODELS)
+class TestModelContract:
+    """Each family implements only the batched trio; everything else follows from it."""
+
+    @staticmethod
+    def _points(model):
+        return np.random.default_rng(5).uniform(0.1, 1.0, size=(2, 3, model.nparams))
+
+    def test_single_point_is_batch_row(self, name):
+        model = CONTRACT_MODELS[name]()
+        points = self._points(model)
+        axes = range(model.nparams)
+        maps = [(model.hamiltonian_many, model.hamiltonian, ())]
+        maps += [(model.derivative_many, model.derivative, (a,)) for a in axes]
+        maps += [
+            (model.second_derivative_many, model.second_derivative, (a, b))
+            for a in axes
+            for b in axes
+        ]
+        for many, single, axes_args in maps:
+            batch = many(points, *axes_args)
+            assert batch.shape == points.shape[:-1] + (model.dim, model.dim)
+            for index in np.ndindex(points.shape[:-1]):
+                assert np.array_equal(many(points[index], *axes_args), batch[index])
+                assert np.array_equal(single(points[index], *axes_args), batch[index])
+
+    def test_derivatives_match_central_differences(self, name):
+        model = CONTRACT_MODELS[name]()
+        points = self._points(model)
+        h = 1e-5
+        for a in range(model.nparams):
+            step = np.zeros(model.nparams)
+            step[a] = h
+            fd = (model.hamiltonian_many(points + step) - model.hamiltonian_many(points - step)) / (2 * h)
+            assert np.abs(fd - model.derivative_many(points, a)).max() <= 1e-8
+            for b in range(model.nparams):
+                fd = (
+                    model.derivative_many(points + step, b) - model.derivative_many(points - step, b)
+                ) / (2 * h)
+                assert np.abs(fd - model.second_derivative_many(points, a, b)).max() <= 1e-8
+
+    def test_rejects_malformed_input(self, name):
+        model = CONTRACT_MODELS[name]()
+        good = np.full(model.nparams, 0.5)
+        with pytest.raises(ValueError, match="finite"):
+            model.hamiltonian_many(np.full(model.nparams, np.inf))
+        with pytest.raises(ValueError, match="width"):
+            model.hamiltonian_many(np.append(good, 0.5))
+        with pytest.raises(ValueError, match="axis"):
+            model.derivative_many(good, model.nparams)
 
 
 @pytest.fixture(scope="module")
@@ -177,14 +236,14 @@ class TestMetric:
             dim = lipkin10.dim
             nparams = 2
 
-            def hamiltonian(self, point):
-                return lipkin10.hamiltonian(point) + 17.3 * np.eye(self.dim)
+            def hamiltonian_many(self, points):
+                return lipkin10.hamiltonian_many(points) + 17.3 * np.eye(self.dim)
 
-            def derivative(self, point, axis):
-                return lipkin10.derivative(point, axis)
+            def derivative_many(self, points, axis):
+                return lipkin10.derivative_many(points, axis)
 
-            def second_derivative(self, point, a, b):
-                return lipkin10.second_derivative(point, a, b)
+            def second_derivative_many(self, points, a, b):
+                return lipkin10.second_derivative_many(points, a, b)
 
         point = np.array([1.0, 0.4])
         assert np.abs(metric(Shifted(), point) - metric(lipkin10, point)).max() <= 1e-12

@@ -120,7 +120,17 @@ def test_rejects_negative_chi():
         brute_force_lipkin(4, np.array([1.0, -0.1]))
 
 
-@pytest.mark.parametrize("entry", ["hamiltonian_many", "run_stroboscopic", "metric", "build_trajectory"])
+@pytest.mark.parametrize(
+    "entry",
+    [
+        "hamiltonian_many",
+        "run_stroboscopic",
+        "metric",
+        "build_trajectory",
+        "two_level_run_stroboscopic",
+        "brute_force_lipkin",
+    ],
+)
 def test_rejects_nan_points(entry):
     from zenodrive.geometry import metric
     from zenodrive.protocol import run_stroboscopic
@@ -135,6 +145,10 @@ def test_rejects_nan_points(entry):
         "build_trajectory": lambda: build_trajectory(
             model, "linear-v", np.zeros(2), point, dense_steps=100
         ),
+        "two_level_run_stroboscopic": lambda: run_stroboscopic(
+            TwoLevelModel(), np.array([[0.0], [np.nan]])
+        ),
+        "brute_force_lipkin": lambda: brute_force_lipkin(4, point),
     }
     with pytest.raises(ValueError, match="finite"):
         calls[entry]()
