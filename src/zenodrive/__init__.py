@@ -13,7 +13,6 @@ from .coherent import (
 )
 from .geometry import (
     DegenerateGroundStateError,
-    DiscretizedPath,
     GeodesicConvergenceError,
     geodesic,
     metric,
@@ -60,7 +59,6 @@ from .trajectories import FAMILIES, Trajectory, build_trajectory
 __all__ = [
     "CoherentResult",
     "DegenerateGroundStateError",
-    "DiscretizedPath",
     "FAMILIES",
     "GeodesicConvergenceError",
     "HamiltonianFamily",

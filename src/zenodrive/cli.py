@@ -39,10 +39,7 @@ CONFIG_SPEC = {
     "steps.K": ("intlist", (50, 100, 200, 500, 1000, 2000, 5000), "step counts"),
     "times.T": ("floatlist", (1.0, 2.0, 5.0, 10.0, 20.0, 50.0), "driving times"),
     "geodesic.segments": (int, 256, "segments for the geodesic relaxation"),
-    "geodesic.gtol": (float, 1e-9, "geodesic gradient tolerance"),
-    "geodesic.max_iterations": (int, 200, "geodesic iteration budget"),
     "dense.steps": (int, 0, "dense trajectory segments (0 = auto from max K)"),
-    "coherent.tolerance": (float, 1e-8, "fidelity convergence tolerance"),
     "compare.cap": (int, 10**6, "largest step count tried by the crossover search"),
     "grid.lambda": ("range3", (0.0, 3.0, 41), "metric-map lambda grid min:max:count"),
     "grid.chi": ("range3", (0.0, 1.0, 31), "metric-map chi grid min:max:count"),
@@ -174,8 +171,6 @@ def _build_trajectory(model, config, max_steps=None) -> Trajectory:
         np.array(config["path.end"]),
         dense_steps=needed,
         geodesic_steps=config["geodesic.segments"],
-        gtol=config["geodesic.gtol"],
-        max_iterations=config["geodesic.max_iterations"],
     )
 
 
@@ -208,12 +203,12 @@ def cmd_path(config, out_dir, jobs):
     result = run_stroboscopic(model, path)
     dl = result.step_lengths
     cumulative = np.concatenate([[0.0], np.cumsum(dl)])
-    euclid = np.linalg.norm(np.diff(path.points, axis=0), axis=1)
+    euclid = np.linalg.norm(np.diff(path, axis=0), axis=1)
     # plane speed of the incoming step for total driving time T = 1
     u_speed = np.concatenate([[0.0], euclid * steps])
     delta = np.concatenate([[0.0], dl])
     rows = [
-        (k, path.points[k, 0], path.points[k, 1], delta[k], cumulative[k], u_speed[k])
+        (k, path[k, 0], path[k, 1], delta[k], cumulative[k], u_speed[k])
         for k in range(steps + 1)
     ]
     write_csv(
@@ -251,12 +246,7 @@ def cmd_compare(config, out_dir, jobs):
     trajectory = _build_trajectory(model, config, max_steps=min(cap, 10000))
 
     def one(total_time):
-        result = integrate_schrodinger(
-            model,
-            trajectory.position_at,
-            float(total_time),
-            tolerance=config["coherent.tolerance"],
-        )
+        result = integrate_schrodinger(model, trajectory.position_at, float(total_time))
         k_min, tau = minimal_steps(
             model,
             trajectory,

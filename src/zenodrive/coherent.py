@@ -100,7 +100,6 @@ def integrate_schrodinger(
     total_time: float,
     *,
     tolerance: float = DEFAULT_TOLERANCE,
-    max_doublings: int = 22,
     trace_times: np.ndarray | None = None,
 ) -> CoherentResult:
     """Evolve the instantaneous ground state along a ramp and score the target overlap.
@@ -109,9 +108,9 @@ def integrate_schrodinger(
     points.  The state starts in the ground state at fraction 0; the fidelity
     is the squared overlap with the ground state at fraction 1.  The first run
     uses max(64, ceil(8 T)) substeps; substeps then double until the fidelity
-    changes by less than ``tolerance``, at most ``max_doublings`` times and
-    never beyond ``SUBSTEP_CAP`` (2**23).  ``trace_times`` adds the ground-state
-    fidelity at those times, rounded to the converged substep grid.
+    changes by less than ``tolerance``, never beyond ``SUBSTEP_CAP`` (2**23).
+    ``trace_times`` adds the ground-state fidelity at those times, rounded to
+    the converged substep grid (at T = 0 every time rounds to grid point 0).
 
     Raises
     ------
@@ -119,7 +118,7 @@ def integrate_schrodinger(
         If ``total_time`` is negative, infinite or NaN, or ``trace_times``
         holds NaN or infinity.
     IntegratorConvergenceError
-        If the doubling budget is exhausted; carries the last two fidelities.
+        If the substep cap is reached first; carries the last two fidelities.
     """
     if not (total_time >= 0 and np.isfinite(total_time)):
         raise ValueError(f"total_time must be finite and >= 0, got {total_time!r}")
@@ -127,9 +126,20 @@ def integrate_schrodinger(
     if not np.all(np.isfinite(trace)):
         raise ValueError("trace_times must be finite (got NaN or infinity)")
     initial, target = _ground_states(model, position_fn, [0.0, 1.0])
+
+    def finish(substeps, fractions, states, fid):
+        """Result with the trace at grid ``fractions``; ``states`` has one row each, final last."""
+        result = CoherentResult(state=states[-1], fidelity=fid, substeps=substeps)
+        if trace_times is not None:
+            grounds = _ground_states(model, position_fn, fractions)
+            result.trace_times = fractions * total_time
+            overlaps = np.sum(np.conj(grounds) * states[: len(fractions)], axis=-1)
+            result.trace_fidelity = np.abs(overlaps) ** 2
+        return result
+
     if total_time == 0:
         fid = float(np.abs(np.vdot(target, initial)) ** 2)
-        return CoherentResult(state=initial.astype(complex), fidelity=fid, substeps=0)
+        return finish(0, np.zeros(min(trace.size, 1)), initial[None].astype(complex), fid)
 
     def run(substeps):
         """Trace marks, the states there with the final state last, and the fidelity."""
@@ -138,23 +148,14 @@ def integrate_schrodinger(
         return marks, states, float(np.abs(np.vdot(target, states[-1])) ** 2)
 
     substeps = max(64, int(np.ceil(8 * total_time)))
-    fid = run(substeps)[2]
-    new_fid = fid
-    for _ in range(max_doublings):
-        if 2 * substeps > SUBSTEP_CAP:
-            break
+    fid = previous = run(substeps)[2]
+    while 2 * substeps <= SUBSTEP_CAP:
         substeps *= 2
         marks, states, new_fid = run(substeps)
         if abs(new_fid - fid) < tolerance:
-            result = CoherentResult(state=states[-1], fidelity=new_fid, substeps=substeps)
-            if trace_times is not None:
-                grounds = _ground_states(model, position_fn, marks / substeps)
-                result.trace_times = marks / substeps * total_time
-                overlaps = np.sum(np.conj(grounds) * states[: len(marks)], axis=-1)
-                result.trace_fidelity = np.abs(overlaps) ** 2
-            return result
-        fid = new_fid
-    raise IntegratorConvergenceError(new_fid, fid, substeps)
+            return finish(substeps, marks / substeps, states, new_fid)
+        previous, fid = fid, new_fid
+    raise IntegratorConvergenceError(fid, previous, substeps)
 
 
 def coherent_sweep(

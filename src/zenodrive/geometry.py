@@ -45,35 +45,6 @@ class GeodesicConvergenceError(RuntimeError):
 
 
 @dataclass
-class DiscretizedPath:
-    """Ordered parameter points of a stroboscopic driving path.
-
-    ``points`` has shape (K+1, D); the first and last rows are the fixed
-    endpoints.  The tags record how the path was produced, not a constraint
-    enforced here.
-    """
-
-    points: np.ndarray
-    family: str = "custom"
-    parameterization: str = "custom"
-
-    def __post_init__(self):
-        self.points = np.atleast_2d(np.asarray(self.points, dtype=float))
-
-    @property
-    def steps(self) -> int:
-        return self.points.shape[0] - 1
-
-    @property
-    def start(self) -> np.ndarray:
-        return self.points[0]
-
-    @property
-    def end(self) -> np.ndarray:
-        return self.points[-1]
-
-
-@dataclass
 class GeodesicDiagnostics:
     """Per-iteration record of the geodesic relaxation."""
 
@@ -81,12 +52,6 @@ class GeodesicDiagnostics:
     residual: float = np.inf
     energy_trace: list = field(default_factory=list)
     length_trace: list = field(default_factory=list)
-
-
-def _as_points(path) -> np.ndarray:
-    if isinstance(path, DiscretizedPath):
-        return path.points
-    return np.atleast_2d(np.asarray(path, dtype=float))
 
 
 def metric(model: HamiltonianFamily, point: np.ndarray) -> np.ndarray:
@@ -215,7 +180,7 @@ def step_length(model: HamiltonianFamily, a: np.ndarray, b: np.ndarray) -> float
 
 def path_length(model: HamiltonianFamily, path) -> float:
     """Sum of exact step lengths over consecutive path points."""
-    points = _as_points(path)
+    points = np.atleast_2d(np.asarray(path, dtype=float))
     if points.shape[0] < 2:
         return 0.0
     return float(step_lengths_along(model, points).sum())
@@ -263,19 +228,17 @@ def interpolate_at(points: np.ndarray, cumlen: np.ndarray, targets: np.ndarray) 
     return out
 
 
-def refine(path, factor: int) -> DiscretizedPath:
+def refine(path, factor: int) -> np.ndarray:
     """Subdivide every segment of a path ``factor`` times (the curve is unchanged)."""
-    points = _as_points(path)
+    points = np.atleast_2d(np.asarray(path, dtype=float))
     if factor < 1:
         raise ValueError("factor must be >= 1")
     frac = np.linspace(0.0, 1.0, factor + 1)[:-1, None]
     pieces = points[:-1, None] + frac * (points[1:] - points[:-1])[:, None]
-    dense = np.concatenate([pieces.reshape(-1, points.shape[1]), points[-1:]], axis=0)
-    family = path.family if isinstance(path, DiscretizedPath) else "custom"
-    return DiscretizedPath(points=dense, family=family, parameterization="custom")
+    return np.concatenate([pieces.reshape(-1, points.shape[1]), points[-1:]], axis=0)
 
 
-def reparameterize(model: HamiltonianFamily, path, count: int, mode: str) -> DiscretizedPath:
+def reparameterize(model: HamiltonianFamily, path, count: int, mode: str) -> np.ndarray:
     """Resample a densely sampled path at ``count`` equal-length steps.
 
     ``mode`` selects the notion of length: ``constant-manifold-speed`` uses the
@@ -285,15 +248,13 @@ def reparameterize(model: HamiltonianFamily, path, count: int, mode: str) -> Dis
     """
     if mode not in ("constant-manifold-speed", "constant-euclidean-speed"):
         raise ValueError(f"unknown parameterization mode {mode!r}")
-    points = _as_points(path)
+    points = np.atleast_2d(np.asarray(path, dtype=float))
     check_resolution(points.shape[0] - 1, count, "input path")
     if mode == "constant-manifold-speed":
         table = cumulative_lengths(model, points)
     else:
         table = cumulative_euclidean(points)
-    out = resample(points, table, count)
-    family = path.family if isinstance(path, DiscretizedPath) else "custom"
-    return DiscretizedPath(points=out, family=family, parameterization=mode)
+    return resample(points, table, count)
 
 
 # ---------------------------------------------------------------------------
@@ -394,9 +355,10 @@ def geodesic(
     Relaxes the discrete path energy sum_k g(mid_k)[delta_k, delta_k] over the
     interior points, starting from the constant-speed straight chord, with
     damped Newton steps and a step-halving line search on the energy.  The
-    energy minimizer is automatically a constant-speed discretization, so the
-    returned path carries the ``constant-manifold-speed`` tag.  Interior points
-    are projected onto the model domain (e.g. chi >= 0) after every trial step.
+    energy minimizer is automatically a constant-speed discretization.
+    Interior points are projected onto the model domain (e.g. chi >= 0) after
+    every trial step.  Returns the (steps+1, D) points, or ``(points, diag)``
+    with ``return_diagnostics``.
 
     Raises
     ------
@@ -436,10 +398,7 @@ def geodesic(
         diag.iterations = iteration
         diag.residual = residual
         if residual < gtol:
-            path = DiscretizedPath(
-                points=points, family="geodesic", parameterization="constant-manifold-speed"
-            )
-            return (path, diag) if return_diagnostics else path
+            return (points, diag) if return_diagnostics else points
 
         accepted = False
         trial = None

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import _as_points, step_lengths_along
+from .geometry import step_lengths_along
 from .models import HamiltonianFamily
 from .spectral import branching_along, eigh_many, ground_step_lengths, warn_if_degenerate
 from .trajectories import Trajectory
@@ -66,7 +66,7 @@ def run_stroboscopic(model: HamiltonianFamily, path) -> ProtocolResult:
     ``B(k)`` is the full branching matrix between the eigenbases at points k
     and k+1; every probability row is conserved to numerical precision.
     """
-    points = _as_points(path)
+    points = np.atleast_2d(np.asarray(path, dtype=float))
     energies, states = eigh_many(model.hamiltonian_many(points))
     warn_if_degenerate(energies)
     ratios = branching_along(states)
@@ -86,7 +86,7 @@ def fidelity_product(model: HamiltonianFamily, path) -> float:
     which return non-negative probability, so it never exceeds the exact
     final fidelity.
     """
-    dl = step_lengths_along(model, _as_points(path))
+    dl = step_lengths_along(model, np.atleast_2d(np.asarray(path, dtype=float)))
     return float(np.prod(1.0 - dl**2))
 
 

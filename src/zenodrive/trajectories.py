@@ -16,7 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import (
-    DiscretizedPath,
     check_resolution,
     cumulative_euclidean,
     cumulative_lengths,
@@ -28,13 +27,6 @@ from .geometry import (
 from .models import HamiltonianFamily
 
 FAMILIES = ("geodesic", "linear-v", "linear-u")
-
-# speed law implied by each family tag
-_FAMILY_MODE = {
-    "geodesic": "constant-manifold-speed",
-    "linear-v": "constant-manifold-speed",
-    "linear-u": "constant-euclidean-speed",
-}
 
 
 @dataclass(frozen=True)
@@ -52,26 +44,17 @@ class Trajectory:
         return float(self.metric_cumlen[-1])
 
     @property
-    def euclidean_length(self) -> float:
-        return float(self.euclid_cumlen[-1])
-
-    @property
-    def mode(self) -> str:
-        return _FAMILY_MODE[self.family]
-
-    @property
     def dense_steps(self) -> int:
         return self.points.shape[0] - 1
 
     def _table(self) -> np.ndarray:
-        return self.metric_cumlen if self.mode == "constant-manifold-speed" else self.euclid_cumlen
+        """Length table of the family's speed law: plane length for linear-u, metric otherwise."""
+        return self.euclid_cumlen if self.family == "linear-u" else self.metric_cumlen
 
-    def discretize(self, steps: int) -> DiscretizedPath:
-        """Stroboscopic path with ``steps`` quenches at the family's speed law."""
+    def discretize(self, steps: int) -> np.ndarray:
+        """Stroboscopic path, (steps+1, D) points, at the family's speed law."""
         check_resolution(self.dense_steps, steps, "trajectory table")
-        out = resample(self.points, self._table(), steps)
-        family = "geodesic" if self.family == "geodesic" else "linear"
-        return DiscretizedPath(points=out, family=family, parameterization=self.mode)
+        return resample(self.points, self._table(), steps)
 
     def position_at(self, fractions: np.ndarray) -> np.ndarray:
         """Points at given fractions of elapsed driving time.
@@ -93,8 +76,6 @@ def build_trajectory(
     *,
     dense_steps: int = 40000,
     geodesic_steps: int = 256,
-    gtol: float = 1e-9,
-    max_iterations: int = 200,
 ) -> Trajectory:
     """Construct a dense Trajectory of the requested family between two endpoints.
 
@@ -107,11 +88,8 @@ def build_trajectory(
     start = np.asarray(start, dtype=float)
     end = np.asarray(end, dtype=float)
     if family == "geodesic":
-        base = geodesic(
-            model, start, end, geodesic_steps, gtol=gtol, max_iterations=max_iterations
-        )
-        factor = max(1, int(np.ceil(dense_steps / base.steps)))
-        dense = refine(base, factor).points
+        base = geodesic(model, start, end, geodesic_steps)
+        dense = refine(base, max(1, int(np.ceil(dense_steps / geodesic_steps))))
     else:
         frac = np.linspace(0.0, 1.0, dense_steps + 1)[:, None]
         dense = start + frac * (end - start)

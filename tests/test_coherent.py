@@ -1,13 +1,13 @@
 import numpy as np
 import pytest
 
+from zenodrive import coherent
 from zenodrive.coherent import (
     SUBSTEP_CHUNK,
     IntegratorConvergenceError,
     integrate_schrodinger,
     minimal_steps,
 )
-from zenodrive.geometry import DiscretizedPath
 from zenodrive.models import LipkinModel, TwoLevelModel
 from zenodrive.protocol import run_stroboscopic
 from zenodrive.spectral import eigh
@@ -45,7 +45,7 @@ class TestIntegrator:
         trajectory = trajectories10["linear-v"]
         sudden = integrate_schrodinger(lipkin10, trajectory.position_at, 0.0)
         one_step = run_stroboscopic(
-            lipkin10, DiscretizedPath(np.stack([trajectory.points[0], trajectory.points[-1]]))
+            lipkin10, np.stack([trajectory.points[0], trajectory.points[-1]])
         )
         assert abs(sudden.infidelity - one_step.final_infidelity) <= 1e-10
 
@@ -85,12 +85,25 @@ class TestIntegrator:
         b = integrate_schrodinger(two_level, angle_ramp(1.3), 4.0)
         assert a.fidelity == b.fidelity
 
-    def test_convergence_error_carries_last_values(self, two_level):
+    def test_convergence_error_carries_last_values(self, two_level, monkeypatch):
+        # two doublings from the 64-substep start reach the cap
+        monkeypatch.setattr(coherent, "SUBSTEP_CAP", 256)
         with pytest.raises(IntegratorConvergenceError) as err:
-            integrate_schrodinger(
-                two_level, angle_ramp(np.pi), 5.0, tolerance=0.0, max_doublings=2
-            )
+            integrate_schrodinger(two_level, angle_ramp(np.pi), 5.0, tolerance=0.0)
         assert len(err.value.last_values) == 2
+        assert err.value.substeps == 256
+        at_128 = integrate_schrodinger(two_level, angle_ramp(np.pi), 5.0, tolerance=np.inf)
+        assert at_128.substeps == 128
+        assert err.value.last_values[0] == at_128.fidelity
+        assert err.value.last_values[0] != err.value.last_values[1]
+
+    def test_zero_time_trace_rounds_to_grid_point_zero(self, two_level):
+        result = integrate_schrodinger(
+            two_level, angle_ramp(np.pi / 2), 0.0, trace_times=[0.0, 0.5, 3.0]
+        )
+        assert np.array_equal(result.trace_times, [0.0])
+        assert np.abs(result.trace_fidelity - 1.0).max() <= 1e-12
+        assert result.trace_fidelity.shape == (1,)
 
     def test_trace_sampling(self, two_level):
         result = integrate_schrodinger(

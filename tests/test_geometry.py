@@ -6,7 +6,6 @@ from hypothesis.extra.numpy import arrays
 
 from zenodrive.geometry import (
     DegenerateGroundStateError,
-    DiscretizedPath,
     GeodesicConvergenceError,
     cumulative_lengths,
     geodesic,
@@ -330,31 +329,29 @@ class TestGeodesic:
         a, b = np.array([0.1, 0.2]), np.array([1.1, 0.9])
         path = geodesic(model, a, b, 24)
         chord = a + np.linspace(0, 1, 25)[:, None] * (b - a)
-        assert np.abs(path.points - chord).max() <= 1e-8
-        assert path.family == "geodesic"
-        assert path.parameterization == "constant-manifold-speed"
+        assert np.abs(path - chord).max() <= 1e-8
 
     def test_two_level_uniform_angles(self, two_level):
         path = geodesic(two_level, np.array([0.0]), np.array([2.0]), 32)
         uniform = np.linspace(0.0, 2.0, 33)[:, None]
-        assert np.abs(path.points - uniform).max() <= 1e-8
+        assert np.abs(path - uniform).max() <= 1e-8
 
     def test_lipkin_converges_with_equal_steps(self, lipkin10, lipkin_geodesic_diag):
         path, diag = lipkin_geodesic_diag
         assert diag.residual < 1e-9
-        dl = step_lengths_along(lipkin10, path.points)
+        dl = step_lengths_along(lipkin10, path)
         assert dl.max() / dl.min() - 1 < 0.01
 
     def test_lipkin_shorter_than_chord_and_bows_up(self, lipkin10, lipkin_geodesic_diag):
         path, _ = lipkin_geodesic_diag
-        ell_geo = path_length(lipkin10, path.points)
+        ell_geo = path_length(lipkin10, path)
         chord = START + np.linspace(0, 1, 129)[:, None] * (END - START)
         ell_lin = path_length(lipkin10, chord)
         assert ell_geo < ell_lin
         # curved toward larger chi than the chord while crossing the small-gap region
-        chord_chi = np.interp(path.points[:, 0], [START[0], END[0]], [START[1], END[1]])
+        chord_chi = np.interp(path[:, 0], [START[0], END[0]], [START[1], END[1]])
         interior = slice(10, -10)
-        assert np.all(path.points[interior, 1] > chord_chi[interior])
+        assert np.all(path[interior, 1] > chord_chi[interior])
 
     def test_length_trace_monotone(self, lipkin_geodesic_diag):
         # non-increasing up to the discretization slack between the exact
@@ -373,12 +370,12 @@ class TestGeodesic:
 
     def test_endpoints_fixed_exactly(self, lipkin_geodesic_diag):
         path, _ = lipkin_geodesic_diag
-        assert np.array_equal(path.points[0], START)
-        assert np.array_equal(path.points[-1], END)
+        assert np.array_equal(path[0], START)
+        assert np.array_equal(path[-1], END)
 
     def test_interior_respects_halfplane(self, lipkin_geodesic_diag):
         path, _ = lipkin_geodesic_diag
-        assert np.all(path.points[:, 1] >= 0.0)
+        assert np.all(path[:, 1] >= 0.0)
 
     def test_convergence_error_carries_residual(self, lipkin10):
         with pytest.raises(GeodesicConvergenceError) as err:
@@ -394,62 +391,59 @@ class TestReparameterize:
     def test_modes_coincide_on_flat_model(self):
         model = FlatModel()
         a, b = np.array([0.0, 0.0]), np.array([1.0, 0.5])
-        dense = DiscretizedPath(a + np.linspace(0, 1, 501)[:, None] * (b - a))
+        dense = a + np.linspace(0, 1, 501)[:, None] * (b - a)
         pv = reparameterize(model, dense, 20, "constant-manifold-speed")
         pu = reparameterize(model, dense, 20, "constant-euclidean-speed")
-        assert np.abs(pv.points - pu.points).max() <= 1e-9
-        assert pv.parameterization == "constant-manifold-speed"
-        assert pu.parameterization == "constant-euclidean-speed"
+        assert np.abs(pv - pu).max() <= 1e-9
 
     def test_two_level_uniform(self, two_level):
-        dense = DiscretizedPath(np.linspace(0.0, np.pi, 801)[:, None])
+        dense = np.linspace(0.0, np.pi, 801)[:, None]
         out = reparameterize(two_level, dense, 16, "constant-manifold-speed")
-        assert np.abs(out.points - np.linspace(0, np.pi, 17)[:, None]).max() <= 1e-8
+        assert np.abs(out - np.linspace(0, np.pi, 17)[:, None]).max() <= 1e-8
 
     def test_constant_speed_spread(self, lipkin10):
-        dense = DiscretizedPath(START + np.linspace(0, 1, 4001)[:, None] * (END - START))
+        dense = START + np.linspace(0, 1, 4001)[:, None] * (END - START)
         out = reparameterize(lipkin10, dense, 100, "constant-manifold-speed")
-        dl = step_lengths_along(lipkin10, out.points)
+        dl = step_lengths_along(lipkin10, out)
         assert (dl.max() - dl.min()) / dl.mean() <= 0.01
 
     def test_euclidean_spacing_exact(self, lipkin10):
-        dense = DiscretizedPath(START + np.linspace(0, 1, 2001)[:, None] * (END - START))
+        dense = START + np.linspace(0, 1, 2001)[:, None] * (END - START)
         out = reparameterize(lipkin10, dense, 50, "constant-euclidean-speed")
-        steps = np.linalg.norm(np.diff(out.points, axis=0), axis=1)
+        steps = np.linalg.norm(np.diff(out, axis=0), axis=1)
         assert steps.max() - steps.min() <= 1e-10
 
     def test_points_concentrate_in_small_gap_region(self, lipkin10):
-        dense = DiscretizedPath(START + np.linspace(0, 1, 4001)[:, None] * (END - START))
+        dense = START + np.linspace(0, 1, 4001)[:, None] * (END - START)
         out = reparameterize(lipkin10, dense, 100, "constant-manifold-speed")
-        euclid = np.linalg.norm(np.diff(out.points, axis=0), axis=1)
-        lam_at_min = out.points[np.argmin(euclid), 0]
+        euclid = np.linalg.norm(np.diff(out, axis=0), axis=1)
+        lam_at_min = out[np.argmin(euclid), 0]
         # the plane speed collapses where the gap is smallest (lam ~ 1.2 at N=10)
         assert 0.8 <= lam_at_min <= 1.6
 
     def test_rejects_coarse_input(self, lipkin10):
-        dense = DiscretizedPath(START + np.linspace(0, 1, 100)[:, None] * (END - START))
+        dense = START + np.linspace(0, 1, 100)[:, None] * (END - START)
         with pytest.raises(ValueError, match="too coarse"):
             reparameterize(lipkin10, dense, 50, "constant-manifold-speed")
 
     def test_rejects_unknown_mode(self, lipkin10):
-        dense = DiscretizedPath(START + np.linspace(0, 1, 501)[:, None] * (END - START))
+        dense = START + np.linspace(0, 1, 501)[:, None] * (END - START)
         with pytest.raises(ValueError, match="mode"):
             reparameterize(lipkin10, dense, 10, "smooth")
 
     def test_refinement_consistency_flat_model(self):
         model = FlatModel()
         a, b = np.array([0.0, 0.1]), np.array([1.2, 0.7])
-        dense = DiscretizedPath(a + np.linspace(0, 1, 3201)[:, None] * (b - a))
+        dense = a + np.linspace(0, 1, 3201)[:, None] * (b - a)
         coarse = reparameterize(model, dense, 10, "constant-manifold-speed")
         fine = reparameterize(model, dense, 20, "constant-manifold-speed")
-        assert np.abs(coarse.points - fine.points[::2]).max() <= 1e-6
+        assert np.abs(coarse - fine[::2]).max() <= 1e-6
 
     def test_refine_keeps_curve(self, lipkin10):
         pts = START + np.linspace(0, 1, 11)[:, None] * (END - START)
-        dense = refine(DiscretizedPath(pts, family="linear"), 10)
-        assert dense.points.shape == (101, 2)
-        assert np.abs(dense.points[::10] - pts).max() <= 1e-15
-        assert dense.family == "linear"
+        dense = refine(pts, 10)
+        assert dense.shape == (101, 2)
+        assert np.abs(dense[::10] - pts).max() <= 1e-15
 
     def test_cumulative_lengths_monotone(self, lipkin10):
         pts = START + np.linspace(0, 1, 301)[:, None] * (END - START)
@@ -492,6 +486,6 @@ class TestResampleProperties:
     @given(polylines(), st.integers(1, 8))
     def test_refine_keeps_every_vertex(self, line, factor):
         points, _ = line
-        dense = refine(points, factor).points
+        dense = refine(points, factor)
         assert dense.shape == ((points.shape[0] - 1) * factor + 1, points.shape[1])
         assert np.array_equal(dense[::factor], points)

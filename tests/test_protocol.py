@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from zenodrive.geometry import DiscretizedPath
+from zenodrive import geometry
 from zenodrive.models import LipkinModel, TwoLevelModel
 from zenodrive.protocol import (
     ProtocolResult,
@@ -12,10 +12,11 @@ from zenodrive.protocol import (
     run_stroboscopic,
     zeno_sweep,
 )
+from zenodrive.trajectories import build_trajectory
 
 
 def two_level_path(total_angle, steps):
-    return DiscretizedPath(np.linspace(0.0, total_angle, steps + 1)[:, None])
+    return np.linspace(0.0, total_angle, steps + 1)[:, None]
 
 
 def closed_form_fidelity(total_angle, steps):
@@ -37,7 +38,7 @@ class TestTiming:
 class TestRunStroboscopic:
     def test_static_path_keeps_fidelity(self, lipkin10):
         pts = np.tile(np.array([1.0, 0.4]), (11, 1))
-        result = run_stroboscopic(lipkin10, DiscretizedPath(pts))
+        result = run_stroboscopic(lipkin10, pts)
         assert result.final_fidelity == pytest.approx(1.0, abs=1e-14)
 
     @pytest.mark.parametrize("total_angle", [np.pi / 2, np.pi])
@@ -80,7 +81,7 @@ class TestRunStroboscopic:
 class TestFidelityProduct:
     def test_identity_path(self, lipkin10):
         pts = np.tile(np.array([0.5, 0.2]), (6, 1))
-        assert fidelity_product(lipkin10, DiscretizedPath(pts)) == pytest.approx(1.0, abs=1e-14)
+        assert fidelity_product(lipkin10, pts) == pytest.approx(1.0, abs=1e-14)
 
     def test_two_level_half_rotation_gap(self, two_level):
         # K=2: product (1 - dl^2)^2 = cos^4(pi/4) = 1/4 versus exact 1/2;
@@ -199,7 +200,7 @@ class TestEquidistantOptimality:
         trajectory = trajectories10["geodesic"]
         steps = 100
         base = trajectory.discretize(steps)
-        base_cost = float((step_lengths_along(lipkin10, base.points) ** 2).sum())
+        base_cost = float((step_lengths_along(lipkin10, base) ** 2).sum())
         rng = np.random.default_rng(2024)
         table = trajectory.metric_cumlen
         total = table[-1]
@@ -215,3 +216,47 @@ class TestEquidistantOptimality:
             pts[-1] = trajectory.points[-1]
             cost = float((step_lengths_along(lipkin10, pts) ** 2).sum())
             assert base_cost < cost
+
+
+LIPKIN4 = LipkinModel(4)
+START, END = np.array([0.0, 0.0]), np.array([2.0, 0.5])
+CHORD = START + np.linspace(0.0, 1.0, 201)[:, None] * (END - START)
+PATH_PRODUCERS = {
+    "geodesic": (lambda: geometry.geodesic(LIPKIN4, START, END, 12), 12),
+    "refine": (lambda: geometry.refine(CHORD[::50], 5), 20),
+    "reparameterize": (
+        lambda: geometry.reparameterize(LIPKIN4, CHORD, 16, "constant-euclidean-speed"), 16
+    ),
+    "discretize": (
+        lambda: build_trajectory(
+            LIPKIN4, "linear-v", START, END, dense_steps=400
+        ).discretize(30),
+        30,
+    ),
+}
+
+
+@pytest.mark.parametrize("producer", sorted(PATH_PRODUCERS))
+def test_path_is_a_plain_point_array(producer):
+    make, steps = PATH_PRODUCERS[producer]
+    path = make()
+    assert type(path) is np.ndarray
+    assert path.dtype == np.float64
+    assert path.shape == (steps + 1, 2)
+
+    # any array-like of the same points gives bit-identical results
+    as_lists = path.tolist()
+    from_array, from_lists = run_stroboscopic(LIPKIN4, path), run_stroboscopic(LIPKIN4, as_lists)
+    assert np.array_equal(from_array.probabilities, from_lists.probabilities)
+    assert np.array_equal(from_array.step_lengths, from_lists.step_lengths)
+    assert fidelity_product(LIPKIN4, path) == fidelity_product(LIPKIN4, as_lists)
+    assert geometry.path_length(LIPKIN4, path) == geometry.path_length(LIPKIN4, as_lists)
+
+    # a single (D,) point is a one-point path
+    assert run_stroboscopic(LIPKIN4, path[0]).final_fidelity == 1.0
+    assert geometry.path_length(LIPKIN4, path[0]) == 0.0
+
+    wide = np.hstack([path, path[:, :1]])
+    for consumer in (run_stroboscopic, fidelity_product, geometry.path_length):
+        with pytest.raises(ValueError):
+            consumer(LIPKIN4, wide)

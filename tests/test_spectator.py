@@ -182,14 +182,13 @@ class TestInteractionAction:
         # I(T) * S_int / l^2 stays flat across step counts on a fixed two-level
         # trajectory; for this gadget the action itself is identically zero, so
         # the combination is pinned at zero for every K
-        from zenodrive.geometry import DiscretizedPath
         from zenodrive.protocol import run_stroboscopic
 
         tau = 0.4
         length = np.pi / 4  # half of the total rotation angle pi/2
         values = []
         for steps in (100, 200, 400):
-            path = DiscretizedPath(np.linspace(0.0, np.pi / 2, steps + 1)[:, None])
+            path = np.linspace(0.0, np.pi / 2, steps + 1)[:, None]
             infid = run_stroboscopic(two_level, path).final_infidelity
             action = interaction_action(A_EQUAL, A_EQUAL, tau, steps * tau, steps)
             values.append(infid * action / length**2)
