@@ -27,7 +27,6 @@ from .geometry import SEGMENTS_PER_STEP, metric_many
 from .models import LipkinModel
 from .protocol import run_stroboscopic, zeno_sweep
 from .spectator import evolve_gadget, reduced_density
-from .spectral import eigh_many
 from .trajectories import FAMILIES, Trajectory, build_trajectory
 
 # key -> (parser, default, help)
@@ -185,9 +184,7 @@ def cmd_metric_map(config, out_dir, jobs):
     lams = np.linspace(lo, hi, num)
     chis = np.linspace(clo, chi_hi, cnum)
     grid = np.array([(l, c) for l in lams for c in chis])
-    energies, _ = eigh_many(model.hamiltonian_many(grid))
-    gaps = energies[:, 1] - energies[:, 0]
-    tensors = metric_many(model, grid)
+    tensors, gaps = metric_many(model, grid, with_gap=True)
     rows = [
         (pt[0], pt[1], gap, g[0, 0], g[0, 1], g[1, 1])
         for pt, gap, g in zip(grid, gaps, tensors)

@@ -69,9 +69,14 @@ def metric(model: HamiltonianFamily, point: np.ndarray) -> np.ndarray:
     return metric_many(model, np.asarray(point, dtype=float)[None])[0]
 
 
-def metric_many(model: HamiltonianFamily, points: np.ndarray) -> np.ndarray:
-    """Batched metric tensors, shape (..., D, D)."""
-    return _metric_impl(model, points, with_gradient=False)[0]
+def metric_many(model: HamiltonianFamily, points: np.ndarray, *, with_gap: bool = False):
+    """Batched metric tensors, shape (..., D, D).
+
+    With ``with_gap`` returns ``(g, gap)``, where ``gap`` (shape (...,)) is
+    E1 - E0 from the same eigendecomposition.
+    """
+    g, _, gap = _metric_impl(model, points, with_gradient=False)
+    return (g, gap) if with_gap else g
 
 
 def metric_with_gradient_many(
@@ -84,7 +89,7 @@ def metric_with_gradient_many(
     The gradient follows from differentiating the perturbative sum, using the
     standard first-order expressions for eigenvector and eigenvalue derivatives.
     """
-    return _metric_impl(model, points, with_gradient=True)
+    return _metric_impl(model, points, with_gradient=True)[:2]
 
 
 def _metric_impl(model, points, *, with_gradient):
@@ -120,7 +125,7 @@ def _metric_impl(model, points, *, with_gradient):
         )
         g = np.clip(g, -METRIC_CAP, METRIC_CAP)
     if not with_gradient:
-        return g, None
+        return g, None, gap
 
     dim = ham.shape[-1]
     eye = np.eye(dim, dtype=bool)
@@ -158,7 +163,7 @@ def _metric_impl(model, points, *, with_gradient):
                     np.sum((np.conj(damp[c, m]) * amp[n] + np.conj(amp[m]) * damp[c, n]) * weight, axis=-1)
                     - 2 * np.sum(np.conj(amp[m]) * amp[n] * dgap[c] * weight3, axis=-1)
                 )
-    return g, dg
+    return g, dg, gap
 
 
 def step_lengths_along(model: HamiltonianFamily, points: np.ndarray) -> np.ndarray:
@@ -180,7 +185,7 @@ def step_length(model: HamiltonianFamily, a: np.ndarray, b: np.ndarray) -> float
 
 def path_length(model: HamiltonianFamily, path) -> float:
     """Sum of exact step lengths over consecutive path points."""
-    points = np.atleast_2d(np.asarray(path, dtype=float))
+    points = np.atleast_2d(model.check_points(path))
     if points.shape[0] < 2:
         return 0.0
     return float(step_lengths_along(model, points).sum())

@@ -346,6 +346,12 @@ def test_criterion_7_crossover_window(lipkin10, trajectories10, coherent_data):
         assert k_min is not None
         assert 10 <= k_min <= 1000, (total_time, k_min)
         assert tau == pytest.approx(total_time / k_min)
+        # the crossover search assumes I_exact(K) decreases near K_min
+        tail = [
+            run_stroboscopic(lipkin10, trajectory.discretize(k)).final_infidelity
+            for k in range(int(0.9 * k_min), k_min + 1)
+        ]
+        assert np.all(np.diff(tail) < 0), (total_time, tail)
 
 
 @criterion(8, "spectator gadget dephases on the cosine law with constant populations")

@@ -207,6 +207,26 @@ class TestCoherentSweep:
         assert rows[0]["I_coherent"] > rows[1]["I_coherent"]
 
 
+@pytest.fixture(scope="module")
+def golden_chord4():
+    """N=4 linear-v trajectory of the ``compare-n4-linear-v`` golden run (CLI defaults)."""
+    return build_trajectory(
+        LipkinModel(4), "linear-v", np.array([0.0, 0.0]), np.array([2.0, 0.5]), dense_steps=100000
+    )
+
+
+def counting_probes(monkeypatch):
+    """Step counts of the chain runs that ``minimal_steps`` makes from here on."""
+    probes = []
+
+    def counting(model, path):
+        probes.append(len(path) - 1)
+        return run_stroboscopic(model, path)
+
+    monkeypatch.setattr(coherent, "run_stroboscopic", counting)
+    return probes
+
+
 class TestMinimalSteps:
     def test_two_level_consistent_with_closed_form(self, two_level, two_level_trajectory):
         total_time = 6.0
@@ -253,3 +273,40 @@ class TestMinimalSteps:
             minimal_steps(two_level, two_level_trajectory, 0.0)
         with pytest.raises(ValueError, match="total time"):
             minimal_steps(two_level, two_level_trajectory, float("nan"))
+
+    def test_coherent_infidelity_edge_values(self, two_level, two_level_trajectory, monkeypatch):
+        with pytest.raises(ValueError, match="coherent_infidelity"):
+            minimal_steps(two_level, two_level_trajectory, 5.0, coherent_infidelity=float("nan"))
+        probes = counting_probes(monkeypatch)
+        # nothing beats a non-positive infidelity: one probe, at the cap
+        for i_coh in (0.0, -1.0):
+            probes.clear()
+            assert minimal_steps(
+                two_level, two_level_trajectory, 5.0, cap=64, coherent_infidelity=i_coh
+            ) == (None, None)
+            assert probes == [64]
+        assert minimal_steps(
+            two_level, two_level_trajectory, 5.0, coherent_infidelity=float("inf")
+        ) == (1, 5.0)
+
+    @pytest.mark.parametrize("total_time", [1.0, 5.0, 20.0])
+    def test_matches_linear_scan_on_golden_trajectory(self, golden_chord4, total_time):
+        model = LipkinModel(4)
+        i_coh = integrate_schrodinger(model, golden_chord4.position_at, total_time).infidelity
+        exact = [np.inf]  # exact[K] = I_exact(K); no steps never win
+        while exact[-1] >= i_coh:
+            path = golden_chord4.discretize(len(exact))
+            exact.append(run_stroboscopic(model, path).final_infidelity)
+        k_scan = len(exact) - 1
+        k_min, tau = minimal_steps(model, golden_chord4, total_time, coherent_infidelity=i_coh)
+        assert k_min == k_scan
+        assert tau == total_time / k_scan
+        # the search assumes I_exact(K) decreases near K_min
+        tail = exact[max(1, int(0.9 * k_scan)) : k_scan + 1]
+        assert np.all(np.diff(tail) < 0), tail
+
+    def test_zeno_seed_keeps_probes_few(self, golden_chord4, monkeypatch):
+        probes = counting_probes(monkeypatch)
+        k_min, _ = minimal_steps(LipkinModel(4), golden_chord4, 20.0)
+        assert k_min == 366
+        assert len(probes) <= 8, probes

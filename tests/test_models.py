@@ -129,10 +129,11 @@ def test_rejects_negative_chi():
         "build_trajectory",
         "two_level_run_stroboscopic",
         "brute_force_lipkin",
+        "path_length",
     ],
 )
 def test_rejects_nan_points(entry):
-    from zenodrive.geometry import metric
+    from zenodrive.geometry import metric, path_length
     from zenodrive.protocol import run_stroboscopic
     from zenodrive.trajectories import build_trajectory
 
@@ -149,6 +150,7 @@ def test_rejects_nan_points(entry):
             TwoLevelModel(), np.array([[0.0], [np.nan]])
         ),
         "brute_force_lipkin": lambda: brute_force_lipkin(4, point),
+        "path_length": lambda: path_length(model, point),
     }
     with pytest.raises(ValueError, match="finite"):
         calls[entry]()

@@ -255,6 +255,9 @@ def test_path_is_a_plain_point_array(producer):
     # a single (D,) point is a one-point path
     assert run_stroboscopic(LIPKIN4, path[0]).final_fidelity == 1.0
     assert geometry.path_length(LIPKIN4, path[0]) == 0.0
+    for consumer in (run_stroboscopic, geometry.path_length):
+        with pytest.raises(ValueError, match="width"):
+            consumer(LIPKIN4, [1.0, 2.0, 3.0])
 
     wide = np.hstack([path, path[:, :1]])
     for consumer in (run_stroboscopic, fidelity_product, geometry.path_length):
