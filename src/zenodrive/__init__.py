@@ -32,7 +32,6 @@ from .models import (
 )
 from .protocol import (
     ProtocolResult,
-    Timing,
     fidelity_product,
     fit_excited_return,
     infidelity_terms,
@@ -47,13 +46,7 @@ from .spectator import (
     interaction_hamiltonian,
     reduced_density,
 )
-from .spectral import (
-    NonHermitianError,
-    SpectralDecomposition,
-    branching,
-    eigh,
-    eigh_many,
-)
+from .spectral import eigh_many
 from .trajectories import FAMILIES, Trajectory, build_trajectory
 
 __all__ = [
@@ -64,20 +57,15 @@ __all__ = [
     "HamiltonianFamily",
     "IntegratorConvergenceError",
     "LipkinModel",
-    "NonHermitianError",
     "ProtocolResult",
     "ReducedDensityMatrix",
-    "SpectralDecomposition",
-    "Timing",
     "TwoLevelModel",
     "Trajectory",
-    "branching",
     "brute_force_lipkin",
     "build_trajectory",
     "coherent_sweep",
     "collective_spin_ops",
     "dicke_states",
-    "eigh",
     "eigh_many",
     "evolve_gadget",
     "fidelity_product",

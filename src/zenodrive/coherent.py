@@ -210,10 +210,13 @@ def minimal_steps(
     Raises
     ------
     ValueError
-        If ``total_time`` is not positive or ``coherent_infidelity`` is NaN.
+        If ``total_time`` is not positive, ``cap`` is below 1 or
+        ``coherent_infidelity`` is NaN.
     """
     if not total_time > 0:
         raise ValueError(f"total time must be positive, got {total_time!r}")
+    if not cap >= 1:
+        raise ValueError(f"cap must be >= 1, got {cap!r}")
     if coherent_infidelity is None:
         coherent_infidelity = integrate_schrodinger(
             model, trajectory.position_at, total_time, tolerance=tolerance

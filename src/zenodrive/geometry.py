@@ -367,14 +367,16 @@ def geodesic(
 
     Raises
     ------
+    ValueError
+        If ``start`` or ``end`` fails ``model.check_points``.
     GeodesicConvergenceError
         If the maximum gradient component does not drop below ``gtol`` within
         ``max_iterations``; the error carries the residual.
     """
     if steps < 2:
         raise ValueError("need at least 2 steps")
-    start = model.project_point(np.asarray(start, dtype=float))
-    end = model.project_point(np.asarray(end, dtype=float))
+    start = model.project_point(model.check_points(start))
+    end = model.project_point(model.check_points(end))
     frac = np.linspace(0.0, 1.0, steps + 1)[:, None]
     points = start + frac * (end - start)
     points = resample(points, cumulative_lengths(model, points), steps)

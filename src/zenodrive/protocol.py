@@ -20,18 +20,6 @@ from .spectral import branching_along, eigh_many, ground_step_lengths, warn_if_d
 from .trajectories import Trajectory
 
 
-@dataclass(frozen=True)
-class Timing:
-    """Step count and per-step decoherence time; total driving time is K * tau."""
-
-    steps: int
-    tau: float
-
-    @property
-    def total_time(self) -> float:
-        return self.steps * self.tau
-
-
 @dataclass
 class ProtocolResult:
     """Full probability trace of one stroboscopic run.
@@ -110,20 +98,25 @@ def fit_excited_return(data, length: float) -> float:
 
     Fits the residual I_exact - (l^2/K - l^4/2K^2) ~ -R/K^2 over measured
     points ``data = [(K, I_exact), ...]``.  Needs at least three points with
-    K >= 50 so neglected higher orders stay small.  The paper-level expectation
-    R > 0 is asserted: excursions through excited states always reduce the
-    infidelity predicted by the two-term expansion.
+    K >= 50 so neglected higher orders stay small; ``length`` and the
+    infidelities must be finite.  The paper-level expectation R > 0 is
+    asserted: excursions through excited states always reduce the infidelity
+    predicted by the two-term expansion.
     """
+    if not 0 <= length < np.inf:
+        raise ValueError(f"length must be finite and >= 0, got {length!r}")
     rows = [(int(k), float(infid)) for k, infid in data]
     rows = [r for r in rows if r[0] >= 50]
     if len(rows) < 3:
         raise ValueError("need at least 3 data points with K >= 50")
     ks = np.array([r[0] for r in rows], dtype=float)
     infids = np.array([r[1] for r in rows])
+    if not np.all(np.isfinite(infids)):
+        raise ValueError("infidelities must be finite (got NaN or infinity)")
     residual = infids - (length**2 / ks - length**4 / (2 * ks**2))
     x = 1.0 / ks**2
     r_hat = -float(np.dot(x, residual) / np.dot(x, x))
-    if r_hat <= 0:
+    if not r_hat > 0:
         raise ValueError(f"fitted excited-return coefficient is not positive: {r_hat:.3e}")
     return r_hat
 

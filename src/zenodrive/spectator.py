@@ -45,15 +45,19 @@ def interaction_hamiltonian(tau: float) -> np.ndarray:
     The prefactor scales inversely with the decoherence time: faster
     decoherence costs proportionally stronger coupling.
     """
-    if tau <= 0:
-        raise ValueError("tau must be positive")
+    _check_tau(tau)
     sz_qubit = np.diag([-1.0, 1.0])          # (|0>, |1>) ordering
     return -(np.pi / (4.0 * tau)) * np.kron(sz_qubit, _SX)
 
 
+def _check_tau(tau: float) -> None:
+    if not 0 < tau < np.inf:
+        raise ValueError(f"tau must be positive and finite, got {tau!r}")
+
+
 def _check_amplitudes(a0: complex, a1: complex) -> tuple[complex, complex]:
     norm = abs(a0) ** 2 + abs(a1) ** 2
-    if abs(norm - 1.0) > NORM_ATOL:
+    if not abs(norm - 1.0) <= NORM_ATOL:
         raise ValueError(f"amplitudes not normalized: |a0|^2 + |a1|^2 = {norm:.15f}")
     return complex(a0), complex(a1)
 
@@ -64,9 +68,11 @@ def gadget_unitary(tau: float, elapsed: float) -> np.ndarray:
     Block form: |0><0| x exp(-i (pi/4 tau) sigma_x t') + |1><1| x exp(+i ...).
     At t' = tau the spectator branches are (|up> -+ i |down>)/sqrt(2), i.e. the
     spin rotated around x by -+ pi/2, and they are mutually orthogonal.
+    ``elapsed`` must be finite and non-negative.
     """
-    if tau <= 0:
-        raise ValueError("tau must be positive")
+    _check_tau(tau)
+    if not 0 <= elapsed < np.inf:
+        raise ValueError(f"elapsed time must be finite and >= 0, got {elapsed!r}")
     angle = np.pi * elapsed / (4.0 * tau)
     rot_minus = np.cos(angle) * np.eye(2) - 1j * np.sin(angle) * _SX
     rot_plus = np.cos(angle) * np.eye(2) + 1j * np.sin(angle) * _SX
@@ -80,11 +86,9 @@ def evolve_gadget(a0: complex, a1: complex, tau: float, elapsed: float) -> np.nd
     """State of the coupled system starting from (a0|0> + a1|1>) x |up>.
 
     Returns the 4-component amplitude vector in the basis order of the module
-    docstring.  ``elapsed`` must be non-negative.
+    docstring.  ``elapsed`` must be finite and non-negative.
     """
     a0, a1 = _check_amplitudes(a0, a1)
-    if elapsed < 0:
-        raise ValueError("elapsed time must be >= 0")
     initial = np.array([a0, 0.0, a1, 0.0], dtype=complex)
     return gadget_unitary(tau, elapsed) @ initial
 
@@ -100,7 +104,7 @@ def reduced_density(state: np.ndarray) -> ReducedDensityMatrix:
     if state.shape != (4,):
         raise ValueError("expected a 4-component product-space state")
     norm = float(np.vdot(state, state).real)
-    if abs(norm - 1.0) > NORM_ATOL:
+    if not abs(norm - 1.0) <= NORM_ATOL:
         raise ValueError(f"state not normalized: |psi|^2 = {norm:.15f}")
     branches = state.reshape(2, 2)           # [system, spectator]
     rho = branches @ branches.conj().T
@@ -129,9 +133,9 @@ def interaction_action(
     exercised.
     """
     a0, a1 = _check_amplitudes(a0, a1)
-    if total_time < 0:
-        raise ValueError("total time must be >= 0")
-    if cycles < 1:
+    if not 0 <= total_time < np.inf:
+        raise ValueError(f"total time must be finite and >= 0, got {total_time!r}")
+    if not cycles >= 1:
         raise ValueError("need at least one cycle")
     if samples_per_cycle < 3:
         raise ValueError("need at least 3 quadrature samples per cycle")

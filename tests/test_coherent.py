@@ -10,7 +10,7 @@ from zenodrive.coherent import (
 )
 from zenodrive.models import LipkinModel, TwoLevelModel
 from zenodrive.protocol import run_stroboscopic
-from zenodrive.spectral import eigh
+from zenodrive.spectral import eigh_many
 from zenodrive.trajectories import Trajectory, build_trajectory
 
 
@@ -69,7 +69,7 @@ class TestIntegrator:
 
         total_time = 6.0
         ramp = angle_ramp(np.pi)
-        target = eigh(two_level.hamiltonian(np.array([np.pi]))).ground_state()
+        target = eigh_many(two_level.hamiltonian(np.array([np.pi])))[1][:, 0]
         exact = integrate_schrodinger(two_level, ramp, total_time, tolerance=1e-11).fidelity
         errs = []
         for n in (64, 128, 256):
@@ -132,12 +132,13 @@ class TestIntegrator:
         hams = model.hamiltonian_many(trajectory.position_at((np.arange(substeps) + 0.5) / substeps))
         energies, vectors = np.linalg.eigh(hams)
         dt = total_time / substeps
-        psi = eigh(model.hamiltonian(trajectory.points[0])).ground_state().astype(complex)
+        psi = eigh_many(model.hamiltonian(trajectory.points[0]))[1][:, 0].astype(complex)
         expected = []
         for k in range(substeps + 1):
             if k in marks:
-                here = eigh(model.hamiltonian(trajectory.position_at(np.array(k / substeps))))
-                expected.append(abs(np.vdot(here.ground_state(), psi)) ** 2)
+                point = trajectory.position_at(np.array(k / substeps))
+                ground = eigh_many(model.hamiltonian(point))[1][:, 0]
+                expected.append(abs(np.vdot(ground, psi)) ** 2)
             if k < substeps:
                 v = vectors[k]
                 psi = v @ (np.exp(-1j * energies[k] * dt) * (v.conj().T @ psi))
@@ -177,7 +178,7 @@ class TestIntegrator:
         )
         total_time = 10.0  # crossover regime: coherent infidelity ~2e-2
         knots = total_time * trajectory.metric_cumlen / trajectory.length
-        psi = eigh(model.hamiltonian(trajectory.points[0])).ground_state().astype(complex)
+        psi = eigh_many(model.hamiltonian(trajectory.points[0]))[1][:, 0].astype(complex)
         for k in range(trajectory.dense_steps):
             a, b = trajectory.points[k], trajectory.points[k + 1]
             t_a, t_b = knots[k], knots[k + 1]
@@ -187,7 +188,7 @@ class TestIntegrator:
 
             sol = solve_ivp(rhs, (t_a, t_b), psi, method="DOP853", rtol=1e-12, atol=1e-12)
             psi = sol.y[:, -1]
-        target = eigh(model.hamiltonian(trajectory.points[-1])).ground_state()
+        target = eigh_many(model.hamiltonian(trajectory.points[-1]))[1][:, 0]
         reference = 1.0 - abs(np.vdot(target, psi)) ** 2
         result = integrate_schrodinger(model, trajectory.position_at, total_time)
         assert 1e-2 < reference < 5e-2
@@ -267,6 +268,13 @@ class TestMinimalSteps:
             two_level, two_level_trajectory, 1.0, cap=4, coherent_infidelity=1e-12
         )
         assert k_min is None and tau is None
+
+    @pytest.mark.parametrize("cap", [0, -5])
+    def test_rejects_cap_below_one(self, two_level, two_level_trajectory, cap):
+        with pytest.raises(ValueError, match="cap"):
+            minimal_steps(
+                two_level, two_level_trajectory, 50.0, cap=cap, coherent_infidelity=0.99
+            )
 
     def test_rejects_nonpositive_time(self, two_level, two_level_trajectory):
         with pytest.raises(ValueError):

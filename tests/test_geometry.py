@@ -174,14 +174,17 @@ def overlap_metric_fd(model, point, d=1e-4):
     Symmetrized probes cancel the cubic term of the overlap expansion, leaving
     the quadratic form to O(d^2) relative accuracy.
     """
-    from zenodrive.spectral import eigh
+    from zenodrive.spectral import eigh_many
 
-    base = eigh(model.hamiltonian(point)).ground_state()
+    def ground(p):
+        return eigh_many(model.hamiltonian(p))[1][:, 0]
+
+    base = ground(point)
 
     def q(step):
-        other = eigh(model.hamiltonian(point + step)).ground_state()
+        other = ground(point + step)
         loss = 1.0 - np.abs(np.vdot(other, base)) ** 2
-        mirror = eigh(model.hamiltonian(point - step)).ground_state()
+        mirror = ground(point - step)
         loss_m = 1.0 - np.abs(np.vdot(mirror, base)) ** 2
         return 0.5 * (loss + loss_m)
 

@@ -12,7 +12,7 @@ from zenodrive.models import (
     dicke_states,
     _site_operator,
 )
-from zenodrive.spectral import eigh
+from zenodrive.spectral import eigh_many
 
 GRID = [(0.0, 0.0), (2.0, 0.5), (1.0, 0.3), (3.0, 1.0), (0.5, 0.8), (-1.0, 0.2)]
 
@@ -59,10 +59,10 @@ def test_free_point_is_jz():
     model = LipkinModel(10)
     h = model.hamiltonian(np.array([0.0, 0.0]))
     assert np.abs(h - np.diag(np.arange(-5, 6, dtype=float))).max() <= 1e-14
-    dec = eigh(h)
-    assert np.allclose(dec.energies, np.arange(-5, 6))
-    assert dec.energies[0] == pytest.approx(-5.0)
-    assert np.abs(np.abs(dec.ground_state()) - np.eye(11)[:, 0]).max() <= 1e-14
+    energies, states = eigh_many(h)
+    assert np.allclose(energies, np.arange(-5, 6))
+    assert energies[0] == pytest.approx(-5.0)
+    assert np.abs(np.abs(states[:, 0]) - np.eye(11)[:, 0]).max() <= 1e-14
 
 
 def test_brute_force_two_qubits_free():
@@ -156,6 +156,34 @@ def test_rejects_nan_points(entry):
         calls[entry]()
 
 
+@pytest.mark.parametrize(
+    "entry, match",
+    [
+        ("geodesic_start_below_domain", "halfplane"),
+        ("geodesic_end_below_domain", "halfplane"),
+        ("geodesic_wide_endpoint", "width"),
+        ("build_trajectory_geodesic", "halfplane"),
+    ],
+)
+def test_geodesic_rejects_invalid_endpoints(entry, match):
+    from zenodrive.geometry import geodesic
+    from zenodrive.trajectories import build_trajectory
+
+    model = LipkinModel(4)
+    below = np.array([0.0, -0.5])
+    end = np.array([2.0, 0.5])
+    calls = {
+        "geodesic_start_below_domain": lambda: geodesic(model, below, end, 16),
+        "geodesic_end_below_domain": lambda: geodesic(model, np.zeros(2), -end, 16),
+        "geodesic_wide_endpoint": lambda: geodesic(model, np.zeros(3), end, 16),
+        "build_trajectory_geodesic": lambda: build_trajectory(
+            model, "geodesic", below, end, dense_steps=100, geodesic_steps=16
+        ),
+    }
+    with pytest.raises(ValueError, match=match):
+        calls[entry]()
+
+
 def test_brute_force_scale_guard():
     with pytest.raises(ValueError, match="N <= 8"):
         brute_force_lipkin(9, np.array([1.0, 0.5]))
@@ -239,8 +267,8 @@ def test_parity_symmetry_at_chi_zero():
         j = n / 2
         parity = np.diag([(-1.0) ** (j - m) for m in model.m_values])
         assert np.abs(h @ parity - parity @ h).max() <= 1e-12
-        dec = eigh(h)
-        cross = dec.states.T @ parity @ dec.states
+        states = eigh_many(h)[1]
+        cross = states.T @ parity @ states
         off = cross - np.diag(np.diag(cross))
         assert np.abs(off).max() <= 1e-10
         assert np.allclose(np.abs(np.diag(cross)), 1.0, atol=1e-10)
@@ -256,8 +284,8 @@ def test_parity_broken_at_positive_chi():
 def test_n10_gap_regression_anchor():
     # small but positive gap at the far endpoint; value frozen from the
     # eigensolver output as a regression anchor
-    dec = eigh(LipkinModel(10).hamiltonian(np.array([2.0, 0.5])))
-    gap = dec.energies[1] - dec.energies[0]
+    energies = eigh_many(LipkinModel(10).hamiltonian(np.array([2.0, 0.5])))[0]
+    gap = energies[1] - energies[0]
     assert gap > 0
     assert gap == pytest.approx(1.2998319990210732, rel=1e-12)
 
@@ -277,17 +305,17 @@ def test_batch_evaluators_match_single():
 class TestTwoLevel:
     def test_ground_state_at_zero(self):
         model = TwoLevelModel()
-        dec = eigh(model.hamiltonian(np.array([0.0])))
-        assert dec.energies[0] == pytest.approx(-0.5)
-        assert np.abs(dec.ground_state() - np.array([0.0, 1.0])).max() <= 1e-14
+        energies, states = eigh_many(model.hamiltonian(np.array([0.0])))
+        assert energies[0] == pytest.approx(-0.5)
+        assert np.abs(states[:, 0] - np.array([0.0, 1.0])).max() <= 1e-14
 
     def test_overlap_law(self):
         model = TwoLevelModel()
         rng = np.random.default_rng(3)
         for _ in range(5):
             a, b = rng.uniform(0, 2 * np.pi, 2)
-            va = eigh(model.hamiltonian(np.array([a]))).ground_state()
-            vb = eigh(model.hamiltonian(np.array([b]))).ground_state()
+            va = eigh_many(model.hamiltonian(np.array([a])))[1][:, 0]
+            vb = eigh_many(model.hamiltonian(np.array([b])))[1][:, 0]
             assert abs(va @ vb) ** 2 == pytest.approx(np.cos((a - b) / 2) ** 2, abs=1e-12)
 
     def test_spectrum_constant(self):
@@ -299,11 +327,11 @@ class TestTwoLevel:
     def test_exact_ground_state_helper(self):
         model = TwoLevelModel()
         for theta in (0.0, 0.7, 2.0):
-            dec = eigh(model.hamiltonian(np.array([theta])))
+            ground = eigh_many(model.hamiltonian(np.array([theta])))[1][:, 0]
             exact = model.ground_state_exact(theta)
             assert min(
-                np.abs(dec.ground_state() - exact).max(),
-                np.abs(dec.ground_state() + exact).max(),
+                np.abs(ground - exact).max(),
+                np.abs(ground + exact).max(),
             ) <= 1e-12
 
     def test_invalid_axis(self):

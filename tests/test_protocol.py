@@ -5,7 +5,6 @@ from zenodrive import geometry
 from zenodrive.models import LipkinModel, TwoLevelModel
 from zenodrive.protocol import (
     ProtocolResult,
-    Timing,
     fidelity_product,
     fit_excited_return,
     infidelity_terms,
@@ -27,12 +26,6 @@ def closed_form_fidelity(total_angle, steps):
     for _ in range(steps):
         p = b @ p
     return p[0]
-
-
-class TestTiming:
-    def test_total_time(self):
-        t = Timing(steps=100, tau=0.25)
-        assert t.total_time == 25.0
 
 
 class TestRunStroboscopic:
@@ -163,6 +156,12 @@ class TestFitExcitedReturn:
     def test_needs_enough_points(self):
         with pytest.raises(ValueError, match="at least 3"):
             fit_excited_return([(100, 1e-3), (200, 5e-4)], 1.0)
+
+    @pytest.mark.parametrize("length, infid", [(np.nan, 5e-3), (np.inf, 5e-3), (1.0, np.nan)])
+    def test_rejects_nonfinite_input(self, length, infid):
+        data = [(100, 1e-2), (200, infid), (400, 2.5e-3)]
+        with pytest.raises(ValueError, match="finite"):
+            fit_excited_return(data, length)
 
 
 class TestZenoSweep:

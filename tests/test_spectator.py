@@ -202,3 +202,26 @@ class TestInteractionAction:
             interaction_action(1.0, 0.0, 1.0, 1.0, 0)
         with pytest.raises(ValueError):
             interaction_action(1.0, 0.0, 1.0, 1.0, 3, samples_per_cycle=2)
+
+
+NAN = float("nan")
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        pytest.param(lambda: interaction_action(A_EQUAL, A_EQUAL, 1.0, NAN, 2), id="action-nan-time"),
+        pytest.param(lambda: interaction_action(A_EQUAL, A_EQUAL, NAN, 1.0, 2), id="action-nan-tau"),
+        pytest.param(lambda: interaction_hamiltonian(NAN), id="hamiltonian-nan-tau"),
+        pytest.param(lambda: interaction_hamiltonian(np.inf), id="hamiltonian-inf-tau"),
+        pytest.param(lambda: evolve_gadget(A_EQUAL, A_EQUAL, NAN, 0.5), id="evolve-nan-tau"),
+        pytest.param(lambda: evolve_gadget(A_EQUAL, A_EQUAL, np.inf, 0.5), id="evolve-inf-tau"),
+        pytest.param(lambda: evolve_gadget(A_EQUAL, A_EQUAL, 1.0, NAN), id="evolve-nan-elapsed"),
+        pytest.param(lambda: evolve_gadget(NAN, A_EQUAL, 1.0, 0.5), id="evolve-nan-amplitude"),
+        pytest.param(lambda: gadget_unitary(1.0, np.inf), id="unitary-inf-elapsed"),
+        pytest.param(lambda: reduced_density(np.array([NAN, 0, 0, 0])), id="reduced-nan-state"),
+    ],
+)
+def test_rejects_nonfinite_input(call):
+    with pytest.raises(ValueError, match="finite|normalized"):
+        call()
