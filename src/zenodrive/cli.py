@@ -112,6 +112,8 @@ def load_config(path: str | None, overrides: dict) -> dict:
         config[key] = _parse_value(key, raw)
     if config["path.family"] not in FAMILIES:
         raise ValueError(f"path.family must be one of {FAMILIES}")
+    if not config["compare.cap"] >= 1:
+        raise ValueError(f"compare.cap must be >= 1, got {config['compare.cap']!r}")
     return config
 
 

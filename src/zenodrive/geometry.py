@@ -238,6 +238,9 @@ def refine(path, factor: int) -> np.ndarray:
     points = np.atleast_2d(np.asarray(path, dtype=float))
     if factor < 1:
         raise ValueError("factor must be >= 1")
+    bad = np.flatnonzero(~np.all(np.isfinite(points), axis=-1))
+    if bad.size:
+        raise ValueError(f"path points must be finite (got NaN or infinity at rows {bad.tolist()})")
     frac = np.linspace(0.0, 1.0, factor + 1)[:-1, None]
     pieces = points[:-1, None] + frac * (points[1:] - points[:-1])[:, None]
     return np.concatenate([pieces.reshape(-1, points.shape[1]), points[-1:]], axis=0)

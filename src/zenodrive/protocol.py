@@ -84,8 +84,8 @@ def infidelity_terms(length: float, steps: int) -> tuple[float, float]:
     Returns ``(l^2/K, l^2/K - l^4/2K^2)``.  The additional excited-return
     contribution of order 1/K^2 is not predicted here; see ``fit_excited_return``.
     """
-    if not length >= 0:
-        raise ValueError(f"length must be >= 0, got {length!r}")
+    if not 0 <= length < np.inf:
+        raise ValueError(f"length must be finite and >= 0, got {length!r}")
     if not steps >= 1:
         raise ValueError(f"steps must be >= 1, got {steps!r}")
     one = length**2 / steps

@@ -56,6 +56,19 @@ class TestConfig:
         with pytest.raises(ValueError, match="path.family"):
             load_config(None, {"path.family": "spiral"})
 
+    @pytest.mark.parametrize("cap", ["0", "-5"])
+    def test_cap_below_one_rejected_before_any_work(self, tmp_path, monkeypatch, cap):
+        import zenodrive.cli as cli
+
+        calls = []
+        monkeypatch.setattr(cli, "build_trajectory", lambda *a, **k: calls.append("table"))
+        monkeypatch.setattr(cli, "integrate_schrodinger", lambda *a, **k: calls.append("coherent"))
+        with pytest.raises(ValueError, match="compare.cap"):
+            main(["compare", "--model.N", "4", "--times.T", "1", "--compare.cap", cap,
+                  "--out", str(tmp_path / "out"), "--jobs", "1"])
+        assert calls == []
+        assert not (tmp_path / "out").exists()
+
 
 class TestMetricMap:
     def test_headers_and_free_point_gap(self, tmp_path):

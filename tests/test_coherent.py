@@ -3,7 +3,6 @@ import pytest
 
 from zenodrive import coherent
 from zenodrive.coherent import (
-    SUBSTEP_CHUNK,
     IntegratorConvergenceError,
     integrate_schrodinger,
     minimal_steps,
@@ -63,21 +62,23 @@ class TestIntegrator:
         # algebraic decay: roughly quadratic gain for a 4x slower drive
         assert 4 <= infids[1] / infids[2] <= 64
 
-    def test_second_order_substep_convergence(self, two_level):
-        # halving the substep shrinks the fidelity error ~4x (midpoint rule)
+    def test_fourth_order_step_convergence(self, two_level):
+        # halving the CF4 step shrinks the fidelity error ~16x (measured 15.98,
+        # 15.99, 15.99); the midpoint rule gives ~4x, and CF4 with its two
+        # exponentials swapped is only second order
         from zenodrive.coherent import _propagate
 
         total_time = 6.0
         ramp = angle_ramp(np.pi)
         target = eigh_many(two_level.hamiltonian(np.array([np.pi])))[1][:, 0]
-        exact = integrate_schrodinger(two_level, ramp, total_time, tolerance=1e-11).fidelity
+        exact = integrate_schrodinger(two_level, ramp, total_time, tolerance=1e-13).fidelity
         errs = []
-        for n in (64, 128, 256):
-            psi = _propagate(two_level, ramp, total_time, n, [n])[0]
+        for n in (16, 32, 64, 128):
+            psi = _propagate(two_level, ramp, total_time, np.arange(n + 1) / n, [n])[0]
             errs.append(abs(float(np.abs(np.vdot(target, psi)) ** 2) - exact))
-        ratios = [errs[i] / errs[i + 1] for i in range(2)]
+        ratios = [errs[i] / errs[i + 1] for i in range(3)]
         for ratio in ratios:
-            assert 2.5 <= ratio <= 6.5
+            assert 13 <= ratio <= 19, ratios
 
     def test_gauge_invariant_fidelity(self, two_level):
         # fidelity uses |<target|psi>|^2, so any eigenvector phase convention gives the same
@@ -115,7 +116,10 @@ class TestIntegrator:
         assert result.trace_fidelity[-1] == pytest.approx(result.fidelity, abs=1e-9)
 
 
-    def test_trace_matches_sequential_product_at_interior_checkpoints(self):
+    def test_trace_matches_sequential_product_at_interior_checkpoints(self, monkeypatch):
+        from scipy.linalg import expm
+
+        monkeypatch.setattr(coherent, "SUBSTEP_CHUNK", 16)
         model = LipkinModel(4)
         trajectory = build_trajectory(
             model, "linear-v", np.array([0.0, 0.0]), np.array([2.0, 0.5]), dense_steps=400
@@ -125,24 +129,31 @@ class TestIntegrator:
         result = integrate_schrodinger(
             model, trajectory.position_at, total_time, trace_times=samples
         )
-        substeps = result.substeps
-        assert substeps > SUBSTEP_CHUNK   # the checkpoints straddle a chunk boundary
-        # reference: the same midpoint-frozen unitaries applied one substep at a time
-        marks = np.round(samples / total_time * substeps).astype(int)
-        hams = model.hamiltonian_many(trajectory.position_at((np.arange(substeps) + 0.5) / substeps))
-        energies, vectors = np.linalg.eigh(hams)
-        dt = total_time / substeps
+        assert np.array_equal(result.trace_times, samples)
+        # reference: the CF4 step unitaries, from expm, applied one step at a
+        # time over the uniform grid refined by the trace fractions
+        steps = result.substeps
+        knots = np.union1d(np.arange(steps + 1) / steps, samples / total_time)
+        marks = np.searchsorted(knots, samples / total_time)
+        # the checkpoints straddle chunk boundaries (8 steps per chunk here)
+        assert np.diff(marks).max() > coherent.SUBSTEP_CHUNK // 2
+        root3 = np.sqrt(3.0)
+        weight_1, weight_2 = (3 + 2 * root3) / 12, (3 - 2 * root3) / 12
         psi = eigh_many(model.hamiltonian(trajectory.points[0]))[1][:, 0].astype(complex)
         expected = []
-        for k in range(substeps + 1):
+        for k in range(knots.size):
             if k in marks:
-                point = trajectory.position_at(np.array(k / substeps))
+                point = trajectory.position_at(np.array(knots[k]))
                 ground = eigh_many(model.hamiltonian(point))[1][:, 0]
                 expected.append(abs(np.vdot(ground, psi)) ** 2)
-            if k < substeps:
-                v = vectors[k]
-                psi = v @ (np.exp(-1j * energies[k] * dt) * (v.conj().T @ psi))
-        assert np.array_equal(result.trace_times, marks / substeps * total_time)
+            if k < knots.size - 1:
+                width = knots[k + 1] - knots[k]
+                h_1, h_2 = model.hamiltonian_many(
+                    trajectory.position_at(knots[k] + width * np.array([0.5 - root3 / 6, 0.5 + root3 / 6]))
+                )
+                dt = width * total_time
+                psi = expm(-1j * dt * (weight_1 * h_1 + weight_2 * h_2)) @ psi
+                psi = expm(-1j * dt * (weight_2 * h_1 + weight_1 * h_2)) @ psi
         assert min(expected) < 0.95   # the state leaves the instantaneous ground state
         assert np.abs(result.trace_fidelity - expected).max() <= 1e-12
         assert result.trace_fidelity[-1] == pytest.approx(result.fidelity, abs=1e-12)
@@ -168,32 +179,47 @@ class TestIntegrator:
         assert not requested
 
     def test_matches_dop853_reference(self):
-        # independent reference: the Schrodinger ODE under DOP853, integrated
-        # knot to knot of the dense table so the drive is smooth on each piece
-        from scipy.integrate import solve_ivp
-
-        model = LipkinModel(4)
-        trajectory = build_trajectory(
-            model, "linear-v", np.array([0.0, 0.0]), np.array([2.0, 0.5]), dense_steps=50
-        )
-        total_time = 10.0  # crossover regime: coherent infidelity ~2e-2
-        knots = total_time * trajectory.metric_cumlen / trajectory.length
-        psi = eigh_many(model.hamiltonian(trajectory.points[0]))[1][:, 0].astype(complex)
-        for k in range(trajectory.dense_steps):
-            a, b = trajectory.points[k], trajectory.points[k + 1]
-            t_a, t_b = knots[k], knots[k + 1]
-
-            def rhs(t, y):
-                return -1j * (model.hamiltonian(a + (t - t_a) / (t_b - t_a) * (b - a)) @ y)
-
-            sol = solve_ivp(rhs, (t_a, t_b), psi, method="DOP853", rtol=1e-12, atol=1e-12)
-            psi = sol.y[:, -1]
-        target = eigh_many(model.hamiltonian(trajectory.points[-1]))[1][:, 0]
-        reference = 1.0 - abs(np.vdot(target, psi)) ** 2
-        result = integrate_schrodinger(model, trajectory.position_at, total_time)
+        # crossover regime: coherent infidelity ~2e-2
+        reference, result = dop853_and_cf4(10.0)
         assert 1e-2 < reference < 5e-2
-        # measured agreement ~2e-9; bound at 3x the 1e-8 doubling-stop tolerance
+        # measured agreement 1.6e-9; bound at 3x the 1e-8 doubling-stop tolerance
         assert abs(result.infidelity - reference) <= 3e-8
+
+    def test_matches_dop853_reference_in_adiabatic_regime(self):
+        # coherent infidelity ~3e-4, where CF4 stops after few steps (512)
+        reference, result = dop853_and_cf4(60.0)
+        assert 1e-4 < reference < 1e-3
+        assert result.substeps <= 1024
+        # measured agreement 1.1e-9
+        assert abs(result.infidelity - reference) <= 3e-8
+
+
+def dop853_and_cf4(total_time):
+    """Final infidelity of an N=4 linear-v drive under DOP853, and the CF4 result.
+
+    The independent reference integrates the Schrodinger ODE under DOP853
+    knot to knot of a 50-segment table, so the drive is smooth on each piece.
+    """
+    from scipy.integrate import solve_ivp
+
+    model = LipkinModel(4)
+    trajectory = build_trajectory(
+        model, "linear-v", np.array([0.0, 0.0]), np.array([2.0, 0.5]), dense_steps=50
+    )
+    knots = total_time * trajectory.metric_cumlen / trajectory.length
+    psi = eigh_many(model.hamiltonian(trajectory.points[0]))[1][:, 0].astype(complex)
+    for k in range(trajectory.dense_steps):
+        a, b = trajectory.points[k], trajectory.points[k + 1]
+        t_a, t_b = knots[k], knots[k + 1]
+
+        def rhs(t, y):
+            return -1j * (model.hamiltonian(a + (t - t_a) / (t_b - t_a) * (b - a)) @ y)
+
+        sol = solve_ivp(rhs, (t_a, t_b), psi, method="DOP853", rtol=1e-12, atol=1e-12)
+        psi = sol.y[:, -1]
+    target = eigh_many(model.hamiltonian(trajectory.points[-1]))[1][:, 0]
+    reference = 1.0 - abs(np.vdot(target, psi)) ** 2
+    return reference, integrate_schrodinger(model, trajectory.position_at, total_time)
 
 
 class TestCoherentSweep:

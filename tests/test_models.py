@@ -130,10 +130,11 @@ def test_rejects_negative_chi():
         "two_level_run_stroboscopic",
         "brute_force_lipkin",
         "path_length",
+        "refine",
     ],
 )
 def test_rejects_nan_points(entry):
-    from zenodrive.geometry import metric, path_length
+    from zenodrive.geometry import metric, path_length, refine
     from zenodrive.protocol import run_stroboscopic
     from zenodrive.trajectories import build_trajectory
 
@@ -151,6 +152,7 @@ def test_rejects_nan_points(entry):
         ),
         "brute_force_lipkin": lambda: brute_force_lipkin(4, point),
         "path_length": lambda: path_length(model, point),
+        "refine": lambda: refine(np.array([[0.0, 0.0], [1.0, np.nan]]), 2),
     }
     with pytest.raises(ValueError, match="finite"):
         calls[entry]()

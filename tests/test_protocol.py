@@ -112,6 +112,8 @@ class TestInfidelityTerms:
     def test_input_validation(self):
         with pytest.raises(ValueError):
             infidelity_terms(-1.0, 10)
+        with pytest.raises(ValueError, match="length"):
+            infidelity_terms(float("inf"), 10)
         with pytest.raises(ValueError):
             infidelity_terms(1.0, 0)
 
