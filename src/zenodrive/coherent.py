@@ -139,13 +139,15 @@ def integrate_schrodinger(
     Raises
     ------
     ValueError
-        If ``total_time`` is negative, infinite or NaN, or ``trace_times``
-        holds NaN or infinity.
+        If ``total_time`` is negative, infinite or NaN, ``tolerance`` is
+        negative or NaN, or ``trace_times`` holds NaN or infinity.
     IntegratorConvergenceError
         If the step cap is reached first; carries the last two fidelities.
     """
     if not (total_time >= 0 and np.isfinite(total_time)):
         raise ValueError(f"total_time must be finite and >= 0, got {total_time!r}")
+    if not tolerance >= 0:
+        raise ValueError(f"tolerance must be >= 0 (inf allowed), got {tolerance!r}")
     trace = np.asarray([] if trace_times is None else trace_times, dtype=float)
     if not np.all(np.isfinite(trace)):
         raise ValueError("trace_times must be finite (got NaN or infinity)")

@@ -102,21 +102,22 @@ def _metric_impl(model, points, *, with_gradient):
     if min_gap <= GAP_FLOOR:
         raise DegenerateGroundStateError(min_gap)
 
-    # B^c = V^dagger (dH_c) V in the eigenbasis, one per parameter axis
-    bmats = [
-        np.einsum("...ji,...jk,...kl->...il", np.conj(states), model.derivative_many(points, c), states)
-        for c in range(nparams)
-    ]
-    amp = [b[..., :, 0] for b in bmats]          # <E_i|dH_c|E_0>
+    # Every contraction is a batched matmul in the eigenbasis.  The metric
+    # needs only amps[..., i, c] = <E_i|dH_c|E_0> = (V^dagger dH_c v_0)_i, a
+    # matrix-vector product, formed the same way with or without the
+    # gradient so both routes return the same g.  The gradient also needs
+    # the full B^c = V^dagger dH_c V for the eigenvector derivatives, and only
+    # column 0 of V^dagger d2H V, once per unordered axis pair.
+    vh = np.conj(np.swapaxes(states, -1, -2))
+    ground = states[..., :, :1]
+    dhams = [model.derivative_many(points, c) for c in range(nparams)]
+    amps = np.concatenate([vh @ (dham @ ground) for dham in dhams], axis=-1)
     delta = energies - energies[..., 0:1]
     weight = np.zeros_like(delta)
     weight[..., 1:] = 1.0 / delta[..., 1:] ** 2
 
-    batch_shape = points.shape[:-1]
-    g = np.empty(batch_shape + (nparams, nparams))
-    for m in range(nparams):
-        for n in range(nparams):
-            g[..., m, n] = np.real(np.sum(np.conj(amp[m]) * amp[n] * weight, axis=-1))
+    amps_h = np.conj(np.swapaxes(amps, -1, -2))
+    g = np.real(amps_h @ (weight[..., None] * amps))
     g = 0.5 * (g + np.swapaxes(g, -1, -2))
     if np.abs(g).max() > METRIC_CAP:
         warnings.warn(
@@ -134,35 +135,41 @@ def _metric_impl(model, points, *, with_gradient):
     denom = energies[..., None, :] - energies[..., :, None]
     tiny = np.abs(denom) < 1e2 * GAP_FLOOR
     denom_safe = np.where(tiny | eye, 1.0, denom)
-    damp = np.empty((nparams, nparams) + batch_shape + (dim,), dtype=states.dtype)
+    bmats = [vh @ dham @ states for dham in dhams]
+    second = {
+        (lo, hi): (vh @ (model.second_derivative_many(points, lo, hi) @ ground))[..., 0]
+        for lo in range(nparams)
+        for hi in range(lo, nparams)
+    }
+    # damp[..., c, i, m] = d_c <E_i|dH_m|E_0>, with the eigenvector derivatives
+    # of first-order perturbation theory
+    batch_shape = points.shape[:-1]
+    damp = np.empty(batch_shape + (nparams, dim, nparams), dtype=states.dtype)
     for c in range(nparams):
         tmat = np.where(tiny | eye, 0.0, bmats[c] / denom_safe)   # T[j,i] = B[j,i]/(E_i-E_j)
+        tmat_h = np.conj(np.swapaxes(tmat, -1, -2))
+        tcol = tmat[..., :, :1]
         for m in range(nparams):
-            lo, hi = min(c, m), max(c, m)
-            cmat = np.einsum(
-                "...ji,...jk,...kl->...il",
-                np.conj(states),
-                model.second_derivative_many(points, lo, hi),
-                states,
-            )
-            term1 = np.einsum("...ji,...j->...i", np.conj(tmat), bmats[m][..., :, 0])
-            term2 = np.einsum("...ij,...j->...i", bmats[m], tmat[..., :, 0])
-            damp[c, m] = term1 + cmat[..., :, 0] + term2
+            term1 = tmat_h @ amps[..., :, m : m + 1]
+            term2 = bmats[m] @ tcol
+            damp[..., c, :, m] = (term1 + term2)[..., 0] + second[min(c, m), max(c, m)]
 
     weight3 = np.zeros_like(delta)
     weight3[..., 1:] = 1.0 / delta[..., 1:] ** 3
-    diag_idx = np.arange(dim)
-    dgap = [
-        np.real(b[..., diag_idx, diag_idx] - b[..., 0, 0][..., None]) for b in bmats
-    ]
-    dg = np.empty(batch_shape + (nparams, nparams, nparams))
-    for c in range(nparams):
-        for m in range(nparams):
-            for n in range(nparams):
-                dg[..., c, m, n] = np.real(
-                    np.sum((np.conj(damp[c, m]) * amp[n] + np.conj(amp[m]) * damp[c, n]) * weight, axis=-1)
-                    - 2 * np.sum(np.conj(amp[m]) * amp[n] * dgap[c] * weight3, axis=-1)
-                )
+    # dgap[..., c, i] = d_c (E_i - E_0)
+    dgap = np.stack(
+        [np.real(np.diagonal(b, axis1=-2, axis2=-1) - b[..., :1, 0]) for b in bmats], axis=-2
+    )
+    # dg[c, m, n] = Re sum_i (conj(damp_cm) amp_n + conj(amp_m) damp_cn) w_i
+    #               - 2 Re sum_i conj(amp_m) amp_n dgap_c w3_i
+    cross = np.real(
+        np.conj(np.swapaxes(damp, -1, -2)) @ (weight[..., None, :, None] * amps[..., None, :, :])
+    )
+    shift = np.real(
+        amps_h[..., None, :, :]
+        @ ((dgap * weight3[..., None, :])[..., :, :, None] * amps[..., None, :, :])
+    )
+    dg = cross + np.swapaxes(cross, -1, -2) - 2 * shift
     return g, dg, gap
 
 

@@ -67,7 +67,7 @@ def branching_along(states: np.ndarray) -> np.ndarray:
     ``states`` has shape (M, n, n); the result has shape (M-1, n, n) with
     entry ``[k, i, i']`` the ratio for the quench from point k to point k+1.
     """
-    overlaps = np.einsum("kji,kjl->kil", np.conj(states[1:]), states[:-1])
+    overlaps = np.conj(np.swapaxes(states[1:], -1, -2)) @ states[:-1]
     return np.abs(overlaps) ** 2
 
 

@@ -166,6 +166,16 @@ class TestIntegrator:
         with pytest.raises(ValueError, match="total_time"):
             integrate_schrodinger(two_level, angle_ramp(np.pi), float("nan"))
 
+    @pytest.mark.parametrize("tolerance", [np.nan, -1.0])
+    def test_rejects_bad_tolerance_before_propagating(self, two_level, tolerance, monkeypatch):
+        # with a NaN or negative tolerance no doubling test can pass; the cap
+        # keeps a missing check from running to 2**23 steps
+        monkeypatch.setattr(coherent, "SUBSTEP_CAP", 1024)
+        propagated = counting_propagations(monkeypatch)
+        with pytest.raises(ValueError, match="tolerance"):
+            integrate_schrodinger(two_level, angle_ramp(np.pi), 5.0, tolerance=tolerance)
+        assert not propagated
+
     def test_rejects_nonfinite_trace_times_before_propagating(self, two_level):
         requested = []
 
@@ -222,6 +232,19 @@ def dop853_and_cf4(total_time):
     return reference, integrate_schrodinger(model, trajectory.position_at, total_time)
 
 
+def counting_propagations(monkeypatch):
+    """Calls to ``coherent._propagate`` made from here on."""
+    calls = []
+    propagate = coherent._propagate
+
+    def counting(*args):
+        calls.append(args)
+        return propagate(*args)
+
+    monkeypatch.setattr(coherent, "_propagate", counting)
+    return calls
+
+
 class TestCoherentSweep:
     def test_rows_match_direct_integration(self, two_level, two_level_trajectory):
         from zenodrive.coherent import coherent_sweep
@@ -232,6 +255,18 @@ class TestCoherentSweep:
         direct = integrate_schrodinger(two_level, two_level_trajectory.position_at, 8.0)
         assert rows[1]["I_coherent"] == pytest.approx(direct.infidelity, abs=1e-12)
         assert rows[0]["I_coherent"] > rows[1]["I_coherent"]
+
+    @pytest.mark.parametrize("tolerance", [np.nan, -1.0])
+    def test_rejects_bad_tolerance_before_propagating(
+        self, two_level, two_level_trajectory, tolerance, monkeypatch
+    ):
+        from zenodrive.coherent import coherent_sweep
+
+        monkeypatch.setattr(coherent, "SUBSTEP_CAP", 1024)
+        propagated = counting_propagations(monkeypatch)
+        with pytest.raises(ValueError, match="tolerance"):
+            coherent_sweep(two_level, two_level_trajectory, [2.0, 8.0], tolerance=tolerance)
+        assert not propagated
 
 
 @pytest.fixture(scope="module")

@@ -274,6 +274,90 @@ class TestMetric:
             assert np.abs(fd - dg[:, axis]).max() <= 1e-5 * max(1.0, np.abs(fd).max())
 
 
+def einsum_metric_with_gradient(model, points):
+    """Reference metric and gradient: the perturbative sums written out with ``einsum``.
+
+    Independent of the matmul contractions in ``geometry``: every B^c and
+    every V^dagger d2H V is formed in full, once per ordered axis pair.
+    """
+    from zenodrive.spectral import eigh_many
+
+    nparams = model.nparams
+    energies, states = eigh_many(model.hamiltonian_many(points))
+    conj = np.conj(states)
+    bmats = [
+        np.einsum("...ji,...jk,...kl->...il", conj, model.derivative_many(points, c), states)
+        for c in range(nparams)
+    ]
+    amp = [b[..., :, 0] for b in bmats]
+    delta = energies - energies[..., 0:1]
+    weight = np.zeros_like(delta)
+    weight[..., 1:] = 1.0 / delta[..., 1:] ** 2
+    weight3 = np.zeros_like(delta)
+    weight3[..., 1:] = 1.0 / delta[..., 1:] ** 3
+    g = np.empty(points.shape[:-1] + (nparams, nparams))
+    for m in range(nparams):
+        for n in range(nparams):
+            g[..., m, n] = np.real(np.sum(np.conj(amp[m]) * amp[n] * weight, axis=-1))
+
+    dim = states.shape[-1]
+    eye = np.eye(dim, dtype=bool)
+    denom = energies[..., None, :] - energies[..., :, None]
+    tiny = np.abs(denom) < 1e-10
+    denom_safe = np.where(tiny | eye, 1.0, denom)
+    damp = {}
+    for c in range(nparams):
+        tmat = np.where(tiny | eye, 0.0, bmats[c] / denom_safe)
+        for m in range(nparams):
+            d2h = model.second_derivative_many(points, min(c, m), max(c, m))
+            cmat = np.einsum("...ji,...jk,...kl->...il", conj, d2h, states)
+            term1 = np.einsum("...ji,...j->...i", np.conj(tmat), amp[m])
+            term2 = np.einsum("...ij,...j->...i", bmats[m], tmat[..., :, 0])
+            damp[c, m] = term1 + cmat[..., :, 0] + term2
+    diag = np.arange(dim)
+    dgap = [np.real(b[..., diag, diag] - b[..., 0, 0][..., None]) for b in bmats]
+    dg = np.empty(points.shape[:-1] + (nparams,) * 3)
+    for c in range(nparams):
+        for m in range(nparams):
+            for n in range(nparams):
+                dg[..., c, m, n] = np.real(
+                    np.sum((np.conj(damp[c, m]) * amp[n] + np.conj(amp[m]) * damp[c, n]) * weight, axis=-1)
+                    - 2 * np.sum(np.conj(amp[m]) * amp[n] * dgap[c] * weight3, axis=-1)
+                )
+    return g, dg
+
+
+class TestMetricKernel:
+    @pytest.mark.parametrize("qubits", [4, 10])
+    def test_matches_einsum_reference(self, qubits):
+        model = LipkinModel(qubits)
+        rng = np.random.default_rng(qubits)
+        points = np.column_stack([rng.uniform(0.0, 3.0, 24), rng.uniform(0.05, 1.0, 24)])
+        g, dg = metric_with_gradient_many(model, points)
+        g_ref, dg_ref = einsum_metric_with_gradient(model, points)
+        assert np.abs(g - g_ref).max() <= 1e-12 * np.abs(g_ref).max()
+        assert np.abs(dg - dg_ref).max() <= 1e-12 * np.abs(dg_ref).max()
+        assert np.array_equal(metric_many(model, points), g)
+
+    def test_two_level_closed_form(self, two_level):
+        thetas = np.linspace(-1.0, 7.0, 21)[:, None]
+        g, dg = metric_with_gradient_many(two_level, thetas)
+        assert np.abs(g - 0.25).max() <= 1e-14
+        assert np.abs(dg).max() <= 1e-14
+
+    def test_second_derivative_once_per_axis_pair(self, lipkin10, monkeypatch):
+        pairs = []
+        second = lipkin10.second_derivative_many
+
+        def counting(points, axis1, axis2):
+            pairs.append((axis1, axis2))
+            return second(points, axis1, axis2)
+
+        monkeypatch.setattr(lipkin10, "second_derivative_many", counting)
+        metric_with_gradient_many(lipkin10, np.array([[0.7, 0.3], [1.6, 0.8]]))
+        assert sorted(pairs) == [(0, 0), (0, 1), (1, 1)]
+
+
 class TestStepLength:
     def test_zero_at_equal_points(self, lipkin10):
         p = np.array([1.0, 0.5])
