@@ -22,6 +22,8 @@ GAP_FLOOR = 1e-12
 METRIC_CAP = 1e12
 # dense segments a table needs per output step before it resolves a resampling
 SEGMENTS_PER_STEP = 10
+# points per eigendecomposition batch when walking a length table
+LENGTH_BLOCK = 1024
 
 
 class DegenerateGroundStateError(RuntimeError):
@@ -174,10 +176,28 @@ def _metric_impl(model, points, *, with_gradient):
 
 
 def step_lengths_along(model: HamiltonianFamily, points: np.ndarray) -> np.ndarray:
-    """Exact quench lengths sqrt(1 - |<E0(k+1)|E0(k)>|^2) between consecutive points."""
-    energies, states = eigh_many(model.hamiltonian_many(points))
-    warn_if_degenerate(energies)
-    return ground_step_lengths(states)
+    """Exact quench lengths sqrt(1 - |<E0(k+1)|E0(k)>|^2) between consecutive points.
+
+    The points are diagonalized ``LENGTH_BLOCK`` at a time and the last ground
+    state of each block is carried into the next, so every matrix goes through
+    ``eigh_many`` once and working memory is bounded by one block of
+    (dim, dim) matrices (about 1 MB per temporary at dim 11), not the whole
+    table.  Every point is checked before any is diagonalized.  Emits at most
+    one ``DegeneracyWarning``, naming the smallest level spacing on the path.
+    """
+    points = model.check_points(points)
+    lengths, closest = [], []
+    previous = np.zeros((0, model.dim, 1))   # no ground state before the first block
+    for lo in range(0, len(points), LENGTH_BLOCK):
+        energies, states = eigh_many(model.hamiltonian_many(points[lo : lo + LENGTH_BLOCK]))
+        # the block's most nearly degenerate spectrum stands in for it in the warning
+        spacings = np.diff(energies, axis=-1)
+        closest.append(energies[np.unravel_index(spacings.argmin(), spacings.shape)[0]])
+        ground = states[..., :1]   # ground_step_lengths reads only column 0
+        lengths.append(ground_step_lengths(np.concatenate([previous, ground])))
+        previous = ground[-1:]
+    warn_if_degenerate(np.array(closest))
+    return np.concatenate(lengths) if lengths else np.zeros(0)
 
 
 def step_length(model: HamiltonianFamily, a: np.ndarray, b: np.ndarray) -> float:
@@ -393,9 +413,10 @@ def geodesic(
     points[:, :] = model.project_point(points)
 
     diag = GeodesicDiagnostics()
-    diag.length_trace.append(path_length(model, points))
     energy, grad, blocks = _energy_grad_hess(model, points)
     diag.energy_trace.append(energy)
+    if return_diagnostics:
+        diag.length_trace.append(path_length(model, points))
     damping = 0.0
     # While the curve is still reshaping globally, every accepted step is
     # followed by a constant-speed resampling of the same polyline.  This keeps
@@ -458,5 +479,6 @@ def geodesic(
         energy, grad, blocks = _energy_grad_hess(model, points)
         damping = damping_try / 10 if damping_try > 1e-11 else 0.0
         diag.energy_trace.append(energy)
-        diag.length_trace.append(path_length(model, points))
+        if return_diagnostics:
+            diag.length_trace.append(path_length(model, points))
     raise GeodesicConvergenceError(float(np.abs(grad[1:-1]).max()), max_iterations)

@@ -1,9 +1,13 @@
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import zenodrive.geometry
 from zenodrive.geometry import (
     DegenerateGroundStateError,
     GeodesicConvergenceError,
@@ -20,7 +24,13 @@ from zenodrive.geometry import (
     step_lengths_along,
 )
 from zenodrive.models import SIGMA_X, HamiltonianFamily, LipkinModel, TwoLevelModel
-from zenodrive.spectral import DegeneracyWarning
+from zenodrive.spectral import (
+    DEGENERACY_GAP,
+    DegeneracyWarning,
+    eigh_many,
+    ground_step_lengths,
+    warn_if_degenerate,
+)
 
 START = np.array([0.0, 0.0])
 END = np.array([2.0, 0.5])
@@ -472,6 +482,82 @@ class TestGeodesic:
     def test_needs_two_steps(self, lipkin10):
         with pytest.raises(ValueError):
             geodesic(lipkin10, START, END, 1)
+
+    def test_length_trace_only_with_diagnostics(self, monkeypatch):
+        model = LipkinModel(4)
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return path_length(*args)
+
+        monkeypatch.setattr(zenodrive.geometry, "path_length", counting)
+        plain = geodesic(model, START, END, 32)
+        assert len(calls) == 0
+        traced, diag = geodesic(model, START, END, 32, return_diagnostics=True)
+        assert len(calls) == len(diag.length_trace) > 0
+        assert np.array_equal(plain, traced)
+
+
+def single_batch_lengths(model, points):
+    """Step lengths from one eigendecomposition of the whole table."""
+    return ground_step_lengths(eigh_many(model.hamiltonian_many(points))[1])
+
+
+class TestStreamedLengths:
+    BLOCK = 7
+
+    @pytest.fixture
+    def batch_sizes(self, monkeypatch):
+        """Block size 7; records how many matrices each ``eigh_many`` call gets."""
+        sizes = []
+
+        def counting(matrices):
+            sizes.append(len(matrices))
+            return eigh_many(matrices)
+
+        monkeypatch.setattr(zenodrive.geometry, "LENGTH_BLOCK", self.BLOCK)
+        monkeypatch.setattr(zenodrive.geometry, "eigh_many", counting)
+        return sizes
+
+    @pytest.mark.parametrize("count", [1, 2, 7, 8, 9, 15, 16, 100])
+    def test_matches_single_batch_across_block_boundaries(self, count, batch_sizes):
+        model = LipkinModel(4)
+        points = START + np.linspace(0, 1, count)[:, None] * (END - START)
+        got = step_lengths_along(model, points)
+        assert np.array_equal(got, single_batch_lengths(model, points))
+        assert sum(batch_sizes) == count
+        assert max(batch_sizes) <= self.BLOCK + 1
+
+    def test_one_warning_with_global_min_spacing(self, batch_sizes):
+        model = NearDegenerateModel(coupling=0.0)
+        x = np.linspace(1.0, 2.0, 2 * self.BLOCK)
+        # level spacing 2|x| below the gap in both blocks, smallest in the second
+        x[3], x[self.BLOCK + 3] = 3e-13, 1e-13
+        assert 2 * x[3] < DEGENERACY_GAP
+        points = x[:, None]
+        with warnings.catch_warnings(record=True) as expected:
+            warnings.simplefilter("always")
+            warn_if_degenerate(eigh_many(model.hamiltonian_many(points))[0])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            got = step_lengths_along(model, points)
+        assert len(batch_sizes) == 2
+        assert [w.category for w in caught] == [DegeneracyWarning]
+        assert str(caught[0].message) == str(expected[0].message)
+        assert np.array_equal(got, single_batch_lengths(model, points))
+
+    def test_dense_table_memory_is_bounded(self):
+        # the whole 20 001-point N=10 stack is about 19 MB per temporary
+        chord = START + np.linspace(0, 1, 20001)[:, None] * (END - START)
+        model = LipkinModel(10)
+        tracemalloc.start()
+        try:
+            cumulative_lengths(model, chord)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 24e6
 
 
 class TestReparameterize:
