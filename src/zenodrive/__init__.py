@@ -18,7 +18,6 @@ from .geometry import (
     metric,
     metric_many,
     path_length,
-    reparameterize,
     refine,
     step_length,
 )
@@ -42,7 +41,6 @@ from .spectator import (
     ReducedDensityMatrix,
     evolve_gadget,
     gadget_unitary,
-    interaction_action,
     interaction_hamiltonian,
     reduced_density,
 )
@@ -74,7 +72,6 @@ __all__ = [
     "geodesic",
     "infidelity_terms",
     "integrate_schrodinger",
-    "interaction_action",
     "interaction_hamiltonian",
     "metric",
     "metric_many",
@@ -82,7 +79,6 @@ __all__ = [
     "path_length",
     "reduced_density",
     "refine",
-    "reparameterize",
     "run_stroboscopic",
     "step_length",
     "zeno_sweep",

@@ -100,7 +100,7 @@ def _propagate(model, position_fn, total_time, knots, marks):
         exponents[0::2] = ALPHA * h1 + BETA * h2
         exponents[1::2] = BETA * h1 + ALPHA * h2
         # Plain eigh: the eigenvector phases cancel in V exp(-iE dt) V^dagger,
-        # and eigh_many's symmetrise and phase fix would only add cost here.
+        # and eigh_many's symmetrise would only add cost here.
         energies, states = np.linalg.eigh(exponents)
         phases = np.exp(-1j * energies * np.repeat(widths * total_time, 2)[:, None])
         unitaries = (states * phases[:, None, :]) @ np.conj(states).swapaxes(-1, -2)
@@ -218,7 +218,6 @@ def minimal_steps(
     *,
     cap: int = DEFAULT_STEP_CAP,
     coherent_infidelity: float | None = None,
-    tolerance: float = DEFAULT_TOLERANCE,
 ) -> tuple[int | None, float | None]:
     """Smallest stroboscopic step count that beats coherent driving at this time.
 
@@ -248,7 +247,7 @@ def minimal_steps(
         raise ValueError(f"cap must be >= 1, got {cap!r}")
     if coherent_infidelity is None:
         coherent_infidelity = integrate_schrodinger(
-            model, trajectory.position_at, total_time, tolerance=tolerance
+            model, trajectory.position_at, total_time
         ).infidelity
     if math.isnan(coherent_infidelity):
         raise ValueError(f"coherent_infidelity must not be NaN, got {coherent_infidelity!r}")

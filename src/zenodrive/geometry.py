@@ -4,7 +4,7 @@ The metric tensor measures the distinguishability of neighboring ground states:
 its quadratic form reproduces, to leading order in the parameter displacement,
 one minus the squared ground-state overlap.  On top of it sit exact step
 lengths, discretized path lengths, a geodesic solver based on relaxation of the
-discrete path energy, and constant-speed reparameterizations.
+discrete path energy, and the polyline resampler behind constant-speed paths.
 """
 from __future__ import annotations
 
@@ -24,6 +24,8 @@ METRIC_CAP = 1e12
 SEGMENTS_PER_STEP = 10
 # points per eigendecomposition batch when walking a length table
 LENGTH_BLOCK = 1024
+# the geodesic relaxation stops once every interior gradient component is below this
+GEODESIC_GTOL = 1e-9
 
 
 class DegenerateGroundStateError(RuntimeError):
@@ -273,25 +275,6 @@ def refine(path, factor: int) -> np.ndarray:
     return np.concatenate([pieces.reshape(-1, points.shape[1]), points[-1:]], axis=0)
 
 
-def reparameterize(model: HamiltonianFamily, path, count: int, mode: str) -> np.ndarray:
-    """Resample a densely sampled path at ``count`` equal-length steps.
-
-    ``mode`` selects the notion of length: ``constant-manifold-speed`` uses the
-    exact metric step lengths, ``constant-euclidean-speed`` the parameter-plane
-    distance.  The input must resolve the output: at least
-    ``SEGMENTS_PER_STEP`` input segments per output step.
-    """
-    if mode not in ("constant-manifold-speed", "constant-euclidean-speed"):
-        raise ValueError(f"unknown parameterization mode {mode!r}")
-    points = np.atleast_2d(np.asarray(path, dtype=float))
-    check_resolution(points.shape[0] - 1, count, "input path")
-    if mode == "constant-manifold-speed":
-        table = cumulative_lengths(model, points)
-    else:
-        table = cumulative_euclidean(points)
-    return resample(points, table, count)
-
-
 # ---------------------------------------------------------------------------
 # geodesic relaxation
 # ---------------------------------------------------------------------------
@@ -381,7 +364,6 @@ def geodesic(
     end: np.ndarray,
     steps: int,
     *,
-    gtol: float = 1e-9,
     max_iterations: int = 200,
     return_diagnostics: bool = False,
 ):
@@ -400,8 +382,8 @@ def geodesic(
     ValueError
         If ``start`` or ``end`` fails ``model.check_points``.
     GeodesicConvergenceError
-        If the maximum gradient component does not drop below ``gtol`` within
-        ``max_iterations``; the error carries the residual.
+        If the maximum gradient component does not drop below ``GEODESIC_GTOL``
+        within ``max_iterations``; the error carries the residual.
     """
     if steps < 2:
         raise ValueError("need at least 2 steps")
@@ -435,7 +417,7 @@ def geodesic(
         residual = float(np.abs(interior_grad).max())
         diag.iterations = iteration
         diag.residual = residual
-        if residual < gtol:
+        if residual < GEODESIC_GTOL:
             return (points, diag) if return_diagnostics else points
 
         accepted = False

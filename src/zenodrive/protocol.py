@@ -32,10 +32,6 @@ class ProtocolResult:
     step_lengths: np.ndarray
 
     @property
-    def fidelity_trace(self) -> np.ndarray:
-        return self.probabilities[:, 0]
-
-    @property
     def final_fidelity(self) -> float:
         return float(self.probabilities[-1, 0])
 

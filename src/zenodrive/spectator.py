@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import simpson
 
 _SX = np.array([[0.0, 1.0], [1.0, 0.0]])
 NORM_ATOL = 1e-12
@@ -109,42 +108,3 @@ def reduced_density(state: np.ndarray) -> ReducedDensityMatrix:
     branches = state.reshape(2, 2)           # [system, spectator]
     rho = branches @ branches.conj().T
     return ReducedDensityMatrix(matrix=rho)
-
-
-def interaction_action(
-    a0: complex,
-    a1: complex,
-    tau: float,
-    total_time: float,
-    cycles: int,
-    *,
-    samples_per_cycle: int = 129,
-) -> float:
-    """Time integral of the interaction-energy expectation over all gadget cycles.
-
-    Each of the ``cycles`` windows of duration ``total_time / cycles`` starts
-    from a freshly prepared spectator in |up> with the given system amplitudes,
-    and the expectation <Psi(t)|H_int|Psi(t)> is accumulated by Simpson
-    quadrature.  The gadget conserves its own coupling energy within a cycle,
-    and an |up>-polarized spectator carries no sigma_x component, so for this
-    realization the integrand -- and hence the returned action -- vanishes
-    identically up to quadrature noise; the function computes the quadrature
-    rather than hard-coding that null so that the cancellation itself is
-    exercised.
-    """
-    a0, a1 = _check_amplitudes(a0, a1)
-    if not 0 <= total_time < np.inf:
-        raise ValueError(f"total time must be finite and >= 0, got {total_time!r}")
-    if not cycles >= 1:
-        raise ValueError("need at least one cycle")
-    if samples_per_cycle < 3:
-        raise ValueError("need at least 3 quadrature samples per cycle")
-    window = total_time / cycles
-    times = np.linspace(0.0, window, samples_per_cycle)
-    h_int = interaction_hamiltonian(tau)
-    expectations = np.empty(samples_per_cycle)
-    for idx, t in enumerate(times):
-        psi = evolve_gadget(a0, a1, tau, t)
-        expectations[idx] = float(np.vdot(psi, h_int @ psi).real)
-    per_cycle = simpson(expectations, x=times) if window > 0 else 0.0
-    return float(cycles * per_cycle)

@@ -1,8 +1,9 @@
 """Dense Hermitian eigendecomposition and basis-overlap kernels.
 
 Everything downstream (metric tensors, branching ratios, step lengths) consumes
-the primitives defined here: a phase-fixed eigendecomposition, and the squared
-overlaps and ground-state step lengths between consecutive eigenbases.
+the primitives defined here: a batched eigendecomposition, and the squared
+overlaps and ground-state step lengths between consecutive eigenbases.  No
+consumer reads the phase of an eigenvector, so none is fixed.
 """
 from __future__ import annotations
 
@@ -17,21 +18,6 @@ class DegeneracyWarning(UserWarning):
     """Adjacent eigenvalues closer than ``DEGENERACY_GAP`` along a driving path."""
 
 
-def fix_phases(states: np.ndarray) -> np.ndarray:
-    """Rotate each eigenvector column so its largest component is real positive.
-
-    Works on a single (n, n) matrix or a stacked (..., n, n) batch.  Real input
-    stays real (the rotation reduces to a sign flip).
-    """
-    idx = np.argmax(np.abs(states), axis=-2)
-    lead = np.take_along_axis(states, idx[..., None, :], axis=-2)[..., 0, :]
-    scale = np.abs(lead)
-    scale = np.where(scale == 0, 1.0, scale)
-    if np.iscomplexobj(states):
-        return states * (np.conj(lead) / scale)[..., None, :]
-    return states * np.sign(np.where(lead == 0, 1.0, lead))[..., None, :]
-
-
 def eigh_many(matrices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Batched ``eigh`` over a stacked (..., n, n) array of Hermitian matrices.
 
@@ -42,20 +28,20 @@ def eigh_many(matrices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """
     matrices = np.asarray(matrices)
     sym = 0.5 * (matrices + np.conj(np.swapaxes(matrices, -1, -2)))
-    energies, states = np.linalg.eigh(sym)
-    return energies, fix_phases(states)
+    return np.linalg.eigh(sym)
 
 
-def warn_if_degenerate(energies: np.ndarray, *, gap: float = DEGENERACY_GAP) -> None:
-    """Emit a warning when adjacent levels come closer than ``gap``.
+def warn_if_degenerate(energies: np.ndarray) -> None:
+    """Emit a warning when adjacent levels come closer than ``DEGENERACY_GAP``.
 
     Intended for eigenvalue sequences collected along a driving path; branching
     ratios stay well defined there, the perturbative metric does not.
     """
     spacings = np.diff(energies, axis=-1)
-    if spacings.size and spacings.min() < gap:
+    if spacings.size and spacings.min() < DEGENERACY_GAP:
         warnings.warn(
-            f"near-degenerate adjacent levels: min spacing {spacings.min():.3e} < {gap:.1e}",
+            f"near-degenerate adjacent levels: min spacing {spacings.min():.3e} "
+            f"< {DEGENERACY_GAP:.1e}",
             DegeneracyWarning,
             stacklevel=2,
         )

@@ -18,7 +18,6 @@ from zenodrive.geometry import (
     metric_with_gradient_many,
     path_length,
     refine,
-    reparameterize,
     resample,
     step_length,
     step_lengths_along,
@@ -31,6 +30,7 @@ from zenodrive.spectral import (
     ground_step_lengths,
     warn_if_degenerate,
 )
+from zenodrive.trajectories import build_trajectory
 
 START = np.array([0.0, 0.0])
 END = np.array([2.0, 0.5])
@@ -561,55 +561,51 @@ class TestStreamedLengths:
 
 
 class TestReparameterize:
+    """Equal-length steps along a chord, through ``Trajectory.discretize``."""
+
     def test_modes_coincide_on_flat_model(self):
         model = FlatModel()
         a, b = np.array([0.0, 0.0]), np.array([1.0, 0.5])
-        dense = a + np.linspace(0, 1, 501)[:, None] * (b - a)
-        pv = reparameterize(model, dense, 20, "constant-manifold-speed")
-        pu = reparameterize(model, dense, 20, "constant-euclidean-speed")
+        pv = build_trajectory(model, "linear-v", a, b, dense_steps=500).discretize(20)
+        pu = build_trajectory(model, "linear-u", a, b, dense_steps=500).discretize(20)
         assert np.abs(pv - pu).max() <= 1e-9
 
     def test_two_level_uniform(self, two_level):
-        dense = np.linspace(0.0, np.pi, 801)[:, None]
-        out = reparameterize(two_level, dense, 16, "constant-manifold-speed")
+        trajectory = build_trajectory(two_level, "linear-v", [0.0], [np.pi], dense_steps=800)
+        out = trajectory.discretize(16)
         assert np.abs(out - np.linspace(0, np.pi, 17)[:, None]).max() <= 1e-8
 
     def test_constant_speed_spread(self, lipkin10):
-        dense = START + np.linspace(0, 1, 4001)[:, None] * (END - START)
-        out = reparameterize(lipkin10, dense, 100, "constant-manifold-speed")
+        out = build_trajectory(lipkin10, "linear-v", START, END, dense_steps=4000).discretize(100)
         dl = step_lengths_along(lipkin10, out)
         assert (dl.max() - dl.min()) / dl.mean() <= 0.01
 
     def test_euclidean_spacing_exact(self, lipkin10):
-        dense = START + np.linspace(0, 1, 2001)[:, None] * (END - START)
-        out = reparameterize(lipkin10, dense, 50, "constant-euclidean-speed")
+        out = build_trajectory(lipkin10, "linear-u", START, END, dense_steps=2000).discretize(50)
         steps = np.linalg.norm(np.diff(out, axis=0), axis=1)
         assert steps.max() - steps.min() <= 1e-10
 
     def test_points_concentrate_in_small_gap_region(self, lipkin10):
-        dense = START + np.linspace(0, 1, 4001)[:, None] * (END - START)
-        out = reparameterize(lipkin10, dense, 100, "constant-manifold-speed")
+        out = build_trajectory(lipkin10, "linear-v", START, END, dense_steps=4000).discretize(100)
         euclid = np.linalg.norm(np.diff(out, axis=0), axis=1)
         lam_at_min = out[np.argmin(euclid), 0]
         # the plane speed collapses where the gap is smallest (lam ~ 1.2 at N=10)
         assert 0.8 <= lam_at_min <= 1.6
 
     def test_rejects_coarse_input(self, lipkin10):
-        dense = START + np.linspace(0, 1, 100)[:, None] * (END - START)
+        trajectory = build_trajectory(lipkin10, "linear-v", START, END, dense_steps=99)
         with pytest.raises(ValueError, match="too coarse"):
-            reparameterize(lipkin10, dense, 50, "constant-manifold-speed")
+            trajectory.discretize(50)
 
     def test_rejects_unknown_mode(self, lipkin10):
-        dense = START + np.linspace(0, 1, 501)[:, None] * (END - START)
-        with pytest.raises(ValueError, match="mode"):
-            reparameterize(lipkin10, dense, 10, "smooth")
+        with pytest.raises(ValueError, match="unknown path family"):
+            build_trajectory(lipkin10, "smooth", START, END, dense_steps=500)
 
     def test_refinement_consistency_flat_model(self):
         model = FlatModel()
         a, b = np.array([0.0, 0.1]), np.array([1.2, 0.7])
-        dense = a + np.linspace(0, 1, 3201)[:, None] * (b - a)
-        coarse = reparameterize(model, dense, 10, "constant-manifold-speed")
-        fine = reparameterize(model, dense, 20, "constant-manifold-speed")
+        trajectory = build_trajectory(model, "linear-v", a, b, dense_steps=3200)
+        coarse, fine = trajectory.discretize(10), trajectory.discretize(20)
         assert np.abs(coarse - fine[::2]).max() <= 1e-6
 
     def test_refine_keeps_curve(self, lipkin10):

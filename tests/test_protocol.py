@@ -225,9 +225,6 @@ CHORD = START + np.linspace(0.0, 1.0, 201)[:, None] * (END - START)
 PATH_PRODUCERS = {
     "geodesic": (lambda: geometry.geodesic(LIPKIN4, START, END, 12), 12),
     "refine": (lambda: geometry.refine(CHORD[::50], 5), 20),
-    "reparameterize": (
-        lambda: geometry.reparameterize(LIPKIN4, CHORD, 16, "constant-euclidean-speed"), 16
-    ),
     "discretize": (
         lambda: build_trajectory(
             LIPKIN4, "linear-v", START, END, dense_steps=400

@@ -4,7 +4,6 @@ import pytest
 from zenodrive.spectator import (
     evolve_gadget,
     gadget_unitary,
-    interaction_action,
     interaction_hamiltonian,
     reduced_density,
 )
@@ -147,6 +146,8 @@ class TestReducedDensity:
 
 
 class TestInteractionAction:
+    """The interaction-energy expectation <Psi(t)|H_int|Psi(t)> along the gadget."""
+
     def test_product_branch_matches_analytic_expectation(self):
         # a1 = 0: the exact expectation is -(pi/4 tau) <0|sz|0> <chi(t)|sx|chi(t)>;
         # an x-rotated |up> spin keeps a vanishing sigma_x component, so it is 0
@@ -168,41 +169,6 @@ class TestInteractionAction:
             psi = evolve_gadget(0.6, 0.8, tau, t)
             assert abs(float(np.vdot(psi, h @ psi).real)) <= 1e-12
 
-    def test_quadrature_accumulates_to_zero(self):
-        action = interaction_action(A_EQUAL, A_EQUAL, 0.5, 10.0, 20)
-        assert abs(action) <= 1e-10
-
-    def test_strength_rate_tradeoff(self):
-        # same total time, twice the rate at twice the strength: equal action
-        a = interaction_action(0.6, 0.8, 1.0, 12.0, 12)
-        b = interaction_action(0.6, 0.8, 0.5, 12.0, 24)
-        assert abs(a - b) <= 1e-10
-
-    def test_driving_diagnostic_constant_across_rates(self, two_level):
-        # I(T) * S_int / l^2 stays flat across step counts on a fixed two-level
-        # trajectory; for this gadget the action itself is identically zero, so
-        # the combination is pinned at zero for every K
-        from zenodrive.protocol import run_stroboscopic
-
-        tau = 0.4
-        length = np.pi / 4  # half of the total rotation angle pi/2
-        values = []
-        for steps in (100, 200, 400):
-            path = np.linspace(0.0, np.pi / 2, steps + 1)[:, None]
-            infid = run_stroboscopic(two_level, path).final_infidelity
-            action = interaction_action(A_EQUAL, A_EQUAL, tau, steps * tau, steps)
-            values.append(infid * action / length**2)
-        spread = max(values) - min(values)
-        assert spread <= 0.10 * max(max(abs(v) for v in values), 1e-12)
-
-    def test_input_validation(self):
-        with pytest.raises(ValueError):
-            interaction_action(1.0, 0.0, 1.0, -1.0, 3)
-        with pytest.raises(ValueError):
-            interaction_action(1.0, 0.0, 1.0, 1.0, 0)
-        with pytest.raises(ValueError):
-            interaction_action(1.0, 0.0, 1.0, 1.0, 3, samples_per_cycle=2)
-
 
 NAN = float("nan")
 
@@ -210,8 +176,6 @@ NAN = float("nan")
 @pytest.mark.parametrize(
     "call",
     [
-        pytest.param(lambda: interaction_action(A_EQUAL, A_EQUAL, 1.0, NAN, 2), id="action-nan-time"),
-        pytest.param(lambda: interaction_action(A_EQUAL, A_EQUAL, NAN, 1.0, 2), id="action-nan-tau"),
         pytest.param(lambda: interaction_hamiltonian(NAN), id="hamiltonian-nan-tau"),
         pytest.param(lambda: interaction_hamiltonian(np.inf), id="hamiltonian-inf-tau"),
         pytest.param(lambda: evolve_gadget(A_EQUAL, A_EQUAL, NAN, 0.5), id="evolve-nan-tau"),

@@ -4,10 +4,19 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from zenodrive.geometry import metric_many
-from zenodrive.models import HamiltonianFamily
+import zenodrive.coherent
+import zenodrive.geometry
+import zenodrive.protocol
+from zenodrive.coherent import integrate_schrodinger
+from zenodrive.geometry import (
+    LENGTH_BLOCK,
+    metric_many,
+    metric_with_gradient_many,
+    step_lengths_along,
+)
+from zenodrive.models import HamiltonianFamily, LipkinModel
 from zenodrive.protocol import run_stroboscopic
-from zenodrive.spectral import branching_along, eigh_many, fix_phases
+from zenodrive.spectral import branching_along, eigh_many
 
 
 def random_hermitian(rng, dim, complex_entries=True):
@@ -63,14 +72,60 @@ def test_orthonormality_and_reconstruction(dim, complex_entries):
 
 
 def test_phase_fixing_deterministic():
+    # eigh_many fixes no phase convention; repeated calls still agree bit for
+    # bit, and real input keeps real eigenvectors
     rng = np.random.default_rng(7)
     h = random_hermitian(rng, 6)
     _, a = eigh_many(h)
     _, b = eigh_many(h.copy())
     assert np.array_equal(a, b)
-    lead = np.take_along_axis(a, np.argmax(np.abs(a), axis=0)[None, :], axis=0)[0]
-    assert np.all(np.abs(lead.imag) < 1e-14)
-    assert np.all(lead.real > 0)
+    real = random_hermitian(rng, 4, complex_entries=False)
+    assert eigh_many(real)[1].dtype == np.float64
+
+
+def test_outputs_ignore_eigenvector_signs(monkeypatch):
+    """Flipping the sign of eigenvector columns at random changes no output bit.
+
+    Both models are real symmetric, so ``eigh`` fixes each eigenvector up to
+    a sign only; every consumer must read each column's sign an even number
+    of times.
+    """
+    model = LipkinModel(6)
+    start, end = np.array([0.0, 0.0]), np.array([2.0, 0.5])
+    chord = start + np.linspace(0.0, 1.0, 2 * LENGTH_BLOCK + 101)[:, None] * (end - start)
+    path = chord[::50]
+
+    def ramp(fractions):
+        return start + np.asarray(fractions)[..., None] * (end - start)
+
+    def outputs():
+        g, dg = metric_with_gradient_many(model, path)
+        coherent = integrate_schrodinger(model, ramp, 5.0, trace_times=[1.0, 2.5, 4.0])
+        return {
+            "step_lengths_along": step_lengths_along(model, chord),
+            "probabilities": run_stroboscopic(model, path).probabilities,
+            "g": g,
+            "dg": dg,
+            "fidelity": coherent.fidelity,
+            "trace_fidelity": coherent.trace_fidelity,
+        }
+
+    plain = outputs()
+    rng = np.random.default_rng(11)
+    flips = []
+
+    def flipped_eigh_many(matrices):
+        energies, states = eigh_many(matrices)
+        signs = rng.choice([-1.0, 1.0], size=states.shape[:-2] + states.shape[-1:])
+        flips.append(np.any(signs < 0))
+        return energies, states * signs[..., None, :]
+
+    for module in (zenodrive.geometry, zenodrive.protocol, zenodrive.coherent):
+        monkeypatch.setattr(module, "eigh_many", flipped_eigh_many)
+    flipped = outputs()
+    assert len(flips) >= 6 and all(flips)
+    for name, value in plain.items():
+        assert np.array_equal(flipped[name], value), name
 
 
 def test_branching_same_basis_is_identity():
@@ -127,13 +182,6 @@ def test_branching_along_consecutive():
         # entry [i, i'] = |<E_i(k+1)|E_i'(k)>|^2
         expected = np.abs(states[k + 1].conj().T @ states[k]) ** 2
         assert np.abs(chain[k] - expected).max() <= 1e-14
-
-
-def test_fix_phases_preserves_real_dtype():
-    rng = np.random.default_rng(1)
-    states = np.linalg.eigh(random_hermitian(rng, 4, complex_entries=False))[1]
-    fixed = fix_phases(states)
-    assert fixed.dtype == np.float64
 
 
 @st.composite
