@@ -292,6 +292,13 @@ COMMANDS = {
 }
 
 
+def non_negative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="zenodrive",
@@ -302,7 +309,8 @@ def build_parser() -> argparse.ArgumentParser:
         cmd = sub.add_parser(name, help=f"write {name.replace('-', '_')}.csv")
         cmd.add_argument("--config", help="flat key=value config file")
         cmd.add_argument("--out", default=None, help="output directory (default out-<command>)")
-        cmd.add_argument("--jobs", type=int, default=0, help="worker threads (0 = machine parallelism)")
+        cmd.add_argument("--jobs", type=non_negative_int, default=0,
+                         help="worker threads (0 = machine parallelism)")
         for key, (_, _, help_text) in CONFIG_SPEC.items():
             cmd.add_argument(f"--{key}", dest=f"cfg::{key}", metavar="V", help=help_text)
     return parser
@@ -318,7 +326,7 @@ def main(argv=None) -> int:
     config = load_config(args.config, overrides)
     out_dir = Path(args.out or f"out-{args.command}")
     out_dir.mkdir(parents=True, exist_ok=True)
-    jobs = args.jobs if args.jobs > 0 else (os.cpu_count() or 1)
+    jobs = args.jobs or os.cpu_count() or 1
     started = time.perf_counter()
     COMMANDS[args.command](config, out_dir, jobs)
     write_config_snapshot(config, out_dir)

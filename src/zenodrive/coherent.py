@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import SEGMENTS_PER_STEP
+from .geometry import EIGH_BLOCK, SEGMENTS_PER_STEP
 from .models import HamiltonianFamily
 from .protocol import run_stroboscopic
 from .spectral import eigh_many
@@ -28,6 +28,13 @@ DEFAULT_TOLERANCE = 1e-8
 DEFAULT_STEP_CAP = 10**6
 SUBSTEP_CAP = 2**23
 SUBSTEP_CHUNK = 8192
+# Rounding floor: CF4 shrinks the fidelity change ~16x per step doubling.  A
+# change below FLOOR_ULPS * steps * eps (rounding in a product of n step
+# unitaries grows about like n * eps) that shrank less than FLOOR_SHRINK x, two
+# doublings in a row, is rounding rather than step error.  The size gate keeps
+# the rule off the erratic early doublings of a time law with kinks.
+FLOOR_SHRINK = 4.0
+FLOOR_ULPS = 64
 
 # CF4 Gauss nodes and weights: a step [t_a, t_b] samples H_1, H_2 at
 # t_a + (t_b - t_a) * GAUSS_NODES and applies exp(-i dt (ALPHA H_1 + BETA H_2))
@@ -38,12 +45,13 @@ BETA = (3.0 - 2.0 * np.sqrt(3.0)) / 12.0
 
 
 class IntegratorConvergenceError(RuntimeError):
-    """Step doubling exhausted before the fidelity settled."""
+    """Step doubling stopped, at the step cap or the rounding floor, before the fidelity settled."""
 
-    def __init__(self, last: float, previous: float, substeps: int):
+    def __init__(self, last: float, previous: float, substeps: int, *, floor: bool = False):
+        reason = "; the changes stopped shrinking at the rounding floor" if floor else ""
         super().__init__(
             f"fidelity not converged at {substeps} steps: "
-            f"last two values {previous:.12f}, {last:.12f}"
+            f"last two values {previous:.12f}, {last:.12f}{reason}"
         )
         self.last_values = (previous, last)
         self.substeps = substeps
@@ -74,43 +82,81 @@ def _ground_states(model, position_fn, fractions):
     return eigh_many(model.hamiltonian_many(points))[1][..., :, 0]
 
 
-def _propagate(model, position_fn, total_time, knots, marks):
-    """States of the CF4 chain over the step boundaries ``knots`` at the indices ``marks``.
+def _step_unitaries(model, position_fn, total_time, knots):
+    """CF4 exponentials of the steps between neighbouring ``knots``, two per step, in time order."""
+    starts, widths = knots[:-1], np.diff(knots)
+    nodes = starts[:, None] + widths[:, None] * GAUSS_NODES
+    hams = model.hamiltonian_many(position_fn(nodes.ravel()))
+    h1, h2 = hams[0::2], hams[1::2]
+    # exponents in time order: the H_1-heavy one acts first in each step
+    exponents = np.empty_like(hams)
+    exponents[0::2] = ALPHA * h1 + BETA * h2
+    exponents[1::2] = BETA * h1 + ALPHA * h2
+    # Plain eigh: the eigenvector phases cancel in V exp(-iE dt) V^dagger,
+    # and eigh_many's symmetrise would only add cost here.
+    energies, states = np.linalg.eigh(exponents)
+    phases = np.exp(-1j * energies * np.repeat(widths * total_time, 2)[:, None])
+    return (states * phases[:, None, :]) @ np.conj(states).swapaxes(-1, -2)
 
-    ``knots`` are increasing time fractions from 0 to 1; each interval
-    between neighbours is one CF4 step.  The chain starts from the ground
-    state at fraction 0.  Step unitaries are built in chunks of at most
-    ``SUBSTEP_CHUNK`` exponentials that also end at every mark, with one
-    batched ``eigh`` per chunk, and are multiplied pairwise (tree
-    reduction).  Returns the states at ``marks`` (indices into ``knots``),
-    one row per entry, in the given order.
+
+def _ordered_product(blocks):
+    """Product of the unitaries in ``blocks``, stacks in time order, the first factor acting first.
+
+    Each stack is multiplied pairwise, level by level (an odd last factor
+    moves up a level), and the stack products merge like a binary counter:
+    two products of equally many factors merge as soon as both exist, and
+    the rest fold together, newest first, at the end.  When every stack but
+    the last holds the same power-of-two count, this is the product tree of
+    one level-wise reduction over all the factors, so the result is
+    bit-identical to it, while one stack and about log2(count) products are
+    held at a time.
     """
-    steps = knots.size - 1
-    psi = _ground_states(model, position_fn, knots[:1])[0].astype(complex)
-    marks = [int(mark) for mark in marks]
-    bounds = sorted(set(marks).union(range(0, steps, SUBSTEP_CHUNK // 2), [steps]))
-    saved = {0: psi}
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
-        starts, widths = knots[lo:hi], np.diff(knots[lo : hi + 1])
-        nodes = starts[:, None] + widths[:, None] * GAUSS_NODES
-        hams = model.hamiltonian_many(position_fn(nodes.ravel()))
-        h1, h2 = hams[0::2], hams[1::2]
-        # exponents in time order: the H_1-heavy one acts first in each step
-        exponents = np.empty_like(hams)
-        exponents[0::2] = ALPHA * h1 + BETA * h2
-        exponents[1::2] = BETA * h1 + ALPHA * h2
-        # Plain eigh: the eigenvector phases cancel in V exp(-iE dt) V^dagger,
-        # and eigh_many's symmetrise would only add cost here.
-        energies, states = np.linalg.eigh(exponents)
-        phases = np.exp(-1j * energies * np.repeat(widths * total_time, 2)[:, None])
-        unitaries = (states * phases[:, None, :]) @ np.conj(states).swapaxes(-1, -2)
+    pending = []   # (factor count, product), counts strictly decreasing
+    for unitaries in blocks:
+        count = unitaries.shape[0]
         while unitaries.shape[0] > 1:
             half = unitaries.shape[0] // 2
             prod = unitaries[1 : 2 * half : 2] @ unitaries[0 : 2 * half : 2]
             if unitaries.shape[0] % 2:
                 prod = np.concatenate([prod, unitaries[-1:]], axis=0)
             unitaries = prod
-        psi = saved[hi] = unitaries[0] @ psi
+        product = unitaries[0]
+        while pending and pending[-1][0] == count:
+            product = product @ pending.pop()[1]
+            count *= 2
+        pending.append((count, product))
+    product = pending.pop()[1]
+    while pending:
+        product = product @ pending.pop()[1]
+    return product
+
+
+def _propagate(model, position_fn, total_time, knots, marks):
+    """States of the CF4 chain over the step boundaries ``knots`` at the indices ``marks``.
+
+    ``knots`` are increasing time fractions from 0 to 1; each interval
+    between neighbours is one CF4 step.  The chain starts from the ground
+    state at fraction 0.  The steps run in chunks of at most
+    ``SUBSTEP_CHUNK`` exponentials that also end at every mark.  Within a
+    chunk the step unitaries are built and diagonalized ``EIGH_BLOCK``
+    exponentials at a time and multiplied pairwise (``_ordered_product``), so
+    the working set is one block plus a few (dim, dim) products, whatever
+    the step count, and the result is bit-identical to one pairwise product
+    over the whole chunk.  Returns the states at ``marks`` (indices into
+    ``knots``), one row per entry, in the given order.
+    """
+    steps = knots.size - 1
+    psi = _ground_states(model, position_fn, knots[:1])[0].astype(complex)
+    marks = [int(mark) for mark in marks]
+    bounds = sorted(set(marks).union(range(0, steps, SUBSTEP_CHUNK // 2), [steps]))
+    block_steps = EIGH_BLOCK // 2   # two exponentials per step
+    saved = {0: psi}
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        blocks = (
+            _step_unitaries(model, position_fn, total_time, knots[a : min(a + block_steps, hi) + 1])
+            for a in range(lo, hi, block_steps)
+        )
+        psi = saved[hi] = _ordered_product(blocks) @ psi
     return np.array([saved[mark] for mark in marks])
 
 
@@ -130,7 +176,9 @@ def integrate_schrodinger(
     propagator is CF4 (see the module docstring) on a uniform grid: the first
     run uses max(64, ceil(T)) steps, and the step count then doubles until
     the fidelity changes by less than ``tolerance``, never beyond
-    ``SUBSTEP_CAP`` (2**23).  ``trace_times`` adds the ground-state fidelity
+    ``SUBSTEP_CAP`` (2**23).  It stops early at the rounding floor: two
+    doublings in a row whose change is below ``FLOOR_ULPS`` * steps * eps
+    and shrank by less than ``FLOOR_SHRINK`` (4x, where CF4 predicts 16x).  ``trace_times`` adds the ground-state fidelity
     at those times, clipped to [0, T], sorted and deduplicated; they are
     exact step boundaries (the grid is refined with them), so
     ``result.trace_times`` holds the requested times themselves (at T = 0
@@ -142,7 +190,8 @@ def integrate_schrodinger(
         If ``total_time`` is negative, infinite or NaN, ``tolerance`` is
         negative or NaN, or ``trace_times`` holds NaN or infinity.
     IntegratorConvergenceError
-        If the step cap is reached first; carries the last two fidelities.
+        If the step cap or the rounding floor is reached first; carries the
+        last two fidelities.
     """
     if not (total_time >= 0 and np.isfinite(total_time)):
         raise ValueError(f"total_time must be finite and >= 0, got {total_time!r}")
@@ -179,12 +228,18 @@ def integrate_schrodinger(
 
     steps = max(64, math.ceil(total_time))
     fid = previous = run(steps)[1]
+    last_change, stalls = math.inf, 0
     while 2 * steps <= SUBSTEP_CAP:
         steps *= 2
         states, new_fid = run(steps)
-        if abs(new_fid - fid) < tolerance:
+        change = abs(new_fid - fid)
+        if change < tolerance:
             return finish(steps, states, new_fid)
-        previous, fid = fid, new_fid
+        at_floor = change < FLOOR_ULPS * steps * np.finfo(float).eps
+        stalls = stalls + 1 if at_floor and FLOOR_SHRINK * change > last_change else 0
+        previous, fid, last_change = fid, new_fid, change
+        if stalls == 2:
+            raise IntegratorConvergenceError(fid, previous, steps, floor=True)
     raise IntegratorConvergenceError(fid, previous, steps)
 
 

@@ -22,8 +22,10 @@ GAP_FLOOR = 1e-12
 METRIC_CAP = 1e12
 # dense segments a table needs per output step before it resolves a resampling
 SEGMENTS_PER_STEP = 10
-# points per eigendecomposition batch when walking a length table
-LENGTH_BLOCK = 1024
+# matrices per eigendecomposition batch when walking a length table or building
+# CF4 step unitaries; a power of two, which keeps the streamed CF4 product
+# bit-identical to one pairwise product over a whole chunk
+EIGH_BLOCK = 1024
 # the geodesic relaxation stops once every interior gradient component is below this
 GEODESIC_GTOL = 1e-9
 
@@ -180,7 +182,7 @@ def _metric_impl(model, points, *, with_gradient):
 def step_lengths_along(model: HamiltonianFamily, points: np.ndarray) -> np.ndarray:
     """Exact quench lengths sqrt(1 - |<E0(k+1)|E0(k)>|^2) between consecutive points.
 
-    The points are diagonalized ``LENGTH_BLOCK`` at a time and the last ground
+    The points are diagonalized ``EIGH_BLOCK`` at a time and the last ground
     state of each block is carried into the next, so every matrix goes through
     ``eigh_many`` once and working memory is bounded by one block of
     (dim, dim) matrices (about 1 MB per temporary at dim 11), not the whole
@@ -190,8 +192,8 @@ def step_lengths_along(model: HamiltonianFamily, points: np.ndarray) -> np.ndarr
     points = model.check_points(points)
     lengths, closest = [], []
     previous = np.zeros((0, model.dim, 1))   # no ground state before the first block
-    for lo in range(0, len(points), LENGTH_BLOCK):
-        energies, states = eigh_many(model.hamiltonian_many(points[lo : lo + LENGTH_BLOCK]))
+    for lo in range(0, len(points), EIGH_BLOCK):
+        energies, states = eigh_many(model.hamiltonian_many(points[lo : lo + EIGH_BLOCK]))
         # the block's most nearly degenerate spectrum stands in for it in the warning
         spacings = np.diff(energies, axis=-1)
         closest.append(energies[np.unravel_index(spacings.argmin(), spacings.shape)[0]])

@@ -69,6 +69,13 @@ class TestConfig:
         assert calls == []
         assert not (tmp_path / "out").exists()
 
+    def test_negative_jobs_rejected_before_any_output(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["gadget", "--out", str(tmp_path / "out"), "--jobs", "-1"])
+        assert exit_info.value.code == 2
+        assert "--jobs: must be >= 0" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
 
 class TestMetricMap:
     def test_headers_and_free_point_gap(self, tmp_path):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -97,6 +99,22 @@ class TestIntegrator:
         assert at_128.substeps == 128
         assert err.value.last_values[0] == at_128.fidelity
         assert err.value.last_values[0] != err.value.last_values[1]
+
+    def test_stops_at_rounding_floor(self, golden_chord4, monkeypatch):
+        # |dF| per doubling at T = 20 falls ~16x down to 5.0e-12 at 1 024
+        # steps, then wanders at 1.4e-12 - 3.5e-12 up to 32 768 steps: a
+        # 1e-12 tolerance is below the rounding floor
+        monkeypatch.setattr(coherent, "SUBSTEP_CAP", 2**16)
+        with pytest.raises(IntegratorConvergenceError, match="rounding floor") as err:
+            integrate_schrodinger(
+                LipkinModel(4), golden_chord4.position_at, 20.0, tolerance=1e-12
+            )
+        assert err.value.substeps <= 2**13
+        # runs that converge still converge: near the floor, the two-level
+        # tolerance=1e-13 reference of test_fourth_order_step_convergence
+        # (|dF| 4.5e-12, 3.1e-13, 2.8e-14 over 512 - 2 048 steps); with a
+        # kinked time law, the 50-segment table of test_matches_dop853_reference
+        # (|dF| 1.2e-7, 1.5e-7, 8.5e-8 over 128 - 512 steps, converged at 2 048)
 
     def test_zero_time_trace_rounds_to_grid_point_zero(self, two_level):
         result = integrate_schrodinger(
@@ -202,6 +220,72 @@ class TestIntegrator:
         assert result.substeps <= 1024
         # measured agreement 1.1e-9
         assert abs(result.infidelity - reference) <= 3e-8
+
+
+def levelwise_product(unitaries):
+    """Product of a stack in time order, multiplied pairwise level by level in one batch."""
+    while unitaries.shape[0] > 1:
+        half = unitaries.shape[0] // 2
+        prod = unitaries[1 : 2 * half : 2] @ unitaries[0 : 2 * half : 2]
+        if unitaries.shape[0] % 2:
+            prod = np.concatenate([prod, unitaries[-1:]], axis=0)
+        unitaries = prod
+    return unitaries[0]
+
+
+def linear_chord(fractions):
+    """The default driving chord from (0, 0) to (2, 0.5) at uniform parameter speed."""
+    return np.asarray(fractions, dtype=float)[..., None] * np.array([2.0, 0.5])
+
+
+class TestStreamedProduct:
+    @pytest.mark.parametrize("block", [2, 8, 64])
+    def test_matches_levelwise_product(self, block):
+        rng = np.random.default_rng(block)
+        gaussian = rng.normal(size=(2, 4792, 4, 4))
+        unitaries = np.linalg.qr(gaussian[0] + 1j * gaussian[1])[0]
+        for count in [*range(1, 201), 1023, 1024, 1025, 4792]:
+            stack = unitaries[:count]
+            blocks = (stack[lo : lo + block] for lo in range(0, count, block))
+            streamed = coherent._ordered_product(blocks)
+            assert np.array_equal(streamed, levelwise_product(stack)), count
+
+    def test_block_is_a_power_of_two(self):
+        # the streamed product is bit-identical only for aligned power-of-two blocks
+        block = coherent.EIGH_BLOCK
+        assert block >= 2 and block & (block - 1) == 0
+
+    @pytest.mark.parametrize("block", [2, 4, 64])
+    def test_propagate_matches_one_block_per_chunk(self, block, monkeypatch):
+        model = LipkinModel(4)
+        trajectory = build_trajectory(
+            model, "linear-v", np.array([0.0, 0.0]), np.array([2.0, 0.5]), dense_steps=400
+        )
+        steps = 4500   # crosses the chunk end at step SUBSTEP_CHUNK // 2 = 4096
+        fractions = [0.10011, 0.37013, 0.5, 0.91234]   # off the block grid
+        knots = np.union1d(np.arange(steps + 1) / steps, fractions)
+        marks = np.append(np.searchsorted(knots, fractions), knots.size - 1)
+
+        def states(size):
+            monkeypatch.setattr(coherent, "EIGH_BLOCK", size)
+            return coherent._propagate(model, trajectory.position_at, 30.0, knots, marks)
+
+        # a block of SUBSTEP_CHUNK exponentials holds every chunk whole
+        whole_chunks = states(coherent.SUBSTEP_CHUNK)
+        assert np.array_equal(states(block), whole_chunks)
+
+    def test_working_set_is_one_block(self):
+        # N=10 over 4 096 steps: 81.6 MB traced when every step unitary of a
+        # chunk is held at once, 10.2 MB with one block of 1 024 exponentials
+        model = LipkinModel(10)
+        steps = 4096
+        tracemalloc.start()
+        try:
+            coherent._propagate(model, linear_chord, 40.0, np.arange(steps + 1) / steps, [steps])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16e6
 
 
 def dop853_and_cf4(total_time):

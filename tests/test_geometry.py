@@ -516,7 +516,7 @@ class TestStreamedLengths:
             sizes.append(len(matrices))
             return eigh_many(matrices)
 
-        monkeypatch.setattr(zenodrive.geometry, "LENGTH_BLOCK", self.BLOCK)
+        monkeypatch.setattr(zenodrive.geometry, "EIGH_BLOCK", self.BLOCK)
         monkeypatch.setattr(zenodrive.geometry, "eigh_many", counting)
         return sizes
 

@@ -9,7 +9,7 @@ import zenodrive.geometry
 import zenodrive.protocol
 from zenodrive.coherent import integrate_schrodinger
 from zenodrive.geometry import (
-    LENGTH_BLOCK,
+    EIGH_BLOCK,
     metric_many,
     metric_with_gradient_many,
     step_lengths_along,
@@ -92,7 +92,7 @@ def test_outputs_ignore_eigenvector_signs(monkeypatch):
     """
     model = LipkinModel(6)
     start, end = np.array([0.0, 0.0]), np.array([2.0, 0.5])
-    chord = start + np.linspace(0.0, 1.0, 2 * LENGTH_BLOCK + 101)[:, None] * (end - start)
+    chord = start + np.linspace(0.0, 1.0, 2 * EIGH_BLOCK + 101)[:, None] * (end - start)
     path = chord[::50]
 
     def ramp(fractions):
