@@ -15,11 +15,9 @@ from .geometry import (
     DegenerateGroundStateError,
     GeodesicConvergenceError,
     geodesic,
-    metric,
     metric_many,
     path_length,
     refine,
-    step_length,
 )
 from .models import (
     HamiltonianFamily,
@@ -73,13 +71,11 @@ __all__ = [
     "infidelity_terms",
     "integrate_schrodinger",
     "interaction_hamiltonian",
-    "metric",
     "metric_many",
     "minimal_steps",
     "path_length",
     "reduced_density",
     "refine",
     "run_stroboscopic",
-    "step_length",
     "zeno_sweep",
 ]

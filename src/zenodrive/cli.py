@@ -50,10 +50,8 @@ CONFIG_SPEC = {
 }
 
 
-def _parse_value(key: str, raw):
+def _parse_value(key: str, raw: str):
     kind = CONFIG_SPEC[key][0]
-    if not isinstance(raw, str):
-        return raw
     raw = raw.strip()
     if kind is int:
         return int(raw)
@@ -114,6 +112,8 @@ def load_config(path: str | None, overrides: dict) -> dict:
         raise ValueError(f"path.family must be one of {FAMILIES}")
     if not config["compare.cap"] >= 1:
         raise ValueError(f"compare.cap must be >= 1, got {config['compare.cap']!r}")
+    if not config["dense.steps"] >= 0:
+        raise ValueError(f"dense.steps must be >= 0 (0 = auto), got {config['dense.steps']!r}")
     return config
 
 
@@ -226,7 +226,6 @@ def cmd_zeno(config, out_dir, jobs):
     rows = _parallel_map(
         lambda k: zeno_sweep(model, trajectory, [k])[0], counts, jobs
     )
-    rows.sort(key=lambda r: r["K"])
     write_csv(
         out_dir / "zeno.csv",
         ["path_family", "K", "I_exact", "I_one_term", "I_two_term", "ell"],
@@ -263,7 +262,6 @@ def cmd_compare(config, out_dir, jobs):
         )
 
     rows = _parallel_map(one, sorted(config["times.T"]), jobs)
-    rows.sort(key=lambda r: r[1])
     write_csv(
         out_dir / "compare.csv",
         ["path_family", "T", "I_coherent", "K_min", "tau_min", "capped"],

@@ -131,12 +131,12 @@ def _ordered_product(blocks):
     return product
 
 
-def _propagate(model, position_fn, total_time, knots, marks):
+def _propagate(model, position_fn, total_time, knots, marks, initial):
     """States of the CF4 chain over the step boundaries ``knots`` at the indices ``marks``.
 
     ``knots`` are increasing time fractions from 0 to 1; each interval
-    between neighbours is one CF4 step.  The chain starts from the ground
-    state at fraction 0.  The steps run in chunks of at most
+    between neighbours is one CF4 step.  The chain starts from ``initial``,
+    the caller's ground state at fraction 0.  The steps run in chunks of at most
     ``SUBSTEP_CHUNK`` exponentials that also end at every mark.  Within a
     chunk the step unitaries are built and diagonalized ``EIGH_BLOCK``
     exponentials at a time and multiplied pairwise (``_ordered_product``), so
@@ -146,7 +146,7 @@ def _propagate(model, position_fn, total_time, knots, marks):
     ``knots``), one row per entry, in the given order.
     """
     steps = knots.size - 1
-    psi = _ground_states(model, position_fn, knots[:1])[0].astype(complex)
+    psi = initial.astype(complex)
     marks = [int(mark) for mark in marks]
     bounds = sorted(set(marks).union(range(0, steps, SUBSTEP_CHUNK // 2), [steps]))
     block_steps = EIGH_BLOCK // 2   # two exponentials per step
@@ -223,7 +223,7 @@ def integrate_schrodinger(
         """States at the trace fractions and at fraction 1 (last), and the fidelity."""
         knots = np.union1d(np.arange(steps + 1) / steps, fractions)
         marks = np.append(np.searchsorted(knots, fractions), knots.size - 1)
-        states = _propagate(model, position_fn, total_time, knots, marks)
+        states = _propagate(model, position_fn, total_time, knots, marks, initial)
         return states, float(np.abs(np.vdot(target, states[-1])) ** 2)
 
     steps = max(64, math.ceil(total_time))

@@ -28,6 +28,10 @@ SEGMENTS_PER_STEP = 10
 EIGH_BLOCK = 1024
 # the geodesic relaxation stops once every interior gradient component is below this
 GEODESIC_GTOL = 1e-9
+# Newton iterations before the geodesic relaxation gives up
+GEODESIC_MAX_ITERATIONS = 200
+# central-difference step for the second metric derivative in the geodesic Hessian
+GEODESIC_FD_STEP = 1e-4
 
 
 class DegenerateGroundStateError(RuntimeError):
@@ -60,26 +64,19 @@ class GeodesicDiagnostics:
     length_trace: list = field(default_factory=list)
 
 
-def metric(model: HamiltonianFamily, point: np.ndarray) -> np.ndarray:
-    """Metric tensor at one parameter point, from the perturbative sum over states.
+def metric_many(model: HamiltonianFamily, points: np.ndarray, *, with_gap: bool = False):
+    """Metric tensors at points of shape (..., D), shape (..., D, D).
 
-    g_mn = Re sum_{i>0} <E0|dH_m|Ei><Ei|dH_n|E0> / (Ei - E0)^2.  Symmetric and
-    positive semidefinite; independent of eigenvector phase conventions and of
-    global energy shifts of the Hamiltonian.
+    g_mn = Re sum_{i>0} <E0|dH_m|Ei><Ei|dH_n|E0> / (Ei - E0)^2, from the
+    perturbative sum over states.  Symmetric and positive semidefinite;
+    independent of eigenvector phase conventions and of global energy shifts
+    of the Hamiltonian.  With ``with_gap`` returns ``(g, gap)``, where ``gap``
+    (shape (...,)) is E1 - E0 from the same eigendecomposition.
 
     Raises
     ------
     DegenerateGroundStateError
         If the gap to the first excited level is at or below ``GAP_FLOOR``.
-    """
-    return metric_many(model, np.asarray(point, dtype=float)[None])[0]
-
-
-def metric_many(model: HamiltonianFamily, points: np.ndarray, *, with_gap: bool = False):
-    """Batched metric tensors, shape (..., D, D).
-
-    With ``with_gap`` returns ``(g, gap)``, where ``gap`` (shape (...,)) is
-    E1 - E0 from the same eigendecomposition.
     """
     g, _, gap = _metric_impl(model, points, with_gradient=False)
     return (g, gap) if with_gap else g
@@ -204,18 +201,9 @@ def step_lengths_along(model: HamiltonianFamily, points: np.ndarray) -> np.ndarr
     return np.concatenate(lengths) if lengths else np.zeros(0)
 
 
-def step_length(model: HamiltonianFamily, a: np.ndarray, b: np.ndarray) -> float:
-    """Exact ground-state distance between two parameter points.
-
-    Computed from the full overlap, not the perturbative quadratic form, so it
-    is valid at any separation; symmetric in its arguments.
-    """
-    pts = np.stack([np.asarray(a, dtype=float), np.asarray(b, dtype=float)])
-    return float(step_lengths_along(model, pts)[0])
-
-
 def path_length(model: HamiltonianFamily, path) -> float:
-    """Sum of exact step lengths over consecutive path points."""
+    """Sum of exact step lengths over consecutive path points; for two points, their
+    ground-state distance from the full overlap, valid at any separation."""
     points = np.atleast_2d(model.check_points(path))
     if points.shape[0] < 2:
         return 0.0
@@ -288,7 +276,7 @@ def _discrete_energy(model, points):
     return float(np.einsum("kab,ka,kb->", g, delta, delta))
 
 
-def _energy_grad_hess(model, points, fd_step=1e-4):
+def _energy_grad_hess(model, points):
     """Energy, gradient, and block-tridiagonal Hessian data of the path energy.
 
     The energy is sum_k g(mid_k)[delta_k, delta_k].  Metric values and first
@@ -304,7 +292,7 @@ def _energy_grad_hess(model, points, fd_step=1e-4):
     probes = [mids]
     for c in range(nparams):
         shift = np.zeros(nparams)
-        shift[c] = fd_step
+        shift[c] = GEODESIC_FD_STEP
         probes.extend([model.project_point(mids + shift), model.project_point(mids - shift)])
     g_all, dg_all = metric_with_gradient_many(model, np.concatenate(probes, axis=0))
     g_all = g_all.reshape(2 * nparams + 1, segs, nparams, nparams)
@@ -312,7 +300,7 @@ def _energy_grad_hess(model, points, fd_step=1e-4):
     g, dg = g_all[0], dg_all[0]
     d2g = np.empty((segs, nparams, nparams, nparams, nparams))
     for c in range(nparams):
-        d2g[:, c] = (dg_all[1 + 2 * c] - dg_all[2 + 2 * c]) / (2 * fd_step)
+        d2g[:, c] = (dg_all[1 + 2 * c] - dg_all[2 + 2 * c]) / (2 * GEODESIC_FD_STEP)
 
     energy = float(np.einsum("kab,ka,kb->", g, delta, delta))
     gdelta = np.einsum("kab,kb->ka", g, delta)
@@ -366,7 +354,6 @@ def geodesic(
     end: np.ndarray,
     steps: int,
     *,
-    max_iterations: int = 200,
     return_diagnostics: bool = False,
 ):
     """Minimal-length driving path between two parameter points.
@@ -385,7 +372,7 @@ def geodesic(
         If ``start`` or ``end`` fails ``model.check_points``.
     GeodesicConvergenceError
         If the maximum gradient component does not drop below ``GEODESIC_GTOL``
-        within ``max_iterations``; the error carries the residual.
+        within ``GEODESIC_MAX_ITERATIONS``; the error carries the residual.
     """
     if steps < 2:
         raise ValueError("need at least 2 steps")
@@ -410,7 +397,7 @@ def geodesic(
     # error cannot limit the Newton endgame.
     resample_active = True
     segment_scale = max(float(np.linalg.norm(end - start)) / steps, 1e-300)
-    for iteration in range(max_iterations):
+    for iteration in range(GEODESIC_MAX_ITERATIONS):
         interior_grad = grad[1:-1].copy()
         if model.lower_bounds is not None:
             # projected gradient: ignore components pushing against an active bound
@@ -465,4 +452,4 @@ def geodesic(
         diag.energy_trace.append(energy)
         if return_diagnostics:
             diag.length_trace.append(path_length(model, points))
-    raise GeodesicConvergenceError(float(np.abs(grad[1:-1]).max()), max_iterations)
+    raise GeodesicConvergenceError(float(np.abs(grad[1:-1]).max()), GEODESIC_MAX_ITERATIONS)

@@ -30,9 +30,7 @@ class HamiltonianFamily:
     ``hamiltonian_many``, ``derivative_many`` and ``second_derivative_many``.
     Each takes points of shape (..., D) and returns matrices of shape
     (..., dim, dim), so a single (D,) point gives one (dim, dim) matrix; each
-    passes its input through ``check_points`` first.  ``hamiltonian``,
-    ``derivative`` and ``second_derivative`` are the same maps under their
-    single-point names.
+    passes its input through ``check_points`` first.
 
     ``lower_bounds`` (length D, ``-inf`` where unconstrained) declares the
     admissible parameter domain: ``check_points`` rejects points below it with
@@ -70,15 +68,6 @@ class HamiltonianFamily:
 
     def second_derivative_many(self, points: np.ndarray, axis1: int, axis2: int) -> np.ndarray:
         raise NotImplementedError
-
-    def hamiltonian(self, point: np.ndarray) -> np.ndarray:
-        return self.hamiltonian_many(point)
-
-    def derivative(self, point: np.ndarray, axis: int) -> np.ndarray:
-        return self.derivative_many(point, axis)
-
-    def second_derivative(self, point: np.ndarray, axis1: int, axis2: int) -> np.ndarray:
-        return self.second_derivative_many(point, axis1, axis2)
 
     def project_point(self, point: np.ndarray) -> np.ndarray:
         """Clip a parameter point onto the admissible domain."""

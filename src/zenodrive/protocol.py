@@ -39,10 +39,6 @@ class ProtocolResult:
     def final_infidelity(self) -> float:
         return 1.0 - self.final_fidelity
 
-    @property
-    def total_length(self) -> float:
-        return float(self.step_lengths.sum())
-
 
 def run_stroboscopic(model: HamiltonianFamily, path) -> ProtocolResult:
     """Iterate the quench chain p(k+1) = B(k) p(k) from p_i(0) = delta_i0.

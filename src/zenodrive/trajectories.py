@@ -81,10 +81,13 @@ def build_trajectory(
 
     The geodesic family first relaxes a ``geodesic_steps``-segment path and then
     subdivides its polyline to ``dense_steps`` segments; linear families sample
-    the straight chord directly.
+    the straight chord directly.  Raises ``ValueError`` for an unknown family
+    or ``dense_steps`` below 1.
     """
     if family not in FAMILIES:
         raise ValueError(f"unknown path family {family!r}; expected one of {FAMILIES}")
+    if not dense_steps >= 1:
+        raise ValueError(f"dense_steps must be >= 1, got {dense_steps!r}")
     start = np.asarray(start, dtype=float)
     end = np.asarray(end, dtype=float)
     if family == "geodesic":

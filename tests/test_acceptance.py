@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from zenodrive.coherent import integrate_schrodinger, minimal_steps
-from zenodrive.geometry import interpolate_at, metric, step_lengths_along
+from zenodrive.geometry import interpolate_at, metric_many, step_lengths_along
 from zenodrive.models import LipkinModel, TwoLevelModel, brute_force_lipkin
 from zenodrive.protocol import infidelity_terms, run_stroboscopic, zeno_sweep
 from zenodrive.spectator import evolve_gadget, reduced_density
@@ -89,7 +89,7 @@ def test_criterion_1_reduction_oracle():
         model = LipkinModel(n)
         for lam, chi in grid:
             point = np.array([lam, chi])
-            reduced = np.linalg.eigvalsh(model.hamiltonian(point))
+            reduced = np.linalg.eigvalsh(model.hamiltonian_many(point))
             full = np.linalg.eigvalsh(brute_force_lipkin(n, point))
             worst = max(np.min(np.abs(full - e)) for e in reduced)
             assert worst <= 1e-10, (n, lam, chi, worst)
@@ -102,7 +102,7 @@ def overlap_metric_fd(model, point, d=1e-4):
     the quadratic form to O(d^2) relative accuracy.
     """
     def ground(p):
-        return eigh_many(model.hamiltonian(p))[1][:, 0]
+        return eigh_many(model.hamiltonian_many(p))[1][:, 0]
 
     base = ground(point)
 
@@ -136,16 +136,16 @@ def test_criterion_2_metric_cross_validation(lipkin10, two_level):
     checked = 0
     while checked < 20:
         point = np.array([rng.uniform(0.0, 3.0), rng.uniform(0.0, 1.0)])
-        energies = eigh_many(lipkin10.hamiltonian(point))[0]
+        energies = eigh_many(lipkin10.hamiltonian_many(point))[0]
         if energies[1] - energies[0] <= 1e-3 or point[1] < 2e-4:
             continue
-        g = metric(lipkin10, point)
+        g = metric_many(lipkin10, point)
         g_fd = overlap_metric_fd(lipkin10, point, d=1e-4)
         rel = np.abs(g_fd - g).max() / np.abs(g).max()
         assert rel <= 1e-3, (point, rel)
         checked += 1
     for theta in np.linspace(0.0, 2 * np.pi, 9):
-        g = metric(two_level, np.array([theta]))
+        g = metric_many(two_level, np.array([theta]))
         assert abs(g[0, 0] - 0.25) <= 1e-10
 
 

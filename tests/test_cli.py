@@ -69,6 +69,18 @@ class TestConfig:
         assert calls == []
         assert not (tmp_path / "out").exists()
 
+    def test_negative_dense_steps_rejected_before_any_work(self, tmp_path, monkeypatch):
+        import zenodrive.cli as cli
+
+        assert load_config(None, {"dense.steps": "0"})["dense.steps"] == 0   # 0 = auto
+        calls = []
+        monkeypatch.setattr(cli, "build_trajectory", lambda *a, **k: calls.append("table"))
+        with pytest.raises(ValueError, match="dense.steps"):
+            main(["path", "--model.N", "4", "--dense.steps", "-5",
+                  "--out", str(tmp_path / "out"), "--jobs", "1"])
+        assert calls == []
+        assert not (tmp_path / "out").exists()
+
     def test_negative_jobs_rejected_before_any_output(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exit_info:
             main(["gadget", "--out", str(tmp_path / "out"), "--jobs", "-1"])
@@ -96,14 +108,14 @@ class TestMetricMap:
             tmp_path, "mm2", "metric-map", *SMALL,
             "--grid.lambda", "0:2:3", "--grid.chi", "0:1:3",
         )
-        from zenodrive.geometry import metric
+        from zenodrive.geometry import metric_many
         from zenodrive.models import LipkinModel
 
         _, rows = read_csv(out / "metric_map.csv")
         model = LipkinModel(4)
         for row in rows[:4]:
             lam, chi, _, g_ll, g_lc, g_cc = (float(c) for c in row)
-            g = metric(model, np.array([lam, chi]))
+            g = metric_many(model, np.array([lam, chi]))
             assert g_lc == pytest.approx(g[1, 0], abs=1e-12)
             assert g_ll == pytest.approx(g[0, 0], abs=1e-12)
             assert g_cc == pytest.approx(g[1, 1], abs=1e-12)

@@ -72,11 +72,12 @@ class TestIntegrator:
 
         total_time = 6.0
         ramp = angle_ramp(np.pi)
-        target = eigh_many(two_level.hamiltonian(np.array([np.pi])))[1][:, 0]
+        target = eigh_many(two_level.hamiltonian_many(np.array([np.pi])))[1][:, 0]
         exact = integrate_schrodinger(two_level, ramp, total_time, tolerance=1e-13).fidelity
+        initial = coherent._ground_states(two_level, ramp, [0.0])[0]
         errs = []
         for n in (16, 32, 64, 128):
-            psi = _propagate(two_level, ramp, total_time, np.arange(n + 1) / n, [n])[0]
+            psi = _propagate(two_level, ramp, total_time, np.arange(n + 1) / n, [n], initial)[0]
             errs.append(abs(float(np.abs(np.vdot(target, psi)) ** 2) - exact))
         ratios = [errs[i] / errs[i + 1] for i in range(3)]
         for ratio in ratios:
@@ -157,12 +158,12 @@ class TestIntegrator:
         assert np.diff(marks).max() > coherent.SUBSTEP_CHUNK // 2
         root3 = np.sqrt(3.0)
         weight_1, weight_2 = (3 + 2 * root3) / 12, (3 - 2 * root3) / 12
-        psi = eigh_many(model.hamiltonian(trajectory.points[0]))[1][:, 0].astype(complex)
+        psi = eigh_many(model.hamiltonian_many(trajectory.points[0]))[1][:, 0].astype(complex)
         expected = []
         for k in range(knots.size):
             if k in marks:
                 point = trajectory.position_at(np.array(knots[k]))
-                ground = eigh_many(model.hamiltonian(point))[1][:, 0]
+                ground = eigh_many(model.hamiltonian_many(point))[1][:, 0]
                 expected.append(abs(np.vdot(ground, psi)) ** 2)
             if k < knots.size - 1:
                 width = knots[k + 1] - knots[k]
@@ -265,10 +266,11 @@ class TestStreamedProduct:
         fractions = [0.10011, 0.37013, 0.5, 0.91234]   # off the block grid
         knots = np.union1d(np.arange(steps + 1) / steps, fractions)
         marks = np.append(np.searchsorted(knots, fractions), knots.size - 1)
+        initial = coherent._ground_states(model, trajectory.position_at, [0.0])[0]
 
         def states(size):
             monkeypatch.setattr(coherent, "EIGH_BLOCK", size)
-            return coherent._propagate(model, trajectory.position_at, 30.0, knots, marks)
+            return coherent._propagate(model, trajectory.position_at, 30.0, knots, marks, initial)
 
         # a block of SUBSTEP_CHUNK exponentials holds every chunk whole
         whole_chunks = states(coherent.SUBSTEP_CHUNK)
@@ -279,9 +281,11 @@ class TestStreamedProduct:
         # chunk is held at once, 10.2 MB with one block of 1 024 exponentials
         model = LipkinModel(10)
         steps = 4096
+        knots = np.arange(steps + 1) / steps
+        initial = coherent._ground_states(model, linear_chord, [0.0])[0]
         tracemalloc.start()
         try:
-            coherent._propagate(model, linear_chord, 40.0, np.arange(steps + 1) / steps, [steps])
+            coherent._propagate(model, linear_chord, 40.0, knots, [steps], initial)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -301,17 +305,17 @@ def dop853_and_cf4(total_time):
         model, "linear-v", np.array([0.0, 0.0]), np.array([2.0, 0.5]), dense_steps=50
     )
     knots = total_time * trajectory.metric_cumlen / trajectory.length
-    psi = eigh_many(model.hamiltonian(trajectory.points[0]))[1][:, 0].astype(complex)
+    psi = eigh_many(model.hamiltonian_many(trajectory.points[0]))[1][:, 0].astype(complex)
     for k in range(trajectory.dense_steps):
         a, b = trajectory.points[k], trajectory.points[k + 1]
         t_a, t_b = knots[k], knots[k + 1]
 
         def rhs(t, y):
-            return -1j * (model.hamiltonian(a + (t - t_a) / (t_b - t_a) * (b - a)) @ y)
+            return -1j * (model.hamiltonian_many(a + (t - t_a) / (t_b - t_a) * (b - a)) @ y)
 
         sol = solve_ivp(rhs, (t_a, t_b), psi, method="DOP853", rtol=1e-12, atol=1e-12)
         psi = sol.y[:, -1]
-    target = eigh_many(model.hamiltonian(trajectory.points[-1]))[1][:, 0]
+    target = eigh_many(model.hamiltonian_many(trajectory.points[-1]))[1][:, 0]
     reference = 1.0 - abs(np.vdot(target, psi)) ** 2
     return reference, integrate_schrodinger(model, trajectory.position_at, total_time)
 
@@ -463,3 +467,19 @@ class TestMinimalSteps:
         k_min, _ = minimal_steps(LipkinModel(4), golden_chord4, 20.0)
         assert k_min == 366
         assert len(probes) <= 8, probes
+
+    def test_upward_bracket_when_seed_loses(self, monkeypatch):
+        # on linear-u the Zeno seed ceil(l^2 / I_coh) = 85 undershoots: the
+        # bracket grows upward in strides 1, 2, 4, 8, then bisects down to 99
+        model = LipkinModel(4)
+        trajectory = build_trajectory(
+            model, "linear-u", np.array([0.0, 0.0]), np.array([2.0, 0.5]), dense_steps=20000
+        )
+        i_coh = integrate_schrodinger(model, trajectory.position_at, 20.0).infidelity
+        probes = counting_probes(monkeypatch)
+        k_min, tau = minimal_steps(model, trajectory, 20.0, coherent_infidelity=i_coh)
+        assert probes == [85, 86, 88, 92, 100, 96, 98, 99]
+        scan = 1
+        while run_stroboscopic(model, trajectory.discretize(scan)).final_infidelity >= i_coh:
+            scan += 1
+        assert (k_min, tau) == (scan, 20.0 / scan) == (100, 0.2)

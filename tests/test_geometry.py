@@ -13,13 +13,11 @@ from zenodrive.geometry import (
     GeodesicConvergenceError,
     cumulative_lengths,
     geodesic,
-    metric,
     metric_many,
     metric_with_gradient_many,
     path_length,
     refine,
     resample,
-    step_length,
     step_lengths_along,
 )
 from zenodrive.models import SIGMA_X, HamiltonianFamily, LipkinModel, TwoLevelModel
@@ -132,19 +130,14 @@ class TestModelContract:
         model = CONTRACT_MODELS[name]()
         points = self._points(model)
         axes = range(model.nparams)
-        maps = [(model.hamiltonian_many, model.hamiltonian, ())]
-        maps += [(model.derivative_many, model.derivative, (a,)) for a in axes]
-        maps += [
-            (model.second_derivative_many, model.second_derivative, (a, b))
-            for a in axes
-            for b in axes
-        ]
-        for many, single, axes_args in maps:
+        maps = [(model.hamiltonian_many, ())]
+        maps += [(model.derivative_many, (a,)) for a in axes]
+        maps += [(model.second_derivative_many, (a, b)) for a in axes for b in axes]
+        for many, axes_args in maps:
             batch = many(points, *axes_args)
             assert batch.shape == points.shape[:-1] + (model.dim, model.dim)
             for index in np.ndindex(points.shape[:-1]):
                 assert np.array_equal(many(points[index], *axes_args), batch[index])
-                assert np.array_equal(single(points[index], *axes_args), batch[index])
 
     def test_derivatives_match_central_differences(self, name):
         model = CONTRACT_MODELS[name]()
@@ -187,7 +180,7 @@ def overlap_metric_fd(model, point, d=1e-4):
     from zenodrive.spectral import eigh_many
 
     def ground(p):
-        return eigh_many(model.hamiltonian(p))[1][:, 0]
+        return eigh_many(model.hamiltonian_many(p))[1][:, 0]
 
     base = ground(point)
 
@@ -218,11 +211,11 @@ def overlap_metric_fd(model, point, d=1e-4):
 class TestMetric:
     def test_two_level_quarter(self, two_level):
         for theta in np.linspace(0.0, 2 * np.pi, 7):
-            g = metric(two_level, np.array([theta]))
+            g = metric_many(two_level, np.array([theta]))
             assert abs(g[0, 0] - 0.25) <= 1e-10
 
     def test_constant_model_zero(self):
-        g = metric(ConstantModel(), np.array([0.3, 0.7]))
+        g = metric_many(ConstantModel(), np.array([0.3, 0.7]))
         assert np.abs(g).max() == 0.0
 
     def test_symmetric_psd_on_lipkin(self, lipkin10):
@@ -238,7 +231,7 @@ class TestMetric:
         count = 0
         while count < 6:
             point = np.array([rng.uniform(0, 3), rng.uniform(0.05, 1)])
-            g = metric(lipkin10, point)
+            g = metric_many(lipkin10, point)
             g_fd = overlap_metric_fd(lipkin10, point)
             assert np.abs(g_fd - g).max() <= 1e-3 * np.abs(g).max()
             count += 1
@@ -258,19 +251,19 @@ class TestMetric:
                 return lipkin10.second_derivative_many(points, a, b)
 
         point = np.array([1.0, 0.4])
-        assert np.abs(metric(Shifted(), point) - metric(lipkin10, point)).max() <= 1e-12
+        assert np.abs(metric_many(Shifted(), point) - metric_many(lipkin10, point)).max() <= 1e-12
 
     def test_degenerate_ground_state_error_names_gap(self):
         model = NearDegenerateModel(coupling=0.0)
         with pytest.raises(DegenerateGroundStateError) as err:
-            metric(model, np.array([0.0]))
+            metric_many(model, np.array([0.0]))
         assert "gap" in str(err.value)
         assert err.value.gap <= 1e-12
 
     def test_metric_cap_warning(self):
         model = NearDegenerateModel(coupling=1e-8)
         with pytest.warns(UserWarning, match="cap"):
-            g = metric(model, np.array([0.0]))
+            g = metric_many(model, np.array([0.0]))
         assert np.abs(g).max() <= 1e12
 
     def test_gradient_matches_finite_difference(self, lipkin10):
@@ -371,28 +364,28 @@ class TestMetricKernel:
 class TestStepLength:
     def test_zero_at_equal_points(self, lipkin10):
         p = np.array([1.0, 0.5])
-        assert step_length(lipkin10, p, p) == 0.0
+        assert path_length(lipkin10, [p, p]) == 0.0
 
     def test_symmetry(self, lipkin10):
         a, b = np.array([0.2, 0.1]), np.array([1.7, 0.8])
-        assert step_length(lipkin10, a, b) == pytest.approx(
-            step_length(lipkin10, b, a), abs=1e-14
+        assert path_length(lipkin10, [a, b]) == pytest.approx(
+            path_length(lipkin10, [b, a]), abs=1e-14
         )
 
     def test_two_level_half_angle(self, two_level):
         for dtheta in (0.3, np.pi / 2, 2.5):
-            got = step_length(two_level, np.array([0.4]), np.array([0.4 + dtheta]))
+            got = path_length(two_level, [[0.4], [0.4 + dtheta]])
             assert got == pytest.approx(abs(np.sin(dtheta / 2)), abs=1e-12)
 
     def test_quadratic_form_convergence_order(self, lipkin10):
         # delta_l^2 - g[v, v] should shrink like |v|^3
         point = np.array([1.0, 0.3])
         direction = np.array([0.8, 0.6])
-        g = metric(lipkin10, point)
+        g = metric_many(lipkin10, point)
         errs = []
         for d in (1e-2, 1e-3):
             v = d * direction
-            dl2 = step_length(lipkin10, point, point + v) ** 2
+            dl2 = path_length(lipkin10, [point, point + v]) ** 2
             errs.append(abs(dl2 - v @ g @ v))
         assert errs[1] <= errs[0] / 100
 
@@ -474,9 +467,10 @@ class TestGeodesic:
         path, _ = lipkin_geodesic_diag
         assert np.all(path[:, 1] >= 0.0)
 
-    def test_convergence_error_carries_residual(self, lipkin10):
+    def test_convergence_error_carries_residual(self, lipkin10, monkeypatch):
+        monkeypatch.setattr(zenodrive.geometry, "GEODESIC_MAX_ITERATIONS", 1)
         with pytest.raises(GeodesicConvergenceError) as err:
-            geodesic(lipkin10, START, END, 64, max_iterations=1)
+            geodesic(lipkin10, START, END, 64)
         assert err.value.residual > 0
 
     def test_needs_two_steps(self, lipkin10):
@@ -497,6 +491,58 @@ class TestGeodesic:
         traced, diag = geodesic(model, START, END, 32, return_diagnostics=True)
         assert len(calls) == len(diag.length_trace) > 0
         assert np.array_equal(plain, traced)
+
+
+def shoot_geodesic(model, start, velocity):
+    """DOP853 solution of the geodesic equation x'' = -g^-1 Gamma(x', x') over s in [0, 1].
+
+    An oracle independent of the relaxation: the Christoffel symbols of the
+    first kind, Gamma_abc = (d_b g_ac + d_c g_ab - d_a g_bc) / 2, come from
+    the analytic ``metric_with_gradient_many``.  The metric is read at chi
+    clamped to 0, since a start on the chi = 0 edge may step just below it.
+    """
+    from scipy.integrate import solve_ivp
+
+    def rhs(_, state):
+        x, v = state[:2], state[2:]
+        g, dg = metric_with_gradient_many(model, np.array([x[0], max(x[1], 0.0)]))
+        gamma = np.einsum("bac,b,c->a", dg, v, v) - 0.5 * np.einsum("abc,b,c->a", dg, v, v)
+        return np.concatenate([v, -np.linalg.solve(g, gamma)])
+
+    state = np.concatenate([start, velocity])
+    return solve_ivp(rhs, (0.0, 1.0), state, method="DOP853", rtol=1e-12, atol=1e-12,
+                     dense_output=True)
+
+
+def test_relaxed_geodesic_converges_to_shot_geodesic():
+    # N=4, default end points: the shot closes to ~2e-12 with its metric speed
+    # constant to ~6e-12 and l_geo = 0.91931169; refined relaxed polylines of
+    # 64, 128 and 256 segments exceed it by 1.5e-6, 3.8e-7 and 9.8e-8
+    from scipy.optimize import root
+
+    model = LipkinModel(4)
+    seed = geodesic(model, START, END, 64)
+    # one-sided second-order difference of the relaxed path, within 6e-4 of x'(0)
+    guess = 32 * (4 * seed[1] - 3 * seed[0] - seed[2])
+    aim = root(lambda v: shoot_geodesic(model, START, v).y[:2, -1] - END, guess, tol=1e-10)
+    shot = shoot_geodesic(model, START, aim.x)
+    assert np.abs(shot.y[:2, -1] - END).max() <= 1e-10
+
+    states = shot.sol(np.linspace(0.0, 1.0, 201)).T
+    points = np.column_stack([states[:, 0], np.maximum(states[:, 1], 0.0)])
+    speed = np.sqrt(np.einsum("kab,ka,kb->k", metric_many(model, points),
+                              states[:, 2:], states[:, 2:]))
+    ell_geo = speed.mean()
+    assert np.ptp(speed) <= 1e-8 * ell_geo
+
+    excess = np.array([
+        build_trajectory(model, "geodesic", START, END, geodesic_steps=segments).length - ell_geo
+        for segments in (64, 128, 256)
+    ])
+    assert np.all(excess >= 0), excess
+    # the polyline's length error is second order in the segment length
+    ratios = excess[:-1] / excess[1:]
+    assert np.all((3 <= ratios) & (ratios <= 5)), ratios
 
 
 def single_batch_lengths(model, points):
@@ -600,6 +646,14 @@ class TestReparameterize:
     def test_rejects_unknown_mode(self, lipkin10):
         with pytest.raises(ValueError, match="unknown path family"):
             build_trajectory(lipkin10, "smooth", START, END, dense_steps=500)
+
+    @pytest.mark.parametrize("family", ["geodesic", "linear-v", "linear-u"])
+    @pytest.mark.parametrize("dense_steps", [0, -5])
+    def test_rejects_dense_steps_below_one(self, lipkin10, family, dense_steps):
+        # without the check linear-v built a 0-segment table, -5 failed inside
+        # numpy, and the geodesic family ignored both
+        with pytest.raises(ValueError, match="dense_steps must be >= 1"):
+            build_trajectory(lipkin10, family, START, END, dense_steps=dense_steps)
 
     def test_refinement_consistency_flat_model(self):
         model = FlatModel()

@@ -57,7 +57,7 @@ def test_quasispin_identities_against_tensor_products():
 
 def test_free_point_is_jz():
     model = LipkinModel(10)
-    h = model.hamiltonian(np.array([0.0, 0.0]))
+    h = model.hamiltonian_many(np.array([0.0, 0.0]))
     assert np.abs(h - np.diag(np.arange(-5, 6, dtype=float))).max() <= 1e-14
     energies, states = eigh_many(h)
     assert np.allclose(energies, np.arange(-5, 6))
@@ -75,7 +75,7 @@ def test_spectrum_containment(n):
     model = LipkinModel(n)
     for lam, chi in [(g[0], g[1]) for g in GRID]:
         point = np.array([lam, chi])
-        reduced = np.linalg.eigvalsh(model.hamiltonian(point))
+        reduced = np.linalg.eigvalsh(model.hamiltonian_many(point))
         full = np.linalg.eigvalsh(brute_force_lipkin(n, point))
         for e in reduced:
             assert np.min(np.abs(full - e)) <= 1e-10
@@ -86,7 +86,7 @@ def test_symmetric_sector_match():
     point = np.array([2.0, 0.5])
     basis = dicke_states(n)
     projected = basis.T @ brute_force_lipkin(n, point) @ basis
-    reduced = LipkinModel(n).hamiltonian(point)
+    reduced = LipkinModel(n).hamiltonian_many(point)
     e1 = np.linalg.eigvalsh(projected)
     e2 = np.linalg.eigvalsh(reduced)
     assert np.abs(e1 - e2).max() <= 1e-10
@@ -98,7 +98,7 @@ def test_random_point_containment_small_n():
     rng = np.random.default_rng(123)
     for _ in range(3):
         point = np.array([rng.uniform(-1, 3), rng.uniform(0, 1.2)])
-        reduced = np.linalg.eigvalsh(LipkinModel(3).hamiltonian(point))
+        reduced = np.linalg.eigvalsh(LipkinModel(3).hamiltonian_many(point))
         full = np.linalg.eigvalsh(brute_force_lipkin(3, point))
         for e in reduced:
             assert np.min(np.abs(full - e)) <= 1e-10
@@ -107,7 +107,7 @@ def test_random_point_containment_small_n():
 def test_real_symmetric():
     model = LipkinModel(7)
     for lam, chi in GRID:
-        h = model.hamiltonian(np.array([lam, chi]))
+        h = model.hamiltonian_many(np.array([lam, chi]))
         assert np.isrealobj(h)
         assert np.abs(h - h.T).max() <= 1e-14
 
@@ -115,7 +115,7 @@ def test_real_symmetric():
 def test_rejects_negative_chi():
     model = LipkinModel(4)
     with pytest.raises(ValueError, match="halfplane"):
-        model.hamiltonian(np.array([1.0, -0.1]))
+        model.hamiltonian_many(np.array([1.0, -0.1]))
     with pytest.raises(ValueError, match="halfplane"):
         brute_force_lipkin(4, np.array([1.0, -0.1]))
 
@@ -134,7 +134,7 @@ def test_rejects_negative_chi():
     ],
 )
 def test_rejects_nan_points(entry):
-    from zenodrive.geometry import metric, path_length, refine
+    from zenodrive.geometry import metric_many, path_length, refine
     from zenodrive.protocol import run_stroboscopic
     from zenodrive.trajectories import build_trajectory
 
@@ -143,7 +143,7 @@ def test_rejects_nan_points(entry):
     calls = {
         "hamiltonian_many": lambda: model.hamiltonian_many(point[None]),
         "run_stroboscopic": lambda: run_stroboscopic(model, np.array([[0.0, 0.0], point])),
-        "metric": lambda: metric(model, point),
+        "metric": lambda: metric_many(model, point),
         "build_trajectory": lambda: build_trajectory(
             model, "linear-v", np.zeros(2), point, dense_steps=100
         ),
@@ -193,8 +193,8 @@ def test_brute_force_scale_guard():
 
 def test_lambda_derivative_is_parameter_independent():
     model = LipkinModel(6)
-    d1 = model.derivative(np.array([0.3, 0.2]), 0)
-    d2 = model.derivative(np.array([2.5, 0.9]), 0)
+    d1 = model.derivative_many(np.array([0.3, 0.2]), 0)
+    d2 = model.derivative_many(np.array([2.5, 0.9]), 0)
     assert np.array_equal(d1, d2)
 
 
@@ -202,11 +202,11 @@ def test_lambda_derivative_is_parameter_independent():
 def test_derivative_matches_central_difference(axis):
     model = LipkinModel(8)
     point = np.array([1.0, 0.3])
-    analytic = model.derivative(point, axis)
+    analytic = model.derivative_many(point, axis)
     h = 1e-4
     step = np.zeros(2)
     step[axis] = h
-    fd = (model.hamiltonian(point + step) - model.hamiltonian(point - step)) / (2 * h)
+    fd = (model.hamiltonian_many(point + step) - model.hamiltonian_many(point - step)) / (2 * h)
     assert np.abs(fd - analytic).max() <= 1e-7
 
 
@@ -219,8 +219,8 @@ def test_derivative_second_order_bound():
         for axis in (0, 1):
             step = np.zeros(2)
             step[axis] = h
-            fd = (model.hamiltonian(point + step) - model.hamiltonian(point - step)) / (2 * h)
-            assert np.abs(fd - model.derivative(point, axis)).max() <= 1.0 * h**2
+            fd = (model.hamiltonian_many(point + step) - model.hamiltonian_many(point - step)) / (2 * h)
+            assert np.abs(fd - model.derivative_many(point, axis)).max() <= 1.0 * h**2
 
 
 def test_two_level_derivative_second_order_convergence():
@@ -229,22 +229,22 @@ def test_two_level_derivative_second_order_convergence():
     point = np.array([0.9])
     errs = []
     for h in (1e-2, 1e-3):
-        fd = (model.hamiltonian(point + h) - model.hamiltonian(point - h)) / (2 * h)
-        errs.append(np.abs(fd - model.derivative(point, 0)).max())
+        fd = (model.hamiltonian_many(point + h) - model.hamiltonian_many(point - h)) / (2 * h)
+        errs.append(np.abs(fd - model.derivative_many(point, 0)).max())
     assert errs[1] <= errs[0] / 30
     assert errs[0] <= 1.0 * 1e-2**2
 
 
 def test_chi_derivative_off_diagonal_at_chi_zero():
     model = LipkinModel(10)
-    d = model.derivative(np.array([1.0, 0.0]), 1)
+    d = model.derivative_many(np.array([1.0, 0.0]), 1)
     off = d - np.diag(np.diag(d))
     assert np.abs(off).max() > 1e-3
     # the collective one-body transverse piece -(1/N) Jx is part of it
     jx, _ = collective_spin_ops(10)
     h = 1e-5
     fd = (
-        model.hamiltonian(np.array([1.0, h])) - model.hamiltonian(np.array([1.0, 0.0]))
+        model.hamiltonian_many(np.array([1.0, h])) - model.hamiltonian_many(np.array([1.0, 0.0]))
     ) / h
     assert np.abs(fd - d).max() <= 1e-4
 
@@ -254,10 +254,10 @@ def test_second_derivative_exact():
     point = np.array([0.7, 0.6])
     h = 1e-4
     step = np.array([0.0, h])
-    fd = (model.derivative(point + step, 1) - model.derivative(point - step, 1)) / (2 * h)
-    assert np.abs(fd - model.second_derivative(point, 1, 1)).max() <= 1e-9
-    assert np.abs(model.second_derivative(point, 0, 0)).max() == 0.0
-    assert np.abs(model.second_derivative(point, 0, 1)).max() == 0.0
+    fd = (model.derivative_many(point + step, 1) - model.derivative_many(point - step, 1)) / (2 * h)
+    assert np.abs(fd - model.second_derivative_many(point, 1, 1)).max() <= 1e-9
+    assert np.abs(model.second_derivative_many(point, 0, 0)).max() == 0.0
+    assert np.abs(model.second_derivative_many(point, 0, 1)).max() == 0.0
 
 
 def test_parity_symmetry_at_chi_zero():
@@ -265,7 +265,7 @@ def test_parity_symmetry_at_chi_zero():
     # diag((-1)^(j - m)); eigenvectors carry definite parity
     for n, lam in ((4, 0.8), (6, 1.5)):
         model = LipkinModel(n)
-        h = model.hamiltonian(np.array([lam, 0.0]))
+        h = model.hamiltonian_many(np.array([lam, 0.0]))
         j = n / 2
         parity = np.diag([(-1.0) ** (j - m) for m in model.m_values])
         assert np.abs(h @ parity - parity @ h).max() <= 1e-12
@@ -278,7 +278,7 @@ def test_parity_symmetry_at_chi_zero():
 
 def test_parity_broken_at_positive_chi():
     model = LipkinModel(4)
-    h = model.hamiltonian(np.array([0.8, 0.5]))
+    h = model.hamiltonian_many(np.array([0.8, 0.5]))
     parity = np.diag([(-1.0) ** (2 - m) for m in model.m_values])
     assert np.abs(h @ parity - parity @ h).max() > 1e-3
 
@@ -286,7 +286,7 @@ def test_parity_broken_at_positive_chi():
 def test_n10_gap_regression_anchor():
     # small but positive gap at the far endpoint; value frozen from the
     # eigensolver output as a regression anchor
-    energies = eigh_many(LipkinModel(10).hamiltonian(np.array([2.0, 0.5])))[0]
+    energies = eigh_many(LipkinModel(10).hamiltonian_many(np.array([2.0, 0.5])))[0]
     gap = energies[1] - energies[0]
     assert gap > 0
     assert gap == pytest.approx(1.2998319990210732, rel=1e-12)
@@ -297,17 +297,17 @@ def test_batch_evaluators_match_single():
     pts = np.array([[0.5, 0.1], [1.5, 0.9], [2.5, 0.0]])
     batch = model.hamiltonian_many(pts)
     for k, p in enumerate(pts):
-        assert np.abs(batch[k] - model.hamiltonian(p)).max() <= 1e-14
+        assert np.abs(batch[k] - model.hamiltonian_many(p)).max() <= 1e-14
     for axis in (0, 1):
         dbatch = model.derivative_many(pts, axis)
         for k, p in enumerate(pts):
-            assert np.abs(dbatch[k] - model.derivative(p, axis)).max() <= 1e-14
+            assert np.abs(dbatch[k] - model.derivative_many(p, axis)).max() <= 1e-14
 
 
 class TestTwoLevel:
     def test_ground_state_at_zero(self):
         model = TwoLevelModel()
-        energies, states = eigh_many(model.hamiltonian(np.array([0.0])))
+        energies, states = eigh_many(model.hamiltonian_many(np.array([0.0])))
         assert energies[0] == pytest.approx(-0.5)
         assert np.abs(states[:, 0] - np.array([0.0, 1.0])).max() <= 1e-14
 
@@ -316,20 +316,20 @@ class TestTwoLevel:
         rng = np.random.default_rng(3)
         for _ in range(5):
             a, b = rng.uniform(0, 2 * np.pi, 2)
-            va = eigh_many(model.hamiltonian(np.array([a])))[1][:, 0]
-            vb = eigh_many(model.hamiltonian(np.array([b])))[1][:, 0]
+            va = eigh_many(model.hamiltonian_many(np.array([a])))[1][:, 0]
+            vb = eigh_many(model.hamiltonian_many(np.array([b])))[1][:, 0]
             assert abs(va @ vb) ** 2 == pytest.approx(np.cos((a - b) / 2) ** 2, abs=1e-12)
 
     def test_spectrum_constant(self):
         model = TwoLevelModel()
         for theta in np.linspace(0, 2 * np.pi, 9):
-            evals = np.linalg.eigvalsh(model.hamiltonian(np.array([theta])))
+            evals = np.linalg.eigvalsh(model.hamiltonian_many(np.array([theta])))
             assert np.allclose(evals, [-0.5, 0.5], atol=1e-14)
 
     def test_exact_ground_state_helper(self):
         model = TwoLevelModel()
         for theta in (0.0, 0.7, 2.0):
-            ground = eigh_many(model.hamiltonian(np.array([theta])))[1][:, 0]
+            ground = eigh_many(model.hamiltonian_many(np.array([theta])))[1][:, 0]
             exact = model.ground_state_exact(theta)
             assert min(
                 np.abs(ground - exact).max(),
@@ -338,4 +338,4 @@ class TestTwoLevel:
 
     def test_invalid_axis(self):
         with pytest.raises(ValueError):
-            TwoLevelModel().derivative(np.array([0.0]), 1)
+            TwoLevelModel().derivative_many(np.array([0.0]), 1)

@@ -66,7 +66,7 @@ class TestRunStroboscopic:
         assert result.probabilities.shape == (51, 11)
         assert result.step_lengths.shape == (50,)
         # a K=50 polygon undershoots the dense curve length at O(1/K^2)
-        assert result.total_length == pytest.approx(
+        assert result.step_lengths.sum() == pytest.approx(
             trajectories10["linear-v"].length, rel=1e-3
         )
 
