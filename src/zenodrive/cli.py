@@ -38,7 +38,8 @@ CONFIG_SPEC = {
     "steps.K": ("intlist", (50, 100, 200, 500, 1000, 2000, 5000), "step counts"),
     "times.T": ("floatlist", (1.0, 2.0, 5.0, 10.0, 20.0, 50.0), "driving times"),
     "geodesic.segments": (int, 256, "segments for the geodesic relaxation"),
-    "dense.steps": (int, 0, "dense trajectory segments (0 = auto from max K)"),
+    "dense.steps": (int, 0, "dense trajectory segments (0 = auto from max K); the geodesic "
+                            "rounds up to a multiple of geodesic.segments"),
     "compare.cap": (int, 10**6, "largest step count tried by the crossover search"),
     "grid.lambda": ("range3", (0.0, 3.0, 41), "metric-map lambda grid min:max:count"),
     "grid.chi": ("range3", (0.0, 1.0, 31), "metric-map chi grid min:max:count"),

@@ -22,10 +22,11 @@ GAP_FLOOR = 1e-12
 METRIC_CAP = 1e12
 # dense segments a table needs per output step before it resolves a resampling
 SEGMENTS_PER_STEP = 10
-# matrices per eigendecomposition batch when walking a length table or building
-# CF4 step unitaries; a power of two, which keeps the streamed CF4 product
-# bit-identical to one pairwise product over a whole chunk
-EIGH_BLOCK = 1024
+# matrices per eigendecomposition batch in every batched kernel: the length
+# table, the quench chain, the metric and the CF4 step unitaries; a power of
+# two, which keeps the streamed CF4 product bit-identical to one pairwise
+# product over a whole chunk
+EIGH_BLOCK = 256
 # the geodesic relaxation stops once every interior gradient component is below this
 GEODESIC_GTOL = 1e-9
 # Newton iterations before the geodesic relaxation gives up
@@ -73,10 +74,17 @@ def metric_many(model: HamiltonianFamily, points: np.ndarray, *, with_gap: bool 
     of the Hamiltonian.  With ``with_gap`` returns ``(g, gap)``, where ``gap``
     (shape (...,)) is E1 - E0 from the same eigendecomposition.
 
+    The points are diagonalized ``EIGH_BLOCK`` at a time, so working memory
+    is one block of (dim, dim) matrices whatever the batch; zero points give
+    empty arrays.  At most one cap warning is emitted per call.
+
     Raises
     ------
     DegenerateGroundStateError
         If the gap to the first excited level is at or below ``GAP_FLOOR``.
+        Its ``gap`` is the smallest gap within the first block of
+        ``EIGH_BLOCK`` flattened points that holds such a point; later
+        blocks are not diagonalized.
     """
     g, _, gap = _metric_impl(model, points, with_gradient=False)
     return (g, gap) if with_gap else g
@@ -91,12 +99,42 @@ def metric_with_gradient_many(
     ``dg[..., c, m, n]`` is the derivative of ``g[..., m, n]`` along axis c.
     The gradient follows from differentiating the perturbative sum, using the
     standard first-order expressions for eigenvector and eigenvalue derivatives.
+    Blocks, empty input and errors are as in ``metric_many``.
     """
     return _metric_impl(model, points, with_gradient=True)[:2]
 
 
 def _metric_impl(model, points, *, with_gradient):
-    points = np.asarray(points, dtype=float)
+    """Metric, gradient (or None) and gap, ``EIGH_BLOCK`` flattened points at a time."""
+    points = model.check_points(points)
+    batch_shape, nparams = points.shape[:-1], model.nparams
+    flat = points.reshape(-1, nparams)
+    g = np.empty((len(flat), nparams, nparams))
+    dg = np.empty((len(flat),) + (nparams,) * 3) if with_gradient else None
+    gap = np.empty(len(flat))
+    clipped = False
+    for lo in range(0, len(flat), EIGH_BLOCK):
+        rows = slice(lo, lo + EIGH_BLOCK)
+        block_g, block_dg, gap[rows] = _metric_block(model, flat[rows], with_gradient)
+        if np.abs(block_g).max() > METRIC_CAP:
+            clipped = True
+            block_g = np.clip(block_g, -METRIC_CAP, METRIC_CAP)
+        g[rows] = block_g
+        if with_gradient:
+            dg[rows] = block_dg
+    if clipped:
+        warnings.warn(
+            f"metric component exceeds cap {METRIC_CAP:.0e}; clipping (near-degenerate gap)",
+            stacklevel=3,
+        )
+    g = g.reshape(batch_shape + (nparams, nparams))
+    if with_gradient:
+        dg = dg.reshape(batch_shape + (nparams,) * 3)
+    return g, dg, gap.reshape(batch_shape)
+
+
+def _metric_block(model, points, with_gradient):
+    """Unclipped metric, gradient (or None) and gap of one (B, D) block of points."""
     nparams = model.nparams
     ham = model.hamiltonian_many(points)
     energies, states = eigh_many(ham)
@@ -122,12 +160,6 @@ def _metric_impl(model, points, *, with_gradient):
     amps_h = np.conj(np.swapaxes(amps, -1, -2))
     g = np.real(amps_h @ (weight[..., None] * amps))
     g = 0.5 * (g + np.swapaxes(g, -1, -2))
-    if np.abs(g).max() > METRIC_CAP:
-        warnings.warn(
-            f"metric component exceeds cap {METRIC_CAP:.0e}; clipping (near-degenerate gap)",
-            stacklevel=3,
-        )
-        g = np.clip(g, -METRIC_CAP, METRIC_CAP)
     if not with_gradient:
         return g, None, gap
 
@@ -146,8 +178,7 @@ def _metric_impl(model, points, *, with_gradient):
     }
     # damp[..., c, i, m] = d_c <E_i|dH_m|E_0>, with the eigenvector derivatives
     # of first-order perturbation theory
-    batch_shape = points.shape[:-1]
-    damp = np.empty(batch_shape + (nparams, dim, nparams), dtype=states.dtype)
+    damp = np.empty((len(points), nparams, dim, nparams), dtype=states.dtype)
     for c in range(nparams):
         tmat = np.where(tiny | eye, 0.0, bmats[c] / denom_safe)   # T[j,i] = B[j,i]/(E_i-E_j)
         tmat_h = np.conj(np.swapaxes(tmat, -1, -2))
@@ -176,28 +207,43 @@ def _metric_impl(model, points, *, with_gradient):
     return g, dg, gap
 
 
-def step_lengths_along(model: HamiltonianFamily, points: np.ndarray) -> np.ndarray:
-    """Exact quench lengths sqrt(1 - |<E0(k+1)|E0(k)>|^2) between consecutive points.
+def _eigenbases_along(model: HamiltonianFamily, points: np.ndarray, eigh):
+    """Eigenbases along a path, ``EIGH_BLOCK`` points at a time.
 
-    The points are diagonalized ``EIGH_BLOCK`` at a time and the last ground
-    state of each block is carried into the next, so every matrix goes through
-    ``eigh_many`` once and working memory is bounded by one block of
-    (dim, dim) matrices (about 1 MB per temporary at dim 11), not the whole
-    table.  Every point is checked before any is diagonalized.  Emits at most
-    one ``DegeneracyWarning``, naming the smallest level spacing on the path.
+    Every point is checked before any is diagonalized.  Each yielded
+    (B, dim, dim) stack starts with the last eigenbasis of the previous
+    block, so consecutive stacks overlap in one point, each point is
+    diagonalized once, and the transitions within the stacks are those of
+    the whole path.  After the last block emits at most one
+    ``DegeneracyWarning``, naming the smallest level spacing on the path.
+    ``eigh`` is the caller's own ``eigh_many`` binding, so the per-module
+    trace in ``benchmarks/layers.py`` still tells the chain from the table.
     """
     points = model.check_points(points)
-    lengths, closest = [], []
-    previous = np.zeros((0, model.dim, 1))   # no ground state before the first block
+    closest = []
+    previous = np.zeros((0, model.dim, model.dim))   # no eigenbasis before the first block
     for lo in range(0, len(points), EIGH_BLOCK):
-        energies, states = eigh_many(model.hamiltonian_many(points[lo : lo + EIGH_BLOCK]))
+        energies, states = eigh(model.hamiltonian_many(points[lo : lo + EIGH_BLOCK]))
         # the block's most nearly degenerate spectrum stands in for it in the warning
         spacings = np.diff(energies, axis=-1)
         closest.append(energies[np.unravel_index(spacings.argmin(), spacings.shape)[0]])
-        ground = states[..., :1]   # ground_step_lengths reads only column 0
-        lengths.append(ground_step_lengths(np.concatenate([previous, ground])))
-        previous = ground[-1:]
+        yield np.concatenate([previous, states])
+        previous = states[-1:]
     warn_if_degenerate(np.array(closest))
+
+
+def step_lengths_along(model: HamiltonianFamily, points: np.ndarray) -> np.ndarray:
+    """Exact quench lengths sqrt(1 - |<E0(k+1)|E0(k)>|^2) between consecutive points.
+
+    The points stream through ``_eigenbases_along``, so every matrix goes
+    through ``eigh_many`` once and working memory is bounded by one block of
+    (dim, dim) matrices (about 0.25 MB per temporary at dim 11), not the
+    whole table.  Emits at most one ``DegeneracyWarning``, naming the
+    smallest level spacing on the path.
+    """
+    lengths = [
+        ground_step_lengths(states) for states in _eigenbases_along(model, points, eigh_many)
+    ]
     return np.concatenate(lengths) if lengths else np.zeros(0)
 
 
@@ -245,9 +291,9 @@ def check_resolution(segments: int, steps: int, table: str) -> None:
 
 def interpolate_at(points: np.ndarray, cumlen: np.ndarray, targets: np.ndarray) -> np.ndarray:
     """Positions on a polyline at given cumulative-length values."""
-    seg = np.diff(cumlen)
-    idx = np.clip(np.searchsorted(cumlen, targets, side="right") - 1, 0, len(seg) - 1)
-    frac = (targets - cumlen[idx]) / np.where(seg[idx] > 0, seg[idx], 1.0)
+    idx = np.clip(np.searchsorted(cumlen, targets, side="right") - 1, 0, len(cumlen) - 2)
+    seg = cumlen[idx + 1] - cumlen[idx]   # only the segments the targets fall in
+    frac = (targets - cumlen[idx]) / np.where(seg > 0, seg, 1.0)
     out = points[idx] + frac[..., None] * (points[idx + 1] - points[idx])
     return out
 

@@ -14,9 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import step_lengths_along
+from .geometry import _eigenbases_along, step_lengths_along
 from .models import HamiltonianFamily
-from .spectral import branching_along, eigh_many, ground_step_lengths, warn_if_degenerate
+from .spectral import branching_along, eigh_many, ground_step_lengths
 from .trajectories import Trajectory
 
 
@@ -44,18 +44,24 @@ def run_stroboscopic(model: HamiltonianFamily, path) -> ProtocolResult:
     """Iterate the quench chain p(k+1) = B(k) p(k) from p_i(0) = delta_i0.
 
     ``B(k)`` is the full branching matrix between the eigenbases at points k
-    and k+1; every probability row is conserved to numerical precision.
+    and k+1; every probability row is conserved to numerical precision.  The
+    eigenbases stream in blocks of ``EIGH_BLOCK`` points, so working memory
+    beyond the returned trace is one block of (dim, dim) matrices.  Emits at
+    most one ``DegeneracyWarning``, naming the smallest level spacing on the
+    path.  Raises ``ValueError`` for a path without points.
     """
     points = np.atleast_2d(np.asarray(path, dtype=float))
-    energies, states = eigh_many(model.hamiltonian_many(points))
-    warn_if_degenerate(energies)
-    ratios = branching_along(states)
-    dim = states.shape[-1]
-    probs = np.zeros((points.shape[0], dim))
+    if len(points) == 0:
+        raise ValueError("path needs at least one point")
+    probs = np.zeros((len(points), model.dim))
     probs[0, 0] = 1.0
-    for k in range(points.shape[0] - 1):
-        probs[k + 1] = ratios[k] @ probs[k]
-    return ProtocolResult(probabilities=probs, step_lengths=ground_step_lengths(states))
+    lengths, k = [], 0
+    for states in _eigenbases_along(model, points, eigh_many):
+        lengths.append(ground_step_lengths(states))
+        for ratio in branching_along(states):
+            probs[k + 1] = ratio @ probs[k]
+            k += 1
+    return ProtocolResult(probabilities=probs, step_lengths=np.concatenate(lengths))
 
 
 def fidelity_product(model: HamiltonianFamily, path) -> float:

@@ -80,8 +80,10 @@ def build_trajectory(
     """Construct a dense Trajectory of the requested family between two endpoints.
 
     The geodesic family first relaxes a ``geodesic_steps``-segment path and then
-    subdivides its polyline to ``dense_steps`` segments; linear families sample
-    the straight chord directly.  Raises ``ValueError`` for an unknown family
+    subdivides each of its segments ceil(``dense_steps`` / ``geodesic_steps``)
+    times, so its table has that multiple of ``geodesic_steps`` segments (at
+    least ``dense_steps``); linear families sample the straight chord directly
+    at ``dense_steps`` segments.  Raises ``ValueError`` for an unknown family
     or ``dense_steps`` below 1.
     """
     if family not in FAMILIES:

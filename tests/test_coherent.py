@@ -278,7 +278,7 @@ class TestStreamedProduct:
 
     def test_working_set_is_one_block(self):
         # N=10 over 4 096 steps: 81.6 MB traced when every step unitary of a
-        # chunk is held at once, 10.2 MB with one block of 1 024 exponentials
+        # chunk is held at once, 2.6 MB with one block of 256 exponentials
         model = LipkinModel(10)
         steps = 4096
         knots = np.arange(steps + 1) / steps

@@ -13,6 +13,7 @@ from zenodrive.geometry import (
     GeodesicConvergenceError,
     cumulative_lengths,
     geodesic,
+    interpolate_at,
     metric_many,
     metric_with_gradient_many,
     path_length,
@@ -604,6 +605,118 @@ class TestStreamedLengths:
         finally:
             tracemalloc.stop()
         assert peak <= 24e6
+
+
+class TestStreamedMetric:
+    BLOCK = 7
+
+    @staticmethod
+    def probes(count):
+        rng = np.random.default_rng(count)
+        return rng.uniform([0.2, 0.05], [2.5, 0.8], size=(count, 2))
+
+    @pytest.mark.parametrize("count", [1, 2, 7, 8, 9, 15, 100])
+    def test_matches_single_batch_across_block_boundaries(self, count, monkeypatch):
+        model = LipkinModel(4)
+        points = self.probes(count)
+        monkeypatch.setattr(zenodrive.geometry, "EIGH_BLOCK", count)
+        whole_g, whole_dg = metric_with_gradient_many(model, points)
+        whole_gap = metric_many(model, points, with_gap=True)[1]
+        monkeypatch.setattr(zenodrive.geometry, "EIGH_BLOCK", self.BLOCK)
+        g, dg = metric_with_gradient_many(model, points)
+        assert np.array_equal(g, whole_g)
+        assert np.array_equal(dg, whole_dg)
+        assert np.array_equal(metric_many(model, points), whole_g)
+        assert np.array_equal(metric_many(model, points, with_gap=True)[1], whole_gap)
+
+    def test_batch_shape_kept_across_blocks(self, monkeypatch):
+        model = LipkinModel(4)
+        points = self.probes(15)
+        flat_g, flat_dg = metric_with_gradient_many(model, points)
+        monkeypatch.setattr(zenodrive.geometry, "EIGH_BLOCK", self.BLOCK)
+        g, dg = metric_with_gradient_many(model, points.reshape(3, 5, 2))
+        assert g.shape == (3, 5, 2, 2) and dg.shape == (3, 5, 2, 2, 2)
+        assert np.array_equal(g.reshape(flat_g.shape), flat_g)
+        assert np.array_equal(dg.reshape(flat_dg.shape), flat_dg)
+
+    def test_one_cap_warning_at_callers_level(self, monkeypatch):
+        monkeypatch.setattr(zenodrive.geometry, "EIGH_BLOCK", self.BLOCK)
+        model = NearDegenerateModel(coupling=1e-8)
+        points = np.zeros((2 * self.BLOCK, 1))   # every point of both blocks clips
+        for call in (metric_many, metric_with_gradient_many):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                call(model, points)
+            assert len(caught) == 1
+            assert "cap" in str(caught[0].message)
+            assert caught[0].filename == __file__
+
+    def test_degenerate_point_in_a_later_block(self, monkeypatch):
+        monkeypatch.setattr(zenodrive.geometry, "EIGH_BLOCK", self.BLOCK)
+        points = np.linspace(1.0, 2.0, 2 * self.BLOCK)[:, None]
+        points[self.BLOCK + 3] = 0.0
+        with pytest.raises(DegenerateGroundStateError) as err:
+            metric_with_gradient_many(NearDegenerateModel(coupling=0.0), points)
+        assert err.value.gap <= 1e-12
+
+    def test_zero_points_give_empty_arrays(self):
+        model = LipkinModel(4)
+        empty = np.zeros((0, 2))
+        g, gap = metric_many(model, empty, with_gap=True)
+        assert g.shape == (0, 2, 2) and gap.shape == (0,)
+        assert metric_many(model, empty).shape == (0, 2, 2)
+        g, dg = metric_with_gradient_many(model, empty)
+        assert g.shape == (0, 2, 2) and dg.shape == (0, 2, 2, 2)
+
+    def test_probe_batch_memory_is_bounded(self):
+        # the geodesic's probe batch at N=10: about 18 MB traced in one batch
+        model = LipkinModel(10)
+        points = self.probes(1280)
+        tracemalloc.start()
+        try:
+            metric_with_gradient_many(model, points)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8e6
+
+
+def diff_interpolate_at(points, cumlen, targets):
+    """Reference interpolation that reads its segment lengths from the whole ``np.diff`` table."""
+    seg = np.diff(cumlen)
+    idx = np.clip(np.searchsorted(cumlen, targets, side="right") - 1, 0, len(seg) - 1)
+    frac = (targets - cumlen[idx]) / np.where(seg[idx] > 0, seg[idx], 1.0)
+    return points[idx] + frac[..., None] * (points[idx + 1] - points[idx])
+
+
+class TestInterpolateAt:
+    def test_matches_diff_table_bit_for_bit(self):
+        rng = np.random.default_rng(7)
+        points = rng.normal(size=(40, 2))
+        seg = rng.uniform(0.0, 1.0, size=39)
+        seg[[0, 5, 6, 20, 38]] = 0.0   # zero-length segments, at both ends too
+        cumlen = np.concatenate([[0.0], np.cumsum(seg)])
+        targets = np.concatenate([
+            [0.0, cumlen[-1], -1.0, cumlen[-1] + 1.0],   # both ends and beyond them
+            cumlen,                                       # every knot, repeated ones too
+            rng.uniform(0.0, cumlen[-1], size=200),
+        ])
+        for shaped in (targets, targets.reshape(4, -1)):
+            got = interpolate_at(points, cumlen, shaped)
+            assert np.array_equal(got, diff_interpolate_at(points, cumlen, shaped))
+
+    def test_few_targets_read_few_segments(self):
+        # np.diff of a 100 001-entry table is a 0.8 MB temporary
+        cumlen = np.linspace(0.0, 1.0, 100001)
+        points = np.column_stack([cumlen, cumlen**2])
+        targets = np.linspace(0.0, 1.0, 11)
+        tracemalloc.start()
+        try:
+            interpolate_at(points, cumlen, targets)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.1e6
 
 
 class TestReparameterize:

@@ -1,8 +1,11 @@
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
 
-from zenodrive import geometry
-from zenodrive.models import LipkinModel, TwoLevelModel
+from zenodrive import geometry, protocol
+from zenodrive.models import HamiltonianFamily, LipkinModel, TwoLevelModel
 from zenodrive.protocol import (
     ProtocolResult,
     fidelity_product,
@@ -10,6 +13,14 @@ from zenodrive.protocol import (
     infidelity_terms,
     run_stroboscopic,
     zeno_sweep,
+)
+from zenodrive.spectral import (
+    DEGENERACY_GAP,
+    DegeneracyWarning,
+    branching_along,
+    eigh_many,
+    ground_step_lengths,
+    warn_if_degenerate,
 )
 from zenodrive.trajectories import build_trajectory
 
@@ -59,6 +70,10 @@ class TestRunStroboscopic:
         assert np.abs(result.probabilities.sum(axis=1) - 1).max() <= 1e-10
         assert result.probabilities.min() >= 0
         assert result.probabilities.max() <= 1 + 1e-12
+
+    def test_rejects_path_without_points(self):
+        with pytest.raises(ValueError, match="at least one point"):
+            run_stroboscopic(LipkinModel(4), np.zeros((0, 2)))
 
     def test_trace_shape_and_lengths(self, lipkin10, trajectories10):
         path = trajectories10["linear-v"].discretize(50)
@@ -261,3 +276,81 @@ def test_path_is_a_plain_point_array(producer):
     for consumer in (run_stroboscopic, fidelity_product, geometry.path_length):
         with pytest.raises(ValueError):
             consumer(LIPKIN4, wide)
+
+
+class CrossingModel(HamiltonianFamily):
+    """Two levels x * diag(1, -1) that cross at x = 0."""
+
+    dim = 2
+    nparams = 1
+
+    def hamiltonian_many(self, points):
+        return self.check_points(points)[..., 0, None, None] * np.diag([1.0, -1.0])
+
+
+def single_batch_chain(model, points):
+    """Probability trace and step lengths from one eigendecomposition of the whole path."""
+    states = eigh_many(model.hamiltonian_many(points))[1]
+    probs = np.zeros((len(points), model.dim))
+    probs[0, 0] = 1.0
+    for k, ratio in enumerate(branching_along(states)):
+        probs[k + 1] = ratio @ probs[k]
+    return probs, ground_step_lengths(states)
+
+
+class TestStreamedChain:
+    BLOCK = 7
+
+    @pytest.fixture
+    def batch_sizes(self, monkeypatch):
+        """Block size 7; records how many matrices each ``eigh_many`` call of the chain gets."""
+        sizes = []
+
+        def counting(matrices):
+            sizes.append(len(matrices))
+            return eigh_many(matrices)
+
+        monkeypatch.setattr(geometry, "EIGH_BLOCK", self.BLOCK)
+        monkeypatch.setattr(protocol, "eigh_many", counting)
+        return sizes
+
+    @pytest.mark.parametrize("count", [1, 2, 7, 8, 9, 15, 100])
+    def test_matches_single_batch_across_block_boundaries(self, count, batch_sizes):
+        points = START + np.linspace(0, 1, count)[:, None] * (END - START)
+        result = run_stroboscopic(LIPKIN4, points)
+        probs, lengths = single_batch_chain(LIPKIN4, points)
+        assert np.array_equal(result.probabilities, probs)
+        assert np.array_equal(result.step_lengths, lengths)
+        # every point is diagonalized once, never more than a block at a time
+        assert sum(batch_sizes) == count
+        assert max(batch_sizes) <= self.BLOCK
+
+    def test_one_warning_with_global_min_spacing(self, batch_sizes):
+        model = CrossingModel()
+        x = np.linspace(1.0, 2.0, 2 * self.BLOCK)
+        # level spacing 2|x| below the gap in both blocks, smallest in the second
+        x[3], x[self.BLOCK + 3] = 3e-13, 1e-13
+        assert 2 * x[3] < DEGENERACY_GAP
+        points = x[:, None]
+        with warnings.catch_warnings(record=True) as expected:
+            warnings.simplefilter("always")
+            warn_if_degenerate(eigh_many(model.hamiltonian_many(points))[0])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            result = run_stroboscopic(model, points)
+        assert len(batch_sizes) == 2
+        assert [w.category for w in caught] == [DegeneracyWarning]
+        assert str(caught[0].message) == str(expected[0].message)
+        assert np.array_equal(result.probabilities, single_batch_chain(model, points)[0])
+
+    def test_long_chain_memory_is_bounded(self):
+        # 5 001 N=10 eigenbases: about 15 MB traced when the whole path is held at once
+        model = LipkinModel(10)
+        path = START + np.linspace(0, 1, 5001)[:, None] * (END - START)
+        tracemalloc.start()
+        try:
+            run_stroboscopic(model, path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8e6
