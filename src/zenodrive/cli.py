@@ -23,11 +23,12 @@ import numpy as np
 
 from . import __version__
 from .coherent import integrate_schrodinger, minimal_steps
-from .geometry import SEGMENTS_PER_STEP, metric_many
+from .geometry import metric_many, step_lengths_along
 from .models import LipkinModel
-from .protocol import run_stroboscopic, zeno_sweep
+# run_stroboscopic is not called here; benchmarks/layers.py traces it under this name
+from .protocol import run_stroboscopic, zeno_sweep  # noqa: F401
 from .spectator import evolve_gadget, reduced_density
-from .trajectories import FAMILIES, Trajectory, build_trajectory
+from .trajectories import FAMILIES, SEGMENTS_PER_STEP, Trajectory, build_trajectory
 
 # key -> (parser, default, help)
 CONFIG_SPEC = {
@@ -115,6 +116,10 @@ def load_config(path: str | None, overrides: dict) -> dict:
         raise ValueError(f"compare.cap must be >= 1, got {config['compare.cap']!r}")
     if not config["dense.steps"] >= 0:
         raise ValueError(f"dense.steps must be >= 0 (0 = auto), got {config['dense.steps']!r}")
+    if not all(k >= 1 for k in config["steps.K"]):
+        raise ValueError(f"steps.K must all be >= 1, got {config['steps.K']!r}")
+    if not all(0 < t < np.inf for t in config["times.T"]):
+        raise ValueError(f"times.T must all be finite and > 0, got {config['times.T']!r}")
     return config
 
 
@@ -200,8 +205,7 @@ def cmd_path(config, out_dir, jobs):
     steps = max(config["steps.K"]) if config["steps.K"] else 200
     trajectory = _build_trajectory(model, config, max_steps=steps)
     path = trajectory.discretize(steps)
-    result = run_stroboscopic(model, path)
-    dl = result.step_lengths
+    dl = step_lengths_along(model, path)
     cumulative = np.concatenate([[0.0], np.cumsum(dl)])
     euclid = np.linalg.norm(np.diff(path, axis=0), axis=1)
     # plane speed of the incoming step for total driving time T = 1

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import EIGH_BLOCK, SEGMENTS_PER_STEP
+from .geometry import EIGH_BLOCK
 from .models import HamiltonianFamily
 from .protocol import run_stroboscopic
 from .spectral import eigh_many
@@ -99,36 +99,26 @@ def _step_unitaries(model, position_fn, total_time, knots):
     return (states * phases[:, None, :]) @ np.conj(states).swapaxes(-1, -2)
 
 
-def _ordered_product(blocks):
-    """Product of the unitaries in ``blocks``, stacks in time order, the first factor acting first.
+def _levelwise(unitaries):
+    """Product of a stack in time order, pairwise level by level; an odd last factor moves up."""
+    while unitaries.shape[0] > 1:
+        half = unitaries.shape[0] // 2
+        prod = unitaries[1 : 2 * half : 2] @ unitaries[0 : 2 * half : 2]
+        if unitaries.shape[0] % 2:
+            prod = np.concatenate([prod, unitaries[-1:]], axis=0)
+        unitaries = prod
+    return unitaries[0]
 
-    Each stack is multiplied pairwise, level by level (an odd last factor
-    moves up a level), and the stack products merge like a binary counter:
-    two products of equally many factors merge as soon as both exist, and
-    the rest fold together, newest first, at the end.  When every stack but
-    the last holds the same power-of-two count, this is the product tree of
-    one level-wise reduction over all the factors, so the result is
-    bit-identical to it, while one stack and about log2(count) products are
-    held at a time.
+
+def _ordered_product(blocks):
+    """Product of the stacks in ``blocks``, in time order: each stack level-wise, then the products.
+
+    When every stack but the last holds the same power-of-two count, this is
+    the product tree of one level-wise reduction over all the factors, so
+    the result is bit-identical to it.  ``map`` releases each stack as soon as
+    its product is formed, before the next stack is built.
     """
-    pending = []   # (factor count, product), counts strictly decreasing
-    for unitaries in blocks:
-        count = unitaries.shape[0]
-        while unitaries.shape[0] > 1:
-            half = unitaries.shape[0] // 2
-            prod = unitaries[1 : 2 * half : 2] @ unitaries[0 : 2 * half : 2]
-            if unitaries.shape[0] % 2:
-                prod = np.concatenate([prod, unitaries[-1:]], axis=0)
-            unitaries = prod
-        product = unitaries[0]
-        while pending and pending[-1][0] == count:
-            product = product @ pending.pop()[1]
-            count *= 2
-        pending.append((count, product))
-    product = pending.pop()[1]
-    while pending:
-        product = product @ pending.pop()[1]
-    return product
+    return _levelwise(np.array(list(map(_levelwise, blocks))))
 
 
 def _propagate(model, position_fn, total_time, knots, marks, initial):
@@ -138,12 +128,11 @@ def _propagate(model, position_fn, total_time, knots, marks, initial):
     between neighbours is one CF4 step.  The chain starts from ``initial``,
     the caller's ground state at fraction 0.  The steps run in chunks of at most
     ``SUBSTEP_CHUNK`` exponentials that also end at every mark.  Within a
-    chunk the step unitaries are built and diagonalized ``EIGH_BLOCK``
-    exponentials at a time and multiplied pairwise (``_ordered_product``), so
-    the working set is one block plus a few (dim, dim) products, whatever
-    the step count, and the result is bit-identical to one pairwise product
-    over the whole chunk.  Returns the states at ``marks`` (indices into
-    ``knots``), one row per entry, in the given order.
+    chunk the step unitaries are built ``EIGH_BLOCK`` exponentials at a time
+    and each block is reduced to its product before the next is built
+    (``_ordered_product``), so the working set is one block plus at most
+    ``SUBSTEP_CHUNK / EIGH_BLOCK`` (dim, dim) products.  Returns the states
+    at ``marks`` (indices into ``knots``), one row per entry, in the given order.
     """
     steps = knots.size - 1
     psi = initial.astype(complex)
@@ -307,7 +296,7 @@ def minimal_steps(
     if math.isnan(coherent_infidelity):
         raise ValueError(f"coherent_infidelity must not be NaN, got {coherent_infidelity!r}")
 
-    step_cap = min(cap, trajectory.dense_steps // SEGMENTS_PER_STEP)
+    step_cap = min(cap, trajectory.max_steps)
 
     def beats(steps: int) -> bool:
         path = trajectory.discretize(steps)

@@ -20,8 +20,6 @@ from .spectral import eigh_many, ground_step_lengths, warn_if_degenerate
 
 GAP_FLOOR = 1e-12
 METRIC_CAP = 1e12
-# dense segments a table needs per output step before it resolves a resampling
-SEGMENTS_PER_STEP = 10
 # matrices per eigendecomposition batch in every batched kernel: the length
 # table, the quench chain, the metric and the CF4 step unitaries; a power of
 # two, which keeps the streamed CF4 product bit-identical to one pairwise
@@ -278,17 +276,6 @@ def resample(points: np.ndarray, table: np.ndarray, count: int) -> np.ndarray:
     return out
 
 
-def check_resolution(segments: int, steps: int, table: str) -> None:
-    """Reject resampling a ``segments``-segment table into ``steps`` steps it cannot resolve."""
-    if steps < 1:
-        raise ValueError("need at least one step")
-    if segments < SEGMENTS_PER_STEP * steps:
-        raise ValueError(
-            f"{table} too coarse: {segments} segments cannot resolve {steps} steps "
-            f"(need >= {SEGMENTS_PER_STEP * steps})"
-        )
-
-
 def interpolate_at(points: np.ndarray, cumlen: np.ndarray, targets: np.ndarray) -> np.ndarray:
     """Positions on a polyline at given cumulative-length values."""
     idx = np.clip(np.searchsorted(cumlen, targets, side="right") - 1, 0, len(cumlen) - 2)
@@ -365,33 +352,20 @@ def _energy_grad_hess(model, points):
     return energy, grad, (h_low, h_high, h_cross)
 
 
-def _assemble_hessian(blocks, segs, nparams, damping):
+def _assemble_hessian(blocks):
+    """Undamped interior Hessian of the path energy, a block-tridiagonal CSC matrix."""
     h_low, h_high, h_cross = blocks
-    n = (segs - 1) * nparams
-    diag_blocks = h_high[:-1] + h_low[1:]
-    cross_blocks = h_cross[1:-1]
-    rows, cols, vals = [], [], []
-    base = np.arange(segs - 1) * nparams
-    for a in range(nparams):
-        for b in range(nparams):
-            rows.append(base + a)
-            cols.append(base + b)
-            vals.append(diag_blocks[:, a, b])
-    base = np.arange(segs - 2) * nparams
-    for a in range(nparams):
-        for b in range(nparams):
-            rows.append(base + a)
-            cols.append(base + nparams + b)
-            vals.append(cross_blocks[:, a, b])
-            rows.append(base + nparams + b)
-            cols.append(base + a)
-            vals.append(cross_blocks[:, a, b])
-    mat = sp.csc_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(n, n)
-    )
-    if damping > 0:
-        mat = mat + damping * sp.identity(n, format="csc")
-    return mat
+    segs, nparams = h_low.shape[:2]
+    row, col = np.indices((nparams, nparams))
+    here = nparams * np.arange(segs - 1)[:, None, None]   # first row of each interior point
+    after = here[:-1] + nparams                           # first row of the point after it
+    # diagonal blocks, cross blocks at (here, after) and their transposes at (after, here)
+    rows = np.concatenate([(here + row).ravel(), (here[:-1] + row).ravel(), (after + col).ravel()])
+    cols = np.concatenate([(here + col).ravel(), (after + col).ravel(), (here[:-1] + row).ravel()])
+    cross = h_cross[1:-1].ravel()
+    vals = np.concatenate([(h_high[:-1] + h_low[1:]).ravel(), cross, cross])
+    size = (segs - 1) * nparams
+    return sp.csc_matrix((vals, (rows, cols)), shape=(size, size))
 
 
 def geodesic(
@@ -443,6 +417,7 @@ def geodesic(
     # error cannot limit the Newton endgame.
     resample_active = True
     segment_scale = max(float(np.linalg.norm(end - start)) / steps, 1e-300)
+    eye = sp.identity((steps - 1) * model.nparams, format="csc")
     for iteration in range(GEODESIC_MAX_ITERATIONS):
         interior_grad = grad[1:-1].copy()
         if model.lower_bounds is not None:
@@ -456,13 +431,13 @@ def geodesic(
             return (points, diag) if return_diagnostics else points
 
         accepted = False
-        trial = None
+        hess = _assemble_hessian(blocks)   # only the damping changes between retries
         while True:
             damping_try = damping
             for _ in range(40):
-                hess = _assemble_hessian(blocks, steps, model.nparams, damping_try)
+                damped = hess + damping_try * eye if damping_try > 0 else hess
                 try:
-                    step = spla.spsolve(hess, -interior_grad.ravel()).reshape(steps - 1, -1)
+                    step = spla.spsolve(damped, -interior_grad.ravel()).reshape(steps - 1, -1)
                 except Exception:
                     damping_try = max(damping_try * 10, 1e-8)
                     continue

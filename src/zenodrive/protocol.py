@@ -16,7 +16,7 @@ import numpy as np
 
 from .geometry import _eigenbases_along, step_lengths_along
 from .models import HamiltonianFamily
-from .spectral import branching_along, eigh_many, ground_step_lengths
+from .spectral import branching_along, eigh_many
 from .trajectories import Trajectory
 
 
@@ -29,7 +29,6 @@ class ProtocolResult:
     """
 
     probabilities: np.ndarray
-    step_lengths: np.ndarray
 
     @property
     def final_fidelity(self) -> float:
@@ -46,7 +45,8 @@ def run_stroboscopic(model: HamiltonianFamily, path) -> ProtocolResult:
     ``B(k)`` is the full branching matrix between the eigenbases at points k
     and k+1; every probability row is conserved to numerical precision.  The
     eigenbases stream in blocks of ``EIGH_BLOCK`` points, so working memory
-    beyond the returned trace is one block of (dim, dim) matrices.  Emits at
+    beyond the returned trace is one block of (dim, dim) matrices.  Step
+    lengths along the same path come from ``step_lengths_along``.  Emits at
     most one ``DegeneracyWarning``, naming the smallest level spacing on the
     path.  Raises ``ValueError`` for a path without points.
     """
@@ -55,13 +55,12 @@ def run_stroboscopic(model: HamiltonianFamily, path) -> ProtocolResult:
         raise ValueError("path needs at least one point")
     probs = np.zeros((len(points), model.dim))
     probs[0, 0] = 1.0
-    lengths, k = [], 0
+    k = 0
     for states in _eigenbases_along(model, points, eigh_many):
-        lengths.append(ground_step_lengths(states))
         for ratio in branching_along(states):
             probs[k + 1] = ratio @ probs[k]
             k += 1
-    return ProtocolResult(probabilities=probs, step_lengths=np.concatenate(lengths))
+    return ProtocolResult(probabilities=probs)
 
 
 def fidelity_product(model: HamiltonianFamily, path) -> float:

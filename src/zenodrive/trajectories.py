@@ -16,7 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import (
-    check_resolution,
     cumulative_euclidean,
     cumulative_lengths,
     geodesic,
@@ -27,6 +26,8 @@ from .geometry import (
 from .models import HamiltonianFamily
 
 FAMILIES = ("geodesic", "linear-v", "linear-u")
+# dense segments a table needs per output step before it resolves a resampling
+SEGMENTS_PER_STEP = 10
 
 
 @dataclass(frozen=True)
@@ -44,8 +45,9 @@ class Trajectory:
         return float(self.metric_cumlen[-1])
 
     @property
-    def dense_steps(self) -> int:
-        return self.points.shape[0] - 1
+    def max_steps(self) -> int:
+        """Largest step count the table resolves, ``SEGMENTS_PER_STEP`` segments per step."""
+        return (self.points.shape[0] - 1) // SEGMENTS_PER_STEP
 
     def _table(self) -> np.ndarray:
         """Length table of the family's speed law: plane length for linear-u, metric otherwise."""
@@ -53,7 +55,13 @@ class Trajectory:
 
     def discretize(self, steps: int) -> np.ndarray:
         """Stroboscopic path, (steps+1, D) points, at the family's speed law."""
-        check_resolution(self.dense_steps, steps, "trajectory table")
+        if steps < 1:
+            raise ValueError("need at least one step")
+        if steps > self.max_steps:
+            raise ValueError(
+                f"trajectory table too coarse: {self.points.shape[0] - 1} segments cannot "
+                f"resolve {steps} steps (need >= {SEGMENTS_PER_STEP * steps})"
+            )
         return resample(self.points, self._table(), steps)
 
     def position_at(self, fractions: np.ndarray) -> np.ndarray:
@@ -82,9 +90,9 @@ def build_trajectory(
     The geodesic family first relaxes a ``geodesic_steps``-segment path and then
     subdivides each of its segments ceil(``dense_steps`` / ``geodesic_steps``)
     times, so its table has that multiple of ``geodesic_steps`` segments (at
-    least ``dense_steps``); linear families sample the straight chord directly
-    at ``dense_steps`` segments.  Raises ``ValueError`` for an unknown family
-    or ``dense_steps`` below 1.
+    least ``dense_steps``); linear families subdivide the straight chord into
+    ``dense_steps`` segments, with both end points exact.  Raises
+    ``ValueError`` for an unknown family or ``dense_steps`` below 1.
     """
     if family not in FAMILIES:
         raise ValueError(f"unknown path family {family!r}; expected one of {FAMILIES}")
@@ -96,8 +104,7 @@ def build_trajectory(
         base = geodesic(model, start, end, geodesic_steps)
         dense = refine(base, max(1, int(np.ceil(dense_steps / geodesic_steps))))
     else:
-        frac = np.linspace(0.0, 1.0, dense_steps + 1)[:, None]
-        dense = start + frac * (end - start)
+        dense = refine(np.array([start, end]), dense_steps)
     return Trajectory(
         family=family,
         points=dense,

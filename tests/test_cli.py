@@ -81,6 +81,27 @@ class TestConfig:
         assert calls == []
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize(
+        "argv, key",
+        [
+            (["zeno", "--steps.K", "0,50"], "steps.K"),
+            (["path", "--steps.K", "-3"], "steps.K"),
+            (["compare", "--times.T=0,5"], "times.T"),
+            (["compare", "--times.T=-1"], "times.T"),
+            (["compare", "--times.T=inf"], "times.T"),
+            (["compare", "--times.T=nan"], "times.T"),
+        ],
+    )
+    def test_bad_steps_and_times_rejected_before_any_work(self, tmp_path, monkeypatch, argv, key):
+        import zenodrive.cli as cli
+
+        calls = []
+        monkeypatch.setattr(cli, "build_trajectory", lambda *a, **k: calls.append("table"))
+        with pytest.raises(ValueError, match=key):
+            main([*argv, "--model.N", "4", "--out", str(tmp_path / "out"), "--jobs", "1"])
+        assert calls == []
+        assert not (tmp_path / "out").exists()
+
     def test_negative_jobs_rejected_before_any_output(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exit_info:
             main(["gadget", "--out", str(tmp_path / "out"), "--jobs", "-1"])

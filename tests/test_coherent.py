@@ -306,7 +306,7 @@ def dop853_and_cf4(total_time):
     )
     knots = total_time * trajectory.metric_cumlen / trajectory.length
     psi = eigh_many(model.hamiltonian_many(trajectory.points[0]))[1][:, 0].astype(complex)
-    for k in range(trajectory.dense_steps):
+    for k in range(len(trajectory.points) - 1):
         a, b = trajectory.points[k], trajectory.points[k + 1]
         t_a, t_b = knots[k], knots[k + 1]
 

@@ -493,6 +493,26 @@ class TestGeodesic:
         assert len(calls) == len(diag.length_trace) > 0
         assert np.array_equal(plain, traced)
 
+    def test_hessian_matches_gradient_difference(self):
+        # the assembled Hessian applied to v against a central difference of
+        # the analytic energy gradient along v, on a perturbed N=4 chord
+        model, segs, eps = LipkinModel(4), 16, 1e-5
+        rng = np.random.default_rng(3)
+        start, end = np.array([0.2, 0.1]), np.array([1.8, 0.6])
+        points = start + np.linspace(0.0, 1.0, segs + 1)[:, None] * (end - start)
+        points[1:-1] += 0.02 * rng.uniform(-1.0, 1.0, size=(segs - 1, 2))
+        _, _, blocks = zenodrive.geometry._energy_grad_hess(model, points)
+        hess = zenodrive.geometry._assemble_hessian(blocks)
+        v = rng.normal(size=(segs - 1, 2))
+        shifted = [points.copy(), points.copy()]
+        shifted[0][1:-1] += eps * v
+        shifted[1][1:-1] -= eps * v
+        grads = [zenodrive.geometry._energy_grad_hess(model, p)[1][1:-1] for p in shifted]
+        difference = ((grads[0] - grads[1]) / (2 * eps)).ravel()
+        applied = hess @ v.ravel()
+        assert np.abs(applied - difference).max() <= 1e-6 * np.abs(difference).max()
+        assert (hess != hess.T).nnz == 0
+
 
 def shoot_geodesic(model, start, velocity):
     """DOP853 solution of the geodesic equation x'' = -g^-1 Gamma(x', x') over s in [0, 1].
@@ -750,6 +770,14 @@ class TestReparameterize:
         lam_at_min = out[np.argmin(euclid), 0]
         # the plane speed collapses where the gap is smallest (lam ~ 1.2 at N=10)
         assert 0.8 <= lam_at_min <= 1.6
+
+    @pytest.mark.parametrize("family", ["linear-v", "linear-u"])
+    def test_linear_table_ends_exactly_at_end(self, family):
+        start, end = np.array([-0.7, 0.3]), np.array([1.1, 0.9])
+        trajectory = build_trajectory(LipkinModel(4), family, start, end, dense_steps=100)
+        assert np.array_equal(trajectory.points[[0, -1]], [start, end])
+        assert np.array_equal(trajectory.discretize(10)[-1], end)
+        assert np.array_equal(trajectory.position_at(np.array([1.0]))[0], end)
 
     def test_rejects_coarse_input(self, lipkin10):
         trajectory = build_trajectory(lipkin10, "linear-v", START, END, dense_steps=99)

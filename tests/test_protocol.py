@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from zenodrive import geometry, protocol
+from zenodrive.geometry import step_lengths_along
 from zenodrive.models import HamiltonianFamily, LipkinModel, TwoLevelModel
 from zenodrive.protocol import (
     ProtocolResult,
@@ -19,7 +20,6 @@ from zenodrive.spectral import (
     DegeneracyWarning,
     branching_along,
     eigh_many,
-    ground_step_lengths,
     warn_if_degenerate,
 )
 from zenodrive.trajectories import build_trajectory
@@ -79,9 +79,10 @@ class TestRunStroboscopic:
         path = trajectories10["linear-v"].discretize(50)
         result = run_stroboscopic(lipkin10, path)
         assert result.probabilities.shape == (51, 11)
-        assert result.step_lengths.shape == (50,)
+        lengths = step_lengths_along(lipkin10, path)
+        assert lengths.shape == (50,)
         # a K=50 polygon undershoots the dense curve length at O(1/K^2)
-        assert result.step_lengths.sum() == pytest.approx(
+        assert lengths.sum() == pytest.approx(
             trajectories10["linear-v"].length, rel=1e-3
         )
 
@@ -261,7 +262,6 @@ def test_path_is_a_plain_point_array(producer):
     as_lists = path.tolist()
     from_array, from_lists = run_stroboscopic(LIPKIN4, path), run_stroboscopic(LIPKIN4, as_lists)
     assert np.array_equal(from_array.probabilities, from_lists.probabilities)
-    assert np.array_equal(from_array.step_lengths, from_lists.step_lengths)
     assert fidelity_product(LIPKIN4, path) == fidelity_product(LIPKIN4, as_lists)
     assert geometry.path_length(LIPKIN4, path) == geometry.path_length(LIPKIN4, as_lists)
 
@@ -289,13 +289,13 @@ class CrossingModel(HamiltonianFamily):
 
 
 def single_batch_chain(model, points):
-    """Probability trace and step lengths from one eigendecomposition of the whole path."""
+    """Probability trace from one eigendecomposition of the whole path."""
     states = eigh_many(model.hamiltonian_many(points))[1]
     probs = np.zeros((len(points), model.dim))
     probs[0, 0] = 1.0
     for k, ratio in enumerate(branching_along(states)):
         probs[k + 1] = ratio @ probs[k]
-    return probs, ground_step_lengths(states)
+    return probs
 
 
 class TestStreamedChain:
@@ -318,9 +318,7 @@ class TestStreamedChain:
     def test_matches_single_batch_across_block_boundaries(self, count, batch_sizes):
         points = START + np.linspace(0, 1, count)[:, None] * (END - START)
         result = run_stroboscopic(LIPKIN4, points)
-        probs, lengths = single_batch_chain(LIPKIN4, points)
-        assert np.array_equal(result.probabilities, probs)
-        assert np.array_equal(result.step_lengths, lengths)
+        assert np.array_equal(result.probabilities, single_batch_chain(LIPKIN4, points))
         # every point is diagonalized once, never more than a block at a time
         assert sum(batch_sizes) == count
         assert max(batch_sizes) <= self.BLOCK
@@ -341,7 +339,7 @@ class TestStreamedChain:
         assert len(batch_sizes) == 2
         assert [w.category for w in caught] == [DegeneracyWarning]
         assert str(caught[0].message) == str(expected[0].message)
-        assert np.array_equal(result.probabilities, single_batch_chain(model, points)[0])
+        assert np.array_equal(result.probabilities, single_batch_chain(model, points))
 
     def test_long_chain_memory_is_bounded(self):
         # 5 001 N=10 eigenbases: about 15 MB traced when the whole path is held at once
