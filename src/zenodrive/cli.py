@@ -112,14 +112,23 @@ def load_config(path: str | None, overrides: dict) -> dict:
         config[key] = _parse_value(key, raw)
     if config["path.family"] not in FAMILIES:
         raise ValueError(f"path.family must be one of {FAMILIES}")
-    if not config["compare.cap"] >= 1:
-        raise ValueError(f"compare.cap must be >= 1, got {config['compare.cap']!r}")
-    if not config["dense.steps"] >= 0:
-        raise ValueError(f"dense.steps must be >= 0 (0 = auto), got {config['dense.steps']!r}")
-    if not all(k >= 1 for k in config["steps.K"]):
-        raise ValueError(f"steps.K must all be >= 1, got {config['steps.K']!r}")
-    if not all(0 < t < np.inf for t in config["times.T"]):
-        raise ValueError(f"times.T must all be finite and > 0, got {config['times.T']!r}")
+    for key, least in (("model.N", 1), ("geodesic.segments", 2), ("compare.cap", 1),
+                       ("dense.steps", 0)):
+        if not config[key] >= least:
+            raise ValueError(f"{key} must be >= {least}, got {config[key]!r}")
+    if not config["steps.K"] or not all(k >= 1 for k in config["steps.K"]):
+        raise ValueError(f"steps.K must be nonempty and all >= 1, got {config['steps.K']!r}")
+    if not config["times.T"] or not all(0 < t < np.inf for t in config["times.T"]):
+        raise ValueError(f"times.T must be nonempty, finite and > 0, got {config['times.T']!r}")
+    for key in ("grid.lambda", "grid.chi"):
+        if config[key][2] < 2:
+            raise ValueError(f"{key} needs at least 2 points per axis")
+    model = LipkinModel(config["model.N"])
+    for key in ("path.start", "path.end"):
+        try:
+            model.check_points(config[key])
+        except ValueError as err:
+            raise ValueError(f"{key}: {err}") from None
     return config
 
 
@@ -162,10 +171,6 @@ def _parallel_map(fn, items, jobs: int):
         return list(pool.map(fn, items))
 
 
-def _build_model(config) -> LipkinModel:
-    return LipkinModel(config["model.N"])
-
-
 def _build_trajectory(model, config, max_steps=None) -> Trajectory:
     needed = config["dense.steps"]
     if needed <= 0:
@@ -182,15 +187,9 @@ def _build_trajectory(model, config, max_steps=None) -> Trajectory:
 
 
 def cmd_metric_map(config, out_dir, jobs):
-    lo, hi, num = config["grid.lambda"]
-    if num < 2:
-        raise ValueError("grid.lambda needs at least 2 points per axis")
-    clo, chi_hi, cnum = config["grid.chi"]
-    if cnum < 2:
-        raise ValueError("grid.chi needs at least 2 points per axis")
-    model = _build_model(config)
-    lams = np.linspace(lo, hi, num)
-    chis = np.linspace(clo, chi_hi, cnum)
+    model = LipkinModel(config["model.N"])
+    lams = np.linspace(*config["grid.lambda"])
+    chis = np.linspace(*config["grid.chi"])
     grid = np.array([(l, c) for l in lams for c in chis])
     tensors, gaps = metric_many(model, grid, with_gap=True)
     rows = [
@@ -201,9 +200,9 @@ def cmd_metric_map(config, out_dir, jobs):
 
 
 def cmd_path(config, out_dir, jobs):
-    model = _build_model(config)
-    steps = max(config["steps.K"]) if config["steps.K"] else 200
-    trajectory = _build_trajectory(model, config, max_steps=steps)
+    model = LipkinModel(config["model.N"])
+    steps = max(config["steps.K"])
+    trajectory = _build_trajectory(model, config)
     path = trajectory.discretize(steps)
     dl = step_lengths_along(model, path)
     cumulative = np.concatenate([[0.0], np.cumsum(dl)])
@@ -223,9 +222,7 @@ def cmd_path(config, out_dir, jobs):
 
 
 def cmd_zeno(config, out_dir, jobs):
-    if not config["steps.K"]:
-        raise ValueError("steps.K must be nonempty")
-    model = _build_model(config)
+    model = LipkinModel(config["model.N"])
     trajectory = _build_trajectory(model, config)
     counts = sorted(config["steps.K"])
     rows = _parallel_map(
@@ -242,9 +239,7 @@ def cmd_zeno(config, out_dir, jobs):
 
 
 def cmd_compare(config, out_dir, jobs):
-    if not config["times.T"]:
-        raise ValueError("times.T must be nonempty")
-    model = _build_model(config)
+    model = LipkinModel(config["model.N"])
     cap = config["compare.cap"]
     trajectory = _build_trajectory(model, config, max_steps=min(cap, 10000))
 

@@ -3,8 +3,9 @@
 The metric tensor measures the distinguishability of neighboring ground states:
 its quadratic form reproduces, to leading order in the parameter displacement,
 one minus the squared ground-state overlap.  On top of it sit exact step
-lengths, discretized path lengths, a geodesic solver based on relaxation of the
-discrete path energy, and the polyline resampler behind constant-speed paths.
+lengths, discretized path lengths, a geodesic solver (damped Newton relaxation
+of the discrete path energy, one block-tridiagonal numpy solve per step), and
+the polyline resampler behind constant-speed paths.
 """
 from __future__ import annotations
 
@@ -12,8 +13,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .models import HamiltonianFamily
 from .spectral import eigh_many, ground_step_lengths, warn_if_degenerate
@@ -310,7 +309,7 @@ def _discrete_energy(model, points):
 
 
 def _energy_grad_hess(model, points):
-    """Energy, gradient, and block-tridiagonal Hessian data of the path energy.
+    """Energy, gradient, and the block-tridiagonal Hessian blocks ``_solve_hessian`` takes.
 
     The energy is sum_k g(mid_k)[delta_k, delta_k].  Metric values and first
     derivatives are analytic; the second metric derivative entering the Hessian
@@ -352,20 +351,30 @@ def _energy_grad_hess(model, points):
     return energy, grad, (h_low, h_high, h_cross)
 
 
-def _assemble_hessian(blocks):
-    """Undamped interior Hessian of the path energy, a block-tridiagonal CSC matrix."""
+def _solve_hessian(blocks, damping, rhs):
+    """Solve (H + damping I) x = rhs for the block-tridiagonal interior Hessian H.
+
+    H has diagonal blocks h_high[k] + h_low[k+1], h_cross[k+1] right of them
+    and its transpose below.  One block Thomas (LDL^T) sweep keeps
+    S_k^-1 [U_k | y_k] per pivot block S_k, then substitutes back; ``rhs`` and
+    x have shape (segs - 1, D).  A singular pivot raises ``np.linalg.LinAlgError``.
+    """
     h_low, h_high, h_cross = blocks
-    segs, nparams = h_low.shape[:2]
-    row, col = np.indices((nparams, nparams))
-    here = nparams * np.arange(segs - 1)[:, None, None]   # first row of each interior point
-    after = here[:-1] + nparams                           # first row of the point after it
-    # diagonal blocks, cross blocks at (here, after) and their transposes at (after, here)
-    rows = np.concatenate([(here + row).ravel(), (here[:-1] + row).ravel(), (after + col).ravel()])
-    cols = np.concatenate([(here + col).ravel(), (after + col).ravel(), (here[:-1] + row).ravel()])
-    cross = h_cross[1:-1].ravel()
-    vals = np.concatenate([(h_high[:-1] + h_low[1:]).ravel(), cross, cross])
-    size = (segs - 1) * nparams
-    return sp.csc_matrix((vals, (rows, cols)), shape=(size, size))
+    size, nparams = rhs.shape
+    pivots = h_high[:-1] + h_low[1:] + damping * np.eye(nparams)   # diagonal blocks, then S_k
+    eliminated = np.zeros((size, nparams, nparams + 1))   # [U_k | y_k]; no U_k at the last point
+    eliminated[:-1, :, :nparams] = h_cross[1:-1]
+    eliminated[:, :, nparams] = rhs
+    for k in range(size - 1):
+        eliminated[k] = np.linalg.solve(pivots[k], eliminated[k])
+        update = h_cross[k + 1].T @ eliminated[k]
+        pivots[k + 1] -= update[:, :nparams]
+        eliminated[k + 1, :, nparams] -= update[:, nparams]
+    eliminated[-1] = np.linalg.solve(pivots[-1], eliminated[-1])
+    step = eliminated[:, :, nparams]
+    for k in range(size - 2, -1, -1):
+        step[k] -= eliminated[k, :, :nparams] @ step[k + 1]
+    return step
 
 
 def geodesic(
@@ -380,8 +389,9 @@ def geodesic(
 
     Relaxes the discrete path energy sum_k g(mid_k)[delta_k, delta_k] over the
     interior points, starting from the constant-speed straight chord, with
-    damped Newton steps and a step-halving line search on the energy.  The
-    energy minimizer is automatically a constant-speed discretization.
+    damped Newton steps (one block-tridiagonal ``_solve_hessian`` each, retried
+    with more damping at a singular pivot) and a step-halving line search on the
+    energy.  The energy minimizer is automatically a constant-speed discretization.
     Interior points are projected onto the model domain (e.g. chi >= 0) after
     every trial step.  Returns the (steps+1, D) points, or ``(points, diag)``
     with ``return_diagnostics``.
@@ -398,8 +408,7 @@ def geodesic(
         raise ValueError("need at least 2 steps")
     start = model.project_point(model.check_points(start))
     end = model.project_point(model.check_points(end))
-    frac = np.linspace(0.0, 1.0, steps + 1)[:, None]
-    points = start + frac * (end - start)
+    points = start + np.linspace(0.0, 1.0, steps + 1)[:, None] * (end - start)
     points = resample(points, cumulative_lengths(model, points), steps)
     points[:, :] = model.project_point(points)
 
@@ -417,7 +426,6 @@ def geodesic(
     # error cannot limit the Newton endgame.
     resample_active = True
     segment_scale = max(float(np.linalg.norm(end - start)) / steps, 1e-300)
-    eye = sp.identity((steps - 1) * model.nparams, format="csc")
     for iteration in range(GEODESIC_MAX_ITERATIONS):
         interior_grad = grad[1:-1].copy()
         if model.lower_bounds is not None:
@@ -431,16 +439,13 @@ def geodesic(
             return (points, diag) if return_diagnostics else points
 
         accepted = False
-        hess = _assemble_hessian(blocks)   # only the damping changes between retries
         while True:
             damping_try = damping
             for _ in range(40):
-                damped = hess + damping_try * eye if damping_try > 0 else hess
                 try:
-                    step = spla.spsolve(damped, -interior_grad.ravel()).reshape(steps - 1, -1)
-                except Exception:
-                    damping_try = max(damping_try * 10, 1e-8)
-                    continue
+                    step = _solve_hessian(blocks, damping_try, -interior_grad)
+                except np.linalg.LinAlgError:
+                    step = np.full_like(interior_grad, np.nan)   # fails the checks below
                 if np.all(np.isfinite(step)) and np.dot(step.ravel(), interior_grad.ravel()) < 0:
                     scale = 1.0
                     for _ in range(30):

@@ -90,6 +90,14 @@ class TestConfig:
             (["compare", "--times.T=-1"], "times.T"),
             (["compare", "--times.T=inf"], "times.T"),
             (["compare", "--times.T=nan"], "times.T"),
+            (["zeno", "--geodesic.segments", "1"], "geodesic.segments"),
+            (["zeno", "--model.N", "0"], "model.N"),
+            (["metric-map", "--grid.lambda", "0:3:1"], "grid.lambda"),
+            (["metric-map", "--grid.chi", "0:1:1"], "grid.chi"),
+            (["path", "--path.start", "0.0,-0.1"], "path.start"),
+            (["zeno", "--path.end", "2.0,-0.5"], "path.end"),
+            (["zeno", "--steps.K", "log:50:5000:0"], "steps.K"),
+            (["compare", "--times.T", "lin:1:5:0"], "times.T"),
         ],
     )
     def test_bad_steps_and_times_rejected_before_any_work(self, tmp_path, monkeypatch, argv, key):
@@ -97,8 +105,11 @@ class TestConfig:
 
         calls = []
         monkeypatch.setattr(cli, "build_trajectory", lambda *a, **k: calls.append("table"))
+        monkeypatch.setattr(cli, "metric_many", lambda *a, **k: calls.append("metric"))
+        # the case's own flags come last, so they win over the default N = 4
         with pytest.raises(ValueError, match=key):
-            main([*argv, "--model.N", "4", "--out", str(tmp_path / "out"), "--jobs", "1"])
+            main([argv[0], "--model.N", "4", *argv[1:], "--out", str(tmp_path / "out"),
+                  "--jobs", "1"])
         assert calls == []
         assert not (tmp_path / "out").exists()
 

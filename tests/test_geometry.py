@@ -494,15 +494,16 @@ class TestGeodesic:
         assert np.array_equal(plain, traced)
 
     def test_hessian_matches_gradient_difference(self):
-        # the assembled Hessian applied to v against a central difference of
-        # the analytic energy gradient along v, on a perturbed N=4 chord
+        # the Hessian blocks applied to v against a central difference of the
+        # analytic energy gradient along v, on a perturbed N=4 chord; the
+        # block-tridiagonal solve against a dense solve of the same system
         model, segs, eps = LipkinModel(4), 16, 1e-5
         rng = np.random.default_rng(3)
         start, end = np.array([0.2, 0.1]), np.array([1.8, 0.6])
         points = start + np.linspace(0.0, 1.0, segs + 1)[:, None] * (end - start)
         points[1:-1] += 0.02 * rng.uniform(-1.0, 1.0, size=(segs - 1, 2))
-        _, _, blocks = zenodrive.geometry._energy_grad_hess(model, points)
-        hess = zenodrive.geometry._assemble_hessian(blocks)
+        _, grad, blocks = zenodrive.geometry._energy_grad_hess(model, points)
+        hess = dense_hessian(blocks)
         v = rng.normal(size=(segs - 1, 2))
         shifted = [points.copy(), points.copy()]
         shifted[0][1:-1] += eps * v
@@ -511,7 +512,73 @@ class TestGeodesic:
         difference = ((grads[0] - grads[1]) / (2 * eps)).ravel()
         applied = hess @ v.ravel()
         assert np.abs(applied - difference).max() <= 1e-6 * np.abs(difference).max()
-        assert (hess != hess.T).nnz == 0
+        assert np.array_equal(hess, hess.T)
+        assert_solve_matches_dense(blocks, -grad[1:-1])
+
+    def test_solve_matches_dense_on_scalar_blocks(self):
+        # D = 1: a random symmetric positive definite tridiagonal system
+        rng = np.random.default_rng(5)
+        segs = 40
+        blocks = (
+            rng.uniform(1.5, 2.0, size=(segs, 1, 1)),
+            rng.uniform(1.5, 2.0, size=(segs, 1, 1)),
+            rng.uniform(-1.0, 1.0, size=(segs, 1, 1)),
+        )
+        assert np.all(np.linalg.eigvalsh(dense_hessian(blocks)) > 0)
+        assert_solve_matches_dense(blocks, rng.normal(size=(segs - 1, 1)))
+
+    def test_singular_pivot_raises(self):
+        rng = np.random.default_rng(7)
+        h_low, h_high, h_cross = (rng.normal(size=(8, 2, 2)) for _ in range(3))
+        h_low[3] = -h_high[2]   # the diagonal block of path point 3 is exactly zero
+        h_cross[2] = 0.0        # and nothing is eliminated into it
+        with pytest.raises(np.linalg.LinAlgError):
+            zenodrive.geometry._solve_hessian((h_low, h_high, h_cross), 0.0, np.ones((7, 2)))
+
+    def test_failed_solve_retries_with_damping(self, monkeypatch):
+        solve = zenodrive.geometry._solve_hessian
+        dampings = []
+
+        def failing_once(blocks, damping, rhs):
+            dampings.append(damping)
+            if len(dampings) == 1:
+                raise np.linalg.LinAlgError("singular pivot block")
+            return solve(blocks, damping, rhs)
+
+        monkeypatch.setattr(zenodrive.geometry, "_solve_hessian", failing_once)
+        _, diag = geodesic(LipkinModel(4), START, END, 32, return_diagnostics=True)
+        assert diag.residual < zenodrive.geometry.GEODESIC_GTOL
+        assert dampings[0] == 0.0 and dampings[1] > 0.0
+
+    def test_coding_error_in_solve_is_not_retried(self, monkeypatch):
+        def broken(blocks, damping, rhs):
+            raise TypeError("not a failed solve")
+
+        monkeypatch.setattr(zenodrive.geometry, "_solve_hessian", broken)
+        with pytest.raises(TypeError, match="not a failed solve"):
+            geodesic(LipkinModel(4), START, END, 32)
+
+
+def dense_hessian(blocks, damping=0.0):
+    """Dense interior Hessian of the path energy from its (h_low, h_high, h_cross) blocks."""
+    h_low, h_high, h_cross = blocks
+    segs, nparams = h_low.shape[:2]
+    hess = np.zeros(((segs - 1) * nparams,) * 2)
+    for k in range(segs - 1):
+        here = slice(k * nparams, (k + 1) * nparams)
+        hess[here, here] = h_high[k] + h_low[k + 1] + damping * np.eye(nparams)
+        if k < segs - 2:
+            after = slice((k + 1) * nparams, (k + 2) * nparams)
+            hess[here, after] = h_cross[k + 1]
+            hess[after, here] = h_cross[k + 1].T
+    return hess
+
+
+def assert_solve_matches_dense(blocks, rhs):
+    for damping in (0.0, 1e-3):
+        step = zenodrive.geometry._solve_hessian(blocks, damping, rhs)
+        reference = np.linalg.solve(dense_hessian(blocks, damping), rhs.ravel())
+        assert np.abs(step.ravel() - reference).max() <= 1e-12 * np.abs(reference).max()
 
 
 def shoot_geodesic(model, start, velocity):
