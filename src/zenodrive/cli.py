@@ -113,7 +113,7 @@ def load_config(path: str | None, overrides: dict) -> dict:
     if config["path.family"] not in FAMILIES:
         raise ValueError(f"path.family must be one of {FAMILIES}")
     for key, least in (("model.N", 1), ("geodesic.segments", 2), ("compare.cap", 1),
-                       ("dense.steps", 0)):
+                       ("dense.steps", 0), ("gadget.samples", 1)):
         if not config[key] >= least:
             raise ValueError(f"{key} must be >= {least}, got {config[key]!r}")
     if not config["steps.K"] or not all(k >= 1 for k in config["steps.K"]):
@@ -129,6 +129,11 @@ def load_config(path: str | None, overrides: dict) -> dict:
             model.check_points(config[key])
         except ValueError as err:
             raise ValueError(f"{key}: {err}") from None
+    try:   # the spectator's own checks, at the last sample of the trace
+        evolve_gadget(config["gadget.a0"], config["gadget.a1"], config["gadget.tau"],
+                      config["gadget.tmax"] * config["gadget.tau"])
+    except ValueError as err:
+        raise ValueError(f"gadget.a0, gadget.a1, gadget.tau, gadget.tmax: {err}") from None
     return config
 
 

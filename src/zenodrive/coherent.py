@@ -3,13 +3,13 @@
 The propagator is the fourth-order commutator-free Magnus scheme (CF4) of
 Blanes & Moan, Appl. Numer. Math. 56, 1519 (2006) and Alvermann & Fehske,
 J. Comput. Phys. 230, 5930 (2011): each step samples the Hamiltonian at its
-two Gauss nodes and applies two exact exponentials through the spectral
-decomposition, so the evolution is unconditionally unitary and fourth order
-in the step.  The step count doubles adaptively until the final ground-state
-fidelity is converged; trace times are exact step boundaries.  On top of the
-integrator sit the infidelity-versus-time sweep and the search for the
-smallest stroboscopic step count that beats coherent driving on the same
-trajectory.
+two Gauss nodes and applies two exact exponentials, built through the
+spectral decomposition, to the state in time order, so the evolution is
+unconditionally unitary and fourth order in the step.  The step count
+doubles adaptively until the final ground-state fidelity is converged; trace
+times are exact step boundaries.  On top of the integrator sit the
+infidelity-versus-time sweep and the search for the smallest stroboscopic
+step count that beats coherent driving on the same trajectory.
 """
 from __future__ import annotations
 
@@ -27,9 +27,8 @@ from .trajectories import Trajectory
 DEFAULT_TOLERANCE = 1e-8
 DEFAULT_STEP_CAP = 10**6
 SUBSTEP_CAP = 2**23
-SUBSTEP_CHUNK = 8192
 # Rounding floor: CF4 shrinks the fidelity change ~16x per step doubling.  A
-# change below FLOOR_ULPS * steps * eps (rounding in a product of n step
+# change below FLOOR_ULPS * steps * eps (rounding over n applied step
 # unitaries grows about like n * eps) that shrank less than FLOOR_SHRINK x, two
 # doublings in a row, is rounding rather than step error.  The size gate keeps
 # the rule off the erratic early doublings of a time law with kinks.
@@ -99,53 +98,29 @@ def _step_unitaries(model, position_fn, total_time, knots):
     return (states * phases[:, None, :]) @ np.conj(states).swapaxes(-1, -2)
 
 
-def _levelwise(unitaries):
-    """Product of a stack in time order, pairwise level by level; an odd last factor moves up."""
-    while unitaries.shape[0] > 1:
-        half = unitaries.shape[0] // 2
-        prod = unitaries[1 : 2 * half : 2] @ unitaries[0 : 2 * half : 2]
-        if unitaries.shape[0] % 2:
-            prod = np.concatenate([prod, unitaries[-1:]], axis=0)
-        unitaries = prod
-    return unitaries[0]
-
-
-def _ordered_product(blocks):
-    """Product of the stacks in ``blocks``, in time order: each stack level-wise, then the products.
-
-    When every stack but the last holds the same power-of-two count, this is
-    the product tree of one level-wise reduction over all the factors, so
-    the result is bit-identical to it.  ``map`` releases each stack as soon as
-    its product is formed, before the next stack is built.
-    """
-    return _levelwise(np.array(list(map(_levelwise, blocks))))
-
-
 def _propagate(model, position_fn, total_time, knots, marks, initial):
     """States of the CF4 chain over the step boundaries ``knots`` at the indices ``marks``.
 
     ``knots`` are increasing time fractions from 0 to 1; each interval
     between neighbours is one CF4 step.  The chain starts from ``initial``,
-    the caller's ground state at fraction 0.  The steps run in chunks of at most
-    ``SUBSTEP_CHUNK`` exponentials that also end at every mark.  Within a
-    chunk the step unitaries are built ``EIGH_BLOCK`` exponentials at a time
-    and each block is reduced to its product before the next is built
-    (``_ordered_product``), so the working set is one block plus at most
-    ``SUBSTEP_CHUNK / EIGH_BLOCK`` (dim, dim) products.  Returns the states
+    the caller's ground state at fraction 0.  The step unitaries are built
+    ``EIGH_BLOCK`` exponentials at a time and applied to the state one by
+    one in time order, so the working set is one block.  Returns the states
     at ``marks`` (indices into ``knots``), one row per entry, in the given order.
     """
-    steps = knots.size - 1
-    psi = initial.astype(complex)
     marks = [int(mark) for mark in marks]
-    bounds = sorted(set(marks).union(range(0, steps, SUBSTEP_CHUNK // 2), [steps]))
-    block_steps = EIGH_BLOCK // 2   # two exponentials per step
+    wanted = set(marks)
+    psi = initial.astype(complex)
     saved = {0: psi}
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
-        blocks = (
-            _step_unitaries(model, position_fn, total_time, knots[a : min(a + block_steps, hi) + 1])
-            for a in range(lo, hi, block_steps)
-        )
-        psi = saved[hi] = _ordered_product(blocks) @ psi
+    block_steps = EIGH_BLOCK // 2   # two exponentials per step
+    for lo in range(0, knots.size - 1, block_steps):
+        block = _step_unitaries(model, position_fn, total_time, knots[lo : lo + block_steps + 1])
+        for step, (first, second) in enumerate(zip(block[0::2], block[1::2]), lo + 1):
+            psi = second @ (first @ psi)
+            if step in wanted:
+                saved[step] = psi
+        # the loop's row views hold the block too: release all before the next is built
+        del block, first, second
     return np.array([saved[mark] for mark in marks])
 
 
@@ -167,11 +142,11 @@ def integrate_schrodinger(
     the fidelity changes by less than ``tolerance``, never beyond
     ``SUBSTEP_CAP`` (2**23).  It stops early at the rounding floor: two
     doublings in a row whose change is below ``FLOOR_ULPS`` * steps * eps
-    and shrank by less than ``FLOOR_SHRINK`` (4x, where CF4 predicts 16x).  ``trace_times`` adds the ground-state fidelity
-    at those times, clipped to [0, T], sorted and deduplicated; they are
-    exact step boundaries (the grid is refined with them), so
-    ``result.trace_times`` holds the requested times themselves (at T = 0
-    every time clips to 0).
+    and shrank by less than ``FLOOR_SHRINK`` (4x, where CF4 predicts 16x).
+    ``trace_times`` adds the ground-state fidelity at those times, clipped to
+    [0, T], sorted and deduplicated; they are exact step boundaries (the grid
+    is refined with them), so ``result.trace_times`` holds the requested
+    times themselves (at T = 0 every time clips to 0).
 
     Raises
     ------

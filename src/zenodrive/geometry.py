@@ -20,9 +20,7 @@ from .spectral import eigh_many, ground_step_lengths, warn_if_degenerate
 GAP_FLOOR = 1e-12
 METRIC_CAP = 1e12
 # matrices per eigendecomposition batch in every batched kernel: the length
-# table, the quench chain, the metric and the CF4 step unitaries; a power of
-# two, which keeps the streamed CF4 product bit-identical to one pairwise
-# product over a whole chunk
+# table, the quench chain, the metric and the CF4 step unitaries
 EIGH_BLOCK = 256
 # the geodesic relaxation stops once every interior gradient component is below this
 GEODESIC_GTOL = 1e-9

@@ -98,6 +98,10 @@ class TestConfig:
             (["zeno", "--path.end", "2.0,-0.5"], "path.end"),
             (["zeno", "--steps.K", "log:50:5000:0"], "steps.K"),
             (["compare", "--times.T", "lin:1:5:0"], "times.T"),
+            (["gadget", "--gadget.tau", "0"], "gadget.tau"),
+            (["gadget", "--gadget.tmax", "-1"], "gadget.tmax"),
+            (["gadget", "--gadget.samples", "-1"], "gadget.samples"),
+            (["gadget", "--gadget.a0", "2"], "gadget.a0"),
         ],
     )
     def test_bad_steps_and_times_rejected_before_any_work(self, tmp_path, monkeypatch, argv, key):

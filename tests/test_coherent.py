@@ -138,7 +138,7 @@ class TestIntegrator:
     def test_trace_matches_sequential_product_at_interior_checkpoints(self, monkeypatch):
         from scipy.linalg import expm
 
-        monkeypatch.setattr(coherent, "SUBSTEP_CHUNK", 16)
+        monkeypatch.setattr(coherent, "EIGH_BLOCK", 16)
         model = LipkinModel(4)
         trajectory = build_trajectory(
             model, "linear-v", np.array([0.0, 0.0]), np.array([2.0, 0.5]), dense_steps=400
@@ -154,8 +154,8 @@ class TestIntegrator:
         steps = result.substeps
         knots = np.union1d(np.arange(steps + 1) / steps, samples / total_time)
         marks = np.searchsorted(knots, samples / total_time)
-        # the checkpoints straddle chunk boundaries (8 steps per chunk here)
-        assert np.diff(marks).max() > coherent.SUBSTEP_CHUNK // 2
+        # the checkpoints straddle block boundaries (8 steps per block here)
+        assert np.diff(marks).max() > coherent.EIGH_BLOCK // 2
         root3 = np.sqrt(3.0)
         weight_1, weight_2 = (3 + 2 * root3) / 12, (3 - 2 * root3) / 12
         psi = eigh_many(model.hamiltonian_many(trajectory.points[0]))[1][:, 0].astype(complex)
@@ -223,46 +223,37 @@ class TestIntegrator:
         assert abs(result.infidelity - reference) <= 3e-8
 
 
-def levelwise_product(unitaries):
-    """Product of a stack in time order, multiplied pairwise level by level in one batch."""
-    while unitaries.shape[0] > 1:
-        half = unitaries.shape[0] // 2
-        prod = unitaries[1 : 2 * half : 2] @ unitaries[0 : 2 * half : 2]
-        if unitaries.shape[0] % 2:
-            prod = np.concatenate([prod, unitaries[-1:]], axis=0)
-        unitaries = prod
-    return unitaries[0]
-
-
 def linear_chord(fractions):
     """The default driving chord from (0, 0) to (2, 0.5) at uniform parameter speed."""
     return np.asarray(fractions, dtype=float)[..., None] * np.array([2.0, 0.5])
 
 
 class TestStreamedProduct:
-    @pytest.mark.parametrize("block", [2, 8, 64])
-    def test_matches_levelwise_product(self, block):
-        rng = np.random.default_rng(block)
-        gaussian = rng.normal(size=(2, 4792, 4, 4))
-        unitaries = np.linalg.qr(gaussian[0] + 1j * gaussian[1])[0]
-        for count in [*range(1, 201), 1023, 1024, 1025, 4792]:
-            stack = unitaries[:count]
-            blocks = (stack[lo : lo + block] for lo in range(0, count, block))
-            streamed = coherent._ordered_product(blocks)
-            assert np.array_equal(streamed, levelwise_product(stack)), count
+    def test_propagate_folds_one_step_at_a_time(self):
+        model = LipkinModel(4)
+        steps = 300   # three blocks of EIGH_BLOCK // 2 = 128 steps
+        fractions = [0.10011, 0.37013, 0.5, 0.91234]
+        knots = np.union1d(np.arange(steps + 1) / steps, fractions)
+        marks = np.append(np.searchsorted(knots, fractions), knots.size - 1)
+        assert np.all(marks % (coherent.EIGH_BLOCK // 2))   # off the block grid
+        initial = coherent._ground_states(model, linear_chord, [0.0])[0]
+        # reference: each step's two exponentials applied to the state in turn
+        psi = initial.astype(complex)
+        expected = {0: psi}
+        for k in range(knots.size - 1):
+            for unitary in coherent._step_unitaries(model, linear_chord, 30.0, knots[k : k + 2]):
+                psi = unitary @ psi
+            expected[k + 1] = psi
+        got = coherent._propagate(model, linear_chord, 30.0, knots, marks, initial)
+        assert np.array_equal(got, [expected[mark] for mark in marks])
 
-    def test_block_is_a_power_of_two(self):
-        # the streamed product is bit-identical only for aligned power-of-two blocks
-        block = coherent.EIGH_BLOCK
-        assert block >= 2 and block & (block - 1) == 0
-
-    @pytest.mark.parametrize("block", [2, 4, 64])
+    @pytest.mark.parametrize("block", [2, 4, 6, 64])
     def test_propagate_matches_one_block_per_chunk(self, block, monkeypatch):
         model = LipkinModel(4)
         trajectory = build_trajectory(
             model, "linear-v", np.array([0.0, 0.0]), np.array([2.0, 0.5]), dense_steps=400
         )
-        steps = 4500   # crosses the chunk end at step SUBSTEP_CHUNK // 2 = 4096
+        steps = 4500
         fractions = [0.10011, 0.37013, 0.5, 0.91234]   # off the block grid
         knots = np.union1d(np.arange(steps + 1) / steps, fractions)
         marks = np.append(np.searchsorted(knots, fractions), knots.size - 1)
@@ -272,13 +263,13 @@ class TestStreamedProduct:
             monkeypatch.setattr(coherent, "EIGH_BLOCK", size)
             return coherent._propagate(model, trajectory.position_at, 30.0, knots, marks, initial)
 
-        # a block of SUBSTEP_CHUNK exponentials holds every chunk whole
-        whole_chunks = states(coherent.SUBSTEP_CHUNK)
-        assert np.array_equal(states(block), whole_chunks)
+        # one block holds every exponential of the run
+        one_block = states(2 * knots.size)
+        assert np.array_equal(states(block), one_block)
 
     def test_working_set_is_one_block(self):
-        # N=10 over 4 096 steps: 81.6 MB traced when every step unitary of a
-        # chunk is held at once, 2.6 MB with one block of 256 exponentials
+        # N=10 over 4 096 steps: 81.6 MB traced when all 8 192 step unitaries
+        # are built at once, 2.56 MB with one block of 256 exponentials
         model = LipkinModel(10)
         steps = 4096
         knots = np.arange(steps + 1) / steps

@@ -5,7 +5,7 @@ Each run below writes one CSV that is compared cell by cell with the copy in
 1e-12 relative.  A change that only restructures the code must pass this
 test unchanged.  After a change that is meant to alter the numbers, write
 new goldens with ``PYTHONPATH=src python tests/test_golden.py`` and say why
-in the commit.
+in the commit; it rewrites only the goldens that fail the comparison.
 """
 from __future__ import annotations
 
@@ -67,29 +67,45 @@ def _read(path: Path) -> list[list]:
         return [[_cell(cell) for cell in row] for row in csv.reader(handle)]
 
 
+def _mismatch(name: str, path: Path) -> str | None:
+    """The first cell where ``path`` differs from the golden of ``name``, or None."""
+    golden = GOLDEN_DIR / f"{name}.csv"
+    if not golden.exists():
+        return f"{name}: no golden at {golden}"
+    got, want = _read(path), _read(golden)
+    if len(got) != len(want):
+        return f"{name}: {len(got)} rows, golden has {len(want)}"
+    for line, (got_row, want_row) in enumerate(zip(got, want), 1):
+        if len(got_row) != len(want_row):
+            return f"{name} line {line}: column count differs"
+        for column, (a, b) in enumerate(zip(got_row, want_row)):
+            if isinstance(b, float):
+                same = isinstance(a, float) and abs(a - b) <= FLOAT_RTOL * max(abs(a), abs(b))
+            else:
+                same = type(a) is type(b) and a == b
+            if not same:
+                return f"{name} line {line} column {column}: {a!r} != golden {b!r}"
+    return None
+
+
 @pytest.mark.parametrize("name", sorted(RUNS))
 def test_cli_output_matches_golden(name, tmp_path):
-    got = _read(_run(name, tmp_path))
-    want = _read(GOLDEN_DIR / f"{name}.csv")
-    assert len(got) == len(want), f"{name}: {len(got)} rows, golden has {len(want)}"
-    for line, (got_row, want_row) in enumerate(zip(got, want), 1):
-        assert len(got_row) == len(want_row), f"{name} line {line}: column count differs"
-        for column, (a, b) in enumerate(zip(got_row, want_row)):
-            where = f"{name} line {line} column {column}: {a!r} != golden {b!r}"
-            if isinstance(b, float):
-                assert isinstance(a, float), where
-                assert abs(a - b) <= FLOAT_RTOL * max(abs(a), abs(b)), where
-            else:
-                assert type(a) is type(b) and a == b, where
+    mismatch = _mismatch(name, _run(name, tmp_path))
+    assert mismatch is None, mismatch
 
 
 def write_goldens() -> None:
+    """Rewrite the goldens that fail the comparison above; leave the rest byte for byte."""
     GOLDEN_DIR.mkdir(parents=True, exist_ok=True)
     with tempfile.TemporaryDirectory() as scratch:
         for name in sorted(RUNS):
             written = _run(name, Path(scratch) / name)
+            mismatch = _mismatch(name, written)
+            if mismatch is None:
+                print(f"kept {GOLDEN_DIR / name}.csv", file=sys.stderr)
+                continue
             (GOLDEN_DIR / f"{name}.csv").write_bytes(written.read_bytes())
-            print(f"wrote {GOLDEN_DIR / name}.csv", file=sys.stderr)
+            print(f"wrote {GOLDEN_DIR / name}.csv ({mismatch})", file=sys.stderr)
 
 
 if __name__ == "__main__":
