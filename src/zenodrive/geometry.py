@@ -26,8 +26,10 @@ EIGH_BLOCK = 256
 GEODESIC_GTOL = 1e-9
 # Newton iterations before the geodesic relaxation gives up
 GEODESIC_MAX_ITERATIONS = 200
-# central-difference step for the second metric derivative in the geodesic Hessian
-GEODESIC_FD_STEP = 1e-4
+# forward-difference step for the second metric derivative in the geodesic Hessian;
+# its error moves the relaxed points within the GEODESIC_GTOL basin (about 2e-10
+# at N=10, 256 segments), not only the convergence rate
+GEODESIC_FD_STEP = 1e-7
 
 
 class DegenerateGroundStateError(RuntimeError):
@@ -311,26 +313,20 @@ def _energy_grad_hess(model, points):
 
     The energy is sum_k g(mid_k)[delta_k, delta_k].  Metric values and first
     derivatives are analytic; the second metric derivative entering the Hessian
-    is a central difference of the analytic gradient (its accuracy only affects
-    the convergence rate, not the converged point).  Midpoint probes are
-    projected onto the model domain.
+    is a forward difference of the analytic gradient, one probe mid_k + h e_c
+    per axis, so D + 1 points per segment go to ``metric_with_gradient_many``.
+    The probes lie above the mids and so inside the model domain.  The
+    difference error does not only slow the convergence: it moves the relaxed
+    points within the ``GEODESIC_GTOL`` basin.
     """
-    segs = points.shape[0] - 1
     nparams = model.nparams
     mids = 0.5 * (points[:-1] + points[1:])
     delta = points[1:] - points[:-1]
-    probes = [mids]
-    for c in range(nparams):
-        shift = np.zeros(nparams)
-        shift[c] = GEODESIC_FD_STEP
-        probes.extend([model.project_point(mids + shift), model.project_point(mids - shift)])
-    g_all, dg_all = metric_with_gradient_many(model, np.concatenate(probes, axis=0))
-    g_all = g_all.reshape(2 * nparams + 1, segs, nparams, nparams)
-    dg_all = dg_all.reshape(2 * nparams + 1, segs, nparams, nparams, nparams)
+    shifts = np.concatenate([np.zeros((1, nparams)), GEODESIC_FD_STEP * np.eye(nparams)])
+    probes = mids + shifts[:, None]   # probes[0] = mids, probes[1 + c] = mids + h e_c
+    g_all, dg_all = metric_with_gradient_many(model, probes)
     g, dg = g_all[0], dg_all[0]
-    d2g = np.empty((segs, nparams, nparams, nparams, nparams))
-    for c in range(nparams):
-        d2g[:, c] = (dg_all[1 + 2 * c] - dg_all[2 + 2 * c]) / (2 * GEODESIC_FD_STEP)
+    d2g = np.swapaxes(dg_all[1:] - dg, 0, 1) / GEODESIC_FD_STEP   # d2g[:, c] = d_c dg
 
     energy = float(np.einsum("kab,ka,kb->", g, delta, delta))
     gdelta = np.einsum("kab,kb->ka", g, delta)

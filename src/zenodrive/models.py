@@ -159,7 +159,14 @@ class LipkinModel(HamiltonianFamily):
         points = self.check_points(points)
         lam = points[..., 0, None, None]
         chi = points[..., 1, None, None]
-        return self._a0 + lam * self._alam + chi * self._achi + chi**2 * self._achi2
+        # ((a0 + lam A_lam) + chi A_chi) + chi^2 A_chi2, summed in place in that
+        # order: the bits of the plain expression, with one scratch array for its terms
+        out = lam * self._alam
+        out += self._a0
+        term = chi * self._achi
+        out += term
+        out += np.multiply(chi**2, self._achi2, out=term)
+        return out
 
     def derivative_many(self, points: np.ndarray, axis: int) -> np.ndarray:
         points = self.check_points(points, axis)

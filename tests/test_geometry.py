@@ -497,23 +497,39 @@ class TestGeodesic:
         # the Hessian blocks applied to v against a central difference of the
         # analytic energy gradient along v, on a perturbed N=4 chord; the
         # block-tridiagonal solve against a dense solve of the same system
-        model, segs, eps = LipkinModel(4), 16, 1e-5
         rng = np.random.default_rng(3)
-        start, end = np.array([0.2, 0.1]), np.array([1.8, 0.6])
-        points = start + np.linspace(0.0, 1.0, segs + 1)[:, None] * (end - start)
-        points[1:-1] += 0.02 * rng.uniform(-1.0, 1.0, size=(segs - 1, 2))
-        _, grad, blocks = zenodrive.geometry._energy_grad_hess(model, points)
+        points = perturbed_chord(np.array([0.2, 0.1]), np.array([1.8, 0.6]), 16, rng)
+        _, grad, blocks = zenodrive.geometry._energy_grad_hess(LipkinModel(4), points)
         hess = dense_hessian(blocks)
-        v = rng.normal(size=(segs - 1, 2))
-        shifted = [points.copy(), points.copy()]
-        shifted[0][1:-1] += eps * v
-        shifted[1][1:-1] -= eps * v
-        grads = [zenodrive.geometry._energy_grad_hess(model, p)[1][1:-1] for p in shifted]
-        difference = ((grads[0] - grads[1]) / (2 * eps)).ravel()
-        applied = hess @ v.ravel()
-        assert np.abs(applied - difference).max() <= 1e-6 * np.abs(difference).max()
+        assert hessian_gradient_gap(LipkinModel(4), points, rng.normal(size=(15, 2))) <= 1e-6
         assert np.array_equal(hess, hess.T)
         assert_solve_matches_dense(blocks, -grad[1:-1])
+
+    def test_hessian_matches_gradient_difference_on_the_domain_edge(self):
+        # every mid-point on chi = 0, where a probe below the mid would leave
+        # the domain; lam-only perturbations keep the points there (a central
+        # difference projected onto chi >= 0 gave 1.7e-6 here)
+        rng = np.random.default_rng(3)
+        points = perturbed_chord(np.array([0.2, 0.0]), np.array([1.8, 0.0]), 16, rng, axes=[0])
+        v = np.column_stack([rng.normal(size=15), np.zeros(15)])
+        assert hessian_gradient_gap(LipkinModel(4), points, v) <= 1e-7
+
+    def test_probes_one_forward_set_per_axis(self, monkeypatch):
+        # D + 1 metric-gradient points per segment, none below the lower bounds,
+        # on a path that starts on chi = 0
+        model, calls = LipkinModel(4), []
+
+        def counting(family, points):
+            calls.append(np.asarray(points))
+            return metric_with_gradient_many(family, points)
+
+        monkeypatch.setattr(zenodrive.geometry, "metric_with_gradient_many", counting)
+        rng = np.random.default_rng(3)
+        points = perturbed_chord(START, END, 16, rng, axes=[0])
+        zenodrive.geometry._energy_grad_hess(model, points)
+        probes = np.concatenate([c.reshape(-1, model.nparams) for c in calls])
+        assert len(probes) == (model.nparams + 1) * 16
+        assert np.all(probes >= model.lower_bounds)
 
     def test_solve_matches_dense_on_scalar_blocks(self):
         # D = 1: a random symmetric positive definite tridiagonal system
@@ -557,6 +573,25 @@ class TestGeodesic:
         monkeypatch.setattr(zenodrive.geometry, "_solve_hessian", broken)
         with pytest.raises(TypeError, match="not a failed solve"):
             geodesic(LipkinModel(4), START, END, 32)
+
+
+def perturbed_chord(start, end, segs, rng, axes=(0, 1)):
+    """The straight chord of ``segs`` segments, interior points moved by up to 0.02 along ``axes``."""
+    points = start + np.linspace(0.0, 1.0, segs + 1)[:, None] * (end - start)
+    points[1:-1, axes] += 0.02 * rng.uniform(-1.0, 1.0, size=(segs - 1, len(axes)))
+    return points
+
+
+def hessian_gradient_gap(model, points, v, eps=1e-5):
+    """Max gap between the Hessian applied to the interior step v and a central
+    difference of the analytic energy gradient along v, relative to the difference."""
+    hess = dense_hessian(zenodrive.geometry._energy_grad_hess(model, points)[2])
+    shifted = [points.copy(), points.copy()]
+    shifted[0][1:-1] += eps * v
+    shifted[1][1:-1] -= eps * v
+    grads = [zenodrive.geometry._energy_grad_hess(model, p)[1][1:-1] for p in shifted]
+    difference = ((grads[0] - grads[1]) / (2 * eps)).ravel()
+    return np.abs(hess @ v.ravel() - difference).max() / np.abs(difference).max()
 
 
 def dense_hessian(blocks, damping=0.0):

@@ -5,7 +5,8 @@ Each run below writes one CSV that is compared cell by cell with the copy in
 1e-12 relative.  A change that only restructures the code must pass this
 test unchanged.  After a change that is meant to alter the numbers, write
 new goldens with ``PYTHONPATH=src python tests/test_golden.py`` and say why
-in the commit; it rewrites only the goldens that fail the comparison.
+in the commit; it rewrites only the goldens that fail the comparison and
+prints the max absolute and relative shift of each of their float columns.
 """
 from __future__ import annotations
 
@@ -88,10 +89,45 @@ def _mismatch(name: str, path: Path) -> str | None:
     return None
 
 
+def _float_shifts(name: str, path: Path) -> list[str]:
+    """Max absolute and max relative shift of each float column of ``path``
+    against the golden of ``name``, one line per column; empty when the two
+    tables differ in shape or type and cannot be compared cell by cell."""
+    golden = GOLDEN_DIR / f"{name}.csv"
+    if not golden.exists():
+        return []
+    got, want = _read(path), _read(golden)
+    if len(got) != len(want) or any(len(a) != len(b) for a, b in zip(got, want)):
+        return []
+    lines = []
+    for column, header in enumerate(want[0]):
+        pairs = [(a[column], b[column]) for a, b in zip(got[1:], want[1:])]
+        if not pairs or not all(isinstance(a, float) and isinstance(b, float) for a, b in pairs):
+            continue
+        shift = max(abs(a - b) for a, b in pairs)
+        relative = max(abs(a - b) / max(abs(a), abs(b)) if a != b else 0.0 for a, b in pairs)
+        lines.append(f"  {header}: max abs shift {shift:.2e}, max rel shift {relative:.2e}")
+    return lines
+
+
 @pytest.mark.parametrize("name", sorted(RUNS))
 def test_cli_output_matches_golden(name, tmp_path):
     mismatch = _mismatch(name, _run(name, tmp_path))
     assert mismatch is None, mismatch
+
+
+def test_float_shifts_name_each_float_column(tmp_path, monkeypatch):
+    monkeypatch.setattr(sys.modules[__name__], "GOLDEN_DIR", tmp_path)
+    (tmp_path / "demo.csv").write_text("k,x,y,s\n1,1.0,0.0,a\n2,2.0,-4.0,b\n")
+    written = tmp_path / "written.csv"
+    written.write_text("k,x,y,s\n1,1.5,0.0,a\n2,2.0,-4.5,b\n")
+    assert _float_shifts("demo", written) == [
+        "  x: max abs shift 5.00e-01, max rel shift 3.33e-01",
+        "  y: max abs shift 5.00e-01, max rel shift 1.11e-01",
+    ]
+    written.write_text("k,x,y,s\n1,1.5,0.0,a\n")
+    assert _float_shifts("demo", written) == []
+    assert _float_shifts("missing", written) == []
 
 
 def write_goldens() -> None:
@@ -104,8 +140,11 @@ def write_goldens() -> None:
             if mismatch is None:
                 print(f"kept {GOLDEN_DIR / name}.csv", file=sys.stderr)
                 continue
+            shifts = _float_shifts(name, written)
             (GOLDEN_DIR / f"{name}.csv").write_bytes(written.read_bytes())
             print(f"wrote {GOLDEN_DIR / name}.csv ({mismatch})", file=sys.stderr)
+            for line in shifts:
+                print(line, file=sys.stderr)
 
 
 if __name__ == "__main__":

@@ -292,6 +292,21 @@ def test_n10_gap_regression_anchor():
     assert gap == pytest.approx(1.2998319990210732, rel=1e-12)
 
 
+@pytest.mark.parametrize("n", [1, 4, 10])
+@pytest.mark.parametrize("shape", [(), (5,), (3, 4)])
+def test_hamiltonian_is_the_plain_monomial_sum(n, shape):
+    # the in-place sum keeps the order ((a0 + lam A_lam) + chi A_chi) + chi^2 A_chi2
+    model = LipkinModel(n)
+    rng = np.random.default_rng(n)
+    points = np.stack([rng.uniform(-2.0, 3.0, shape), rng.uniform(0.0, 1.0, shape)], axis=-1)
+    points.reshape(-1, 2)[0] = (-1.5, 0.0)   # chi = 0 at negative lam
+    lam, chi = points[..., 0, None, None], points[..., 1, None, None]
+    plain = model._a0 + lam * model._alam + chi * model._achi + chi**2 * model._achi2
+    got = model.hamiltonian_many(points)
+    assert got.shape == shape + (n + 1, n + 1)
+    assert np.array_equal(got, plain)
+
+
 def test_batch_evaluators_match_single():
     model = LipkinModel(6)
     pts = np.array([[0.5, 0.1], [1.5, 0.9], [2.5, 0.0]])
