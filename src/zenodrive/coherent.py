@@ -91,8 +91,7 @@ def _step_unitaries(model, position_fn, total_time, knots):
     exponents = np.empty_like(hams)
     exponents[0::2] = ALPHA * h1 + BETA * h2
     exponents[1::2] = BETA * h1 + ALPHA * h2
-    # Plain eigh: the eigenvector phases cancel in V exp(-iE dt) V^dagger,
-    # and eigh_many's symmetrise would only add cost here.
+    # the eigenvector phases cancel in V exp(-iE dt) V^dagger, so none is fixed
     energies, states = np.linalg.eigh(exponents)
     phases = np.exp(-1j * energies * np.repeat(widths * total_time, 2)[:, None])
     return (states * phases[:, None, :]) @ np.conj(states).swapaxes(-1, -2)

@@ -60,6 +60,8 @@ class GeodesicDiagnostics:
     residual: float = np.inf
     energy_trace: list = field(default_factory=list)
     length_trace: list = field(default_factory=list)
+    trials: int = 0   # line-search energy evaluations
+    solves: int = 0   # Hessian solves, failed ones included
 
 
 def metric_many(model: HamiltonianFamily, points: np.ndarray, *, with_gap: bool = False):
@@ -101,8 +103,13 @@ def metric_with_gradient_many(
     return _metric_impl(model, points, with_gradient=True)[:2]
 
 
-def _metric_impl(model, points, *, with_gradient):
-    """Metric, gradient (or None) and gap, ``EIGH_BLOCK`` flattened points at a time."""
+def _metric_impl(model, points, *, with_gradient, eigensystem=None):
+    """Metric, gradient (or None) and gap, ``EIGH_BLOCK`` flattened points at a time.
+
+    ``eigensystem``, if given, is ``(energies, states)`` of the flattened
+    points' Hamiltonians, shapes (P, dim) and (P, dim, dim), and replaces their
+    diagonalization; the results are those of diagonalizing here.
+    """
     points = model.check_points(points)
     batch_shape, nparams = points.shape[:-1], model.nparams
     flat = points.reshape(-1, nparams)
@@ -112,7 +119,8 @@ def _metric_impl(model, points, *, with_gradient):
     clipped = False
     for lo in range(0, len(flat), EIGH_BLOCK):
         rows = slice(lo, lo + EIGH_BLOCK)
-        block_g, block_dg, gap[rows] = _metric_block(model, flat[rows], with_gradient)
+        block_eig = None if eigensystem is None else (eigensystem[0][rows], eigensystem[1][rows])
+        block_g, block_dg, gap[rows] = _metric_block(model, flat[rows], with_gradient, block_eig)
         if np.abs(block_g).max() > METRIC_CAP:
             clipped = True
             block_g = np.clip(block_g, -METRIC_CAP, METRIC_CAP)
@@ -130,11 +138,13 @@ def _metric_impl(model, points, *, with_gradient):
     return g, dg, gap.reshape(batch_shape)
 
 
-def _metric_block(model, points, with_gradient):
-    """Unclipped metric, gradient (or None) and gap of one (B, D) block of points."""
+def _metric_block(model, points, with_gradient, eigensystem=None):
+    """Unclipped metric, gradient (or None) and gap of one (B, D) block of points,
+    diagonalized here unless their ``eigensystem`` is given."""
     nparams = model.nparams
-    ham = model.hamiltonian_many(points)
-    energies, states = eigh_many(ham)
+    if eigensystem is None:
+        eigensystem = eigh_many(model.hamiltonian_many(points))
+    energies, states = eigensystem
     gap = energies[..., 1] - energies[..., 0]
     min_gap = float(gap.min())
     if min_gap <= GAP_FLOOR:
@@ -160,7 +170,7 @@ def _metric_block(model, points, with_gradient):
     if not with_gradient:
         return g, None, gap
 
-    dim = ham.shape[-1]
+    dim = states.shape[-1]
     eye = np.eye(dim, dtype=bool)
     # denom[j, i] = E_i - E_j, guarded on the diagonal and at accidental
     # excited-level crossings (those pair contributions are dropped)
@@ -302,31 +312,39 @@ def refine(path, factor: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def _discrete_energy(model, points):
+    """Path energy sum_k g(mid_k)[delta_k, delta_k] and the mid-points' eigensystems.
+
+    The eigensystems let ``_energy_grad_hess`` at the same points skip
+    diagonalizing the mid-points again.
+    """
     mids = 0.5 * (points[:-1] + points[1:])
     delta = points[1:] - points[:-1]
-    g = metric_many(model, mids)
-    return float(np.einsum("kab,ka,kb->", g, delta, delta))
+    eigensystem = eigh_many(model.hamiltonian_many(mids))
+    g = _metric_impl(model, mids, with_gradient=False, eigensystem=eigensystem)[0]
+    return float(np.einsum("kab,ka,kb->", g, delta, delta)), eigensystem
 
 
-def _energy_grad_hess(model, points):
+def _energy_grad_hess(model, points, eigensystem=None):
     """Energy, gradient, and the block-tridiagonal Hessian blocks ``_solve_hessian`` takes.
 
     The energy is sum_k g(mid_k)[delta_k, delta_k].  Metric values and first
-    derivatives are analytic; the second metric derivative entering the Hessian
-    is a forward difference of the analytic gradient, one probe mid_k + h e_c
-    per axis, so D + 1 points per segment go to ``metric_with_gradient_many``.
-    The probes lie above the mids and so inside the model domain.  The
-    difference error does not only slow the convergence: it moves the relaxed
-    points within the ``GEODESIC_GTOL`` basin.
+    derivatives are analytic, at the mids from their ``eigensystem`` as
+    ``_discrete_energy`` returns it (diagonalized here if not given); the
+    second metric derivative entering the Hessian is a forward difference of
+    the analytic gradient, one probe mid_k + h e_c per axis, so D points per
+    segment go to ``metric_with_gradient_many``.  The probes lie above the
+    mids and so inside the model domain.  The difference error does not only
+    slow the convergence: it moves the relaxed points within the
+    ``GEODESIC_GTOL`` basin.
     """
     nparams = model.nparams
     mids = 0.5 * (points[:-1] + points[1:])
     delta = points[1:] - points[:-1]
-    shifts = np.concatenate([np.zeros((1, nparams)), GEODESIC_FD_STEP * np.eye(nparams)])
-    probes = mids + shifts[:, None]   # probes[0] = mids, probes[1 + c] = mids + h e_c
-    g_all, dg_all = metric_with_gradient_many(model, probes)
-    g, dg = g_all[0], dg_all[0]
-    d2g = np.swapaxes(dg_all[1:] - dg, 0, 1) / GEODESIC_FD_STEP   # d2g[:, c] = d_c dg
+    if eigensystem is None:
+        eigensystem = eigh_many(model.hamiltonian_many(mids))
+    g, dg, _ = _metric_impl(model, mids, with_gradient=True, eigensystem=eigensystem)
+    probes = mids + GEODESIC_FD_STEP * np.eye(nparams)[:, None]   # probes[c] = mids + h e_c
+    d2g = np.swapaxes(metric_with_gradient_many(model, probes)[1] - dg, 0, 1) / GEODESIC_FD_STEP
 
     energy = float(np.einsum("kab,ka,kb->", g, delta, delta))
     gdelta = np.einsum("kab,kb->ka", g, delta)
@@ -349,26 +367,66 @@ def _solve_hessian(blocks, damping, rhs):
     """Solve (H + damping I) x = rhs for the block-tridiagonal interior Hessian H.
 
     H has diagonal blocks h_high[k] + h_low[k+1], h_cross[k+1] right of them
-    and its transpose below.  One block Thomas (LDL^T) sweep keeps
-    S_k^-1 [U_k | y_k] per pivot block S_k, then substitutes back; ``rhs`` and
-    x have shape (segs - 1, D).  A singular pivot raises ``np.linalg.LinAlgError``.
+    and its transpose below; ``rhs`` and x have shape (segs - 1, D).  A
+    singular block met by ``_cyclic_reduction`` raises ``np.linalg.LinAlgError``.
     """
     h_low, h_high, h_cross = blocks
+    diagonal = h_high[:-1] + h_low[1:] + damping * np.eye(rhs.shape[1])
+    return _cyclic_reduction(diagonal, h_cross[1:-1], rhs)
+
+
+def _cyclic_reduction(diagonal, upper, rhs):
+    """x with A x = rhs, A symmetric block-tridiagonal: (n, D, D) ``diagonal``
+    blocks, (n - 1, D, D) ``upper`` blocks right of them, ``rhs`` (n, D).
+
+    Block cyclic reduction: one batched ``np.linalg.solve`` eliminates the
+    even-numbered unknowns, which leaves a block-tridiagonal system in the odd
+    ones, half the size; recursing solves n unknowns in log2(n) + 1 levels.
+    """
     size, nparams = rhs.shape
-    pivots = h_high[:-1] + h_low[1:] + damping * np.eye(nparams)   # diagonal blocks, then S_k
-    eliminated = np.zeros((size, nparams, nparams + 1))   # [U_k | y_k]; no U_k at the last point
-    eliminated[:-1, :, :nparams] = h_cross[1:-1]
-    eliminated[:, :, nparams] = rhs
-    for k in range(size - 1):
-        eliminated[k] = np.linalg.solve(pivots[k], eliminated[k])
-        update = h_cross[k + 1].T @ eliminated[k]
-        pivots[k + 1] -= update[:, :nparams]
-        eliminated[k + 1, :, nparams] -= update[:, nparams]
-    eliminated[-1] = np.linalg.solve(pivots[-1], eliminated[-1])
-    step = eliminated[:, :, nparams]
-    for k in range(size - 2, -1, -1):
-        step[k] -= eliminated[k, :, :nparams] @ step[k + 1]
-    return step
+    if size == 0:
+        return rhs
+    if size % 2 == 0:   # pad to an odd size with a decoupled identity block, x = 0 there
+        diagonal = np.concatenate([diagonal, np.eye(nparams)[None]])
+        upper = np.concatenate([upper, np.zeros((1, nparams, nparams))])
+        rhs = np.concatenate([rhs, np.zeros((1, nparams))])
+    zero = np.zeros((1, nparams, nparams))
+    left = np.concatenate([zero, np.swapaxes(upper, 1, 2)])   # left[i] = A[i, i-1]
+    right = np.concatenate([upper, zero])                     # right[i] = A[i, i+1]
+    # D_i^-1 [A[i, i-1] | A[i, i+1] | b_i] at every even i = 2k
+    solved = np.linalg.solve(
+        diagonal[::2], np.concatenate([left[::2], right[::2], rhs[::2, :, None]], axis=2)
+    )
+    s_left, s_right, s_rhs = solved[..., :nparams], solved[..., nparams:-1], solved[..., -1:]
+    # odd i = 2k + 1 sits between the even 2k and 2k + 2
+    left_odd, right_odd = left[1::2], right[1::2]
+    odd = _cyclic_reduction(
+        diagonal[1::2] - (left_odd @ s_right[:-1] + right_odd @ s_left[1:]),
+        -right_odd[:-1] @ s_right[1:-1],
+        rhs[1::2] - (left_odd @ s_rhs[:-1] + right_odd @ s_rhs[1:])[..., 0],
+    )
+    padded = np.concatenate([np.zeros((1, nparams)), odd, np.zeros((1, nparams))])[..., None]
+    x = np.empty_like(rhs)
+    x[::2] = (s_rhs - (s_left @ padded[:-1] + s_right @ padded[1:]))[..., 0]
+    x[1::2] = odd
+    return x[:size]
+
+
+def _newton_step(blocks, damping, interior_grad):
+    """The damped Newton step, all NaN where ``_solve_hessian`` meets a singular block."""
+    try:
+        return _solve_hessian(blocks, damping, -interior_grad)
+    except np.linalg.LinAlgError:
+        return np.full_like(interior_grad, np.nan)   # fails every check on the step
+
+
+def _interior_gradient(model, points, grad):
+    """The gradient at the interior points, without components pushing against an active bound."""
+    interior_grad = grad[1:-1].copy()
+    if model.lower_bounds is not None:
+        at_bound = points[1:-1] <= model.lower_bounds + 1e-15
+        interior_grad[at_bound & (interior_grad > 0)] = 0.0
+    return interior_grad
 
 
 def geodesic(
@@ -384,11 +442,16 @@ def geodesic(
     Relaxes the discrete path energy sum_k g(mid_k)[delta_k, delta_k] over the
     interior points, starting from the constant-speed straight chord, with
     damped Newton steps (one block-tridiagonal ``_solve_hessian`` each, retried
-    with more damping at a singular pivot) and a step-halving line search on the
+    with more damping at a singular block) and a step-halving line search on the
     energy.  The energy minimizer is automatically a constant-speed discretization.
     Interior points are projected onto the model domain (e.g. chi >= 0) after
-    every trial step.  Returns the (steps+1, D) points, or ``(points, diag)``
-    with ``return_diagnostics``.
+    every trial step; a trial with a mid-point on a level crossing counts as one
+    of infinite energy.  Where the line search finds no lower energy (near the
+    minimum every trial energy can equal the current one to the last bit), one
+    undamped Newton step without resampling is taken instead if it lowers the
+    gradient residual; this step can leave the energy flat or raise it by
+    rounding.  Returns the (steps+1, D) points, or ``(points, diag)`` with
+    ``return_diagnostics``.
 
     Raises
     ------
@@ -396,7 +459,8 @@ def geodesic(
         If ``start`` or ``end`` fails ``model.check_points``.
     GeodesicConvergenceError
         If the maximum gradient component does not drop below ``GEODESIC_GTOL``
-        within ``GEODESIC_MAX_ITERATIONS``; the error carries the residual.
+        within ``GEODESIC_MAX_ITERATIONS``, or neither the line search nor the
+        undamped step makes progress; the error carries the residual.
     """
     if steps < 2:
         raise ValueError("need at least 2 steps")
@@ -421,11 +485,7 @@ def geodesic(
     resample_active = True
     segment_scale = max(float(np.linalg.norm(end - start)) / steps, 1e-300)
     for iteration in range(GEODESIC_MAX_ITERATIONS):
-        interior_grad = grad[1:-1].copy()
-        if model.lower_bounds is not None:
-            # projected gradient: ignore components pushing against an active bound
-            at_bound = points[1:-1] <= model.lower_bounds + 1e-15
-            interior_grad[at_bound & (interior_grad > 0)] = 0.0
+        interior_grad = _interior_gradient(model, points, grad)
         residual = float(np.abs(interior_grad).max())
         diag.iterations = iteration
         diag.residual = residual
@@ -436,10 +496,8 @@ def geodesic(
         while True:
             damping_try = damping
             for _ in range(40):
-                try:
-                    step = _solve_hessian(blocks, damping_try, -interior_grad)
-                except np.linalg.LinAlgError:
-                    step = np.full_like(interior_grad, np.nan)   # fails the checks below
+                step = _newton_step(blocks, damping_try, interior_grad)
+                diag.solves += 1
                 if np.all(np.isfinite(step)) and np.dot(step.ravel(), interior_grad.ravel()) < 0:
                     scale = 1.0
                     for _ in range(30):
@@ -449,7 +507,11 @@ def geodesic(
                         if resample_active:
                             trial = resample(trial, cumulative_lengths(model, trial), steps)
                             trial[:, :] = model.project_point(trial)
-                        trial_energy = _discrete_energy(model, trial)
+                        diag.trials += 1
+                        try:
+                            trial_energy, trial_eigensystem = _discrete_energy(model, trial)
+                        except DegenerateGroundStateError:
+                            trial_energy = np.inf   # a mid-point on a level crossing
                         if trial_energy < energy:
                             accepted = True
                             break
@@ -462,13 +524,26 @@ def geodesic(
             # the resampling's interpolation error now exceeds the attainable
             # energy decrease; drop it and polish with plain Newton steps
             resample_active = False
-        if not accepted:
-            raise GeodesicConvergenceError(residual, iteration)
-        if resample_active and float(np.abs(scale * step).max()) < 0.05 * segment_scale:
-            resample_active = False
-        points = trial
-        energy, grad, blocks = _energy_grad_hess(model, points)
-        damping = damping_try / 10 if damping_try > 1e-11 else 0.0
+        if accepted:
+            if resample_active and float(np.abs(scale * step).max()) < 0.05 * segment_scale:
+                resample_active = False
+            points = trial
+            energy, grad, blocks = _energy_grad_hess(model, points, trial_eigensystem)
+            damping = damping_try / 10 if damping_try > 1e-11 else 0.0
+        else:
+            # no trial lowered the energy, which near the minimum can be flat
+            # to rounding: keep the undamped Newton step if it lowers the residual
+            step = _newton_step(blocks, 0.0, interior_grad)
+            diag.solves += 1
+            if not np.all(np.isfinite(step)):
+                raise GeodesicConvergenceError(residual, iteration)
+            trial = points.copy()
+            trial[1:-1] += step
+            trial[:, :] = model.project_point(trial)
+            trial_energy, trial_grad, trial_blocks = _energy_grad_hess(model, trial)
+            if float(np.abs(_interior_gradient(model, trial, trial_grad)).max()) >= residual:
+                raise GeodesicConvergenceError(residual, iteration)
+            points, energy, grad, blocks = trial, trial_energy, trial_grad, trial_blocks
         diag.energy_trace.append(energy)
         if return_diagnostics:
             diag.length_trace.append(path_length(model, points))

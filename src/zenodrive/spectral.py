@@ -22,13 +22,12 @@ def eigh_many(matrices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Batched ``eigh`` over a stacked (..., n, n) array of Hermitian matrices.
 
     Returns ``(energies, states)`` with shapes (..., n) and (..., n, n).
-    Symmetry is enforced by averaging rather than validated.  Inputs come from
-    the ``HamiltonianFamily`` maps, whose ``check_points`` rejects bad
-    parameter points before any matrix is built.
+    Only the lower triangle is read, as by ``np.linalg.eigh``; symmetry is
+    neither enforced nor validated.  Inputs come from the ``HamiltonianFamily``
+    maps, which build exactly Hermitian matrices and whose ``check_points``
+    rejects bad parameter points before any matrix is built.
     """
-    matrices = np.asarray(matrices)
-    sym = 0.5 * (matrices + np.conj(np.swapaxes(matrices, -1, -2)))
-    return np.linalg.eigh(sym)
+    return np.linalg.eigh(matrices)
 
 
 def warn_if_degenerate(energies: np.ndarray) -> None:

@@ -515,8 +515,8 @@ class TestGeodesic:
         assert hessian_gradient_gap(LipkinModel(4), points, v) <= 1e-7
 
     def test_probes_one_forward_set_per_axis(self, monkeypatch):
-        # D + 1 metric-gradient points per segment, none below the lower bounds,
-        # on a path that starts on chi = 0
+        # D metric-gradient points per segment (the mids come from their
+        # eigensystems), none below the lower bounds, on a path that starts on chi = 0
         model, calls = LipkinModel(4), []
 
         def counting(family, points):
@@ -528,7 +528,7 @@ class TestGeodesic:
         points = perturbed_chord(START, END, 16, rng, axes=[0])
         zenodrive.geometry._energy_grad_hess(model, points)
         probes = np.concatenate([c.reshape(-1, model.nparams) for c in calls])
-        assert len(probes) == (model.nparams + 1) * 16
+        assert len(probes) == model.nparams * 16
         assert np.all(probes >= model.lower_bounds)
 
     def test_solve_matches_dense_on_scalar_blocks(self):
@@ -542,6 +542,113 @@ class TestGeodesic:
         )
         assert np.all(np.linalg.eigvalsh(dense_hessian(blocks)) > 0)
         assert_solve_matches_dense(blocks, rng.normal(size=(segs - 1, 1)))
+
+    @pytest.mark.parametrize("nparams", [1, 2, 3])
+    @pytest.mark.parametrize("size", [1, 2, 3, 7, 255])
+    def test_cyclic_reduction_matches_dense(self, nparams, size):
+        # random symmetric positive definite block-tridiagonal systems, odd and
+        # even sizes, one to eight reduction levels
+        rng = np.random.default_rng(100 * nparams + size)
+        segs = size + 1
+
+        def spd(count):
+            a = rng.normal(size=(count, nparams, nparams))
+            return a @ np.swapaxes(a, 1, 2) + 2 * nparams * np.eye(nparams)
+
+        blocks = (spd(segs), spd(segs), rng.normal(size=(segs, nparams, nparams)))
+        assert np.all(np.linalg.eigvalsh(dense_hessian(blocks)) > 0)
+        assert_solve_matches_dense(blocks, rng.normal(size=(size, nparams)))
+
+    def test_energy_grad_hess_from_line_search_eigensystem(self):
+        # the mid-point eigensystems the line-search energy keeps give the same
+        # bits as diagonalizing again, also across an EIGH_BLOCK boundary
+        model = LipkinModel(4)
+        segs = zenodrive.geometry.EIGH_BLOCK + 44
+        rng = np.random.default_rng(3)
+        points = perturbed_chord(np.array([0.2, 0.1]), np.array([1.8, 0.6]), segs, rng)
+        energy, eigensystem = zenodrive.geometry._discrete_energy(model, points)
+        reused = zenodrive.geometry._energy_grad_hess(model, points, eigensystem)
+        fresh = zenodrive.geometry._energy_grad_hess(model, points)
+        assert reused[0] == fresh[0] == energy
+        assert np.array_equal(reused[1], fresh[1])
+        for a, b in zip(reused[2], fresh[2]):
+            assert np.array_equal(a, b)
+        mids = 0.5 * (points[:-1] + points[1:])
+        from_eigensystem = zenodrive.geometry._metric_impl(
+            model, mids, with_gradient=True, eigensystem=eigensystem
+        )
+        for a, b in zip(from_eigensystem, metric_with_gradient_many(model, mids)):
+            assert np.array_equal(a, b)
+
+    def test_diagnostics_count_trials_and_solves(self, monkeypatch):
+        energies, solves = [], []
+        discrete_energy = zenodrive.geometry._discrete_energy
+        solve_hessian = zenodrive.geometry._solve_hessian
+
+        def counting_energy(*args):
+            energies.append(1)
+            return discrete_energy(*args)
+
+        def counting_solve(*args):
+            solves.append(1)
+            return solve_hessian(*args)
+
+        monkeypatch.setattr(zenodrive.geometry, "_discrete_energy", counting_energy)
+        monkeypatch.setattr(zenodrive.geometry, "_solve_hessian", counting_solve)
+        _, diag = geodesic(LipkinModel(4), START, END, 48, return_diagnostics=True)
+        assert diag.trials == len(energies) >= diag.iterations > 0
+        assert diag.solves == len(solves) >= diag.iterations
+
+    def test_trial_on_a_level_crossing_is_rejected(self, monkeypatch):
+        # a trial whose mid-points include a degenerate one counts as a trial of
+        # infinite energy: the line search halves the step instead of raising
+        discrete_energy = zenodrive.geometry._discrete_energy
+        calls = []
+
+        def degenerate_first(model, points):
+            calls.append(1)
+            if len(calls) == 1:
+                raise DegenerateGroundStateError(0.0)
+            return discrete_energy(model, points)
+
+        monkeypatch.setattr(zenodrive.geometry, "_discrete_energy", degenerate_first)
+        _, diag = geodesic(LipkinModel(4), START, END, 32, return_diagnostics=True)
+        assert diag.residual < zenodrive.geometry.GEODESIC_GTOL
+        assert diag.trials == len(calls) > diag.iterations
+
+    @pytest.mark.parametrize("segs", [44, 48])
+    def test_converges_where_the_energy_is_flat(self, lipkin10, segs):
+        # at N=10, 48 segments the block Thomas sweep left every trial energy
+        # near the minimum equal to the current one bit for bit while the
+        # residual was still 1.1e-9
+        _, diag = geodesic(lipkin10, START, END, segs, return_diagnostics=True)
+        assert diag.residual < zenodrive.geometry.GEODESIC_GTOL
+
+    def test_undamped_step_when_no_trial_lowers_the_energy(self, monkeypatch):
+        # after the first three trials every trial energy reads infinite, so
+        # only the undamped Newton steps after the failed line searches move
+        # the path on; they reach the same minimum
+        model = LipkinModel(4)
+        relaxed = geodesic(model, START, END, 16)
+        discrete_energy = zenodrive.geometry._discrete_energy
+        calls = []
+
+        def flat_after_three(model, points):
+            calls.append(1)
+            return discrete_energy(model, points) if len(calls) <= 3 else (np.inf, None)
+
+        monkeypatch.setattr(zenodrive.geometry, "_discrete_energy", flat_after_three)
+        path, diag = geodesic(model, START, END, 16, return_diagnostics=True)
+        assert diag.residual < zenodrive.geometry.GEODESIC_GTOL
+        assert diag.trials == len(calls) > 2 * 40 * 30   # a whole line search failed
+        assert np.abs(path - relaxed).max() <= 1e-9
+
+    def test_undamped_step_that_does_not_lower_the_residual_raises(self, monkeypatch):
+        monkeypatch.setattr(zenodrive.geometry, "_solve_hessian",
+                            lambda blocks, damping, rhs: np.zeros_like(rhs))
+        with pytest.raises(GeodesicConvergenceError) as err:
+            geodesic(LipkinModel(4), START, END, 16)
+        assert err.value.iterations == 0 and err.value.residual > 0
 
     def test_singular_pivot_raises(self):
         rng = np.random.default_rng(7)

@@ -105,11 +105,18 @@ def test_random_point_containment_small_n():
 
 
 def test_real_symmetric():
-    model = LipkinModel(7)
-    for lam, chi in GRID:
-        h = model.hamiltonian_many(np.array([lam, chi]))
+    # exactly symmetric, bit for bit, over batched points: eigh_many reads
+    # only the lower triangle
+    rng = np.random.default_rng(11)
+    lipkin_points = np.concatenate([GRID, rng.uniform([-3.0, 0.0], [3.0, 2.0], size=(64, 2))])
+    for model, points in [
+        (LipkinModel(7), lipkin_points),
+        (LipkinModel(10), lipkin_points),
+        (TwoLevelModel(), rng.uniform(-4.0, 4.0, size=(70, 1))),
+    ]:
+        h = model.hamiltonian_many(points.reshape(10, 7, model.nparams))
         assert np.isrealobj(h)
-        assert np.abs(h - h.T).max() <= 1e-14
+        assert np.array_equal(h, np.swapaxes(h, -1, -2))
 
 
 def test_rejects_negative_chi():
