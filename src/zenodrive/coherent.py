@@ -75,6 +75,20 @@ class CoherentResult:
         return 1.0 - self.fidelity
 
 
+def _sorted_distinct(values):
+    """``np.unique`` of a finite 1-D float array, bit for bit, by sort and neighbour mask.
+
+    ``np.unique`` (and so ``np.union1d``) imports ``numpy.ma`` on its first
+    call: about 1.2 MB of resident memory and 10 ms per process with numpy 2.4
+    on a 2-vCPU x86 host.
+    """
+    values = np.sort(values)
+    keep = np.empty(values.size, dtype=bool)
+    keep[:1] = True
+    keep[1:] = values[1:] != values[:-1]
+    return values[keep]
+
+
 def _ground_states(model, position_fn, fractions):
     """Ground states at the given time fractions, shape (len(fractions), dim)."""
     points = position_fn(np.asarray(fractions, dtype=float))
@@ -163,7 +177,7 @@ def integrate_schrodinger(
     trace = np.asarray([] if trace_times is None else trace_times, dtype=float)
     if not np.all(np.isfinite(trace)):
         raise ValueError("trace_times must be finite (got NaN or infinity)")
-    trace = np.unique(np.clip(trace, 0.0, total_time))
+    trace = _sorted_distinct(np.clip(trace, 0.0, total_time))
     fractions = trace / total_time if total_time else trace
     initial, target = _ground_states(model, position_fn, [0.0, 1.0])
 
@@ -184,7 +198,7 @@ def integrate_schrodinger(
 
     def run(steps):
         """States at the trace fractions and at fraction 1 (last), and the fidelity."""
-        knots = np.union1d(np.arange(steps + 1) / steps, fractions)
+        knots = _sorted_distinct(np.concatenate([np.arange(steps + 1) / steps, fractions]))
         marks = np.append(np.searchsorted(knots, fractions), knots.size - 1)
         states = _propagate(model, position_fn, total_time, knots, marks, initial)
         return states, float(np.abs(np.vdot(target, states[-1])) ** 2)

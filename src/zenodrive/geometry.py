@@ -225,18 +225,23 @@ def _eigenbases_along(model: HamiltonianFamily, points: np.ndarray, eigh):
     ``DegeneracyWarning``, naming the smallest level spacing on the path.
     ``eigh`` is the caller's own ``eigh_many`` binding, so the per-module
     trace in ``benchmarks/layers.py`` still tells the chain from the table.
+    Beyond the block in hand it keeps two small copies, never views that would
+    pin a whole block: the previous block's last eigenbasis, and the one
+    spectrum with the smallest level spacing so far, which stands in for the
+    path in the warning.
     """
     points = model.check_points(points)
-    closest = []
+    closest, closest_spacing = np.zeros((0, model.dim)), np.inf
     previous = np.zeros((0, model.dim, model.dim))   # no eigenbasis before the first block
     for lo in range(0, len(points), EIGH_BLOCK):
         energies, states = eigh(model.hamiltonian_many(points[lo : lo + EIGH_BLOCK]))
-        # the block's most nearly degenerate spectrum stands in for it in the warning
         spacings = np.diff(energies, axis=-1)
-        closest.append(energies[np.unravel_index(spacings.argmin(), spacings.shape)[0]])
+        row, col = np.unravel_index(spacings.argmin(), spacings.shape)
+        if spacings[row, col] < closest_spacing:
+            closest, closest_spacing = energies[row : row + 1].copy(), spacings[row, col]
         yield np.concatenate([previous, states])
-        previous = states[-1:]
-    warn_if_degenerate(np.array(closest))
+        previous = states[-1:].copy()
+    warn_if_degenerate(closest)
 
 
 def step_lengths_along(model: HamiltonianFamily, points: np.ndarray) -> np.ndarray:
@@ -264,9 +269,18 @@ def path_length(model: HamiltonianFamily, path) -> float:
 
 
 def cumulative_lengths(model: HamiltonianFamily, points: np.ndarray) -> np.ndarray:
-    """Cumulative metric length table along a polyline, shape (M+1,)."""
-    dl = step_lengths_along(model, points)
-    return np.concatenate([[0.0], np.cumsum(dl)])
+    """Cumulative metric length table along a polyline, shape (M+1,).
+
+    Each block's step lengths, as ``step_lengths_along`` gives them, are
+    written into the one returned array, which then holds their running sum.
+    """
+    table = np.zeros(max(len(points), 1))
+    done = 1
+    for states in _eigenbases_along(model, points, eigh_many):
+        lengths = ground_step_lengths(states)
+        table[done : done + len(lengths)] = lengths
+        done += len(lengths)
+    return np.cumsum(table, out=table)
 
 
 def cumulative_euclidean(points: np.ndarray) -> np.ndarray:

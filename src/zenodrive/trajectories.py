@@ -1,9 +1,9 @@
 """Driving-path families with dense length tables.
 
 A Trajectory bundles a densely sampled curve between the driving endpoints with
-cumulative metric and Euclidean length tables, so that stroboscopic
-discretizations for many step counts, and time laws for coherent driving, can
-all be read off the same tables.
+its cumulative metric length table and the length table of its time law, so
+that stroboscopic discretizations for many step counts, and time laws for
+coherent driving, can all be read off the same tables.
 
 Three families are supported: the geodesic at constant manifold speed, the
 straight line at constant manifold speed, and the straight line at constant
@@ -32,12 +32,19 @@ SEGMENTS_PER_STEP = 10
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Densely sampled driving trajectory with precomputed length tables."""
+    """Densely sampled driving trajectory with precomputed length tables.
+
+    ``metric_cumlen`` is the cumulative ground-state (metric) length at each
+    point, (M+1,), and gives ``length``.  ``law_cumlen`` is the cumulative
+    length the family's time law advances at constant rate: plane
+    (Euclidean) length for linear-u, and the ``metric_cumlen`` array itself
+    for the constant-manifold-speed families.
+    """
 
     family: str
     points: np.ndarray
     metric_cumlen: np.ndarray
-    euclid_cumlen: np.ndarray
+    law_cumlen: np.ndarray
 
     @property
     def length(self) -> float:
@@ -49,10 +56,6 @@ class Trajectory:
         """Largest step count the table resolves, ``SEGMENTS_PER_STEP`` segments per step."""
         return (self.points.shape[0] - 1) // SEGMENTS_PER_STEP
 
-    def _table(self) -> np.ndarray:
-        """Length table of the family's speed law: plane length for linear-u, metric otherwise."""
-        return self.euclid_cumlen if self.family == "linear-u" else self.metric_cumlen
-
     def discretize(self, steps: int) -> np.ndarray:
         """Stroboscopic path, (steps+1, D) points, at the family's speed law."""
         if steps < 1:
@@ -62,7 +65,7 @@ class Trajectory:
                 f"trajectory table too coarse: {self.points.shape[0] - 1} segments cannot "
                 f"resolve {steps} steps (need >= {SEGMENTS_PER_STEP * steps})"
             )
-        return resample(self.points, self._table(), steps)
+        return resample(self.points, self.law_cumlen, steps)
 
     def position_at(self, fractions: np.ndarray) -> np.ndarray:
         """Points at given fractions of elapsed driving time.
@@ -71,9 +74,8 @@ class Trajectory:
         metric length per unit time for constant-manifold-speed families, equal
         plane distance for constant-plane-speed ones.
         """
-        table = self._table()
-        targets = np.clip(np.asarray(fractions, dtype=float), 0.0, 1.0) * table[-1]
-        return interpolate_at(self.points, table, targets)
+        targets = np.clip(np.asarray(fractions, dtype=float), 0.0, 1.0) * self.law_cumlen[-1]
+        return interpolate_at(self.points, self.law_cumlen, targets)
 
 
 def build_trajectory(
@@ -105,9 +107,6 @@ def build_trajectory(
         dense = refine(base, max(1, int(np.ceil(dense_steps / geodesic_steps))))
     else:
         dense = refine(np.array([start, end]), dense_steps)
-    return Trajectory(
-        family=family,
-        points=dense,
-        metric_cumlen=cumulative_lengths(model, dense),
-        euclid_cumlen=cumulative_euclidean(dense),
-    )
+    metric = cumulative_lengths(model, dense)
+    law = cumulative_euclidean(dense) if family == "linear-u" else metric
+    return Trajectory(family=family, points=dense, metric_cumlen=metric, law_cumlen=law)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,16 @@ from zenodrive import LipkinModel, TwoLevelModel, build_trajectory
 
 START = np.array([0.0, 0.0])
 END = np.array([2.0, 0.5])
+
+
+def traced_peak(fn):
+    """Peak bytes ``tracemalloc`` traces while ``fn()`` runs; its result is dropped."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 @pytest.fixture(scope="session")

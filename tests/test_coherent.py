@@ -1,7 +1,7 @@
-import tracemalloc
 
 import numpy as np
 import pytest
+from conftest import traced_peak
 
 from zenodrive import coherent
 from zenodrive.coherent import (
@@ -223,6 +223,42 @@ class TestIntegrator:
         assert abs(result.infidelity - reference) <= 3e-8
 
 
+class TestSortedDistinct:
+    """``_sorted_distinct`` stands in for ``np.unique`` and ``np.union1d`` bit for bit."""
+
+    @staticmethod
+    def bits(values):
+        return values.view(np.int64)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_matches_numpy_set_routines(self, seed):
+        rng = np.random.default_rng(seed)
+        steps = int(rng.integers(1, 300))
+        grid = np.arange(steps + 1) / steps
+        # fractions with repeats, grid points and both end points among them
+        fractions = rng.uniform(0.0, 1.0, size=int(rng.integers(1, 40)))
+        fractions = np.concatenate([fractions, fractions[:3], grid[:: 1 + steps // 4], [0.0, 1.0]])
+        rng.shuffle(fractions)
+        unique = coherent._sorted_distinct(fractions)
+        assert self.bits(unique).tolist() == self.bits(np.unique(fractions)).tolist()
+        knots = coherent._sorted_distinct(np.concatenate([grid, fractions]))
+        assert self.bits(knots).tolist() == self.bits(np.union1d(grid, fractions)).tolist()
+
+    def test_empty_and_single(self):
+        for values in (np.zeros(0), np.array([0.25])):
+            got = coherent._sorted_distinct(values)
+            assert got.dtype == float
+            assert self.bits(got).tolist() == self.bits(np.unique(values)).tolist()
+
+    def test_empty_trace_request(self, two_level):
+        # no trace times at all, as in coherent_sweep, and an empty list
+        plain = integrate_schrodinger(two_level, angle_ramp(np.pi), 3.0)
+        traced = integrate_schrodinger(two_level, angle_ramp(np.pi), 3.0, trace_times=[])
+        assert plain.trace_times is None
+        assert traced.trace_times.shape == traced.trace_fidelity.shape == (0,)
+        assert traced.fidelity == plain.fidelity
+
+
 def linear_chord(fractions):
     """The default driving chord from (0, 0) to (2, 0.5) at uniform parameter speed."""
     return np.asarray(fractions, dtype=float)[..., None] * np.array([2.0, 0.5])
@@ -274,12 +310,9 @@ class TestStreamedProduct:
         steps = 4096
         knots = np.arange(steps + 1) / steps
         initial = coherent._ground_states(model, linear_chord, [0.0])[0]
-        tracemalloc.start()
-        try:
-            coherent._propagate(model, linear_chord, 40.0, knots, [steps], initial)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak = traced_peak(
+            lambda: coherent._propagate(model, linear_chord, 40.0, knots, [steps], initial)
+        )
         assert peak <= 16e6
 
 

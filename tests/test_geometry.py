@@ -1,8 +1,8 @@
-import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
+from conftest import traced_peak
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
@@ -11,6 +11,7 @@ import zenodrive.geometry
 from zenodrive.geometry import (
     DegenerateGroundStateError,
     GeodesicConvergenceError,
+    cumulative_euclidean,
     cumulative_lengths,
     geodesic,
     interpolate_at,
@@ -643,6 +644,17 @@ class TestGeodesic:
         assert diag.trials == len(calls) > 2 * 40 * 30   # a whole line search failed
         assert np.abs(path - relaxed).max() <= 1e-9
 
+    def test_leaves_the_saddle_at_n10_12_segments(self, lipkin10):
+        # for about 60 iterations the path sits near a saddle of the discrete
+        # energy (0.117690, length 2.243), where most trial energies equal the
+        # current one; the line search's heavily damped rungs find the descent
+        # to the minimum, and a search cut short at flat trials stops on the
+        # saddle with a residual below GEODESIC_GTOL
+        path, diag = geodesic(lipkin10, START, END, 12, return_diagnostics=True)
+        assert diag.residual < zenodrive.geometry.GEODESIC_GTOL
+        assert diag.energy_trace[-1] == pytest.approx(0.072766, abs=1e-6)
+        assert path_length(lipkin10, path) == pytest.approx(1.6896, abs=1e-4)
+
     def test_undamped_step_that_does_not_lower_the_residual_raises(self, monkeypatch):
         monkeypatch.setattr(zenodrive.geometry, "_solve_hessian",
                             lambda blocks, damping, rhs: np.zeros_like(rhs))
@@ -827,13 +839,23 @@ class TestStreamedLengths:
         # the whole 20 001-point N=10 stack is about 19 MB per temporary
         chord = START + np.linspace(0, 1, 20001)[:, None] * (END - START)
         model = LipkinModel(10)
-        tracemalloc.start()
-        try:
-            cumulative_lengths(model, chord)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak = traced_peak(lambda: cumulative_lengths(model, chord))
         assert peak <= 24e6
+
+    def test_long_table_holds_one_block_beyond_itself(self):
+        # 100 001 N=10 points: the table is 0.8 MB; 10.85 MB traced when each
+        # block's spectrum stayed pinned for the warning and the table was
+        # concatenated, summed and concatenated again, 2.0 MB in one array
+        chord = START + np.linspace(0, 1, 100001)[:, None] * (END - START)
+        model = LipkinModel(10)
+        assert traced_peak(lambda: cumulative_lengths(model, chord)) <= 3e6
+
+    @pytest.mark.parametrize("count", [0, 1, 2, 8, 100])
+    def test_table_is_the_running_sum_of_the_step_lengths(self, count, batch_sizes):
+        model = LipkinModel(4)
+        points = START + np.linspace(0, 1, count)[:, None] * (END - START)
+        expected = np.concatenate([[0.0], np.cumsum(step_lengths_along(model, points))])
+        assert np.array_equal(cumulative_lengths(model, points), expected)
 
 
 class TestStreamedMetric:
@@ -901,12 +923,7 @@ class TestStreamedMetric:
         # the geodesic's probe batch at N=10: about 18 MB traced in one batch
         model = LipkinModel(10)
         points = self.probes(1280)
-        tracemalloc.start()
-        try:
-            metric_with_gradient_many(model, points)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak = traced_peak(lambda: metric_with_gradient_many(model, points))
         assert peak <= 8e6
 
 
@@ -939,12 +956,7 @@ class TestInterpolateAt:
         cumlen = np.linspace(0.0, 1.0, 100001)
         points = np.column_stack([cumlen, cumlen**2])
         targets = np.linspace(0.0, 1.0, 11)
-        tracemalloc.start()
-        try:
-            interpolate_at(points, cumlen, targets)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak = traced_peak(lambda: interpolate_at(points, cumlen, targets))
         assert peak <= 0.1e6
 
 
@@ -1017,6 +1029,18 @@ class TestReparameterize:
         dense = refine(pts, 10)
         assert dense.shape == (101, 2)
         assert np.abs(dense[::10] - pts).max() <= 1e-15
+
+    @pytest.mark.parametrize("family", ["geodesic", "linear-v", "linear-u"])
+    def test_trajectory_tables(self, family):
+        model = LipkinModel(4)
+        trajectory = build_trajectory(model, family, START, END, dense_steps=64, geodesic_steps=8)
+        assert np.array_equal(
+            trajectory.metric_cumlen, cumulative_lengths(model, trajectory.points)
+        )
+        if family == "linear-u":
+            assert np.array_equal(trajectory.law_cumlen, cumulative_euclidean(trajectory.points))
+        else:   # a constant-manifold-speed law runs along the metric table itself
+            assert trajectory.law_cumlen is trajectory.metric_cumlen
 
     def test_cumulative_lengths_monotone(self, lipkin10):
         pts = START + np.linspace(0, 1, 301)[:, None] * (END - START)

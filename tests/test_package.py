@@ -45,3 +45,29 @@ print(code, sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy
     )
     assert out.stdout.strip() == "0 []"
     assert (tmp_path / "out" / "zeno.csv").read_text().count("\n") == 3   # header + 2 rows
+
+
+def test_integrator_runs_skip_numpy_ma(tmp_path):
+    # np.unique and np.union1d import numpy.ma on first use, about 1.2 MB and
+    # 10 ms per process; a CLI run and an integration with a trace need neither
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    probe = f"""
+import sys
+
+import numpy as np
+
+import zenodrive.cli
+from zenodrive import LipkinModel
+from zenodrive.coherent import integrate_schrodinger
+
+code = zenodrive.cli.main(["compare", "--model.N", "4", "--times.T", "1",
+                           "--out", {str(tmp_path / "out")!r}, "--jobs", "1"])
+chord = lambda fractions: np.asarray(fractions)[..., None] * np.array([2.0, 0.5])
+integrate_schrodinger(LipkinModel(4), chord, 2.0, trace_times=[0.0, 0.5, 0.5, 2.0])
+print(code, "numpy.ma" in sys.modules)
+"""
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "0 False"
