@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .coherent import integrate_schrodinger, minimal_steps
+from .coherent import _sorted_distinct, integrate_schrodinger, minimal_steps
 from .geometry import metric_many, step_lengths_along
 from .models import LipkinModel
 # run_stroboscopic is not called here; benchmarks/layers.py traces it under this name
@@ -78,7 +78,7 @@ def _parse_value(key: str, raw: str):
             lo, hi, num = float(lo), float(hi), int(num)
             vals = np.geomspace(lo, hi, num) if tag == "log" else np.linspace(lo, hi, num)
             if kind == "intlist":
-                return tuple(int(v) for v in np.unique(np.round(vals).astype(int)))
+                return tuple(int(v) for v in _sorted_distinct(np.round(vals).astype(int)))
             return tuple(float(v) for v in vals)
         return tuple(cast(p) for p in raw.split(","))
     raise ValueError(f"unhandled kind for {key}")

@@ -3,9 +3,15 @@
 The propagator is the fourth-order commutator-free Magnus scheme (CF4) of
 Blanes & Moan, Appl. Numer. Math. 56, 1519 (2006) and Alvermann & Fehske,
 J. Comput. Phys. 230, 5930 (2011): each step samples the Hamiltonian at its
-two Gauss nodes and applies two exact exponentials, built through the
-spectral decomposition, to the state in time order, so the evolution is
-unconditionally unitary and fourth order in the step.  The step count
+two Gauss nodes and applies two exponentials to the state in time order,
+so the evolution is fourth order in the step.  The exponentials are not
+diagonalized: a truncated Taylor series of cos and sin with scaling and
+double-angle steps (``_expm_minus_i``) builds them from matrix products, so
+they are unitary to rounding, not by construction.  On N=10 linear-v at
+T = 1 ... 600, max|U^dagger U - I| per exponential is 3.3e-16 - 1.1e-15
+(6.0e-15 - 7.6e-15 through ``np.linalg.eigh``), and I_coh is within
+1.5e-17 ... 1.9e-14 of a long-double run on the same steps (eigh:
+1.6e-16 ... 3.0e-13).  The step count
 doubles adaptively until the final ground-state fidelity is converged; trace
 times are exact step boundaries.  On top of the integrator sit the
 infidelity-versus-time sweep and the search for the smallest stroboscopic
@@ -41,6 +47,11 @@ FLOOR_ULPS = 64
 GAUSS_NODES = np.array([0.5 - np.sqrt(3.0) / 6.0, 0.5 + np.sqrt(3.0) / 6.0])
 ALPHA = (3.0 + 2.0 * np.sqrt(3.0)) / 12.0
 BETA = (3.0 - 2.0 * np.sqrt(3.0)) / 12.0
+# Taylor coefficients of cos y (column 0) and sin y / y (column 1) in powers
+# of y^2, constant term first, through y^18 and y^19
+TAYLOR = np.array(
+    [[(-1) ** k / math.factorial(2 * k + odd) for odd in (0, 1)] for k in range(10)]
+)
 
 
 class IntegratorConvergenceError(RuntimeError):
@@ -76,11 +87,12 @@ class CoherentResult:
 
 
 def _sorted_distinct(values):
-    """``np.unique`` of a finite 1-D float array, bit for bit, by sort and neighbour mask.
+    """``np.unique`` of 1-D integers or finite floats, bit for bit, by sort and neighbour mask.
 
     ``np.unique`` (and so ``np.union1d``) imports ``numpy.ma`` on its first
     call: about 1.2 MB of resident memory and 10 ms per process with numpy 2.4
-    on a 2-vCPU x86 host.
+    on a 2-vCPU x86 host.  The integrator's knots and trace times and the
+    CLI's ``log:`` and ``lin:`` integer lists go through this instead.
     """
     values = np.sort(values)
     keep = np.empty(values.size, dtype=bool)
@@ -95,8 +107,59 @@ def _ground_states(model, position_fn, fractions):
     return eigh_many(model.hamiltonian_many(points))[1][..., :, 0]
 
 
+def _expm_minus_i(x):
+    """exp(-ix) = cos x - i sin x for a stack ``x`` of Hermitian matrices, shape (B, n, n).
+
+    Truncated Taylor series with scaling and double-angle steps (Higham,
+    SIAM J. Matrix Anal. Appl. 26, 1179 (2005); for cos and sin together,
+    Al-Mohy, Higham & Relton, SIAM J. Sci. Comput. 37, A456 (2015)).  Each
+    matrix is scaled to y = x / 2**s with s = ceil(log2 ||x||_inf) (s = 0
+    when ||x||_inf <= 1); cos y and sin y are summed by Horner in y^2
+    through y^18 and y^19, whose first omitted terms are below 1e-17 for
+    ||y|| <= 1; s double-angle steps cos 2y = (C - S)(C + S) and
+    sin 2y = 2SC, with C = cos y and S = sin y, undo the scaling.  Each
+    matrix takes its own s, so a result does not depend on the rest of the
+    batch.  The result is unitary to rounding, not by construction: the
+    defect max|U^dagger U - I| is a few eps and about doubles with each
+    double-angle step.
+    """
+    n = x.shape[-1]
+    # norm = mantissa * 2**exponent with mantissa in [0.5, 1), so this is
+    # ceil(log2 norm) exactly, also at powers of two
+    mantissa, exponent = np.frexp(np.abs(x).sum(axis=-1).max(axis=-1, initial=0.0))
+    squarings = np.maximum(exponent - (mantissa == 0.5), 0)
+    y = x * (0.5**squarings)[:, None, None]
+    y2 = y @ y
+    # cos y, then sin y / y, by Horner in y^2 from the top coefficient down
+    series = []
+    for coefficients in TAYLOR.T:
+        poly = np.zeros_like(y2)
+        poly.reshape(-1, n * n)[:, :: n + 1] = coefficients[-1]
+        for coefficient in coefficients[-2::-1]:
+            poly = poly @ y2
+            poly.reshape(-1, n * n)[:, :: n + 1] += coefficient
+        series.append(poly)
+    cos, sin = series[0], y @ series[1]
+    for done in range(squarings.max(initial=0)):
+        more = (squarings > done)[:, None, None]
+        cos, sin = (
+            np.where(more, (cos - sin) @ (cos + sin), cos),
+            np.where(more, 2.0 * sin @ cos, sin),
+        )
+    # cos - i sin, summed in place: one (B, n, n) complex temporary fewer,
+    # which measured 0.5 MB of peak resident memory in the CF4 workloads
+    unitaries = sin * -1j
+    unitaries += cos
+    return unitaries
+
+
 def _step_unitaries(model, position_fn, total_time, knots):
-    """CF4 exponentials of the steps between neighbouring ``knots``, two per step, in time order."""
+    """CF4 exponentials of the steps between neighbouring ``knots``, two per step, in time order.
+
+    Each is exp(-i tau (ALPHA H_1 + BETA H_2)) or its mirror, from
+    ``_expm_minus_i``: matrix products only, no eigendecomposition, unitary
+    to rounding.
+    """
     starts, widths = knots[:-1], np.diff(knots)
     nodes = starts[:, None] + widths[:, None] * GAUSS_NODES
     hams = model.hamiltonian_many(position_fn(nodes.ravel()))
@@ -105,10 +168,8 @@ def _step_unitaries(model, position_fn, total_time, knots):
     exponents = np.empty_like(hams)
     exponents[0::2] = ALPHA * h1 + BETA * h2
     exponents[1::2] = BETA * h1 + ALPHA * h2
-    # the eigenvector phases cancel in V exp(-iE dt) V^dagger, so none is fixed
-    energies, states = np.linalg.eigh(exponents)
-    phases = np.exp(-1j * energies * np.repeat(widths * total_time, 2)[:, None])
-    return (states * phases[:, None, :]) @ np.conj(states).swapaxes(-1, -2)
+    exponents *= np.repeat(widths * total_time, 2)[:, None, None]
+    return _expm_minus_i(exponents)
 
 
 def _propagate(model, position_fn, total_time, knots, marks, initial):
@@ -116,9 +177,10 @@ def _propagate(model, position_fn, total_time, knots, marks, initial):
 
     ``knots`` are increasing time fractions from 0 to 1; each interval
     between neighbours is one CF4 step.  The chain starts from ``initial``,
-    the caller's ground state at fraction 0.  The step unitaries are built
-    ``EIGH_BLOCK`` exponentials at a time and applied to the state one by
-    one in time order, so the working set is one block.  Returns the states
+    the caller's ground state at fraction 0.  The step unitaries (Taylor
+    exponentials, not eigendecompositions; see ``_step_unitaries``) are
+    built ``EIGH_BLOCK`` at a time and applied to the state one by one in
+    time order, so the working set is one block.  Returns the states
     at ``marks`` (indices into ``knots``), one row per entry, in the given order.
     """
     marks = [int(mark) for mark in marks]

@@ -19,8 +19,9 @@ from .spectral import eigh_many, ground_step_lengths, warn_if_degenerate
 
 GAP_FLOOR = 1e-12
 METRIC_CAP = 1e12
-# matrices per eigendecomposition batch in every batched kernel: the length
-# table, the quench chain, the metric and the CF4 step unitaries
+# matrices per batch in every batched kernel: the eigendecompositions of the
+# length table, the quench chain and the metric, and the CF4 step unitaries
+# (Taylor exponentials, which need no eigendecomposition)
 EIGH_BLOCK = 256
 # the geodesic relaxation stops once every interior gradient component is below this
 GEODESIC_GTOL = 1e-9

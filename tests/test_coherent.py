@@ -102,9 +102,10 @@ class TestIntegrator:
         assert err.value.last_values[0] != err.value.last_values[1]
 
     def test_stops_at_rounding_floor(self, golden_chord4, monkeypatch):
-        # |dF| per doubling at T = 20 falls ~16x down to 5.0e-12 at 1 024
-        # steps, then wanders at 1.4e-12 - 3.5e-12 up to 32 768 steps: a
-        # 1e-12 tolerance is below the rounding floor
+        # |dF| per doubling at T = 20 falls ~16x down to 4.9e-12 at 1 024
+        # steps, then wanders at 1.4e-12 - 2.5e-12 up to 8 192 steps, so the
+        # floor rule stops the run (at 4 096 steps) before a 1e-12 tolerance
+        # is met; further doublings would read 3.8e-13 and 4.8e-14
         monkeypatch.setattr(coherent, "SUBSTEP_CAP", 2**16)
         with pytest.raises(IntegratorConvergenceError, match="rounding floor") as err:
             integrate_schrodinger(
@@ -116,6 +117,39 @@ class TestIntegrator:
         # (|dF| 4.5e-12, 3.1e-13, 2.8e-14 over 512 - 2 048 steps); with a
         # kinked time law, the 50-segment table of test_matches_dop853_reference
         # (|dF| 1.2e-7, 1.5e-7, 8.5e-8 over 128 - 512 steps, converged at 2 048)
+
+    def test_rounding_error_against_long_double_fold(self, golden_chord4):
+        # the compare-n4-linear-v golden's T = 20 row against the same CF4
+        # chain on the same knots, with 30-term Taylor exponentials and the
+        # fold in np.clongdouble; measured -1.6e-15 here, +2.5e-14 with the
+        # exponentials built from np.linalg.eigh
+        model, total_time = LipkinModel(4), 20.0
+        result = integrate_schrodinger(model, golden_chord4.position_at, total_time)
+        knots = np.arange(result.substeps + 1) / result.substeps
+        nodes = knots[:-1, None] + np.diff(knots)[:, None] * coherent.GAUSS_NODES
+        hams = model.hamiltonian_many(golden_chord4.position_at(nodes.ravel()))
+        root3 = np.sqrt(np.longdouble(3))
+        weight_1, weight_2 = (3 + 2 * root3) / 12, (3 - 2 * root3) / 12
+        widths = np.diff(knots.astype(np.longdouble)) * np.longdouble(total_time)
+        exponents = np.empty(hams.shape, dtype=np.longdouble)
+        exponents[0::2] = weight_1 * hams[0::2] + weight_2 * hams[1::2]
+        exponents[1::2] = weight_2 * hams[0::2] + weight_1 * hams[1::2]
+        exponents *= np.repeat(widths, 2)[:, None, None]
+        # 30 terms leave under 1e-30 for these infinity-norms
+        assert np.abs(exponents).sum(axis=-1).max() <= 1.0
+        generators = -1j * exponents.astype(np.clongdouble)
+        eye = np.eye(hams.shape[-1], dtype=np.clongdouble)
+        unitaries = eye
+        for order in range(29, 0, -1):
+            unitaries = eye + (generators / order) @ unitaries
+        initial, target = coherent._ground_states(model, golden_chord4.position_at, [0.0, 1.0])
+        psi = initial.astype(np.clongdouble)
+        for unitary in unitaries:
+            psi = unitary @ psi
+        overlap = np.sum(target * psi)
+        reference = 1 - (overlap.real**2 + overlap.imag**2)
+        assert 2e-3 < reference < 3e-3
+        assert abs(result.infidelity - reference) <= 5e-15
 
     def test_zero_time_trace_rounds_to_grid_point_zero(self, two_level):
         result = integrate_schrodinger(
@@ -257,6 +291,66 @@ class TestSortedDistinct:
         assert plain.trace_times is None
         assert traced.trace_times.shape == traced.trace_fidelity.shape == (0,)
         assert traced.fidelity == plain.fidelity
+
+
+def random_hermitian(rng, batch, dim, norm, dtype=float):
+    """``batch`` random Hermitian (dim, dim) matrices, each scaled to infinity-norm ``norm``."""
+    shape = (batch, dim, dim)
+    x = rng.standard_normal(shape)
+    if dtype is complex:
+        x = x + 1j * rng.standard_normal(shape)
+    x = x + np.conj(x).swapaxes(-1, -2)
+    return x * (norm / np.abs(x).sum(axis=-1).max(axis=-1))[:, None, None]
+
+
+def unitarity_defect(unitaries):
+    """max |U^dagger U - I| over a stack of matrices."""
+    eye = np.eye(unitaries.shape[-1])
+    return np.abs(np.conj(unitaries).swapaxes(-1, -2) @ unitaries - eye).max()
+
+
+class TestExpmMinusI:
+    """The Taylor kernel behind the CF4 step unitaries, against ``scipy.linalg.expm``."""
+
+    # infinity-norms on both sides of the no-scaling bound 1, and one that
+    # needs six double-angle steps
+    @pytest.mark.parametrize("norm", [0.0, 0.5, 1.0, 1.0 + 1e-9, 40.0])
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_matches_expm(self, norm, dtype):
+        from scipy.linalg import expm
+
+        x = random_hermitian(np.random.default_rng(7), 16, 11, norm, dtype)
+        got = coherent._expm_minus_i(x)
+        assert got.shape == x.shape and got.dtype == complex
+        expected = np.array([expm(-1j * matrix) for matrix in x])
+        assert np.abs(got - expected).max() <= 1e-13
+        # the defect about doubles with each double-angle step: measured
+        # 1.4e-14 and 1.5e-14 at norm 40 (six steps), at most 8.9e-16 at the
+        # other norms (none or one step)
+        assert unitarity_defect(got) <= (4e-14 if norm > 2 else 1e-14)
+
+    def test_empty_batch(self):
+        for dtype in (float, complex):
+            got = coherent._expm_minus_i(np.zeros((0, 5, 5), dtype=dtype))
+            assert got.shape == (0, 5, 5) and got.dtype == complex
+
+    def test_each_matrix_independent_of_its_batch(self):
+        # every matrix takes its own scaling, so a mixed batch gives the same
+        # bits as each matrix alone (the CF4 block size cannot change them)
+        rng = np.random.default_rng(3)
+        x = np.concatenate([random_hermitian(rng, 1, 11, norm) for norm in (0.3, 1.5, 9.0, 40.0)])
+        alone = np.concatenate([coherent._expm_minus_i(matrix[None]) for matrix in x])
+        assert np.array_equal(coherent._expm_minus_i(x), alone)
+
+    def test_step_unitaries_call_no_eigh(self, monkeypatch):
+        def eigh(*args, **kwargs):
+            raise AssertionError("np.linalg.eigh called")
+
+        monkeypatch.setattr(np.linalg, "eigh", eigh)
+        knots = np.linspace(0.0, 1.0, 41)
+        unitaries = coherent._step_unitaries(LipkinModel(10), linear_chord, 60.0, knots)
+        assert unitaries.shape == (80, 11, 11)
+        assert unitarity_defect(unitaries) <= 1e-14
 
 
 def linear_chord(fractions):

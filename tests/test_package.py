@@ -71,3 +71,27 @@ print(code, "numpy.ma" in sys.modules)
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
     )
     assert out.stdout.strip() == "0 False"
+
+
+def test_integer_list_parsing_skips_numpy_ma():
+    # log: and lin: integer lists are rounded, sorted and deduplicated
+    # without np.unique; the tuples are those np.unique gave
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    probe = """
+import sys
+
+from zenodrive.cli import _parse_value
+
+print(_parse_value("steps.K", "log:50:5000:20"), _parse_value("steps.K", "lin:1:5:9"))
+print("numpy.ma" in sys.modules)
+"""
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    parsed, imported = out.stdout.strip().splitlines()
+    assert parsed == (
+        "(50, 64, 81, 103, 132, 168, 214, 273, 348, 443, 564, 719, 916, 1168, 1488, 1896, "
+        "2416, 3079, 3924, 5000) (1, 2, 3, 4, 5)"
+    )
+    assert imported == "False"

@@ -355,3 +355,57 @@ class TestStreamedChain:
         model = LipkinModel(10)
         path = START + np.linspace(0, 1, 20001)[:, None] * (END - START)
         assert traced_peak(lambda: run_stroboscopic(model, path)) <= 4e6
+
+
+class TestPathOptimality:
+    """The paper's claim, against the exact chain: at K steps, the best path is
+    the geodesic traversed at constant metric speed.
+
+    L-BFGS-B minimizes I_exact over the K - 1 interior vertices (chi >= 0),
+    starting from the geodesic's ``discretize(K)``.  Its result is an upper
+    bound on the true minimum, so the gaps below are lower bounds.  Measured
+    at N=4, default end points: relative gaps 6.3e-4 and 1.4e-4 and largest
+    vertex shifts 0.119 and 0.049 at K = 8 and 16; linear-v is 2.2 % worse.
+    """
+
+    @pytest.fixture(scope="class")
+    def optimized(self):
+        from scipy.optimize import minimize
+
+        geodesic = build_trajectory(LIPKIN4, "geodesic", START, END, dense_steps=2000)
+        linear = build_trajectory(LIPKIN4, "linear-v", START, END, dense_steps=2000)
+        rows = {}
+        for steps in (8, 16):
+            path = geodesic.discretize(steps)
+
+            def infidelity(interior):
+                points = np.vstack([START, interior.reshape(steps - 1, 2), END])
+                return run_stroboscopic(LIPKIN4, points).final_infidelity
+
+            best = minimize(
+                infidelity, path[1:-1].ravel(), method="L-BFGS-B",
+                bounds=[(None, None), (0.0, None)] * (steps - 1),
+            )
+            rows[steps] = {
+                "geodesic": infidelity(path[1:-1].ravel()),
+                "optimized": best.fun,
+                "shift": np.linalg.norm(best.x.reshape(steps - 1, 2) - path[1:-1], axis=1).max(),
+                "linear": run_stroboscopic(LIPKIN4, linear.discretize(steps)).final_infidelity,
+            }
+        return rows
+
+    def test_no_path_beats_the_geodesic_by_more_than_higher_order(self, optimized):
+        gaps = {}
+        for steps, row in optimized.items():
+            assert row["optimized"] <= row["geodesic"]
+            gaps[steps] = (row["geodesic"] - row["optimized"]) / row["geodesic"]
+        # I_geo - I_opt falls like K^-3, so the relative gap like K^-2 (4.4x measured)
+        assert gaps[8] >= 3 * gaps[16]
+
+    def test_optimal_vertices_converge_to_the_geodesic(self, optimized):
+        # like 1/K (2.4x per doubling measured)
+        assert optimized[8]["shift"] >= 1.6 * optimized[16]["shift"]
+
+    def test_straight_line_stays_worse(self, optimized):
+        for row in optimized.values():
+            assert row["linear"] >= 1.01 * row["geodesic"]
