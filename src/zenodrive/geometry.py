@@ -3,9 +3,11 @@
 The metric tensor measures the distinguishability of neighboring ground states:
 its quadratic form reproduces, to leading order in the parameter displacement,
 one minus the squared ground-state overlap.  On top of it sit exact step
-lengths, discretized path lengths, a geodesic solver (damped Newton relaxation
-of the discrete path energy, one block-tridiagonal numpy solve per step), and
-the polyline resampler behind constant-speed paths.
+lengths, discretized path lengths, a geodesic solver, and the polyline
+resampler behind constant-speed paths.  The solver relaxes the discrete path
+energy with modified Newton steps, damped until the block-tridiagonal Hessian
+is positive definite (its cyclic-reduction solve tells), and certifies the
+relaxed polyline against its exact length.
 """
 from __future__ import annotations
 
@@ -31,6 +33,10 @@ GEODESIC_MAX_ITERATIONS = 200
 # its error moves the relaxed points within the GEODESIC_GTOL basin (about 2e-10
 # at N=10, 256 segments), not only the convergence rate
 GEODESIC_FD_STEP = 1e-7
+# largest relative excess of a relaxed geodesic's vertex-chord length over the
+# mid-point quadrature length it minimized; at the default end points clean
+# paths read at most 5.3e-3, those hopping over the small-gap region 0.44 to 1
+GEODESIC_ALIAS_GAP = 0.05
 
 
 class DegenerateGroundStateError(RuntimeError):
@@ -42,13 +48,11 @@ class DegenerateGroundStateError(RuntimeError):
 
 
 class GeodesicConvergenceError(RuntimeError):
-    """Relaxation failed to reach the gradient tolerance within the iteration budget."""
+    """Relaxation stalled above the gradient tolerance, or its converged path is aliased."""
 
-    def __init__(self, residual: float, iterations: int):
-        super().__init__(
-            f"geodesic relaxation stalled at max gradient {residual:.3e} "
-            f"after {iterations} iterations"
-        )
+    def __init__(self, residual: float, iterations: int, message: str = ""):
+        super().__init__(message or f"geodesic relaxation stalled at max gradient "
+                         f"{residual:.3e} after {iterations} iterations")
         self.residual = residual
         self.iterations = iterations
 
@@ -62,7 +66,7 @@ class GeodesicDiagnostics:
     energy_trace: list = field(default_factory=list)
     length_trace: list = field(default_factory=list)
     trials: int = 0   # line-search energy evaluations
-    solves: int = 0   # Hessian solves, failed ones included
+    solves: int = 0   # Hessian solves, those finding H + damping I indefinite included
 
 
 def metric_many(model: HamiltonianFamily, points: np.ndarray, *, with_gap: bool = False):
@@ -379,11 +383,11 @@ def _energy_grad_hess(model, points, eigensystem=None):
 
 
 def _solve_hessian(blocks, damping, rhs):
-    """Solve (H + damping I) x = rhs for the block-tridiagonal interior Hessian H.
+    """Solve (H + damping I) x = rhs for the block-tridiagonal interior Hessian H,
+    or ``None`` unless H + damping I is positive definite.
 
     H has diagonal blocks h_high[k] + h_low[k+1], h_cross[k+1] right of them
-    and its transpose below; ``rhs`` and x have shape (segs - 1, D).  A
-    singular block met by ``_cyclic_reduction`` raises ``np.linalg.LinAlgError``.
+    and its transpose below; ``rhs`` and x have shape (segs - 1, D).
     """
     h_low, h_high, h_cross = blocks
     diagonal = h_high[:-1] + h_low[1:] + damping * np.eye(rhs.shape[1])
@@ -392,11 +396,15 @@ def _solve_hessian(blocks, damping, rhs):
 
 def _cyclic_reduction(diagonal, upper, rhs):
     """x with A x = rhs, A symmetric block-tridiagonal: (n, D, D) ``diagonal``
-    blocks, (n - 1, D, D) ``upper`` blocks right of them, ``rhs`` (n, D).
+    blocks, (n - 1, D, D) ``upper`` blocks right of them, ``rhs`` (n, D); or
+    ``None`` unless A is positive definite.
 
     Block cyclic reduction: one batched ``np.linalg.solve`` eliminates the
     even-numbered unknowns, which leaves a block-tridiagonal system in the odd
     ones, half the size; recursing solves n unknowns in log2(n) + 1 levels.
+    This is a block LDL^T of the odd-even permuted A, pivoting on the even
+    diagonal blocks of every level, so (Sylvester's law of inertia) A is
+    positive definite exactly when each level's batched ``eigvalsh`` is > 0.
     """
     size, nparams = rhs.shape
     if size == 0:
@@ -405,6 +413,8 @@ def _cyclic_reduction(diagonal, upper, rhs):
         diagonal = np.concatenate([diagonal, np.eye(nparams)[None]])
         upper = np.concatenate([upper, np.zeros((1, nparams, nparams))])
         rhs = np.concatenate([rhs, np.zeros((1, nparams))])
+    if not np.all(np.linalg.eigvalsh(diagonal[::2]) > 0):
+        return None
     zero = np.zeros((1, nparams, nparams))
     left = np.concatenate([zero, np.swapaxes(upper, 1, 2)])   # left[i] = A[i, i-1]
     right = np.concatenate([upper, zero])                     # right[i] = A[i, i+1]
@@ -420,19 +430,13 @@ def _cyclic_reduction(diagonal, upper, rhs):
         -right_odd[:-1] @ s_right[1:-1],
         rhs[1::2] - (left_odd @ s_rhs[:-1] + right_odd @ s_rhs[1:])[..., 0],
     )
+    if odd is None:
+        return None
     padded = np.concatenate([np.zeros((1, nparams)), odd, np.zeros((1, nparams))])[..., None]
     x = np.empty_like(rhs)
     x[::2] = (s_rhs - (s_left @ padded[:-1] + s_right @ padded[1:]))[..., 0]
     x[1::2] = odd
     return x[:size]
-
-
-def _newton_step(blocks, damping, interior_grad):
-    """The damped Newton step, all NaN where ``_solve_hessian`` meets a singular block."""
-    try:
-        return _solve_hessian(blocks, damping, -interior_grad)
-    except np.linalg.LinAlgError:
-        return np.full_like(interior_grad, np.nan)   # fails every check on the step
 
 
 def _interior_gradient(model, points, grad):
@@ -442,6 +446,17 @@ def _interior_gradient(model, points, grad):
         at_bound = points[1:-1] <= model.lower_bounds + 1e-15
         interior_grad[at_bound & (interior_grad > 0)] = 0.0
     return interior_grad
+
+
+def _alias_gap(model, points, eigensystem):
+    """Relative excess of a path's vertex-chord length over its mid-point quadrature
+    length (0 if both are 0), from the mid-points' ``eigensystem`` if given."""
+    delta = points[1:] - points[:-1]
+    g = _metric_impl(model, 0.5 * (points[:-1] + points[1:]), with_gradient=False,
+                     eigensystem=eigensystem)[0]
+    quad = float(np.sqrt(np.einsum("kab,ka,kb->k", g, delta, delta)).sum())
+    chords = float(step_lengths_along(model, points).sum())
+    return (chords - quad) / chords if chords > 0 else 0.0
 
 
 def geodesic(
@@ -455,30 +470,31 @@ def geodesic(
     """Minimal-length driving path between two parameter points.
 
     Relaxes the discrete path energy sum_k g(mid_k)[delta_k, delta_k] over the
-    interior points, starting from the constant-speed straight chord, with
-    damped Newton steps (one block-tridiagonal ``_solve_hessian`` each, retried
-    with more damping at a singular block) and a step-halving line search on the
-    energy.  The energy minimizer is automatically a constant-speed discretization.
-    Interior points are projected onto the model domain (e.g. chi >= 0) after
-    every trial step; a trial with a mid-point on a level crossing counts as one
-    of infinite energy.  Where the line search finds no lower energy (near the
-    minimum every trial energy can equal the current one to the last bit), one
-    undamped Newton step without resampling is taken instead if it lowers the
-    gradient residual; this step can leave the energy flat or raise it by
-    rounding.  Returns the (steps+1, D) points, or ``(points, diag)`` with
+    interior points from the constant-speed straight chord (its minimizer is a
+    constant-speed discretization) by modified Newton steps: the damping rises
+    in 10x rungs from 1e-8 until ``_solve_hessian`` finds H + damping I
+    positive definite, so the step descends, and the step is halved until the
+    energy falls.  Trials are projected onto the model domain (e.g. chi >= 0);
+    one with a mid-point on a level crossing has infinite energy.  As the
+    energy can be flat to rounding near the minimum, a full undamped step
+    without resampling is also kept if it lowers the gradient residual.
+    Returns the (steps+1, D) points, or ``(points, diag)`` with
     ``return_diagnostics``.
 
     Raises
     ------
     ValueError
-        If ``start`` or ``end`` fails ``model.check_points``.
+        If ``steps`` is not an integer >= 2, or ``start`` or ``end`` fails
+        ``model.check_points``.
     GeodesicConvergenceError
-        If the maximum gradient component does not drop below ``GEODESIC_GTOL``
-        within ``GEODESIC_MAX_ITERATIONS``, or neither the line search nor the
-        undamped step makes progress; the error carries the residual.
+        If the maximum gradient component stays above ``GEODESIC_GTOL`` for
+        ``GEODESIC_MAX_ITERATIONS``, or 30 halvings without resampling find no
+        lower energy (it carries the residual); or if the converged path is
+        aliased, its vertex chords longer than its mid-point quadrature by more
+        than ``GEODESIC_ALIAS_GAP`` (the message names the segments and gap).
     """
-    if steps < 2:
-        raise ValueError("need at least 2 steps")
+    if isinstance(steps, bool) or not isinstance(steps, (int, np.integer)) or steps < 2:
+        raise ValueError(f"steps must be an integer >= 2, got {steps!r}")
     start = model.project_point(model.check_points(start))
     end = model.project_point(model.check_points(end))
     points = start + np.linspace(0.0, 1.0, steps + 1)[:, None] * (end - start)
@@ -486,80 +502,63 @@ def geodesic(
     points[:, :] = model.project_point(points)
 
     diag = GeodesicDiagnostics()
+    eigensystem = None   # of the current mid-points, once a trial has computed it
     energy, grad, blocks = _energy_grad_hess(model, points)
-    diag.energy_trace.append(energy)
-    if return_diagnostics:
-        diag.length_trace.append(path_length(model, points))
     damping = 0.0
-    # While the curve is still reshaping globally, every accepted step is
-    # followed by a constant-speed resampling of the same polyline.  This keeps
-    # the iterate free of parameterization slack, which is what makes the metric
-    # length decrease together with the energy; once steps shrink below a small
-    # fraction of a segment the resampling is switched off so its interpolation
-    # error cannot limit the Newton endgame.
+    # Trials are resampled at constant speed while the curve reshapes globally,
+    # which keeps out parameterization slack, so the metric length falls with
+    # the energy; once a step is below 5 % of a segment, or a resampled line
+    # search fails, the resampling stops so its error cannot limit the endgame.
     resample_active = True
     segment_scale = max(float(np.linalg.norm(end - start)) / steps, 1e-300)
     for iteration in range(GEODESIC_MAX_ITERATIONS):
-        interior_grad = _interior_gradient(model, points, grad)
-        residual = float(np.abs(interior_grad).max())
-        diag.iterations = iteration
-        diag.residual = residual
-        if residual < GEODESIC_GTOL:
-            return (points, diag) if return_diagnostics else points
-
-        accepted = False
-        while True:
-            damping_try = damping
-            for _ in range(40):
-                step = _newton_step(blocks, damping_try, interior_grad)
-                diag.solves += 1
-                if np.all(np.isfinite(step)) and np.dot(step.ravel(), interior_grad.ravel()) < 0:
-                    scale = 1.0
-                    for _ in range(30):
-                        trial = points.copy()
-                        trial[1:-1] = points[1:-1] + scale * step
-                        trial[:, :] = model.project_point(trial)
-                        if resample_active:
-                            trial = resample(trial, cumulative_lengths(model, trial), steps)
-                            trial[:, :] = model.project_point(trial)
-                        diag.trials += 1
-                        try:
-                            trial_energy, trial_eigensystem = _discrete_energy(model, trial)
-                        except DegenerateGroundStateError:
-                            trial_energy = np.inf   # a mid-point on a level crossing
-                        if trial_energy < energy:
-                            accepted = True
-                            break
-                        scale *= 0.5
-                if accepted:
-                    break
-                damping_try = max(damping_try * 10, 1e-8)
-            if accepted or not resample_active:
-                break
-            # the resampling's interpolation error now exceeds the attainable
-            # energy decrease; drop it and polish with plain Newton steps
-            resample_active = False
-        if accepted:
-            if resample_active and float(np.abs(scale * step).max()) < 0.05 * segment_scale:
-                resample_active = False
-            points = trial
-            energy, grad, blocks = _energy_grad_hess(model, points, trial_eigensystem)
-            damping = damping_try / 10 if damping_try > 1e-11 else 0.0
-        else:
-            # no trial lowered the energy, which near the minimum can be flat
-            # to rounding: keep the undamped Newton step if it lowers the residual
-            step = _newton_step(blocks, 0.0, interior_grad)
-            diag.solves += 1
-            if not np.all(np.isfinite(step)):
-                raise GeodesicConvergenceError(residual, iteration)
-            trial = points.copy()
-            trial[1:-1] += step
-            trial[:, :] = model.project_point(trial)
-            trial_energy, trial_grad, trial_blocks = _energy_grad_hess(model, trial)
-            if float(np.abs(_interior_gradient(model, trial, trial_grad)).max()) >= residual:
-                raise GeodesicConvergenceError(residual, iteration)
-            points, energy, grad, blocks = trial, trial_energy, trial_grad, trial_blocks
         diag.energy_trace.append(energy)
         if return_diagnostics:
             diag.length_trace.append(path_length(model, points))
+        interior_grad = _interior_gradient(model, points, grad)
+        residual = float(np.abs(interior_grad).max())
+        diag.iterations, diag.residual = iteration, residual
+        if residual < GEODESIC_GTOL:
+            if (gap := _alias_gap(model, points, eigensystem)) > GEODESIC_ALIAS_GAP:
+                raise GeodesicConvergenceError(residual, iteration, (
+                    f"geodesic of {steps} segments is aliased: its vertex chords are {gap:.1%} "
+                    f"longer than its mid-point quadrature (limit {GEODESIC_ALIAS_GAP:.0%})"))
+            return (points, diag) if return_diagnostics else points
+
+        diag.solves += 1
+        while (step := _solve_hessian(blocks, damping, -interior_grad)) is None:
+            if not np.isfinite(damping):   # only a non-finite Hessian gets here
+                raise GeodesicConvergenceError(residual, iteration)
+            diag.solves += 1
+            damping = max(damping * 10, 1e-8)
+        scale = 1.0
+        while True:
+            trial = points.copy()
+            trial[1:-1] = points[1:-1] + scale * step
+            trial[:, :] = model.project_point(trial)
+            if resample_active:
+                trial = resample(trial, cumulative_lengths(model, trial), steps)
+                trial[:, :] = model.project_point(trial)
+            diag.trials += 1
+            try:
+                trial_energy, trial_eigensystem = _discrete_energy(model, trial)
+            except DegenerateGroundStateError:
+                trial_energy = np.inf   # a mid-point on a level crossing
+            if trial_energy < energy:
+                trial_state = _energy_grad_hess(model, trial, trial_eigensystem)
+                break
+            if not resample_active and scale == 1.0 and damping == 0.0 and trial_energy < np.inf:
+                # near the minimum the energy can be flat to rounding
+                trial_state = _energy_grad_hess(model, trial, trial_eigensystem)
+                if float(np.abs(_interior_gradient(model, trial, trial_state[1])).max()) < residual:
+                    break
+            scale *= 0.5
+            if scale < 2.0**-29:   # 30 trials found no lower energy
+                if not resample_active:
+                    raise GeodesicConvergenceError(residual, iteration)
+                resample_active, scale = False, 1.0
+        resample_active &= float(np.abs(scale * step).max()) >= 0.05 * segment_scale
+        points, eigensystem = trial, trial_eigensystem
+        energy, grad, blocks = trial_state
+        damping = damping / 10 if damping > 1e-11 else 0.0
     raise GeodesicConvergenceError(float(np.abs(grad[1:-1]).max()), GEODESIC_MAX_ITERATIONS)

@@ -550,15 +550,28 @@ class TestGeodesic:
         # random symmetric positive definite block-tridiagonal systems, odd and
         # even sizes, one to eight reduction levels
         rng = np.random.default_rng(100 * nparams + size)
-        segs = size + 1
-
-        def spd(count):
-            a = rng.normal(size=(count, nparams, nparams))
-            return a @ np.swapaxes(a, 1, 2) + 2 * nparams * np.eye(nparams)
-
-        blocks = (spd(segs), spd(segs), rng.normal(size=(segs, nparams, nparams)))
+        blocks = spd_blocks(rng, size + 1, nparams)
         assert np.all(np.linalg.eigvalsh(dense_hessian(blocks)) > 0)
         assert_solve_matches_dense(blocks, rng.normal(size=(size, nparams)))
+
+    @pytest.mark.parametrize("nparams", [1, 2, 3])
+    @pytest.mark.parametrize("size", [1, 2, 3, 7, 255])
+    def test_cyclic_reduction_returns_none_unless_positive_definite(self, nparams, size):
+        # random symmetric (indefinite) block-tridiagonal systems, shifted to
+        # put their smallest eigenvalue just above and just below zero
+        rng = np.random.default_rng(100 * nparams + size)
+        diagonal = rng.normal(size=(size, nparams, nparams))
+        diagonal += np.swapaxes(diagonal, 1, 2)
+        upper = rng.normal(size=(size - 1, nparams, nparams))
+        eigenvalues = np.linalg.eigvalsh(dense_block_tridiagonal(diagonal, upper))
+        rhs = rng.normal(size=(size, nparams))
+        for margin in (1e-6, -1e-6):
+            shift = margin * np.abs(eigenvalues).max() - eigenvalues[0]
+            shifted = diagonal + shift * np.eye(nparams)
+            positive = np.linalg.eigvalsh(dense_block_tridiagonal(shifted, upper))[0] > 0
+            assert positive == (margin > 0)
+            x = zenodrive.geometry._cyclic_reduction(shifted, upper, rhs)
+            assert (x is not None) == positive
 
     def test_energy_grad_hess_from_line_search_eigensystem(self):
         # the mid-point eigensystems the line-search energy keeps give the same
@@ -625,65 +638,122 @@ class TestGeodesic:
         _, diag = geodesic(lipkin10, START, END, segs, return_diagnostics=True)
         assert diag.residual < zenodrive.geometry.GEODESIC_GTOL
 
-    def test_undamped_step_when_no_trial_lowers_the_energy(self, monkeypatch):
-        # after the first three trials every trial energy reads infinite, so
-        # only the undamped Newton steps after the failed line searches move
-        # the path on; they reach the same minimum
+    def test_full_steps_at_once_where_the_energy_is_flat(self, monkeypatch):
+        # after the first three trials every trial energy equals the current
+        # one bit for bit, as near the minimum: once one resampled line search
+        # fails, each full undamped step that lowers the residual is kept at
+        # once, and they reach the same minimum (a whole 40-rung x 30-halving
+        # search, resampled and not, used to come first: over 2 400 trials)
         model = LipkinModel(4)
         relaxed = geodesic(model, START, END, 16)
         discrete_energy = zenodrive.geometry._discrete_energy
-        calls = []
+        energy_grad_hess = zenodrive.geometry._energy_grad_hess
+        current, calls = [], []
+
+        def recording(model, points, eigensystem=None):
+            state = energy_grad_hess(model, points, eigensystem)
+            current.append(state[0])
+            return state
 
         def flat_after_three(model, points):
             calls.append(1)
-            return discrete_energy(model, points) if len(calls) <= 3 else (np.inf, None)
+            energy, eigensystem = discrete_energy(model, points)
+            return (energy if len(calls) <= 3 else current[-1]), eigensystem
 
+        monkeypatch.setattr(zenodrive.geometry, "_energy_grad_hess", recording)
         monkeypatch.setattr(zenodrive.geometry, "_discrete_energy", flat_after_three)
         path, diag = geodesic(model, START, END, 16, return_diagnostics=True)
         assert diag.residual < zenodrive.geometry.GEODESIC_GTOL
-        assert diag.trials == len(calls) > 2 * 40 * 30   # a whole line search failed
+        assert diag.trials == len(calls) <= 3 + 30 + diag.iterations
         assert np.abs(path - relaxed).max() <= 1e-9
 
-    def test_leaves_the_saddle_at_n10_12_segments(self, lipkin10):
-        # for about 60 iterations the path sits near a saddle of the discrete
-        # energy (0.117690, length 2.243), where most trial energies equal the
-        # current one; the line search's heavily damped rungs find the descent
-        # to the minimum, and a search cut short at flat trials stops on the
-        # saddle with a residual below GEODESIC_GTOL
-        path, diag = geodesic(lipkin10, START, END, 12, return_diagnostics=True)
-        assert diag.residual < zenodrive.geometry.GEODESIC_GTOL
-        assert diag.energy_trace[-1] == pytest.approx(0.072766, abs=1e-6)
-        assert path_length(lipkin10, path) == pytest.approx(1.6896, abs=1e-4)
+    @pytest.mark.parametrize("model_size, segs", [(10, 12), (12, 24)])
+    def test_certificate_rejects_aliased_paths(self, model_size, segs):
+        # the relaxation converges to a minimum of the discrete energy, but its
+        # segments hop over the small-gap region: the vertex chords are about
+        # twice the mid-point quadrature (at N=10, 12 segments a polyline of
+        # length 1.72 against a geodesic length of 1.48)
+        with pytest.raises(GeodesicConvergenceError, match=rf"{segs} segments is aliased") as err:
+            geodesic(LipkinModel(model_size), START, END, segs)
+        assert err.value.residual < zenodrive.geometry.GEODESIC_GTOL
+        gap = float(str(err.value).split("chords are ")[1].split("%")[0]) / 100
+        assert 0.4 <= gap <= 0.6
+
+    @pytest.mark.parametrize("model_size, segs", [(6, 12), (8, 16)])
+    def test_never_returns_a_saddle(self, model_size, segs):
+        # both used to return saddles of the discrete energy, whose dense
+        # interior Hessian had a negative eigenvalue
+        model = LipkinModel(model_size)
+        try:
+            path = geodesic(model, START, END, segs)
+        except GeodesicConvergenceError:
+            return
+        blocks = zenodrive.geometry._energy_grad_hess(model, path)[2]
+        assert np.linalg.eigvalsh(dense_hessian(blocks))[0] > 0
+
+    @pytest.mark.parametrize("model_size, segs, most", [(4, 48, 6), (6, 256, 7)])
+    def test_iteration_count(self, model_size, segs, most):
+        _, diag = geodesic(LipkinModel(model_size), START, END, segs, return_diagnostics=True)
+        assert diag.iterations <= most
+
+    @pytest.mark.filterwarnings("error")
+    def test_certificate_passes_equal_end_points(self, lipkin10):
+        path = geodesic(lipkin10, END, END, 8)
+        assert np.array_equal(path, np.broadcast_to(END, path.shape))
+
+    @pytest.mark.parametrize("steps", [2.5, 48.0, True, "48"])
+    def test_rejects_non_integer_steps(self, lipkin10, steps):
+        with pytest.raises(ValueError, match="steps"):
+            geodesic(lipkin10, START, END, steps)
+        with pytest.raises(ValueError, match="steps"):
+            build_trajectory(lipkin10, "geodesic", START, END, geodesic_steps=steps)
 
     def test_undamped_step_that_does_not_lower_the_residual_raises(self, monkeypatch):
+        # a zero step never lowers the residual; its resampled trial can lower
+        # the energy once by rounding, so the error may come at iteration 1
         monkeypatch.setattr(zenodrive.geometry, "_solve_hessian",
                             lambda blocks, damping, rhs: np.zeros_like(rhs))
         with pytest.raises(GeodesicConvergenceError) as err:
             geodesic(LipkinModel(4), START, END, 16)
-        assert err.value.iterations == 0 and err.value.residual > 0
+        assert err.value.iterations <= 1 and err.value.residual > 0
 
-    def test_singular_pivot_raises(self):
+    @pytest.mark.parametrize("pivot", [np.zeros((2, 2)), np.diag([1.0, -1.0])],
+                             ids=["zero", "indefinite"])
+    def test_singular_or_indefinite_pivot_gives_none(self, pivot):
         rng = np.random.default_rng(7)
-        h_low, h_high, h_cross = (rng.normal(size=(8, 2, 2)) for _ in range(3))
-        h_low[3] = -h_high[2]   # the diagonal block of path point 3 is exactly zero
-        h_cross[2] = 0.0        # and nothing is eliminated into it
-        with pytest.raises(np.linalg.LinAlgError):
-            zenodrive.geometry._solve_hessian((h_low, h_high, h_cross), 0.0, np.ones((7, 2)))
+        h_low, h_high, h_cross = spd_blocks(rng, 8, 2)
+        rhs = np.ones((7, 2))
+        assert zenodrive.geometry._solve_hessian((h_low, h_high, h_cross), 0.0, rhs) is not None
+        h_low[3] = pivot - h_high[2]   # the diagonal block of path point 3 is the pivot
+        h_cross[2] = 0.0               # and nothing is eliminated into it
+        assert zenodrive.geometry._solve_hessian((h_low, h_high, h_cross), 0.0, rhs) is None
 
     def test_failed_solve_retries_with_damping(self, monkeypatch):
+        # a solve that finds H indefinite (None) is retried with more damping
         solve = zenodrive.geometry._solve_hessian
         dampings = []
 
         def failing_once(blocks, damping, rhs):
             dampings.append(damping)
-            if len(dampings) == 1:
-                raise np.linalg.LinAlgError("singular pivot block")
-            return solve(blocks, damping, rhs)
+            return None if len(dampings) == 1 else solve(blocks, damping, rhs)
 
         monkeypatch.setattr(zenodrive.geometry, "_solve_hessian", failing_once)
         _, diag = geodesic(LipkinModel(4), START, END, 32, return_diagnostics=True)
         assert diag.residual < zenodrive.geometry.GEODESIC_GTOL
         assert dampings[0] == 0.0 and dampings[1] > 0.0
+
+    def test_solve_that_never_succeeds_raises(self, monkeypatch):
+        # as from a non-finite Hessian: the damping overflows, and the ladder
+        # ends with an error instead of looping
+        dampings = []
+
+        def never(blocks, damping, rhs):
+            dampings.append(damping)
+
+        monkeypatch.setattr(zenodrive.geometry, "_solve_hessian", never)
+        with pytest.raises(GeodesicConvergenceError) as err:
+            geodesic(LipkinModel(4), START, END, 16)
+        assert err.value.iterations == 0 and dampings[-1] == np.inf
 
     def test_coding_error_in_solve_is_not_retried(self, monkeypatch):
         def broken(blocks, damping, rhs):
@@ -716,16 +786,32 @@ def hessian_gradient_gap(model, points, v, eps=1e-5):
 def dense_hessian(blocks, damping=0.0):
     """Dense interior Hessian of the path energy from its (h_low, h_high, h_cross) blocks."""
     h_low, h_high, h_cross = blocks
-    segs, nparams = h_low.shape[:2]
-    hess = np.zeros(((segs - 1) * nparams,) * 2)
-    for k in range(segs - 1):
+    diagonal = h_high[:-1] + h_low[1:] + damping * np.eye(h_low.shape[1])
+    return dense_block_tridiagonal(diagonal, h_cross[1:-1])
+
+
+def dense_block_tridiagonal(diagonal, upper):
+    """Dense symmetric matrix of (n, D, D) ``diagonal`` blocks and (n - 1, D, D) ``upper`` ones."""
+    size, nparams = diagonal.shape[:2]
+    dense = np.zeros((size * nparams,) * 2)
+    for k in range(size):
         here = slice(k * nparams, (k + 1) * nparams)
-        hess[here, here] = h_high[k] + h_low[k + 1] + damping * np.eye(nparams)
-        if k < segs - 2:
+        dense[here, here] = diagonal[k]
+        if k < size - 1:
             after = slice((k + 1) * nparams, (k + 2) * nparams)
-            hess[here, after] = h_cross[k + 1]
-            hess[after, here] = h_cross[k + 1].T
-    return hess
+            dense[here, after] = upper[k]
+            dense[after, here] = upper[k].T
+    return dense
+
+
+def spd_blocks(rng, segs, nparams):
+    """Random (h_low, h_high, h_cross) blocks of a symmetric positive definite Hessian."""
+
+    def spd(count):
+        a = rng.normal(size=(count, nparams, nparams))
+        return a @ np.swapaxes(a, 1, 2) + 2 * nparams * np.eye(nparams)
+
+    return spd(segs), spd(segs), rng.normal(size=(segs, nparams, nparams))
 
 
 def assert_solve_matches_dense(blocks, rhs):
