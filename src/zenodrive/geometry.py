@@ -7,7 +7,9 @@ lengths, discretized path lengths, a geodesic solver, and the polyline
 resampler behind constant-speed paths.  The solver relaxes the discrete path
 energy with modified Newton steps, damped until the block-tridiagonal Hessian
 is positive definite (its cyclic-reduction solve tells), and certifies the
-relaxed polyline against its exact length.
+relaxed polyline against its exact length.  Its only diagonalizations are
+those of the trial mid-points: the Hessian's forward-difference probes take
+their eigensystems from the mids' by first-order perturbation theory.
 """
 from __future__ import annotations
 
@@ -30,8 +32,9 @@ GEODESIC_GTOL = 1e-9
 # Newton iterations before the geodesic relaxation gives up
 GEODESIC_MAX_ITERATIONS = 200
 # forward-difference step for the second metric derivative in the geodesic Hessian;
-# its error moves the relaxed points within the GEODESIC_GTOL basin (about 2e-10
-# at N=10, 256 segments), not only the convergence rate
+# the probes' eigensystems are first order in it, off by O(h^2), so the difference
+# error is still O(h); it moves the relaxed points within the GEODESIC_GTOL basin
+# (about 2e-10 at N=10, 256 segments), not only the convergence rate
 GEODESIC_FD_STEP = 1e-7
 # largest relative excess of a relaxed geodesic's vertex-chord length over the
 # mid-point quadrature length it minimized; at the default end points clean
@@ -176,12 +179,6 @@ def _metric_block(model, points, with_gradient, eigensystem=None):
         return g, None, gap
 
     dim = states.shape[-1]
-    eye = np.eye(dim, dtype=bool)
-    # denom[j, i] = E_i - E_j, guarded on the diagonal and at accidental
-    # excited-level crossings (those pair contributions are dropped)
-    denom = energies[..., None, :] - energies[..., :, None]
-    tiny = np.abs(denom) < 1e2 * GAP_FLOOR
-    denom_safe = np.where(tiny | eye, 1.0, denom)
     bmats = [vh @ dham @ states for dham in dhams]
     second = {
         (lo, hi): (vh @ (model.second_derivative_many(points, lo, hi) @ ground))[..., 0]
@@ -192,7 +189,7 @@ def _metric_block(model, points, with_gradient, eigensystem=None):
     # of first-order perturbation theory
     damp = np.empty((len(points), nparams, dim, nparams), dtype=states.dtype)
     for c in range(nparams):
-        tmat = np.where(tiny | eye, 0.0, bmats[c] / denom_safe)   # T[j,i] = B[j,i]/(E_i-E_j)
+        tmat = _mixing(energies, bmats[c])
         tmat_h = np.conj(np.swapaxes(tmat, -1, -2))
         tcol = tmat[..., :, :1]
         for m in range(nparams):
@@ -217,6 +214,18 @@ def _metric_block(model, points, with_gradient, eigensystem=None):
     )
     dg = cross + np.swapaxes(cross, -1, -2) - 2 * shift
     return g, dg, gap
+
+
+def _mixing(energies, bmat):
+    """T[j, i] = B[j, i] / (E_i - E_j), the first-order eigenvector mixing of
+    B = V^dagger dH V: d v_i = sum_j v_j T[j, i].
+
+    The diagonal and accidental excited-level crossings (|E_i - E_j| below
+    1e2 ``GAP_FLOOR``) are guarded: those pair contributions are dropped.
+    """
+    denom = energies[..., None, :] - energies[..., :, None]
+    keep = np.abs(denom) >= 1e2 * GAP_FLOOR
+    return np.where(keep, bmat / np.where(keep, denom, 1.0), 0.0)
 
 
 def _eigenbases_along(model: HamiltonianFamily, points: np.ndarray, eigh):
@@ -316,8 +325,8 @@ def interpolate_at(points: np.ndarray, cumlen: np.ndarray, targets: np.ndarray) 
 def refine(path, factor: int) -> np.ndarray:
     """Subdivide every segment of a path ``factor`` times (the curve is unchanged)."""
     points = np.atleast_2d(np.asarray(path, dtype=float))
-    if factor < 1:
-        raise ValueError("factor must be >= 1")
+    if isinstance(factor, bool) or not isinstance(factor, (int, np.integer)) or factor < 1:
+        raise ValueError(f"factor must be an integer >= 1, got {factor!r}")
     bad = np.flatnonzero(~np.all(np.isfinite(points), axis=-1))
     if bad.size:
         raise ValueError(f"path points must be finite (got NaN or infinity at rows {bad.tolist()})")
@@ -348,13 +357,14 @@ def _energy_grad_hess(model, points, eigensystem=None):
 
     The energy is sum_k g(mid_k)[delta_k, delta_k].  Metric values and first
     derivatives are analytic, at the mids from their ``eigensystem`` as
-    ``_discrete_energy`` returns it (diagonalized here if not given); the
-    second metric derivative entering the Hessian is a forward difference of
-    the analytic gradient, one probe mid_k + h e_c per axis, so D points per
-    segment go to ``metric_with_gradient_many``.  The probes lie above the
-    mids and so inside the model domain.  The difference error does not only
-    slow the convergence: it moves the relaxed points within the
-    ``GEODESIC_GTOL`` basin.
+    ``_discrete_energy`` returns it (diagonalized here if not given, the only
+    ``eigh_many`` call); the second metric derivative entering the Hessian is
+    a forward difference of the analytic gradient, one probe mid_k + h e_c
+    per axis, whose eigensystem ``_shifted_eigensystem`` takes from the
+    mid's to first order in h, so no probe is diagonalized.  The probes lie
+    above the mids and so inside the model domain.  The difference error
+    does not only slow the convergence: it moves the relaxed points within
+    the ``GEODESIC_GTOL`` basin.
     """
     nparams = model.nparams
     mids = 0.5 * (points[:-1] + points[1:])
@@ -362,8 +372,12 @@ def _energy_grad_hess(model, points, eigensystem=None):
     if eigensystem is None:
         eigensystem = eigh_many(model.hamiltonian_many(mids))
     g, dg, _ = _metric_impl(model, mids, with_gradient=True, eigensystem=eigensystem)
-    probes = mids + GEODESIC_FD_STEP * np.eye(nparams)[:, None]   # probes[c] = mids + h e_c
-    d2g = np.swapaxes(metric_with_gradient_many(model, probes)[1] - dg, 0, 1) / GEODESIC_FD_STEP
+    d2g = np.empty((len(mids),) + (nparams,) * 4)   # d2g[k, c] = d_c dg[k]
+    for c in range(nparams):
+        probe = _shifted_eigensystem(model, mids, eigensystem, c, GEODESIC_FD_STEP)
+        probe_dg = _metric_impl(model, mids + GEODESIC_FD_STEP * np.eye(nparams)[c],
+                                with_gradient=True, eigensystem=probe)[1]
+        d2g[:, c] = (probe_dg - dg) / GEODESIC_FD_STEP
 
     energy = float(np.einsum("kab,ka,kb->", g, delta, delta))
     gdelta = np.einsum("kab,kb->ka", g, delta)
@@ -380,6 +394,23 @@ def _energy_grad_hess(model, points, eigensystem=None):
     h_high = qq + sym + 2 * g         # d2e_k / dP_{k+1} dP_{k+1}
     h_cross = qq + w.transpose(0, 2, 1) - w - 2 * g   # d2e_k / dP_k dP_{k+1}
     return energy, grad, (h_low, h_high, h_cross)
+
+
+def _shifted_eigensystem(model, points, eigensystem, axis, step):
+    """Eigensystem at points + step e_axis to first order in ``step``, from the
+    points' own ``eigensystem`` (energies, states) of shapes (P, dim), (P, dim, dim).
+
+    With B = V^dagger dH_axis V: E_i + step B_ii and v_i + step sum_{j != i}
+    v_j B_ji / (E_i - E_j), both off by O(step^2).  Beside the inputs it
+    holds one (P, dim, dim) stack, the shifted states.
+    """
+    energies, states = eigensystem
+    bmat = np.conj(np.swapaxes(states, -1, -2)) @ model.derivative_many(points, axis) @ states
+    shifted_energies = energies + step * np.real(np.diagonal(bmat, axis1=-2, axis2=-1))
+    shifted_states = states @ _mixing(energies, bmat)
+    shifted_states *= step
+    shifted_states += states
+    return shifted_energies, shifted_states
 
 
 def _solve_hessian(blocks, damping, rhs):
@@ -474,11 +505,14 @@ def geodesic(
     constant-speed discretization) by modified Newton steps: the damping rises
     in 10x rungs from 1e-8 until ``_solve_hessian`` finds H + damping I
     positive definite, so the step descends, and the step is halved until the
-    energy falls.  Trials are projected onto the model domain (e.g. chi >= 0);
+    energy falls, from twice the last accepted fraction of a step (at most
+    the full step).  Trials are projected onto the model domain (e.g. chi >= 0);
     one with a mid-point on a level crossing has infinite energy.  As the
     energy can be flat to rounding near the minimum, a full undamped step
-    without resampling is also kept if it lowers the gradient residual.
-    Returns the (steps+1, D) points, or ``(points, diag)`` with
+    without resampling is also kept if it lowers the gradient residual.  Only
+    the trials' mid-points are diagonalized: ``_energy_grad_hess`` reuses
+    the accepted trial's eigensystems and builds its Hessian probes' from
+    them.  Returns the (steps+1, D) points, or ``(points, diag)`` with
     ``return_diagnostics``.
 
     Raises
@@ -488,10 +522,11 @@ def geodesic(
         ``model.check_points``.
     GeodesicConvergenceError
         If the maximum gradient component stays above ``GEODESIC_GTOL`` for
-        ``GEODESIC_MAX_ITERATIONS``, or 30 halvings without resampling find no
-        lower energy (it carries the residual); or if the converged path is
-        aliased, its vertex chords longer than its mid-point quadrature by more
-        than ``GEODESIC_ALIAS_GAP`` (the message names the segments and gap).
+        ``GEODESIC_MAX_ITERATIONS``, or halving a step without resampling down
+        to 2^-29 of it finds no lower energy (it carries the residual); or if
+        the converged path is aliased, its vertex chords longer than its
+        mid-point quadrature by more than ``GEODESIC_ALIAS_GAP`` (the message
+        names the segments and gap).
     """
     if isinstance(steps, bool) or not isinstance(steps, (int, np.integer)) or steps < 2:
         raise ValueError(f"steps must be an integer >= 2, got {steps!r}")
@@ -510,6 +545,7 @@ def geodesic(
     # the energy; once a step is below 5 % of a segment, or a resampled line
     # search fails, the resampling stops so its error cannot limit the endgame.
     resample_active = True
+    scale = 1.0   # last accepted step fraction; the next line search starts at twice it
     segment_scale = max(float(np.linalg.norm(end - start)) / steps, 1e-300)
     for iteration in range(GEODESIC_MAX_ITERATIONS):
         diag.energy_trace.append(energy)
@@ -531,7 +567,7 @@ def geodesic(
                 raise GeodesicConvergenceError(residual, iteration)
             diag.solves += 1
             damping = max(damping * 10, 1e-8)
-        scale = 1.0
+        scale = min(1.0, 2.0 * scale)
         while True:
             trial = points.copy()
             trial[1:-1] = points[1:-1] + scale * step
@@ -553,7 +589,7 @@ def geodesic(
                 if float(np.abs(_interior_gradient(model, trial, trial_state[1])).max()) < residual:
                     break
             scale *= 0.5
-            if scale < 2.0**-29:   # 30 trials found no lower energy
+            if scale < 2.0**-29:   # no lower energy down to 2^-29 of the step
                 if not resample_active:
                     raise GeodesicConvergenceError(residual, iteration)
                 resample_active, scale = False, 1.0

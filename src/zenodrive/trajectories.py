@@ -94,11 +94,14 @@ def build_trajectory(
     times, so its table has that multiple of ``geodesic_steps`` segments (at
     least ``dense_steps``); linear families subdivide the straight chord into
     ``dense_steps`` segments, with both end points exact.  Raises
-    ``ValueError`` for an unknown family or ``dense_steps`` below 1.
+    ``ValueError`` for an unknown family, or a ``dense_steps`` that is not an
+    integer or is below 1.
     """
     if family not in FAMILIES:
         raise ValueError(f"unknown path family {family!r}; expected one of {FAMILIES}")
-    if not dense_steps >= 1:
+    if isinstance(dense_steps, bool) or not isinstance(dense_steps, (int, np.integer)):
+        raise ValueError(f"dense_steps must be an integer, got {dense_steps!r}")
+    if dense_steps < 1:
         raise ValueError(f"dense_steps must be >= 1, got {dense_steps!r}")
     start = np.asarray(start, dtype=float)
     end = np.asarray(end, dtype=float)

@@ -111,12 +111,38 @@ class NearDegenerateModel(HamiltonianFamily):
         return np.zeros(self.check_points(points, axis1, axis2).shape[:-1] + (2, 2))
 
 
+class ComplexLipkin(HamiltonianFamily):
+    """The Lipkin model in a fixed random complex basis: complex Hermitian
+    matrices with the Lipkin spectra and metric."""
+
+    def __init__(self, n_qubits):
+        self.base = LipkinModel(n_qubits)
+        self.dim, self.nparams = self.base.dim, self.base.nparams
+        self.lower_bounds = self.base.lower_bounds
+        rng = np.random.default_rng(n_qubits)
+        shape = (self.dim, self.dim)
+        self.basis = np.linalg.qr(rng.normal(size=shape) + 1j * rng.normal(size=shape))[0]
+
+    def _rotated(self, matrices):
+        return self.basis @ matrices @ np.conj(self.basis.T)
+
+    def hamiltonian_many(self, points):
+        return self._rotated(self.base.hamiltonian_many(points))
+
+    def derivative_many(self, points, axis):
+        return self._rotated(self.base.derivative_many(points, axis))
+
+    def second_derivative_many(self, points, axis1, axis2):
+        return self._rotated(self.base.second_derivative_many(points, axis1, axis2))
+
+
 CONTRACT_MODELS = {
     "lipkin6": lambda: LipkinModel(6),
     "two-level": TwoLevelModel,
     "constant": ConstantModel,
     "flat": FlatModel,
     "near-degenerate": lambda: NearDegenerateModel(coupling=0.3),
+    "complex-lipkin4": lambda: ComplexLipkin(4),
 }
 
 
@@ -516,21 +542,69 @@ class TestGeodesic:
         assert hessian_gradient_gap(LipkinModel(4), points, v) <= 1e-7
 
     def test_probes_one_forward_set_per_axis(self, monkeypatch):
-        # D metric-gradient points per segment (the mids come from their
-        # eigensystems), none below the lower bounds, on a path that starts on chi = 0
-        model, calls = LipkinModel(4), []
+        # only the mids go to eigh_many (none when their eigensystem is given);
+        # D probe points per segment get the metric gradient, none below the
+        # lower bounds, on a path that starts on chi = 0
+        model, diagonalized, evaluated = LipkinModel(4), [], []
+        metric_impl = zenodrive.geometry._metric_impl
 
-        def counting(family, points):
-            calls.append(np.asarray(points))
-            return metric_with_gradient_many(family, points)
+        def counting_eigh(matrices):
+            diagonalized.append(len(matrices))
+            return eigh_many(matrices)
 
-        monkeypatch.setattr(zenodrive.geometry, "metric_with_gradient_many", counting)
+        def recording(model, points, **kwargs):
+            evaluated.append(np.asarray(points))
+            return metric_impl(model, points, **kwargs)
+
+        monkeypatch.setattr(zenodrive.geometry, "eigh_many", counting_eigh)
+        monkeypatch.setattr(zenodrive.geometry, "_metric_impl", recording)
         rng = np.random.default_rng(3)
         points = perturbed_chord(START, END, 16, rng, axes=[0])
         zenodrive.geometry._energy_grad_hess(model, points)
-        probes = np.concatenate([c.reshape(-1, model.nparams) for c in calls])
-        assert len(probes) == model.nparams * 16
+        assert sum(diagonalized) == 16
+        mids, *probes = evaluated
+        probes = np.concatenate([c.reshape(-1, model.nparams) for c in probes])
+        assert len(mids) == 16 and len(probes) == model.nparams * 16
         assert np.all(probes >= model.lower_bounds)
+        diagonalized.clear()
+        eigensystem = eigh_many(model.hamiltonian_many(mids))
+        zenodrive.geometry._energy_grad_hess(model, points, eigensystem)
+        assert diagonalized == []
+
+    @pytest.mark.parametrize("model", [LipkinModel(4), LipkinModel(10), ComplexLipkin(4)],
+                             ids=["lipkin4", "lipkin10", "complex-lipkin4"])
+    def test_probe_eigensystem_matches_eigh(self, model):
+        # first-order perturbation theory from the mid's eigensystem against
+        # diagonalizing mid + h e_c: within rounding at the solver's h, and an
+        # error that falls as h^2 (about 100x per decade) above rounding
+        rng = np.random.default_rng(model.dim)
+        points = np.column_stack([rng.uniform(0.0, 3.0, 32), rng.uniform(0.05, 1.0, 32)])
+        for axis in range(model.nparams):
+            errors = {h: probe_eigensystem_error(model, points, axis, h)
+                      for h in (zenodrive.geometry.GEODESIC_FD_STEP, 1e-6, 1e-5)}
+            energy_error, projector_error = errors[zenodrive.geometry.GEODESIC_FD_STEP]
+            assert energy_error <= 1e-12 and projector_error <= 1e-10
+            for coarse, fine in zip(errors[1e-5], errors[1e-6]):
+                assert coarse >= 50 * fine
+
+    @pytest.mark.parametrize("model_size", [4, 10])
+    def test_hessian_matches_eigh_probes(self, model_size, monkeypatch):
+        # the Hessian blocks from perturbative probe eigensystems against
+        # those from diagonalizing every probe
+        model = LipkinModel(model_size)
+        rng = np.random.default_rng(model_size)
+        points = perturbed_chord(np.array([0.2, 0.1]), np.array([1.8, 0.6]), 32, rng)
+        perturbative = zenodrive.geometry._energy_grad_hess(model, points)
+        monkeypatch.setattr(
+            zenodrive.geometry, "_shifted_eigensystem",
+            lambda model, points, eigensystem, axis, step: eigh_many(
+                model.hamiltonian_many(points + step * np.eye(model.nparams)[axis])),
+        )
+        diagonalized = zenodrive.geometry._energy_grad_hess(model, points)
+        assert perturbative[0] == diagonalized[0]
+        assert np.array_equal(perturbative[1], diagonalized[1])
+        for a, b in zip(perturbative[2], diagonalized[2]):
+            assert np.abs(a - b).max() <= 1e-6 * np.abs(b).max()
 
     def test_solve_matches_dense_on_scalar_blocks(self):
         # D = 1: a random symmetric positive definite tridiagonal system
@@ -667,7 +741,7 @@ class TestGeodesic:
         assert diag.trials == len(calls) <= 3 + 30 + diag.iterations
         assert np.abs(path - relaxed).max() <= 1e-9
 
-    @pytest.mark.parametrize("model_size, segs", [(10, 12), (12, 24)])
+    @pytest.mark.parametrize("model_size, segs", [(10, 12), (10, 16), (12, 28)])
     def test_certificate_rejects_aliased_paths(self, model_size, segs):
         # the relaxation converges to a minimum of the discrete energy, but its
         # segments hop over the small-gap region: the vertex chords are about
@@ -678,6 +752,12 @@ class TestGeodesic:
         assert err.value.residual < zenodrive.geometry.GEODESIC_GTOL
         gap = float(str(err.value).split("chords are ")[1].split("%")[0]) / 100
         assert 0.4 <= gap <= 0.6
+
+    def test_aliased_range_raises(self):
+        # too few segments for the small-gap region: at N=12, 24 segments the
+        # relaxation stalls on its way to an aliased path (gap 0.46)
+        with pytest.raises(GeodesicConvergenceError):
+            geodesic(LipkinModel(12), START, END, 24)
 
     @pytest.mark.parametrize("model_size, segs", [(6, 12), (8, 16)])
     def test_never_returns_a_saddle(self, model_size, segs):
@@ -695,6 +775,49 @@ class TestGeodesic:
     def test_iteration_count(self, model_size, segs, most):
         _, diag = geodesic(LipkinModel(model_size), START, END, segs, return_diagnostics=True)
         assert diag.iterations <= most
+
+    def test_trial_count(self, lipkin10):
+        # each line search starts from twice the last accepted step fraction
+        # (27 trials when every search started at the full step)
+        _, diag = geodesic(lipkin10, START, END, 256, return_diagnostics=True)
+        assert diag.residual < zenodrive.geometry.GEODESIC_GTOL
+        assert diag.trials <= 20
+
+    def test_line_search_starts_at_twice_the_accepted_step(self, monkeypatch):
+        # the first two trials are rejected, so the first step is taken at a
+        # quarter; the next search starts at a half (resampling is replaced by
+        # a copy, so every trial is points + scale * step)
+        class Stop(Exception):
+            pass
+
+        discrete_energy = zenodrive.geometry._discrete_energy
+        solve_hessian = zenodrive.geometry._solve_hessian
+        trials, steps = [], []
+
+        def recording_solve(blocks, damping, rhs):
+            step = solve_hessian(blocks, damping, rhs)
+            if step is not None:
+                steps.append(step)
+            return step
+
+        def rejecting_two(model, points):
+            trials.append(points.copy())
+            if len(trials) == 4:   # the first trial of the second search
+                raise Stop
+            energy, eigensystem = discrete_energy(model, points)
+            return (np.inf if len(trials) <= 2 else energy), eigensystem
+
+        monkeypatch.setattr(zenodrive.geometry, "resample",
+                            lambda points, table, count: points.copy())
+        monkeypatch.setattr(zenodrive.geometry, "_solve_hessian", recording_solve)
+        monkeypatch.setattr(zenodrive.geometry, "_discrete_energy", rejecting_two)
+        start, end = np.array([0.2, 0.1]), np.array([1.8, 0.6])
+        with pytest.raises(Stop):
+            geodesic(LipkinModel(4), start, end, 16)
+        chord = start + np.linspace(0.0, 1.0, 17)[:, None] * (end - start)
+        scales = [line_search_scale(chord, steps[0], trial) for trial in trials[:3]]
+        assert scales == pytest.approx([1.0, 0.5, 0.25], abs=1e-12)
+        assert line_search_scale(trials[2], steps[1], trials[3]) == pytest.approx(0.5, abs=1e-12)
 
     @pytest.mark.filterwarnings("error")
     def test_certificate_passes_equal_end_points(self, lipkin10):
@@ -769,6 +892,30 @@ def perturbed_chord(start, end, segs, rng, axes=(0, 1)):
     points = start + np.linspace(0.0, 1.0, segs + 1)[:, None] * (end - start)
     points[1:-1, axes] += 0.02 * rng.uniform(-1.0, 1.0, size=(segs - 1, len(axes)))
     return points
+
+
+def line_search_scale(points, step, trial):
+    """The s with trial = points + s * step at the interior points, checked to hold."""
+    moved = trial[1:-1] - points[1:-1]
+    scale = float(np.vdot(moved, step) / np.vdot(step, step))
+    assert np.abs(moved - scale * step).max() <= 1e-12 * np.abs(step).max()
+    return scale
+
+
+def probe_eigensystem_error(model, points, axis, step):
+    """Largest energy and projector errors of ``_shifted_eigensystem`` against
+    ``np.linalg.eigh`` at points + step e_axis."""
+    eigensystem = eigh_many(model.hamiltonian_many(points))
+    energies, states = zenodrive.geometry._shifted_eigensystem(
+        model, points, eigensystem, axis, step)
+    shifted = points + step * np.eye(model.nparams)[axis]
+    ref_energies, ref_states = np.linalg.eigh(model.hamiltonian_many(shifted))
+
+    def projectors(v):
+        return np.einsum("pai,pbi->piab", v, np.conj(v))
+
+    return (np.abs(energies - ref_energies).max(),
+            np.abs(projectors(states) - projectors(ref_states)).max())
 
 
 def hessian_gradient_gap(model, points, v, eps=1e-5):
@@ -1102,6 +1249,19 @@ class TestReparameterize:
         # numpy, and the geodesic family ignored both
         with pytest.raises(ValueError, match="dense_steps must be >= 1"):
             build_trajectory(lipkin10, family, START, END, dense_steps=dense_steps)
+
+    @pytest.mark.parametrize("family", ["geodesic", "linear-v", "linear-u"])
+    @pytest.mark.parametrize("dense_steps", [2.5, 400.0, True, "400"])
+    def test_rejects_non_integer_dense_steps(self, lipkin10, family, dense_steps):
+        # 2.5 raised a TypeError from np.linspace on the linear families, and
+        # the geodesic family took it (and True) as a count
+        with pytest.raises(ValueError, match="dense_steps"):
+            build_trajectory(lipkin10, family, START, END, dense_steps=dense_steps)
+
+    @pytest.mark.parametrize("factor", [2.5, 2.0, True])
+    def test_refine_rejects_non_integer_factor(self, factor):
+        with pytest.raises(ValueError, match="factor"):
+            refine(np.array([START, END]), factor)
 
     def test_refinement_consistency_flat_model(self):
         model = FlatModel()
