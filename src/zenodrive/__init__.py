@@ -29,8 +29,8 @@ from .models import (
 )
 from .protocol import (
     ProtocolResult,
+    excited_return,
     fidelity_product,
-    fit_excited_return,
     infidelity_terms,
     run_stroboscopic,
     zeno_sweep,
@@ -64,8 +64,8 @@ __all__ = [
     "dicke_states",
     "eigh_many",
     "evolve_gadget",
+    "excited_return",
     "fidelity_product",
-    "fit_excited_return",
     "gadget_unitary",
     "geodesic",
     "infidelity_terms",

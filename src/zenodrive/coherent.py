@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import EIGH_BLOCK
-from .models import HamiltonianFamily
+from .models import HamiltonianFamily, check_count
 from .protocol import run_stroboscopic
 from .spectral import eigh_many
 from .trajectories import Trajectory
@@ -282,19 +282,11 @@ def integrate_schrodinger(
     raise IntegratorConvergenceError(fid, previous, steps)
 
 
-def coherent_sweep(
-    model: HamiltonianFamily,
-    trajectory: Trajectory,
-    times,
-    *,
-    tolerance: float = DEFAULT_TOLERANCE,
-) -> list[dict]:
+def coherent_sweep(model: HamiltonianFamily, trajectory: Trajectory, times) -> list[dict]:
     """Final coherent infidelity for each total driving time on one trajectory."""
     rows = []
     for total_time in times:
-        result = integrate_schrodinger(
-            model, trajectory.position_at, float(total_time), tolerance=tolerance
-        )
+        result = integrate_schrodinger(model, trajectory.position_at, float(total_time))
         rows.append(
             {
                 "path_family": trajectory.family,
@@ -332,13 +324,12 @@ def minimal_steps(
     Raises
     ------
     ValueError
-        If ``total_time`` is not positive, ``cap`` is below 1 or
-        ``coherent_infidelity`` is NaN.
+        If ``total_time`` is not positive and finite, ``cap`` is not an
+        integer >= 1 or ``coherent_infidelity`` is NaN.
     """
-    if not total_time > 0:
-        raise ValueError(f"total time must be positive, got {total_time!r}")
-    if not cap >= 1:
-        raise ValueError(f"cap must be >= 1, got {cap!r}")
+    if not 0 < total_time < math.inf:
+        raise ValueError(f"total time must be positive and finite, got {total_time!r}")
+    cap = check_count("cap", cap, 1)
     if coherent_infidelity is None:
         coherent_infidelity = integrate_schrodinger(
             model, trajectory.position_at, total_time

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .models import HamiltonianFamily
+from .models import HamiltonianFamily, check_count
 from .spectral import eigh_many, ground_step_lengths, warn_if_degenerate
 
 GAP_FLOOR = 1e-12
@@ -30,7 +30,7 @@ EIGH_BLOCK = 256
 # the geodesic relaxation stops once every interior gradient component is below this
 GEODESIC_GTOL = 1e-9
 # Newton iterations before the geodesic relaxation gives up
-GEODESIC_MAX_ITERATIONS = 200
+GEODESIC_MAX_ITERATIONS = 64
 # forward-difference step for the second metric derivative in the geodesic Hessian;
 # the probes' eigensystems are first order in it, off by O(h^2), so the difference
 # error is still O(h); it moves the relaxed points within the GEODESIC_GTOL basin
@@ -325,8 +325,7 @@ def interpolate_at(points: np.ndarray, cumlen: np.ndarray, targets: np.ndarray) 
 def refine(path, factor: int) -> np.ndarray:
     """Subdivide every segment of a path ``factor`` times (the curve is unchanged)."""
     points = np.atleast_2d(np.asarray(path, dtype=float))
-    if isinstance(factor, bool) or not isinstance(factor, (int, np.integer)) or factor < 1:
-        raise ValueError(f"factor must be an integer >= 1, got {factor!r}")
+    factor = check_count("factor", factor, 1)
     bad = np.flatnonzero(~np.all(np.isfinite(points), axis=-1))
     if bad.size:
         raise ValueError(f"path points must be finite (got NaN or infinity at rows {bad.tolist()})")
@@ -528,8 +527,7 @@ def geodesic(
         mid-point quadrature by more than ``GEODESIC_ALIAS_GAP`` (the message
         names the segments and gap).
     """
-    if isinstance(steps, bool) or not isinstance(steps, (int, np.integer)) or steps < 2:
-        raise ValueError(f"steps must be an integer >= 2, got {steps!r}")
+    steps = check_count("steps", steps, 2)
     start = model.project_point(model.check_points(start))
     end = model.project_point(model.check_points(end))
     points = start + np.linspace(0.0, 1.0, steps + 1)[:, None] * (end - start)

@@ -23,6 +23,13 @@ KAPPA = 0.5 * (SIGMA_Z + np.eye(2))
 BRUTE_FORCE_MAX_QUBITS = 8
 
 
+def check_count(name: str, value, least: int) -> int:
+    """``value`` as an int, after checking it is an integer (not a bool) >= ``least``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+        raise ValueError(f"{name} must be >= {least} and an integer, got {value!r}")
+    return int(value)
+
+
 class HamiltonianFamily:
     """A smooth map from D-dimensional parameter points to Hermitian matrices.
 
@@ -139,8 +146,7 @@ class LipkinModel(HamiltonianFamily):
     domain_error = "chi must be >= 0 (model is defined on the halfplane)"
 
     def __init__(self, n_qubits: int):
-        if n_qubits < 1:
-            raise ValueError("need at least one qubit")
+        n_qubits = check_count("n_qubits", n_qubits, 1)
         self.n_qubits = n_qubits
         self.dim = n_qubits + 1
         self._a0, self._alam, self._achi, self._achi2 = _lipkin_monomials(n_qubits)

@@ -5,8 +5,8 @@ the running Hamiltonian eigenbasis, so the state is described by occupation
 probabilities alone and each quench acts as a doubly stochastic transition
 matrix of squared eigenvector overlaps.  The resulting chain is iterated here,
 together with the ground-state product approximation of the final fidelity,
-the small-step infidelity expansion, and a least-squares estimate of the
-excited-return coefficient.
+the small-step infidelity expansion, and the closed-form excited-return
+coefficient of its next order.
 """
 from __future__ import annotations
 
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import _eigenbases_along, step_lengths_along
-from .models import HamiltonianFamily
+from .models import HamiltonianFamily, check_count
 from .spectral import branching_along, eigh_many
 from .trajectories import Trajectory
 
@@ -79,43 +79,33 @@ def infidelity_terms(length: float, steps: int) -> tuple[float, float]:
     """Leading terms of the final infidelity for an equidistant discretization.
 
     Returns ``(l^2/K, l^2/K - l^4/2K^2)``.  The additional excited-return
-    contribution of order 1/K^2 is not predicted here; see ``fit_excited_return``.
+    contribution of order 1/K^2 is not predicted here; see ``excited_return``.
     """
     if not 0 <= length < np.inf:
         raise ValueError(f"length must be finite and >= 0, got {length!r}")
-    if not steps >= 1:
-        raise ValueError(f"steps must be >= 1, got {steps!r}")
+    steps = check_count("steps", steps, 1)
     one = length**2 / steps
     two = one - length**4 / (2 * steps**2)
     return one, two
 
 
-def fit_excited_return(data, length: float) -> float:
-    """Least-squares estimate of the excited-return coefficient R.
+def excited_return(model: HamiltonianFamily, path) -> float:
+    """Excited-return coefficient R of a constant-speed path of K quenches.
 
-    Fits the residual I_exact - (l^2/K - l^4/2K^2) ~ -R/K^2 over measured
-    points ``data = [(K, I_exact), ...]``.  Needs at least three points with
-    K >= 50 so neglected higher orders stay small; ``length`` and the
-    infidelities must be finite.  The paper-level expectation R > 0 is
-    asserted: excursions through excited states always reduce the infidelity
-    predicted by the two-term expansion.
+    At constant metric speed the chain's infidelity is
+    l^2/K - l^4/2K^2 - R/K^2 + O(K^-3), with R = 1/2 sum_{n>0} G_n^2 and
+    G_n = int_0^1 |<n|d_s 0>|^2 ds the per-level split of l^2.  Each G_n is
+    K times the sum over the quenches of the mean of B[n, 0] and B[0, n]:
+    the mean makes R invariant under path reversal and its error O(1/K^2).
+    One walk over the path, the one ``run_stroboscopic`` makes.
     """
-    if not 0 <= length < np.inf:
-        raise ValueError(f"length must be finite and >= 0, got {length!r}")
-    rows = [(int(k), float(infid)) for k, infid in data]
-    rows = [r for r in rows if r[0] >= 50]
-    if len(rows) < 3:
-        raise ValueError("need at least 3 data points with K >= 50")
-    ks = np.array([r[0] for r in rows], dtype=float)
-    infids = np.array([r[1] for r in rows])
-    if not np.all(np.isfinite(infids)):
-        raise ValueError("infidelities must be finite (got NaN or infinity)")
-    residual = infids - (length**2 / ks - length**4 / (2 * ks**2))
-    x = 1.0 / ks**2
-    r_hat = -float(np.dot(x, residual) / np.dot(x, x))
-    if not r_hat > 0:
-        raise ValueError(f"fitted excited-return coefficient is not positive: {r_hat:.3e}")
-    return r_hat
+    points = np.atleast_2d(model.check_points(path))
+    split = np.zeros(model.dim)
+    for states in _eigenbases_along(model, points, eigh_many):
+        ratios = branching_along(states)
+        split += ratios[:, :, 0].sum(axis=0) + ratios[:, 0, :].sum(axis=0)
+    levels = 0.5 * (len(points) - 1) * split[1:]
+    return float(0.5 * np.sum(levels**2))
 
 
 def zeno_sweep(model: HamiltonianFamily, trajectory: Trajectory, step_counts) -> list[dict]:
@@ -125,7 +115,7 @@ def zeno_sweep(model: HamiltonianFamily, trajectory: Trajectory, step_counts) ->
     underlying trajectory (family speed law).  Rows are independent; the
     infidelity-expansion columns use the trajectory's total metric length.
     """
-    step_counts = [int(k) for k in step_counts]
+    step_counts = [check_count("step count", k, 1) for k in step_counts]
     if step_counts != sorted(step_counts):
         raise ValueError("step counts must be ascending")
     length = trajectory.length

@@ -23,7 +23,7 @@ from .geometry import (
     refine,
     resample,
 )
-from .models import HamiltonianFamily
+from .models import HamiltonianFamily, check_count
 
 FAMILIES = ("geodesic", "linear-v", "linear-u")
 # dense segments a table needs per output step before it resolves a resampling
@@ -58,9 +58,7 @@ class Trajectory:
 
     def discretize(self, steps: int) -> np.ndarray:
         """Stroboscopic path, (steps+1, D) points, at the family's speed law."""
-        if steps < 1:
-            raise ValueError("need at least one step")
-        if steps > self.max_steps:
+        if check_count("steps", steps, 1) > self.max_steps:
             raise ValueError(
                 f"trajectory table too coarse: {self.points.shape[0] - 1} segments cannot "
                 f"resolve {steps} steps (need >= {SEGMENTS_PER_STEP * steps})"
@@ -99,10 +97,7 @@ def build_trajectory(
     """
     if family not in FAMILIES:
         raise ValueError(f"unknown path family {family!r}; expected one of {FAMILIES}")
-    if isinstance(dense_steps, bool) or not isinstance(dense_steps, (int, np.integer)):
-        raise ValueError(f"dense_steps must be an integer, got {dense_steps!r}")
-    if dense_steps < 1:
-        raise ValueError(f"dense_steps must be >= 1, got {dense_steps!r}")
+    dense_steps = check_count("dense_steps", dense_steps, 1)
     start = np.asarray(start, dtype=float)
     end = np.asarray(end, dtype=float)
     if family == "geodesic":

@@ -462,18 +462,6 @@ class TestCoherentSweep:
         assert rows[1]["I_coherent"] == pytest.approx(direct.infidelity, abs=1e-12)
         assert rows[0]["I_coherent"] > rows[1]["I_coherent"]
 
-    @pytest.mark.parametrize("tolerance", [np.nan, -1.0])
-    def test_rejects_bad_tolerance_before_propagating(
-        self, two_level, two_level_trajectory, tolerance, monkeypatch
-    ):
-        from zenodrive.coherent import coherent_sweep
-
-        monkeypatch.setattr(coherent, "SUBSTEP_CAP", 1024)
-        propagated = counting_propagations(monkeypatch)
-        with pytest.raises(ValueError, match="tolerance"):
-            coherent_sweep(two_level, two_level_trajectory, [2.0, 8.0], tolerance=tolerance)
-        assert not propagated
-
 
 @pytest.fixture(scope="module")
 def golden_chord4():
@@ -536,9 +524,10 @@ class TestMinimalSteps:
         )
         assert k_min is None and tau is None
 
-    @pytest.mark.parametrize("cap", [0, -5])
+    # and no non-integer cap: 2.5 used to raise a TypeError, and True ran with a cap of 1
+    @pytest.mark.parametrize("cap", [0, -5, 2.5, True])
     def test_rejects_cap_below_one(self, two_level, two_level_trajectory, cap):
-        with pytest.raises(ValueError, match="cap"):
+        with pytest.raises(ValueError, match="cap must be >= 1 and an integer"):
             minimal_steps(
                 two_level, two_level_trajectory, 50.0, cap=cap, coherent_infidelity=0.99
             )
@@ -548,6 +537,9 @@ class TestMinimalSteps:
             minimal_steps(two_level, two_level_trajectory, 0.0)
         with pytest.raises(ValueError, match="total time"):
             minimal_steps(two_level, two_level_trajectory, float("nan"))
+        # nor an infinite one: given the coherent infidelity, it returned (23, inf)
+        with pytest.raises(ValueError, match="total time"):
+            minimal_steps(two_level, two_level_trajectory, np.inf, coherent_infidelity=0.1)
 
     def test_coherent_infidelity_edge_values(self, two_level, two_level_trajectory, monkeypatch):
         with pytest.raises(ValueError, match="coherent_infidelity"):

@@ -753,6 +753,14 @@ class TestGeodesic:
         gap = float(str(err.value).split("chords are ")[1].split("%")[0]) / 100
         assert 0.4 <= gap <= 0.6
 
+    def test_stall_stops_at_the_iteration_cap(self):
+        # N=6, 8 segments is the one pair of the N = 4..12 convergence sweep
+        # that stalls until the cap; the slowest pair that converges takes 39
+        # iterations, so 64 rejects the stall without failing any of them
+        with pytest.raises(GeodesicConvergenceError, match="stalled") as err:
+            geodesic(LipkinModel(6), START, END, 8)
+        assert err.value.iterations == zenodrive.geometry.GEODESIC_MAX_ITERATIONS == 64
+
     def test_aliased_range_raises(self):
         # too few segments for the small-gap region: at N=12, 24 segments the
         # relaxation stalls on its way to an aliased path (gap 0.46)
@@ -1237,6 +1245,13 @@ class TestReparameterize:
         trajectory = build_trajectory(lipkin10, "linear-v", START, END, dense_steps=99)
         with pytest.raises(ValueError, match="too coarse"):
             trajectory.discretize(50)
+
+    @pytest.mark.parametrize("steps", [2.5, 20.0, True, "20", 0])
+    def test_discretize_rejects_non_integer_steps(self, lipkin10, steps):
+        # 2.5 raised a TypeError from numpy and True gave a one-step path
+        trajectory = build_trajectory(lipkin10, "linear-v", START, END, dense_steps=400)
+        with pytest.raises(ValueError, match="steps must be >= 1 and an integer"):
+            trajectory.discretize(steps)
 
     def test_rejects_unknown_mode(self, lipkin10):
         with pytest.raises(ValueError, match="unknown path family"):

@@ -119,6 +119,13 @@ def test_real_symmetric():
         assert np.array_equal(h, np.swapaxes(h, -1, -2))
 
 
+@pytest.mark.parametrize("n_qubits", [2.5, True, "4", 0])
+def test_rejects_non_integer_qubit_count(n_qubits):
+    # 2.5 raised a TypeError from numpy, and True built a 1-qubit model
+    with pytest.raises(ValueError, match="n_qubits must be >= 1 and an integer"):
+        LipkinModel(n_qubits)
+
+
 def test_rejects_negative_chi():
     model = LipkinModel(4)
     with pytest.raises(ValueError, match="halfplane"):
@@ -138,11 +145,12 @@ def test_rejects_negative_chi():
         "brute_force_lipkin",
         "path_length",
         "refine",
+        "excited_return",
     ],
 )
 def test_rejects_nan_points(entry):
     from zenodrive.geometry import metric_many, path_length, refine
-    from zenodrive.protocol import run_stroboscopic
+    from zenodrive.protocol import excited_return, run_stroboscopic
     from zenodrive.trajectories import build_trajectory
 
     model = LipkinModel(4)
@@ -160,6 +168,7 @@ def test_rejects_nan_points(entry):
         "brute_force_lipkin": lambda: brute_force_lipkin(4, point),
         "path_length": lambda: path_length(model, point),
         "refine": lambda: refine(np.array([[0.0, 0.0], [1.0, np.nan]]), 2),
+        "excited_return": lambda: excited_return(model, np.array([[0.0, 0.0], point])),
     }
     with pytest.raises(ValueError, match="finite"):
         calls[entry]()

@@ -5,12 +5,12 @@ import pytest
 from conftest import traced_peak
 
 from zenodrive import geometry, protocol
-from zenodrive.geometry import step_lengths_along
+from zenodrive.geometry import path_length, step_lengths_along
 from zenodrive.models import HamiltonianFamily, LipkinModel, TwoLevelModel
 from zenodrive.protocol import (
     ProtocolResult,
+    excited_return,
     fidelity_product,
-    fit_excited_return,
     infidelity_terms,
     run_stroboscopic,
     zeno_sweep,
@@ -23,6 +23,9 @@ from zenodrive.spectral import (
     warn_if_degenerate,
 )
 from zenodrive.trajectories import build_trajectory
+
+LIPKIN4 = LipkinModel(4)
+START, END = np.array([0.0, 0.0]), np.array([2.0, 0.5])
 
 
 def two_level_path(total_angle, steps):
@@ -132,54 +135,81 @@ class TestInfidelityTerms:
             infidelity_terms(float("inf"), 10)
         with pytest.raises(ValueError):
             infidelity_terms(1.0, 0)
+        # 2.5 returned (0.4, 0.32), the terms of no step count
+        for steps in (2.5, True):
+            with pytest.raises(ValueError, match="steps must be >= 1 and an integer"):
+                infidelity_terms(1.0, steps)
 
     def test_rejects_nan_length(self):
         with pytest.raises(ValueError, match="length"):
             infidelity_terms(float("nan"), 10)
 
 
-class TestFitExcitedReturn:
-    def test_recovers_synthetic_coefficient(self):
-        length = 1.3
-        r_true = 0.7
-        ks = [100, 200, 400, 800, 1600]
-        data = [
-            (k, length**2 / k - length**4 / (2 * k**2) - r_true / k**2) for k in ks
-        ]
-        assert fit_excited_return(data, length) == pytest.approx(r_true, abs=1e-6)
+@pytest.fixture(scope="module")
+def lipkin4_chord():
+    """N=4 ``linear-v`` trajectory from START to END, resolving K up to 4000."""
+    return LIPKIN4, build_trajectory(LIPKIN4, "linear-v", START, END, dense_steps=40000)
 
-    def test_two_level_half_rotation_series(self, two_level):
-        # exact chain: I(K) = (1 - cos^K(pi/K))/2 = (pi^2/4)/K - (pi^4/16)/K^2 + ...
-        # so with l = pi/2 the residual coefficient is R = pi^4/16 - pi^4/32 = pi^4/32
-        length = np.pi / 2
-        ks = [1000, 2000, 4000, 8000, 16000]
-        data = [
-            (k, 0.5 * (1 - np.cos(np.pi / k) ** k)) for k in ks
-        ]
-        r_hat = fit_excited_return(data, length)
-        assert r_hat == pytest.approx(np.pi**4 / 32, rel=1e-2)
 
-    def test_lipkin_fit_positive_and_window_stable(self, lipkin10, trajectories10):
-        trajectory = trajectories10["geodesic"]
-        ks = sorted(set(np.geomspace(100, 2000, 10).astype(int)))
-        rows = zeno_sweep(lipkin10, trajectory, ks)
-        data = [(r["K"], r["I_exact"]) for r in rows]
-        low = [d for d in data if 100 <= d[0] <= 1000]
-        high = [d for d in data if 200 <= d[0] <= 2000]
-        r_low = fit_excited_return(low, trajectory.length)
-        r_high = fit_excited_return(high, trajectory.length)
-        assert r_low > 0 and r_high > 0
-        assert abs(r_high - r_low) / r_low <= 0.10
+def midpoint_excited_return(model, path):
+    """R = 1/2 sum_n G_n^2 from the per-level metric split at the segment mid-points.
 
-    def test_needs_enough_points(self):
-        with pytest.raises(ValueError, match="at least 3"):
-            fit_excited_return([(100, 1e-3), (200, 5e-4)], 1.0)
+    G_n = K sum_k |<n|dH.delta_k|0>|^2 / (E_n - E_0)^2, an independent quadrature
+    of int_0^1 |<n|d_s 0>|^2 ds that never forms a branching ratio.
+    """
+    steps = len(path) - 1
+    mids, deltas = 0.5 * (path[1:] + path[:-1]), np.diff(path, axis=0)
+    energies, states = np.linalg.eigh(model.hamiltonian_many(mids))
+    dh = sum(
+        model.derivative_many(mids, c) * deltas[:, c, None, None] for c in range(model.nparams)
+    )
+    amps = np.einsum("kin,kij,kj->kn", np.conj(states), dh, states[:, :, 0])
+    spacings = energies[:, 1:] - energies[:, :1]
+    split = steps * np.sum(np.abs(amps[:, 1:]) ** 2 / spacings**2, axis=0)
+    return 0.5 * np.sum(split**2)
 
-    @pytest.mark.parametrize("length, infid", [(np.nan, 5e-3), (np.inf, 5e-3), (1.0, np.nan)])
-    def test_rejects_nonfinite_input(self, length, infid):
-        data = [(100, 1e-2), (200, infid), (400, 2.5e-3)]
-        with pytest.raises(ValueError, match="finite"):
-            fit_excited_return(data, length)
+
+class TestExcitedReturn:
+    @pytest.mark.parametrize("steps", [8, 64, 1000])
+    def test_two_level_half_rotation(self, two_level, steps):
+        # every quench moves sin^2(pi/2K) between the two levels, so G_1 = K^2 sin^2(pi/2K)
+        # and R = K^4 sin^4(pi/2K)/2, which tends to pi^4/32
+        expected = 0.5 * steps**4 * np.sin(np.pi / (2 * steps)) ** 4
+        assert excited_return(two_level, two_level_path(np.pi, steps)) == pytest.approx(
+            expected, rel=1e-12, abs=0
+        )
+
+    def test_reversal_invariant(self, lipkin4_chord):
+        model, trajectory = lipkin4_chord
+        path = trajectory.discretize(1000)
+        forward = excited_return(model, path)
+        assert excited_return(model, path[::-1]) == pytest.approx(forward, rel=1e-12, abs=0)
+
+    def test_matches_midpoint_metric_split(self, lipkin4_chord):
+        # both are second order in 1/K: the gap falls 16x (measured 2.7e-7 to
+        # 1.7e-8) from K = 1000 to 4000; a one-sided column sum falls only 4x
+        model, trajectory = lipkin4_chord
+        gaps = []
+        for steps in (1000, 4000):
+            path = trajectory.discretize(steps)
+            reference = midpoint_excited_return(model, path)
+            gaps.append(abs(excited_return(model, path) - reference) / reference)
+        assert gaps[0] >= 10 * gaps[1]
+        assert gaps[1] <= 2e-7
+
+    def test_predicts_the_chain_residual(self, lipkin4_chord):
+        # K^2 (l^2/K - l^4/2K^2 - I_exact) - R is O(1/K): measured -5.1e-3 at
+        # K = 100 halving to -7.1e-4 at K = 800
+        model, trajectory = lipkin4_chord
+        fine = trajectory.discretize(2000)
+        length, coefficient = path_length(model, fine), excited_return(model, fine)
+        assert coefficient > 0
+        gaps = []
+        for steps in (100, 200, 400, 800):
+            exact = run_stroboscopic(model, trajectory.discretize(steps)).final_infidelity
+            predicted = length**2 / steps - length**4 / (2 * steps**2)
+            gaps.append(abs(steps**2 * (predicted - exact) - coefficient))
+        assert all(a >= 1.7 * b for a, b in zip(gaps, gaps[1:]))
 
 
 class TestZenoSweep:
@@ -199,6 +229,12 @@ class TestZenoSweep:
     def test_rejects_descending(self, lipkin10, trajectories10):
         with pytest.raises(ValueError, match="ascending"):
             zeno_sweep(lipkin10, trajectories10["linear-v"], [100, 50])
+
+    @pytest.mark.parametrize("steps", [2.5, True, 0])
+    def test_rejects_non_integer_step_counts(self, lipkin10, trajectories10, steps):
+        # 2.5 used to give a row for K = 2
+        with pytest.raises(ValueError, match="step count must be >= 1 and an integer"):
+            zeno_sweep(lipkin10, trajectories10["linear-v"], [steps])
 
     def test_rows_independent_of_order_of_computation(self, lipkin10, trajectories10):
         # each row only depends on its own K
@@ -235,8 +271,6 @@ class TestEquidistantOptimality:
             assert base_cost < cost
 
 
-LIPKIN4 = LipkinModel(4)
-START, END = np.array([0.0, 0.0]), np.array([2.0, 0.5])
 CHORD = START + np.linspace(0.0, 1.0, 201)[:, None] * (END - START)
 PATH_PRODUCERS = {
     "geodesic": (lambda: geometry.geodesic(LIPKIN4, START, END, 12), 12),
