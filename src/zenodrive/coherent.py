@@ -26,7 +26,7 @@ import numpy as np
 
 from .geometry import EIGH_BLOCK
 from .models import HamiltonianFamily, check_count
-from .protocol import run_stroboscopic
+from .protocol import excited_return, run_stroboscopic
 from .spectral import eigh_many
 from .trajectories import Trajectory
 
@@ -308,14 +308,19 @@ def minimal_steps(
     """Smallest stroboscopic step count that beats coherent driving at this time.
 
     A step count K wins when the exact chain infidelity I_exact(K) is below
-    the coherent infidelity I_coh.  The search is seeded with the Zeno law
-    I_exact(K) ~ l^2/K, where l is ``trajectory.length``: it starts at
-    ceil(l^2 / I_coh), clamped to [1, step_cap] (the cap itself when
-    I_coh <= 0), with step_cap the smaller of ``cap`` and the step count the
-    trajectory table resolves.  From the seed it grows a bracket in strides
-    of 1, 2, 4, ... downward while the lower end wins, or upward while the
-    upper end loses, and then bisects it.  The bisection ends on a losing
-    K_min - 1 (or on K_min = 1), which certifies the answer.
+    the coherent infidelity I_coh.  The search is seeded with the
+    second-order Zeno law I_exact(K) ~ E/K - (E^2/2 + R)/K^2, where E is
+    ``trajectory.energy`` (l^2 at constant metric speed) and R the
+    ``excited_return`` coefficient on a ``min(32, step_cap)``-step
+    discretization: it starts at the ceiling of the law's larger root K of
+    E/K - (E^2/2 + R)/K^2 = I_coh, or of E / I_coh when the law has no real
+    root (it never reaches I_coh, as at short times).  The seed is clamped
+    to [1, step_cap] (the cap itself when I_coh <= 0), with step_cap the
+    smaller of ``cap`` and the step count the trajectory table resolves.
+    From the seed it grows a bracket in strides of 1, 2, 4, ... downward
+    while the lower end wins, or upward while the upper end loses, and then
+    bisects it.  The bisection ends on a losing K_min - 1 (or on K_min = 1),
+    which certifies the answer; a seed at K_min costs two chain runs.
 
     Assumes I_exact(K) decreases in K near K_min; the tests check this on the
     ``compare`` golden and on criterion 7's times.  Returns ``(K_min, tau)``
@@ -325,7 +330,8 @@ def minimal_steps(
     ------
     ValueError
         If ``total_time`` is not positive and finite, ``cap`` is not an
-        integer >= 1 or ``coherent_infidelity`` is NaN.
+        integer >= 1, ``coherent_infidelity`` is NaN, or the trajectory
+        table is too coarse for a single step.
     """
     if not 0 < total_time < math.inf:
         raise ValueError(f"total time must be positive and finite, got {total_time!r}")
@@ -334,6 +340,7 @@ def minimal_steps(
         coherent_infidelity = integrate_schrodinger(
             model, trajectory.position_at, total_time
         ).infidelity
+    coherent_infidelity = float(coherent_infidelity)
     if math.isnan(coherent_infidelity):
         raise ValueError(f"coherent_infidelity must not be NaN, got {coherent_infidelity!r}")
 
@@ -343,7 +350,16 @@ def minimal_steps(
         path = trajectory.discretize(steps)
         return run_stroboscopic(model, path).final_infidelity < coherent_infidelity
 
-    zeno = trajectory.length**2 / coherent_infidelity if coherent_infidelity > 0 else math.inf
+    zeno = math.inf
+    if coherent_infidelity > 0 and step_cap >= 1:
+        energy = trajectory.energy
+        ret = excited_return(model, trajectory.discretize(min(32, step_cap)))
+        zeno = energy / coherent_infidelity
+        # the larger root of I K^2 - E K + (E^2/2 + R) = 0, in Python floats
+        # (at I = inf and E = R = 0 the discriminant is NaN, without a warning)
+        discriminant = energy**2 - 4.0 * coherent_infidelity * (energy**2 / 2.0 + ret)
+        if discriminant >= 0:
+            zeno = (energy + math.sqrt(discriminant)) / (2.0 * coherent_infidelity)
     seed = max(1, math.ceil(zeno) if zeno < step_cap else step_cap)
     # invariant once bracketed: hi wins, lo loses (lo = 0 stands for "no steps")
     stride = 1

@@ -149,7 +149,14 @@ class LipkinModel(HamiltonianFamily):
         n_qubits = check_count("n_qubits", n_qubits, 1)
         self.n_qubits = n_qubits
         self.dim = n_qubits + 1
-        self._a0, self._alam, self._achi, self._achi2 = _lipkin_monomials(n_qubits)
+        monomials = _lipkin_monomials(n_qubits)
+        self._a0, self._alam, self._achi, self._achi2 = monomials
+        # flat indices of the band where any monomial is nonzero (five diagonals),
+        # and each monomial's entries there
+        self._band = np.flatnonzero(np.any(np.array(monomials) != 0, axis=0))
+        self._band_a0, self._band_alam, self._band_achi, self._band_achi2 = (
+            monomial.ravel()[self._band] for monomial in monomials
+        )
 
     @property
     def total_spin(self) -> float:
@@ -163,16 +170,19 @@ class LipkinModel(HamiltonianFamily):
 
     def hamiltonian_many(self, points: np.ndarray) -> np.ndarray:
         points = self.check_points(points)
-        lam = points[..., 0, None, None]
-        chi = points[..., 1, None, None]
-        # ((a0 + lam A_lam) + chi A_chi) + chi^2 A_chi2, summed in place in that
-        # order: the bits of the plain expression, with one scratch array for its terms
-        out = lam * self._alam
-        out += self._a0
-        term = chi * self._achi
-        out += term
-        out += np.multiply(chi**2, self._achi2, out=term)
-        return out
+        lam = points[..., 0, None]
+        chi = points[..., 1, None]
+        # ((lam A_lam + a0) + chi A_chi) + chi^2 A_chi2, summed in place in that
+        # order on the band only: the bits of the plain four-term sum, whose
+        # entries off the band are +0.0 as here
+        band = lam * self._band_alam
+        band += self._band_a0
+        term = chi * self._band_achi
+        band += term
+        band += np.multiply(chi**2, self._band_achi2, out=term)
+        out = np.zeros(points.shape[:-1] + (self.dim * self.dim,))
+        out[..., self._band] = band
+        return out.reshape(points.shape[:-1] + (self.dim, self.dim))
 
     def derivative_many(self, points: np.ndarray, axis: int) -> np.ndarray:
         points = self.check_points(points, axis)

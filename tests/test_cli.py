@@ -247,6 +247,31 @@ class TestCompare:
         assert rows[0][3] == "" and rows[0][4] == ""
         assert rows[0][5] == "1"
 
+    def test_probe_budget_on_golden_config(self, tmp_path, monkeypatch):
+        # work budget without a clock: at the compare-n4-linear-v golden
+        # configuration the second-order Zeno seed is K_min on every row, so
+        # each row takes two chain runs (the seed ceil(l^2 / I_coh) took 2, 4, 4)
+        import zenodrive.cli as cli
+        from zenodrive import coherent
+
+        rows, minimal_steps, run_stroboscopic = [], cli.minimal_steps, coherent.run_stroboscopic
+
+        def one_row(*args, **kwargs):
+            rows.append([])
+            return minimal_steps(*args, **kwargs)
+
+        def counting(model, path):
+            rows[-1].append(len(path) - 1)
+            return run_stroboscopic(model, path)
+
+        monkeypatch.setattr(cli, "minimal_steps", one_row)
+        monkeypatch.setattr(coherent, "run_stroboscopic", counting)
+        run_cli(
+            tmp_path, "budget", "compare", "--model.N", "4", "--path.family", "linear-v",
+            "--times.T", "1,5,20", "--jobs", "1",
+        )
+        assert rows == [[2, 1], [3, 2], [366, 365]]
+
 
 class TestGadget:
     def test_columns_and_laws(self, tmp_path):

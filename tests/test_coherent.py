@@ -1,4 +1,6 @@
 
+import warnings
+
 import numpy as np
 import pytest
 from conftest import traced_peak
@@ -463,12 +465,13 @@ class TestCoherentSweep:
         assert rows[0]["I_coherent"] > rows[1]["I_coherent"]
 
 
+N4_ENDS = (np.array([0.0, 0.0]), np.array([2.0, 0.5]))
+
+
 @pytest.fixture(scope="module")
 def golden_chord4():
     """N=4 linear-v trajectory of the ``compare-n4-linear-v`` golden run (CLI defaults)."""
-    return build_trajectory(
-        LipkinModel(4), "linear-v", np.array([0.0, 0.0]), np.array([2.0, 0.5]), dense_steps=100000
-    )
+    return build_trajectory(LipkinModel(4), "linear-v", *N4_ENDS, dense_steps=100000)
 
 
 def counting_probes(monkeypatch):
@@ -572,24 +575,83 @@ class TestMinimalSteps:
         tail = exact[max(1, int(0.9 * k_scan)) : k_scan + 1]
         assert np.all(np.diff(tail) < 0), tail
 
+    @pytest.mark.parametrize(
+        "family, total_time, probes_made",
+        [
+            ("linear-v", 20.0, [366, 365]),
+            ("linear-v", 50.0, [1540, 1539]),
+            ("geodesic", 20.0, [1005, 1004]),
+            ("linear-u", 20.0, [100, 99]),
+        ],
+        ids=["linear-v-T20", "linear-v-T50", "geodesic-T20", "linear-u-T20"],
+    )
+    def test_second_order_seed_lands_on_k_min(
+        self, golden_chord4, family, total_time, probes_made, monkeypatch
+    ):
+        # the seed is K_min itself: one winning run and the losing K_min - 1
+        # that certifies it.  On linear-u, E = 1.19 l^2 and a seed from l^2 gave 85
+        model = LipkinModel(4)
+        trajectory = golden_chord4
+        if family == "geodesic":
+            trajectory = build_trajectory(model, "geodesic", *N4_ENDS, geodesic_steps=48)
+        elif family == "linear-u":
+            trajectory = build_trajectory(model, "linear-u", *N4_ENDS, dense_steps=20000)
+        i_coh = integrate_schrodinger(model, trajectory.position_at, total_time).infidelity
+        probes = counting_probes(monkeypatch)
+        k_min, tau = minimal_steps(model, trajectory, total_time, coherent_infidelity=i_coh)
+        assert probes == probes_made
+        assert (k_min, tau) == (probes_made[0], total_time / probes_made[0])
+
     def test_zeno_seed_keeps_probes_few(self, golden_chord4, monkeypatch):
         probes = counting_probes(monkeypatch)
         k_min, _ = minimal_steps(LipkinModel(4), golden_chord4, 20.0)
         assert k_min == 366
-        assert len(probes) <= 8, probes
+        assert len(probes) == 2, probes
 
-    def test_upward_bracket_when_seed_loses(self, monkeypatch):
-        # on linear-u the Zeno seed ceil(l^2 / I_coh) = 85 undershoots: the
-        # bracket grows upward in strides 1, 2, 4, 8, then bisects down to 99
-        model = LipkinModel(4)
-        trajectory = build_trajectory(
-            model, "linear-u", np.array([0.0, 0.0]), np.array([2.0, 0.5]), dense_steps=20000
-        )
-        i_coh = integrate_schrodinger(model, trajectory.position_at, 20.0).infidelity
-        probes = counting_probes(monkeypatch)
-        k_min, tau = minimal_steps(model, trajectory, 20.0, coherent_infidelity=i_coh)
-        assert probes == [85, 86, 88, 92, 100, 96, 98, 99]
+    @staticmethod
+    def scanned_k_min(model, trajectory, i_coh):
         scan = 1
         while run_stroboscopic(model, trajectory.discretize(scan)).final_infidelity >= i_coh:
             scan += 1
-        assert (k_min, tau) == (scan, 20.0 / scan) == (100, 0.2)
+        return scan
+
+    def test_upward_bracket_when_seed_loses(self, lipkin10, trajectories10, monkeypatch):
+        # found by a scan of I_coh on N=10 linear-u: near the top of the law
+        # E/K - (E^2/2 + R)/K^2 its root 7 falls short of K_min = 9, so the
+        # bracket grows upward in strides 1, 2 and then bisects down to 9
+        trajectory = trajectories10["linear-u"]
+        probes = counting_probes(monkeypatch)
+        k_min, _ = minimal_steps(lipkin10, trajectory, 1.0, coherent_infidelity=0.31)
+        assert probes == [7, 8, 10, 9]
+        assert k_min == self.scanned_k_min(lipkin10, trajectory, 0.31) == 9
+
+    def test_downward_stride_when_seed_overshoots(self, lipkin10, trajectories10, monkeypatch):
+        # above the law's maximum it has no root and the seed is ceil(E / I_coh)
+        # = 8: the bracket grows downward in strides 1, 2, 4 to a losing 1,
+        # then bisects up to K_min = 5
+        trajectory = trajectories10["linear-u"]
+        probes = counting_probes(monkeypatch)
+        k_min, _ = minimal_steps(lipkin10, trajectory, 1.0, coherent_infidelity=0.5)
+        assert probes == [8, 7, 5, 1, 3, 4]
+        assert k_min == self.scanned_k_min(lipkin10, trajectory, 0.5) == 5
+
+    def test_too_coarse_table_raises(self):
+        # a 5-segment table resolves no step, so the first probe is refused
+        # before any excited-return walk
+        model = LipkinModel(4)
+        trajectory = build_trajectory(model, "linear-v", *N4_ENDS, dense_steps=5)
+        with pytest.raises(ValueError, match="trajectory table too coarse"):
+            minimal_steps(model, trajectory, 5.0, coherent_infidelity=0.1)
+
+    @pytest.mark.parametrize("family", ["linear-v", "linear-u"])
+    def test_zero_length_trajectory_takes_one_step(self, family):
+        model = LipkinModel(4)
+        point = np.array([1.0, 0.2])
+        trajectory = build_trajectory(model, family, point, point, dense_steps=200)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            energy = trajectory.energy
+            assert minimal_steps(model, trajectory, 3.0, coherent_infidelity=1e-3) == (1, 3.0)
+        # the law length is 0 on linear-u; linear-v's law is the metric table,
+        # whose 200 rounding-level steps sum to about 1e-5, so E = W^2 ~ 1e-10
+        assert energy == 0.0 or (family == "linear-v" and 0.0 < energy < 1e-9)

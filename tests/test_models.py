@@ -308,19 +308,23 @@ def test_n10_gap_regression_anchor():
     assert gap == pytest.approx(1.2998319990210732, rel=1e-12)
 
 
-@pytest.mark.parametrize("n", [1, 4, 10])
-@pytest.mark.parametrize("shape", [(), (5,), (3, 4)])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 10, 16])
+@pytest.mark.parametrize("shape", [(), (5,), (3, 4), (7,), (3, 5)])
 def test_hamiltonian_is_the_plain_monomial_sum(n, shape):
-    # the in-place sum keeps the order ((a0 + lam A_lam) + chi A_chi) + chi^2 A_chi2
+    # the sum on the band keeps the order ((lam A_lam + a0) + chi A_chi) + chi^2 A_chi2
+    # and leaves +0.0 off it, bit for bit the full four-term sum
     model = LipkinModel(n)
     rng = np.random.default_rng(n)
     points = np.stack([rng.uniform(-2.0, 3.0, shape), rng.uniform(0.0, 1.0, shape)], axis=-1)
     points.reshape(-1, 2)[0] = (-1.5, 0.0)   # chi = 0 at negative lam
     lam, chi = points[..., 0, None, None], points[..., 1, None, None]
-    plain = model._a0 + lam * model._alam + chi * model._achi + chi**2 * model._achi2
+    plain = lam * model._alam + model._a0 + chi * model._achi + chi**2 * model._achi2
     got = model.hamiltonian_many(points)
     assert got.shape == shape + (n + 1, n + 1)
     assert np.array_equal(got, plain)
+    assert np.array_equal(np.signbit(got), np.signbit(plain))
+    single = points.reshape(-1, 2)[-1]
+    assert np.array_equal(model.hamiltonian_many(single), plain.reshape(-1, n + 1, n + 1)[-1])
 
 
 def test_batch_evaluators_match_single():

@@ -270,6 +270,26 @@ class TestEquidistantOptimality:
             cost = float((step_lengths_along(lipkin10, pts) ** 2).sum())
             assert base_cost < cost
 
+    def test_path_energy_is_least_at_constant_speed(self, lipkin10, trajectories10):
+        # Cauchy-Schwarz: E = W sum dl^2/dw >= (sum dl)^2 = l^2, equal at constant metric speed
+        for family, trajectory in trajectories10.items():
+            energy, squared = trajectory.energy, trajectory.length**2
+            if family == "linear-u":
+                assert energy > 1.4 * squared
+            else:
+                assert energy == pytest.approx(squared, rel=1e-12, abs=0)
+        model = LIPKIN4
+        trajectory = build_trajectory(model, "linear-u", START, END, dense_steps=20000)
+        energy = trajectory.energy
+        assert energy / trajectory.length**2 == pytest.approx(1.19204, abs=1e-5)
+        # E, not l^2, is the Zeno coefficient of the plane-speed law: K (E - K I_exact(K))
+        # settles (0.848 at K = 100, 0.857 at K = 1600) while E - l^2 = 0.166
+        gaps = []
+        for steps in (100, 200, 400):
+            exact = run_stroboscopic(model, trajectory.discretize(steps)).final_infidelity
+            gaps.append(steps * (energy - steps * exact))
+        assert all(0.8 < gap < 0.9 for gap in gaps)
+
 
 CHORD = START + np.linspace(0.0, 1.0, 201)[:, None] * (END - START)
 PATH_PRODUCERS = {
