@@ -36,7 +36,13 @@ class ProtocolResult:
 
     @property
     def final_infidelity(self) -> float:
-        return 1.0 - self.final_fidelity
+        """Final excited weight, the sum of the excited occupations.
+
+        Not 1 - ``final_fidelity``: each quench rounds the ground-to-ground
+        ratio 1 - dl^2 at eps, so that difference errs by about K eps, while
+        the excited sum adds non-negative terms and never cancels.
+        """
+        return float(self.probabilities[-1, 1:].sum())
 
 
 def run_stroboscopic(model: HamiltonianFamily, path) -> ProtocolResult:

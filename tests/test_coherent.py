@@ -43,7 +43,7 @@ class TestIntegrator:
     def test_zero_time_is_sudden_quench(self, two_level, lipkin10, trajectories10):
         result = integrate_schrodinger(two_level, angle_ramp(np.pi / 2), 0.0)
         assert result.infidelity == pytest.approx(np.sin(np.pi / 4) ** 2, abs=1e-12)
-        assert result.substeps == 0
+        assert (result.substeps, result.passes, result.error_estimate) == (0, 0, 0.0)
         # identical to the single-quench stroboscopic result on the same path
         trajectory = trajectories10["linear-v"]
         sudden = integrate_schrodinger(lipkin10, trajectory.position_at, 0.0)
@@ -463,6 +463,133 @@ class TestCoherentSweep:
         direct = integrate_schrodinger(two_level, two_level_trajectory.position_at, 8.0)
         assert rows[1]["I_coherent"] == pytest.approx(direct.infidelity, abs=1e-12)
         assert rows[0]["I_coherent"] > rows[1]["I_coherent"]
+
+
+def plain_rule(monkeypatch, *args, **kwargs):
+    """``integrate_schrodinger`` with the order-aware stop switched off."""
+    with monkeypatch.context() as patch:
+        patch.setattr(coherent, "ORDER_SHRINK", np.inf)
+        return integrate_schrodinger(*args, **kwargs)
+
+
+def cf4_steps(calls):
+    """CF4 steps over all passes recorded by ``counting_propagations``."""
+    return sum(args[3].size - 1 for args in calls)
+
+
+@pytest.fixture(scope="module")
+def sweep_chord10():
+    """N=10 linear-v trajectory of the ``coherent-sweep`` benchmark.
+
+    Its 20 000-segment table resolves 2 000 steps.
+    """
+    return build_trajectory(LipkinModel(10), "linear-v", *N4_ENDS, dense_steps=20000)
+
+
+def dop853_two_level(total_time, total_angle):
+    """Final infidelity of the two-level ramp ``angle_ramp(total_angle)`` under DOP853."""
+    from scipy.integrate import solve_ivp
+
+    model, ramp = TwoLevelModel(), angle_ramp(total_angle)
+    initial, target = coherent._ground_states(model, ramp, [0.0, 1.0])
+
+    def rhs(t, y):
+        return -1j * (model.hamiltonian_many(ramp(t / total_time)) @ y)
+
+    sol = solve_ivp(
+        rhs, (0.0, total_time), initial.astype(complex), method="DOP853", rtol=1e-13, atol=1e-13
+    )
+    return 1.0 - abs(np.vdot(target, sol.y[:, -1])) ** 2
+
+
+class TestOrderAwareStop:
+    def test_saves_the_last_doubling_on_the_sweep_trajectory(self, sweep_chord10, monkeypatch):
+        # |dF| 2.4e-7 -> 1.5e-8 over 256 -> 512 steps, 16.3x: 512 steps stop
+        # on the corrected value instead of running 1 024
+        model = LipkinModel(10)
+        result = integrate_schrodinger(model, sweep_chord10.position_at, 60.0)
+        assert (result.substeps, result.passes) == (512, 4)
+        plain = plain_rule(monkeypatch, model, sweep_chord10.position_at, 60.0)
+        assert (plain.substeps, plain.passes) == (1024, 5)
+        assert result.error_estimate < coherent.DEFAULT_TOLERANCE <= 15 * result.error_estimate
+        assert plain.error_estimate < coherent.DEFAULT_TOLERANCE
+        # the state belongs to the 512-step grid; only the fidelity is corrected
+        _, target = coherent._ground_states(model, sweep_chord10.position_at, [0.0, 1.0])
+        fine = abs(np.vdot(target, result.state)) ** 2
+        assert abs(result.fidelity - fine) == pytest.approx(result.error_estimate, rel=1e-6)
+        # measured 3.2e-11 from the tolerance=1e-10 run (the uncorrected
+        # 512-step value is 9.7e-10 off)
+        tight = integrate_schrodinger(
+            model, sweep_chord10.position_at, 60.0, tolerance=1e-10
+        )
+        assert abs(result.infidelity - tight.infidelity) <= 1e-9
+
+    def test_fires_on_an_analytic_ramp(self, two_level, monkeypatch):
+        # no table, no resolution limit: the pi ramp at T = 60 stops at 256
+        # steps (plain rule: 512), measured 2.9e-11 from DOP853, where the
+        # uncorrected 256-step value is 5.5e-9 off
+        ramp = angle_ramp(np.pi)
+        result = integrate_schrodinger(two_level, ramp, 60.0)
+        plain = plain_rule(monkeypatch, two_level, ramp, 60.0)
+        assert (result.substeps, plain.substeps) == (256, 512)
+        reference = dop853_two_level(60.0, np.pi)
+        assert abs(result.infidelity - reference) <= coherent.DEFAULT_TOLERANCE
+
+    def test_coarse_table_keeps_the_plain_rule(self, monkeypatch):
+        # a 200-segment table resolves 20 steps, below any CF4 grid: the
+        # ratio test alone would stop at 256 steps with an error of 1.7e-8
+        # (the plain rule: 2 048 steps, 7.8e-10)
+        model = LipkinModel(4)
+        trajectory = build_trajectory(model, "linear-v", *N4_ENDS, dense_steps=200)
+        result = integrate_schrodinger(model, trajectory.position_at, 60.0)
+        plain = plain_rule(monkeypatch, model, trajectory.position_at, 60.0)
+        assert result.substeps == plain.substeps == 2048
+        assert result.fidelity == plain.fidelity
+        assert np.array_equal(result.state, plain.state)
+        assert (result.passes, result.error_estimate) == (plain.passes, plain.error_estimate)
+        monkeypatch.setattr(coherent, "_resolved_steps", lambda position_fn: np.inf)
+        unguarded = integrate_schrodinger(model, trajectory.position_at, 60.0)
+        assert unguarded.substeps == 256
+
+    def test_never_worse_than_tolerance_or_the_plain_rule(self, monkeypatch):
+        # N=4 ladder; only the 20k table resolves a CF4 grid, where the stop
+        # moves T = 60 and 100 one doubling earlier with 3.8x smaller errors
+        model = LipkinModel(4)
+        moved = 0
+        for dense_steps in (200, 1000, 20000):
+            trajectory = build_trajectory(model, "linear-v", *N4_ENDS, dense_steps=dense_steps)
+            for total_time in (40.0, 60.0, 100.0, 200.0):
+                result = integrate_schrodinger(model, trajectory.position_at, total_time)
+                plain = plain_rule(monkeypatch, model, trajectory.position_at, total_time)
+                if result.fidelity == plain.fidelity:
+                    continue
+                moved += 1
+                assert dense_steps == 20000
+                assert result.substeps == plain.substeps // 2
+                reference = plain_rule(
+                    monkeypatch, model, trajectory.position_at, total_time, tolerance=1e-11
+                ).fidelity
+                error, plain_error = (abs(r.fidelity - reference) for r in (result, plain))
+                assert error <= max(coherent.DEFAULT_TOLERANCE, plain_error)
+        assert moved == 2
+
+
+class TestWorkBudget:
+    """CF4 steps summed over all passes: a count that no host speed moves."""
+
+    def test_sweep_trajectory_saves_the_1024_step_pass(self, sweep_chord10, monkeypatch):
+        # 64 + 128 + 256 + 512; the plain rule adds the 1 024-step pass (1 984)
+        calls = counting_propagations(monkeypatch)
+        integrate_schrodinger(LipkinModel(10), sweep_chord10.position_at, 60.0)
+        assert cf4_steps(calls) == 960
+
+    def test_coarse_table_keeps_the_plain_count(self, monkeypatch):
+        # 64 + 128 + ... + 2 048, as with the plain rule
+        model = LipkinModel(4)
+        trajectory = build_trajectory(model, "linear-v", *N4_ENDS, dense_steps=200)
+        calls = counting_propagations(monkeypatch)
+        integrate_schrodinger(model, trajectory.position_at, 60.0)
+        assert cf4_steps(calls) == 4032
 
 
 N4_ENDS = (np.array([0.0, 0.0]), np.array([2.0, 0.5]))

@@ -1,12 +1,15 @@
 import numpy as np
 import pytest
 
+from zenodrive.models import LipkinModel, brute_force_lipkin
+from zenodrive.protocol import run_stroboscopic
 from zenodrive.spectator import (
     evolve_gadget,
     gadget_unitary,
     interaction_hamiltonian,
     reduced_density,
 )
+from zenodrive.trajectories import build_trajectory
 
 A_EQUAL = 1.0 / np.sqrt(2.0)
 
@@ -168,6 +171,88 @@ class TestInteractionAction:
         for t in np.linspace(0, 4 * tau, 11):
             psi = evolve_gadget(0.6, 0.8, tau, t)
             assert abs(float(np.vdot(psi, h @ psi).real)) <= 1e-12
+
+
+def eigenspaces(n_qubits, point):
+    """Projectors onto the eigenspaces of the 2^N Hamiltonian at ``point``, lowest energy first.
+
+    Levels within 1e-9 form one eigenspace: the J-multiplets of the full
+    space are degenerate, so single eigenvectors are not enough.
+    """
+    energies, vectors = np.linalg.eigh(brute_force_lipkin(n_qubits, point))
+    starts = np.flatnonzero(np.diff(energies, prepend=-np.inf) > 1e-9)
+    return [
+        vectors[:, lo:hi] @ vectors[:, lo:hi].T
+        for lo, hi in zip(starts, np.append(starts[1:], energies.size))
+    ]
+
+
+def spectator_chain_infidelity(n_qubits, path, elapsed):
+    """Final excited weight of the quench protocol with microscopic spectators.
+
+    After each quench, ceil(log2 G) fresh spectator qubits, each in |up>,
+    couple to the G eigenspaces of the new Hamiltonian for ``elapsed`` (in
+    units of the decoherence time): qubit b through the gadget of
+    ``gadget_unitary``, with the system's sigma_z replaced by
+    Z_b = sum_g (-1)^bit_b(g) P_g, and is then traced out.  Free evolution
+    commutes with every P_g, so it changes no eigenspace weight and is left
+    out.  At ``elapsed`` = 1 every pair of eigenspaces differs in some bit
+    and the channel is full dephasing; at 0 nothing happens.
+    """
+    ground = eigenspaces(n_qubits, path[0])[0]
+    assert np.trace(ground) == pytest.approx(1.0)
+    rho = ground.astype(complex)
+    gadget = gadget_unitary(1.0, elapsed)
+    # the gadget's sigma_z = +1 block (|1>) and -1 block (|0>)
+    branches = (gadget[2:, 2:], gadget[:2, :2])
+    up = np.array([[1.0, 0.0], [0.0, 0.0]])
+    dim = rho.shape[0]
+    for point in path[1:]:
+        projectors = eigenspaces(n_qubits, point)
+        for bit in range(int(np.ceil(np.log2(len(projectors))))):
+            coupling = sum(
+                np.kron(projector, branches[(g >> bit) & 1])
+                for g, projector in enumerate(projectors)
+            )
+            joint = coupling @ np.kron(rho, up) @ coupling.conj().T
+            rho = np.einsum("isjs->ij", joint.reshape(dim, 2, dim, 2))
+    assert abs(np.trace(rho) - 1.0) <= 1e-13
+    return sum(np.trace(projector @ rho).real for projector in projectors[1:])
+
+
+class TestSpectatorChain:
+    """The chain against the paper's spectator mechanism in the 2^N tensor-product space."""
+
+    @pytest.fixture(scope="class", params=[3, 4])
+    def chord(self, request):
+        n_qubits = request.param
+        model = LipkinModel(n_qubits)
+        trajectory = build_trajectory(
+            model, "linear-v", np.array([0.0, 0.0]), np.array([2.0, 0.5]), dense_steps=800
+        )
+        return n_qubits, model, trajectory
+
+    @pytest.mark.parametrize("steps", [5, 20, 80])
+    def test_full_decoherence_is_the_chain(self, chord, steps):
+        # measured within 1.1e-13 (relative); read as 1 - p_0 on both sides,
+        # N=3 at K = 80 is 1.7e-12 off
+        n_qubits, model, trajectory = chord
+        path = trajectory.discretize(steps)
+        reference = spectator_chain_infidelity(n_qubits, path, 1.0)
+        chain = run_stroboscopic(model, path).final_infidelity
+        assert abs(chain - reference) <= 1e-12 * reference
+
+    def test_no_decoherence_is_the_sudden_quench(self, chord):
+        n_qubits, model, trajectory = chord
+        sudden = run_stroboscopic(model, trajectory.discretize(1)).final_infidelity
+        frozen = [
+            spectator_chain_infidelity(n_qubits, trajectory.discretize(steps), 0.0)
+            for steps in (5, 20, 80)
+        ]
+        assert np.ptp(frozen) <= 1e-12
+        assert abs(frozen[0] - sudden) <= 1e-12
+        if n_qubits == 4:
+            assert frozen[0] == pytest.approx(0.624, abs=1e-3)
 
 
 NAN = float("nan")
