@@ -9,7 +9,13 @@ energy with modified Newton steps, damped until the block-tridiagonal Hessian
 is positive definite (its cyclic-reduction solve tells), and certifies the
 relaxed polyline against its exact length.  Its only diagonalizations are
 those of the trial mid-points: the Hessian's forward-difference probes take
-their eigensystems from the mids' by first-order perturbation theory.
+their eigensystems from the mids' by first-order perturbation theory, from
+the same B^c = V^dagger dH_c V and mixing matrices that the mids' metric
+gradient contracts, each formed once per Newton iterate.  Every metric
+kernel of one solve works in one reused ``_MetricWorkspace``: at N=10 and
+256 points per block, seven stacks of (dim, dim) matrices and a mask,
+1.8 MB.  With it the default solve's traced peak is 3.3 MB, against 3.8 MB
+when every kernel allocated its own temporaries.
 """
 from __future__ import annotations
 
@@ -111,45 +117,132 @@ def metric_with_gradient_many(
     return _metric_impl(model, points, with_gradient=True)[:2]
 
 
-def _metric_impl(model, points, *, with_gradient, eigensystem=None):
+def _metric_impl(model, points, *, with_gradient, eigensystem=None, workspace=None):
     """Metric, gradient (or None) and gap, ``EIGH_BLOCK`` flattened points at a time.
 
     ``eigensystem``, if given, is ``(energies, states)`` of the flattened
     points' Hamiltonians, shapes (P, dim) and (P, dim, dim), and replaces their
-    diagonalization; the results are those of diagonalizing here.
+    diagonalization; the results are those of diagonalizing here.  Every
+    block is computed in the one ``workspace`` (made here when omitted).
     """
     points = model.check_points(points)
     batch_shape, nparams = points.shape[:-1], model.nparams
     flat = points.reshape(-1, nparams)
+    if workspace is None:
+        workspace = _MetricWorkspace()
     g = np.empty((len(flat), nparams, nparams))
     dg = np.empty((len(flat),) + (nparams,) * 3) if with_gradient else None
     gap = np.empty(len(flat))
-    clipped = False
     for lo in range(0, len(flat), EIGH_BLOCK):
         rows = slice(lo, lo + EIGH_BLOCK)
         block_eig = None if eigensystem is None else (eigensystem[0][rows], eigensystem[1][rows])
-        block_g, block_dg, gap[rows] = _metric_block(model, flat[rows], with_gradient, block_eig)
-        if np.abs(block_g).max() > METRIC_CAP:
-            clipped = True
-            block_g = np.clip(block_g, -METRIC_CAP, METRIC_CAP)
-        g[rows] = block_g
+        g[rows], block_dg, gap[rows] = _metric_block(
+            model, flat[rows], with_gradient, block_eig, None, workspace)
         if with_gradient:
             dg[rows] = block_dg
-    if clipped:
-        warnings.warn(
-            f"metric component exceeds cap {METRIC_CAP:.0e}; clipping (near-degenerate gap)",
-            stacklevel=3,
-        )
+    _clip_metric(g, stacklevel=3)
     g = g.reshape(batch_shape + (nparams, nparams))
     if with_gradient:
         dg = dg.reshape(batch_shape + (nparams,) * 3)
     return g, dg, gap.reshape(batch_shape)
 
 
-def _metric_block(model, points, with_gradient, eigensystem=None):
-    """Unclipped metric, gradient (or None) and gap of one (B, D) block of points,
-    diagonalized here unless their ``eigensystem`` is given."""
+def _clip_metric(g, stacklevel):
+    """Clip metric tensors ``g`` in place to +-``METRIC_CAP``; if any component
+    exceeded it, warn once, ``stacklevel`` counted from the caller."""
+    if g.size and np.abs(g).max() > METRIC_CAP:
+        np.clip(g, -METRIC_CAP, METRIC_CAP, out=g)
+        warnings.warn(
+            f"metric component exceeds cap {METRIC_CAP:.0e}; clipping (near-degenerate gap)",
+            stacklevel=stacklevel + 1,
+        )
+
+
+class _MetricWorkspace:
+    """Named buffers of the metric kernels, allocated once and reused call to call.
+
+    ``take`` hands out the first ``count`` matrices of a stack of (dim, dim)
+    matrices (of each of its stacks), so a call on a short block reads no
+    stale entries; a buffer is allocated at its first ``take`` and again
+    only when a take needs more matrices, another stack shape or another
+    dtype.  ``geodesic`` makes one per call.  Allocated per use instead,
+    about a dozen block-sized temporaries of each Newton iterate were freed
+    and their pages handed back to the system, to be faulted in again by
+    the next: with glibc's allocator, the default N=10, 256-segment solve
+    in a fresh interpreter took 29.3k minor page faults, and 1.1k with one
+    workspace per call.
+    """
+
+    def __init__(self):
+        self.buffers = {}
+
+    def take(self, name, shape, dtype=float):
+        """Buffer ``name`` as a view of ``shape``, ([stacks,] count, dim, dim)."""
+        buffer = self.buffers.get(name)
+        if (buffer is None or buffer.dtype != dtype or buffer.shape[-3] < shape[-3]
+                or buffer.shape[:-3] + buffer.shape[-2:] != shape[:-3] + shape[-2:]):
+            buffer = self.buffers[name] = np.empty(shape, dtype)
+        return buffer[..., : shape[-3], :, :]
+
+
+def _adjoint(matrices, workspace):
+    """``np.conj(np.swapaxes(matrices, -1, -2))`` for a stack of row-major matrices,
+    in that expression's memory layout (each the transpose of a row-major
+    matrix), so that products with it take the same BLAS route: a view of
+    real ``matrices``, of their conjugates in ``workspace`` for complex ones."""
+    if np.iscomplexobj(matrices):
+        conjugates = workspace.take("adjoint", matrices.shape, matrices.dtype)
+        matrices = np.conjugate(matrices, out=conjugates)
+    return np.swapaxes(matrices, -1, -2)
+
+
+def _eigenproducts(model, points, eigensystem, with_gradient, workspace):
+    """The eigenbasis products the metric kernels contract at (B, D) ``points``
+    with ``eigensystem`` (energies, states): ``(amps, second, bmats, tmats)``.
+
+    amps[..., i, c] = <E_i|dH_c|E_0> = (V^dagger dH_c v_0)_i, a
+    matrix-vector product.  With ``with_gradient`` also ``second``, column 0
+    of V^dagger d2H V once per unordered axis pair, the (D, B, dim, dim)
+    stack ``bmats`` of B^c = V^dagger dH_c V and their ``_mixing`` matrices
+    ``tmats``; else these three are None.  ``derivative_many`` is called once
+    per axis.  ``bmats`` and ``tmats`` are views of ``workspace``, valid
+    until its next use.
+    """
+    energies, states = eigensystem
     nparams = model.nparams
+    vh = _adjoint(states, workspace)
+    ground = states[..., :, :1]
+    if with_gradient:
+        shape = (nparams,) + states.shape
+        bmats = workspace.take("bmats", shape, states.dtype)
+        # V^dagger dH_c passes through the not yet written mixing matrices
+        partial = workspace.take("tmats", shape, states.dtype)
+    columns = []
+    for c in range(nparams):
+        dham = model.derivative_many(points, c)
+        columns.append(vh @ (dham @ ground))
+        if with_gradient:
+            np.matmul(np.matmul(vh, dham, out=partial[c]), states, out=bmats[c])
+        del dham   # freed before the next axis's is made
+    amps = np.concatenate(columns, axis=-1)
+    if not with_gradient:
+        return amps, None, None, None
+    second = {
+        (lo, hi): (vh @ (model.second_derivative_many(points, lo, hi) @ ground))[..., 0]
+        for lo in range(nparams)
+        for hi in range(lo, nparams)
+    }
+    return amps, second, bmats, _mixing(energies, bmats, workspace)
+
+
+def _metric_block(model, points, with_gradient, eigensystem=None, products=None, workspace=None):
+    """Unclipped metric, gradient (or None) and gap of one (B, D) block of points,
+    diagonalized here unless their ``eigensystem`` is given, from their
+    ``products`` (``_eigenproducts``, formed here unless given) in
+    ``workspace`` (made here when omitted)."""
+    nparams = model.nparams
+    if workspace is None:
+        workspace = _MetricWorkspace()
     if eigensystem is None:
         eigensystem = eigh_many(model.hamiltonian_many(points))
     energies, states = eigensystem
@@ -157,17 +250,14 @@ def _metric_block(model, points, with_gradient, eigensystem=None):
     min_gap = float(gap.min())
     if min_gap <= GAP_FLOOR:
         raise DegenerateGroundStateError(min_gap)
+    if products is None:
+        products = _eigenproducts(model, points, eigensystem, with_gradient, workspace)
+    amps, second, bmats, tmats = products
 
     # Every contraction is a batched matmul in the eigenbasis.  The metric
-    # needs only amps[..., i, c] = <E_i|dH_c|E_0> = (V^dagger dH_c v_0)_i, a
-    # matrix-vector product, formed the same way with or without the
-    # gradient so both routes return the same g.  The gradient also needs
-    # the full B^c = V^dagger dH_c V for the eigenvector derivatives, and only
-    # column 0 of V^dagger d2H V, once per unordered axis pair.
-    vh = np.conj(np.swapaxes(states, -1, -2))
-    ground = states[..., :, :1]
-    dhams = [model.derivative_many(points, c) for c in range(nparams)]
-    amps = np.concatenate([vh @ (dham @ ground) for dham in dhams], axis=-1)
+    # needs only amps, formed the same way with or without the gradient so
+    # both routes return the same g.  The gradient also needs the full B^c
+    # for the eigenvector derivatives, and only column 0 of V^dagger d2H V.
     delta = energies - energies[..., 0:1]
     weight = np.zeros_like(delta)
     weight[..., 1:] = 1.0 / delta[..., 1:] ** 2
@@ -179,19 +269,12 @@ def _metric_block(model, points, with_gradient, eigensystem=None):
         return g, None, gap
 
     dim = states.shape[-1]
-    bmats = [vh @ dham @ states for dham in dhams]
-    second = {
-        (lo, hi): (vh @ (model.second_derivative_many(points, lo, hi) @ ground))[..., 0]
-        for lo in range(nparams)
-        for hi in range(lo, nparams)
-    }
     # damp[..., c, i, m] = d_c <E_i|dH_m|E_0>, with the eigenvector derivatives
     # of first-order perturbation theory
     damp = np.empty((len(points), nparams, dim, nparams), dtype=states.dtype)
     for c in range(nparams):
-        tmat = _mixing(energies, bmats[c])
-        tmat_h = np.conj(np.swapaxes(tmat, -1, -2))
-        tcol = tmat[..., :, :1]
+        tmat_h = _adjoint(tmats[c], workspace)
+        tcol = tmats[c][..., :, :1]
         for m in range(nparams):
             term1 = tmat_h @ amps[..., :, m : m + 1]
             term2 = bmats[m] @ tcol
@@ -216,16 +299,27 @@ def _metric_block(model, points, with_gradient, eigensystem=None):
     return g, dg, gap
 
 
-def _mixing(energies, bmat):
-    """T[j, i] = B[j, i] / (E_i - E_j), the first-order eigenvector mixing of
-    B = V^dagger dH V: d v_i = sum_j v_j T[j, i].
+def _mixing(energies, bmats, workspace=None):
+    """T^c[j, i] = B^c[j, i] / (E_i - E_j) for a (D, P, dim, dim) stack of
+    B^c = V^dagger dH_c V: the first-order eigenvector mixing d_c v_i =
+    sum_j v_j T^c[j, i].
 
     The diagonal and accidental excited-level crossings (|E_i - E_j| below
     1e2 ``GAP_FLOOR``) are guarded: those pair contributions are dropped.
+    The level differences and their mask are built once for all axes.  The
+    result is a view of ``workspace`` (made here when omitted), valid until
+    its next use.
     """
-    denom = energies[..., None, :] - energies[..., :, None]
-    keep = np.abs(denom) >= 1e2 * GAP_FLOOR
-    return np.where(keep, bmat / np.where(keep, denom, 1.0), 0.0)
+    if workspace is None:
+        workspace = _MetricWorkspace()
+    denom = workspace.take("denom", bmats.shape[1:])
+    np.subtract(energies[..., None, :], energies[..., :, None], out=denom)
+    tmats = workspace.take("tmats", bmats.shape, np.result_type(bmats, float))
+    # |E_i - E_j| in the not yet written first mixing matrix
+    keep = np.greater_equal(np.abs(denom, out=tmats[0].real), 1e2 * GAP_FLOOR,
+                            out=workspace.take("keep", denom.shape, bool))
+    tmats.fill(0.0)
+    return np.divide(bmats, denom, out=tmats, where=keep)
 
 
 def _eigenbases_along(model: HamiltonianFamily, points: np.ndarray, eigh):
@@ -338,20 +432,22 @@ def refine(path, factor: int) -> np.ndarray:
 # geodesic relaxation
 # ---------------------------------------------------------------------------
 
-def _discrete_energy(model, points):
+def _discrete_energy(model, points, workspace=None):
     """Path energy sum_k g(mid_k)[delta_k, delta_k] and the mid-points' eigensystems.
 
     The eigensystems let ``_energy_grad_hess`` at the same points skip
-    diagonalizing the mid-points again.
+    diagonalizing the mid-points again.  The metric is computed in
+    ``workspace`` (made here when omitted).
     """
     mids = 0.5 * (points[:-1] + points[1:])
     delta = points[1:] - points[:-1]
     eigensystem = eigh_many(model.hamiltonian_many(mids))
-    g = _metric_impl(model, mids, with_gradient=False, eigensystem=eigensystem)[0]
+    g = _metric_impl(model, mids, with_gradient=False, eigensystem=eigensystem,
+                     workspace=workspace)[0]
     return float(np.einsum("kab,ka,kb->", g, delta, delta)), eigensystem
 
 
-def _energy_grad_hess(model, points, eigensystem=None):
+def _energy_grad_hess(model, points, eigensystem=None, workspace=None):
     """Energy, gradient, and the block-tridiagonal Hessian blocks ``_solve_hessian`` takes.
 
     The energy is sum_k g(mid_k)[delta_k, delta_k].  Metric values and first
@@ -364,19 +460,36 @@ def _energy_grad_hess(model, points, eigensystem=None):
     above the mids and so inside the model domain.  The difference error
     does not only slow the convergence: it moves the relaxed points within
     the ``GEODESIC_GTOL`` basin.
+
+    The mids go ``EIGH_BLOCK`` at a time through one ``workspace`` (made here
+    when omitted).  A block's products (``_eigenproducts``: its B^c and
+    mixing matrices T^c, each formed once) serve both its metric gradient
+    and all its probes' eigensystems; then each probe's own products take
+    their place.  The mids' metric is clipped and warned about as by
+    ``metric_many``; the probes' metric is not used.
     """
     nparams = model.nparams
     mids = 0.5 * (points[:-1] + points[1:])
     delta = points[1:] - points[:-1]
     if eigensystem is None:
         eigensystem = eigh_many(model.hamiltonian_many(mids))
-    g, dg, _ = _metric_impl(model, mids, with_gradient=True, eigensystem=eigensystem)
+    if workspace is None:
+        workspace = _MetricWorkspace()
+    g = np.empty((len(mids), nparams, nparams))
+    dg = np.empty((len(mids),) + (nparams,) * 3)
     d2g = np.empty((len(mids),) + (nparams,) * 4)   # d2g[k, c] = d_c dg[k]
-    for c in range(nparams):
-        probe = _shifted_eigensystem(model, mids, eigensystem, c, GEODESIC_FD_STEP)
-        probe_dg = _metric_impl(model, mids + GEODESIC_FD_STEP * np.eye(nparams)[c],
-                                with_gradient=True, eigensystem=probe)[1]
-        d2g[:, c] = (probe_dg - dg) / GEODESIC_FD_STEP
+    for lo in range(0, len(mids), EIGH_BLOCK):
+        rows = slice(lo, lo + EIGH_BLOCK)
+        block, block_eig = mids[rows], (eigensystem[0][rows], eigensystem[1][rows])
+        products = _eigenproducts(model, block, block_eig, True, workspace)
+        g[rows], dg[rows], _ = _metric_block(model, block, True, block_eig, products, workspace)
+        probes = [_shifted_eigensystem(model, block, block_eig, c, GEODESIC_FD_STEP, products,
+                                       workspace) for c in range(nparams)]
+        for c, probe in enumerate(probes):
+            probe_points = block + GEODESIC_FD_STEP * np.eye(nparams)[c]
+            probe_dg = _metric_block(model, probe_points, True, probe, None, workspace)[1]
+            d2g[rows, c] = (probe_dg - dg[rows]) / GEODESIC_FD_STEP
+    _clip_metric(g, stacklevel=2)
 
     energy = float(np.einsum("kab,ka,kb->", g, delta, delta))
     gdelta = np.einsum("kab,kb->ka", g, delta)
@@ -395,18 +508,27 @@ def _energy_grad_hess(model, points, eigensystem=None):
     return energy, grad, (h_low, h_high, h_cross)
 
 
-def _shifted_eigensystem(model, points, eigensystem, axis, step):
+def _shifted_eigensystem(model, points, eigensystem, axis, step, products=None, workspace=None):
     """Eigensystem at points + step e_axis to first order in ``step``, from the
-    points' own ``eigensystem`` (energies, states) of shapes (P, dim), (P, dim, dim).
+    points' own ``eigensystem`` (energies, states) of shapes (P, dim), (P, dim, dim)
+    and their ``products`` (``_eigenproducts``, formed here unless given).
 
-    With B = V^dagger dH_axis V: E_i + step B_ii and v_i + step sum_{j != i}
-    v_j B_ji / (E_i - E_j), both off by O(step^2).  Beside the inputs it
-    holds one (P, dim, dim) stack, the shifted states.
+    With B = V^dagger dH_axis V and its mixing matrix T: E_i + step B_ii and
+    v_i + step sum_{j != i} v_j T_ji, both off by O(step^2).  The shifted
+    states are the ``axis``-th (P, dim, dim) stack of one buffer of
+    ``workspace`` (made here when omitted), valid until the next call for
+    the same axis; beside them it holds only (P, dim) energies.
     """
+    if workspace is None:
+        workspace = _MetricWorkspace()
+    if products is None:
+        products = _eigenproducts(model, points, eigensystem, True, workspace)
     energies, states = eigensystem
-    bmat = np.conj(np.swapaxes(states, -1, -2)) @ model.derivative_many(points, axis) @ states
+    bmat, tmat = products[2][axis], products[3][axis]
     shifted_energies = energies + step * np.real(np.diagonal(bmat, axis1=-2, axis2=-1))
-    shifted_states = states @ _mixing(energies, bmat)
+    shifted = workspace.take("shifted", (model.nparams,) + states.shape,
+                             np.result_type(states, tmat))[axis]
+    shifted_states = np.matmul(states, tmat, out=shifted)
     shifted_states *= step
     shifted_states += states
     return shifted_energies, shifted_states
@@ -478,12 +600,13 @@ def _interior_gradient(model, points, grad):
     return interior_grad
 
 
-def _alias_gap(model, points, eigensystem):
+def _alias_gap(model, points, eigensystem, workspace=None):
     """Relative excess of a path's vertex-chord length over its mid-point quadrature
-    length (0 if both are 0), from the mid-points' ``eigensystem`` if given."""
+    length (0 if both are 0), from the mid-points' ``eigensystem`` if given,
+    the metric computed in ``workspace`` (made here when omitted)."""
     delta = points[1:] - points[:-1]
     g = _metric_impl(model, 0.5 * (points[:-1] + points[1:]), with_gradient=False,
-                     eigensystem=eigensystem)[0]
+                     eigensystem=eigensystem, workspace=workspace)[0]
     quad = float(np.sqrt(np.einsum("kab,ka,kb->k", g, delta, delta)).sum())
     chords = float(step_lengths_along(model, points).sum())
     return (chords - quad) / chords if chords > 0 else 0.0
@@ -511,8 +634,10 @@ def geodesic(
     without resampling is also kept if it lowers the gradient residual.  Only
     the trials' mid-points are diagonalized: ``_energy_grad_hess`` reuses
     the accepted trial's eigensystems and builds its Hessian probes' from
-    them.  Returns the (steps+1, D) points, or ``(points, diag)`` with
-    ``return_diagnostics``.
+    them.  Equal (projected) end points give the constant path at once, with
+    no iteration, trial or solve.  Every metric kernel of the solve works in
+    one ``_MetricWorkspace``.  Returns the (steps+1, D) points, or
+    ``(points, diag)`` with ``return_diagnostics``.
 
     Raises
     ------
@@ -530,13 +655,20 @@ def geodesic(
     steps = check_count("steps", steps, 2)
     start = model.project_point(model.check_points(start))
     end = model.project_point(model.check_points(end))
+    diag = GeodesicDiagnostics()
+    if np.array_equal(start, end):
+        # the constant path: no relaxation, whose chords would sit at the
+        # sqrt(1 - |o|^2) rounding floor against a quadrature of exactly 0
+        diag.residual = 0.0
+        points = np.repeat(start[None], steps + 1, axis=0)
+        return (points, diag) if return_diagnostics else points
     points = start + np.linspace(0.0, 1.0, steps + 1)[:, None] * (end - start)
     points = resample(points, cumulative_lengths(model, points), steps)
     points[:, :] = model.project_point(points)
 
-    diag = GeodesicDiagnostics()
+    workspace = _MetricWorkspace()   # for every metric kernel of this solve
     eigensystem = None   # of the current mid-points, once a trial has computed it
-    energy, grad, blocks = _energy_grad_hess(model, points)
+    energy, grad, blocks = _energy_grad_hess(model, points, None, workspace)
     damping = 0.0
     # Trials are resampled at constant speed while the curve reshapes globally,
     # which keeps out parameterization slack, so the metric length falls with
@@ -553,7 +685,7 @@ def geodesic(
         residual = float(np.abs(interior_grad).max())
         diag.iterations, diag.residual = iteration, residual
         if residual < GEODESIC_GTOL:
-            if (gap := _alias_gap(model, points, eigensystem)) > GEODESIC_ALIAS_GAP:
+            if (gap := _alias_gap(model, points, eigensystem, workspace)) > GEODESIC_ALIAS_GAP:
                 raise GeodesicConvergenceError(residual, iteration, (
                     f"geodesic of {steps} segments is aliased: its vertex chords are {gap:.1%} "
                     f"longer than its mid-point quadrature (limit {GEODESIC_ALIAS_GAP:.0%})"))
@@ -575,15 +707,15 @@ def geodesic(
                 trial[:, :] = model.project_point(trial)
             diag.trials += 1
             try:
-                trial_energy, trial_eigensystem = _discrete_energy(model, trial)
+                trial_energy, trial_eigensystem = _discrete_energy(model, trial, workspace)
             except DegenerateGroundStateError:
                 trial_energy = np.inf   # a mid-point on a level crossing
             if trial_energy < energy:
-                trial_state = _energy_grad_hess(model, trial, trial_eigensystem)
+                trial_state = _energy_grad_hess(model, trial, trial_eigensystem, workspace)
                 break
             if not resample_active and scale == 1.0 and damping == 0.0 and trial_energy < np.inf:
                 # near the minimum the energy can be flat to rounding
-                trial_state = _energy_grad_hess(model, trial, trial_eigensystem)
+                trial_state = _energy_grad_hess(model, trial, trial_eigensystem, workspace)
                 if float(np.abs(_interior_gradient(model, trial, trial_state[1])).max()) < residual:
                     break
             scale *= 0.5

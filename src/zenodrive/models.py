@@ -189,7 +189,9 @@ class LipkinModel(HamiltonianFamily):
         if axis == 0:
             return np.broadcast_to(self._alam, points.shape[:-1] + (self.dim, self.dim)).copy()
         chi = points[..., 1, None, None]
-        return self._achi + 2 * chi * self._achi2
+        out = 2 * chi * self._achi2
+        out += self._achi   # in place: the bits of A_chi + 2 chi A_chi2, one array fewer
+        return out
 
     def second_derivative_many(self, points: np.ndarray, axis1: int, axis2: int) -> np.ndarray:
         shape = self.check_points(points, axis1, axis2).shape[:-1] + (self.dim, self.dim)

@@ -60,7 +60,11 @@ def ground_step_lengths(states: np.ndarray) -> np.ndarray:
     """Ground-state step lengths sqrt(1 - |<E0(k+1)|E0(k)>|^2) along a path.
 
     ``states`` is an (M, n, n) stack from :func:`eigh_many`; returns M-1 lengths.
+    Two identical ground states are exactly 0 apart, not at the rounding
+    floor of 1 - |o|^2 (about 1.5e-8 when |o|^2 rounds one ulp below 1).
     """
     v0 = states[..., :, 0]
     overlap = np.abs(np.sum(np.conj(v0[:-1]) * v0[1:], axis=-1))
-    return np.sqrt(np.maximum(0.0, 1.0 - overlap**2))
+    lengths = np.sqrt(np.maximum(0.0, 1.0 - overlap**2))
+    lengths[np.all(v0[:-1] == v0[1:], axis=-1)] = 0.0
+    return lengths

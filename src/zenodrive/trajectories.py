@@ -91,9 +91,13 @@ class Trajectory:
 
         The time law is the family's constant-speed rule: equal fractions of
         metric length per unit time for constant-manifold-speed families, equal
-        plane distance for constant-plane-speed ones.
+        plane distance for constant-plane-speed ones.  Fractions outside
+        [0, 1] are clipped to it; a NaN or infinite one raises ``ValueError``.
         """
-        targets = np.clip(np.asarray(fractions, dtype=float), 0.0, 1.0) * self.law_cumlen[-1]
+        fractions = np.asarray(fractions, dtype=float)
+        if not np.all(np.isfinite(fractions)):
+            raise ValueError("time fractions must be finite (got NaN or infinity)")
+        targets = np.clip(fractions, 0.0, 1.0) * self.law_cumlen[-1]
         return interpolate_at(self.points, self.law_cumlen, targets)
 
 

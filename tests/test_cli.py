@@ -194,6 +194,18 @@ class TestPath:
             outs[family] = float(rows[-1][4])
         assert outs["geodesic"] < outs["linear-v"]
 
+    def test_geodesic_between_equal_end_points(self, tmp_path):
+        # the constant path, of length 0 (the relaxation used to raise: its
+        # chords sat at the rounding floor against a quadrature of 0)
+        out = run_cli(
+            tmp_path, "pq", "path", *SMALL, "--path.family", "geodesic",
+            "--path.start", "1,0.5", "--path.end", "1,0.5", "--steps.K", "40",
+        )
+        _, rows = read_csv(out / "path.csv")
+        assert len(rows) == 41
+        assert {(float(r[1]), float(r[2])) for r in rows} == {(1.0, 0.5)}
+        assert all(float(r[3]) == float(r[4]) == 0.0 for r in rows)
+
     def test_endpoints_exact(self, tmp_path):
         out = run_cli(tmp_path, "pe", "path", *SMALL, "--steps.K", "40")
         _, rows = read_csv(out / "path.csv")

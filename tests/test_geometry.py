@@ -546,18 +546,18 @@ class TestGeodesic:
         # D probe points per segment get the metric gradient, none below the
         # lower bounds, on a path that starts on chi = 0
         model, diagonalized, evaluated = LipkinModel(4), [], []
-        metric_impl = zenodrive.geometry._metric_impl
+        metric_block = zenodrive.geometry._metric_block
 
         def counting_eigh(matrices):
             diagonalized.append(len(matrices))
             return eigh_many(matrices)
 
-        def recording(model, points, **kwargs):
+        def recording(model, points, *args):
             evaluated.append(np.asarray(points))
-            return metric_impl(model, points, **kwargs)
+            return metric_block(model, points, *args)
 
         monkeypatch.setattr(zenodrive.geometry, "eigh_many", counting_eigh)
-        monkeypatch.setattr(zenodrive.geometry, "_metric_impl", recording)
+        monkeypatch.setattr(zenodrive.geometry, "_metric_block", recording)
         rng = np.random.default_rng(3)
         points = perturbed_chord(START, END, 16, rng, axes=[0])
         zenodrive.geometry._energy_grad_hess(model, points)
@@ -597,7 +597,7 @@ class TestGeodesic:
         perturbative = zenodrive.geometry._energy_grad_hess(model, points)
         monkeypatch.setattr(
             zenodrive.geometry, "_shifted_eigensystem",
-            lambda model, points, eigensystem, axis, step: eigh_many(
+            lambda model, points, eigensystem, axis, step, *workspace: eigh_many(
                 model.hamiltonian_many(points + step * np.eye(model.nparams)[axis])),
         )
         diagonalized = zenodrive.geometry._energy_grad_hess(model, points)
@@ -693,11 +693,11 @@ class TestGeodesic:
         discrete_energy = zenodrive.geometry._discrete_energy
         calls = []
 
-        def degenerate_first(model, points):
+        def degenerate_first(model, points, workspace=None):
             calls.append(1)
             if len(calls) == 1:
                 raise DegenerateGroundStateError(0.0)
-            return discrete_energy(model, points)
+            return discrete_energy(model, points, workspace)
 
         monkeypatch.setattr(zenodrive.geometry, "_discrete_energy", degenerate_first)
         _, diag = geodesic(LipkinModel(4), START, END, 32, return_diagnostics=True)
@@ -724,14 +724,14 @@ class TestGeodesic:
         energy_grad_hess = zenodrive.geometry._energy_grad_hess
         current, calls = [], []
 
-        def recording(model, points, eigensystem=None):
-            state = energy_grad_hess(model, points, eigensystem)
+        def recording(model, points, eigensystem=None, workspace=None):
+            state = energy_grad_hess(model, points, eigensystem, workspace)
             current.append(state[0])
             return state
 
-        def flat_after_three(model, points):
+        def flat_after_three(model, points, workspace=None):
             calls.append(1)
-            energy, eigensystem = discrete_energy(model, points)
+            energy, eigensystem = discrete_energy(model, points, workspace)
             return (energy if len(calls) <= 3 else current[-1]), eigensystem
 
         monkeypatch.setattr(zenodrive.geometry, "_energy_grad_hess", recording)
@@ -808,11 +808,11 @@ class TestGeodesic:
                 steps.append(step)
             return step
 
-        def rejecting_two(model, points):
+        def rejecting_two(model, points, workspace=None):
             trials.append(points.copy())
             if len(trials) == 4:   # the first trial of the second search
                 raise Stop
-            energy, eigensystem = discrete_energy(model, points)
+            energy, eigensystem = discrete_energy(model, points, workspace)
             return (np.inf if len(trials) <= 2 else energy), eigensystem
 
         monkeypatch.setattr(zenodrive.geometry, "resample",
@@ -831,6 +831,21 @@ class TestGeodesic:
     def test_certificate_passes_equal_end_points(self, lipkin10):
         path = geodesic(lipkin10, END, END, 8)
         assert np.array_equal(path, np.broadcast_to(END, path.shape))
+
+    @pytest.mark.parametrize("model_size", [4, 10])
+    @pytest.mark.parametrize("point", [(0.0, 0.0), (1.0, 0.5), (2.0, 0.5)])
+    def test_equal_end_points_give_the_constant_path(self, model_size, point):
+        # the constant path is returned before any relaxation: its vertex
+        # chords used to sit at the sqrt(1 - |o|^2) rounding floor against a
+        # quadrature of exactly 0, which the certificate read as aliasing
+        model = LipkinModel(model_size)
+        path, diag = geodesic(model, point, point, 16, return_diagnostics=True)
+        assert np.array_equal(path, np.broadcast_to(point, (17, 2)))
+        assert (diag.iterations, diag.residual, diag.trials, diag.solves) == (0, 0.0, 0, 0)
+        trajectory = build_trajectory(model, "geodesic", point, point, dense_steps=64,
+                                      geodesic_steps=16)
+        assert trajectory.length == 0.0
+        assert np.array_equal(trajectory.points, np.broadcast_to(point, (65, 2)))
 
     @pytest.mark.parametrize("steps", [2.5, 48.0, True, "48"])
     def test_rejects_non_integer_steps(self, lipkin10, steps):
@@ -893,6 +908,100 @@ class TestGeodesic:
         monkeypatch.setattr(zenodrive.geometry, "_solve_hessian", broken)
         with pytest.raises(TypeError, match="not a failed solve"):
             geodesic(LipkinModel(4), START, END, 32)
+
+
+def poisoned_takes(workspace):
+    """Fill every buffer ``workspace`` holds with NaN, so a stale read shows."""
+    for buffer in workspace.buffers.values():
+        buffer[...] = True if buffer.dtype == bool else np.nan
+
+
+class TestGeodesicWorkspace:
+    """One ``_MetricWorkspace`` per geodesic solve: the same bits as fresh buffers."""
+
+    @staticmethod
+    def path(segs, seed=3):
+        rng = np.random.default_rng(seed)
+        return perturbed_chord(np.array([0.2, 0.1]), np.array([1.8, 0.6]), segs, rng)
+
+    @staticmethod
+    def assert_same_state(a, b):
+        assert a[0] == b[0]
+        assert np.array_equal(a[1], b[1])
+        for x, y in zip(a[2], b[2]):
+            assert np.array_equal(x, y)
+
+    @pytest.mark.parametrize("model", [LipkinModel(10), ComplexLipkin(4)],
+                             ids=["lipkin10", "complex-lipkin4"])
+    def test_workspace_gives_the_allocating_bits(self, model, monkeypatch):
+        # one workspace through a line-search energy and a Newton iterate,
+        # across an EIGH_BLOCK boundary, against a fresh array at every take
+        workspace = zenodrive.geometry._MetricWorkspace()
+        points = self.path(zenodrive.geometry.EIGH_BLOCK + 44)
+        energy, eigensystem = zenodrive.geometry._discrete_energy(model, points, workspace)
+        shared = zenodrive.geometry._energy_grad_hess(model, points, eigensystem, workspace)
+        assert workspace.buffers   # the kernels did use it
+        monkeypatch.setattr(zenodrive.geometry._MetricWorkspace, "take",
+                            lambda self, name, shape, dtype=float: np.empty(shape, dtype))
+        assert zenodrive.geometry._discrete_energy(model, points)[0] == energy
+        self.assert_same_state(
+            shared, zenodrive.geometry._energy_grad_hess(model, points, eigensystem))
+
+    @pytest.mark.parametrize("model", [LipkinModel(4), ComplexLipkin(4)],
+                             ids=["lipkin4", "complex-lipkin4"])
+    def test_reuse_after_a_larger_count_reads_no_stale_entries(self, model, monkeypatch):
+        # a workspace filled by 48 segments, then poisoned, serves 16 and 48
+        # segments with the bits of a stand-alone call
+        monkeypatch.setattr(zenodrive.geometry, "EIGH_BLOCK", 40)   # a short second block
+        workspace = zenodrive.geometry._MetricWorkspace()
+        for segs in (48, 16, 48):
+            points = self.path(segs, seed=segs)
+            shared = zenodrive.geometry._energy_grad_hess(model, points, None, workspace)
+            self.assert_same_state(shared, zenodrive.geometry._energy_grad_hess(model, points))
+            alias = zenodrive.geometry._alias_gap(model, points, None, workspace)
+            assert alias == zenodrive.geometry._alias_gap(model, points, None)
+            poisoned_takes(workspace)
+
+    def test_mid_products_formed_once_per_axis(self, monkeypatch):
+        # B^c and T^c at the mids serve both the metric gradient and the
+        # probes: one derivative_many per axis and one _mixing (of all axes) there
+        model = LipkinModel(4)
+        points = self.path(16)
+        mids = 0.5 * (points[:-1] + points[1:])
+        eigensystem = eigh_many(model.hamiltonian_many(mids))
+        derivatives, mixed = [], []
+        derivative, mixing = model.derivative_many, zenodrive.geometry._mixing
+
+        def recording_derivative(points, axis):
+            derivatives.append((np.array(points), axis))
+            return derivative(points, axis)
+
+        def recording_mixing(energies, bmats, *args):
+            mixed.append((np.array(energies), len(bmats)))
+            return mixing(energies, bmats, *args)
+
+        monkeypatch.setattr(model, "derivative_many", recording_derivative)
+        monkeypatch.setattr(zenodrive.geometry, "_mixing", recording_mixing)
+        zenodrive.geometry._energy_grad_hess(model, points, eigensystem)
+        at_mids = sorted(axis for p, axis in derivatives if np.array_equal(p, mids))
+        assert at_mids == list(range(model.nparams))
+        assert len(derivatives) == model.nparams * (1 + model.nparams)   # mids, then each probe
+        assert [count for energies, count in mixed
+                if np.array_equal(energies, eigensystem[0])] == [model.nparams]
+        assert len(mixed) == 1 + model.nparams
+
+    def test_one_workspace_per_solve(self, monkeypatch):
+        made = []
+
+        class Counting(zenodrive.geometry._MetricWorkspace):
+            def __init__(self):
+                made.append(self)
+                super().__init__()
+
+        monkeypatch.setattr(zenodrive.geometry, "_MetricWorkspace", Counting)
+        _, diag = geodesic(LipkinModel(4), START, END, 48, return_diagnostics=True)
+        assert diag.iterations > 0 and diag.trials > 0
+        assert len(made) == 1
 
 
 def perturbed_chord(start, end, segs, rng, axes=(0, 1)):
@@ -1302,6 +1411,13 @@ class TestReparameterize:
             assert np.array_equal(trajectory.law_cumlen, cumulative_euclidean(trajectory.points))
         else:   # a constant-manifold-speed law runs along the metric table itself
             assert trajectory.law_cumlen is trajectory.metric_cumlen
+
+    @pytest.mark.parametrize("fractions", [[np.nan, 0.5], [0.5, np.inf], -np.inf])
+    def test_position_at_rejects_non_finite_fractions(self, fractions):
+        trajectory = build_trajectory(LipkinModel(4), "linear-v", START, END, dense_steps=64)
+        with pytest.raises(ValueError, match="finite"):
+            trajectory.position_at(fractions)
+        assert np.array_equal(trajectory.position_at([-1.0, 2.0]), trajectory.points[[0, -1]])
 
     def test_cumulative_lengths_monotone(self, lipkin10):
         pts = START + np.linspace(0, 1, 301)[:, None] * (END - START)
