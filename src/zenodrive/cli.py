@@ -22,13 +22,20 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .coherent import _sorted_distinct, integrate_schrodinger, minimal_steps
+from .coherent import integrate_schrodinger, minimal_steps
 from .geometry import metric_many, step_lengths_along
 from .models import LipkinModel
 # run_stroboscopic is not called here; benchmarks/layers.py traces it under this name
 from .protocol import run_stroboscopic, zeno_sweep  # noqa: F401
 from .spectator import evolve_gadget, reduced_density
-from .trajectories import FAMILIES, SEGMENTS_PER_STEP, Trajectory, build_trajectory
+from .spectral import _sorted_distinct
+from .trajectories import (
+    FAMILIES,
+    SEGMENTS_PER_STEP,
+    Trajectory,
+    build_trajectory,
+    check_resolution,
+)
 
 # key -> (parser, default, help)
 CONFIG_SPEC = {
@@ -177,10 +184,19 @@ def _parallel_map(fn, items, jobs: int):
 
 
 def _build_trajectory(model, config, max_steps=None) -> Trajectory:
+    """The configured trajectory, its table sized for ``max_steps`` or max(steps.K).
+
+    Without ``max_steps`` (``zeno`` and ``path``) the table must resolve
+    max(steps.K): an explicit ``dense.steps`` too coarse for it is refused
+    before the geodesic relaxation runs.
+    """
     needed = config["dense.steps"]
     if needed <= 0:
         target = max_steps if max_steps else max(config["steps.K"])
         needed = max(20000, SEGMENTS_PER_STEP * int(target))
+    elif max_steps is None:   # the geodesic table rounds up to whole relaxed segments
+        per = config["geodesic.segments"] if config["path.family"] == "geodesic" else 1
+        check_resolution(per * -(-needed // per), max(config["steps.K"]))
     return build_trajectory(
         model,
         config["path.family"],
@@ -230,9 +246,14 @@ def cmd_zeno(config, out_dir, jobs):
     model = LipkinModel(config["model.N"])
     trajectory = _build_trajectory(model, config)
     counts = sorted(config["steps.K"])
-    rows = _parallel_map(
-        lambda k: zeno_sweep(model, trajectory, [k])[0], counts, jobs
+    # one sweep (one eigen-walk) per interleaved group of step counts, one group per job
+    groups = min(jobs, len(counts))
+    rows = [None] * len(counts)
+    swept = _parallel_map(
+        lambda g: zeno_sweep(model, trajectory, counts[g::groups]), range(groups), jobs
     )
+    for g, group_rows in enumerate(swept):
+        rows[g::groups] = group_rows
     write_csv(
         out_dir / "zeno.csv",
         ["path_family", "K", "I_exact", "I_one_term", "I_two_term", "ell"],

@@ -30,8 +30,8 @@ import numpy as np
 from .geometry import EIGH_BLOCK
 from .models import HamiltonianFamily, check_count
 from .protocol import excited_return, run_stroboscopic
-from .spectral import eigh_many
-from .trajectories import Trajectory
+from .spectral import _sorted_distinct, eigh_many
+from .trajectories import Trajectory, check_resolution
 
 DEFAULT_TOLERANCE = 1e-8
 DEFAULT_STEP_CAP = 10**6
@@ -100,22 +100,8 @@ class CoherentResult:
 
     @property
     def infidelity(self) -> float:
-        return 1.0 - self.fidelity
-
-
-def _sorted_distinct(values):
-    """``np.unique`` of 1-D integers or finite floats, bit for bit, by sort and neighbour mask.
-
-    ``np.unique`` (and so ``np.union1d``) imports ``numpy.ma`` on its first
-    call: about 1.2 MB of resident memory and 10 ms per process with numpy 2.4
-    on a 2-vCPU x86 host.  The integrator's knots and trace times and the
-    CLI's ``log:`` and ``lin:`` integer lists go through this instead.
-    """
-    values = np.sort(values)
-    keep = np.empty(values.size, dtype=bool)
-    keep[:1] = True
-    keep[1:] = values[1:] != values[:-1]
-    return values[keep]
+        """1 - ``fidelity``, read as 0 where the fidelity rounds above 1."""
+        return max(0.0, 1.0 - self.fidelity)
 
 
 def _resolved_steps(position_fn):
@@ -427,8 +413,8 @@ def minimal_steps(
     discretization: it starts at the ceiling of the law's larger root K of
     E/K - (E^2/2 + R)/K^2 = I_coh, or of E / I_coh when the law has no real
     root (it never reaches I_coh, as at short times).  The seed is clamped
-    to [1, step_cap] (the cap itself when I_coh <= 0), with step_cap the
-    smaller of ``cap`` and the step count the trajectory table resolves.
+    to [1, step_cap], with step_cap the smaller of ``cap`` and the step count
+    the trajectory table resolves.
     From the seed it grows a bracket in strides of 1, 2, 4, ... downward
     while the lower end wins, or upward while the upper end loses, and then
     bisects it.  The bisection ends on a losing K_min - 1 (or on K_min = 1),
@@ -436,7 +422,9 @@ def minimal_steps(
 
     Assumes I_exact(K) decreases in K near K_min; the tests check this on the
     ``compare`` golden and on criterion 7's times.  Returns ``(K_min, tau)``
-    with tau = T / K_min, or ``(None, None)`` if ``step_cap`` loses.
+    with tau = T / K_min, or ``(None, None)`` if ``step_cap`` loses.  At
+    I_coh <= 0 no chain wins, since its excited sum is never negative, and it
+    returns ``(None, None)`` without running one.
 
     Raises
     ------
@@ -455,6 +443,9 @@ def minimal_steps(
     coherent_infidelity = float(coherent_infidelity)
     if math.isnan(coherent_infidelity):
         raise ValueError(f"coherent_infidelity must not be NaN, got {coherent_infidelity!r}")
+    check_resolution(trajectory.points.shape[0] - 1, 1)
+    if coherent_infidelity <= 0:   # the chain's excited sum is never negative
+        return None, None
 
     step_cap = min(cap, trajectory.max_steps)
 
@@ -462,16 +453,14 @@ def minimal_steps(
         path = trajectory.discretize(steps)
         return run_stroboscopic(model, path).final_infidelity < coherent_infidelity
 
-    zeno = math.inf
-    if coherent_infidelity > 0 and step_cap >= 1:
-        energy = trajectory.energy
-        ret = excited_return(model, trajectory.discretize(min(32, step_cap)))
-        zeno = energy / coherent_infidelity
-        # the larger root of I K^2 - E K + (E^2/2 + R) = 0, in Python floats
-        # (at I = inf and E = R = 0 the discriminant is NaN, without a warning)
-        discriminant = energy**2 - 4.0 * coherent_infidelity * (energy**2 / 2.0 + ret)
-        if discriminant >= 0:
-            zeno = (energy + math.sqrt(discriminant)) / (2.0 * coherent_infidelity)
+    energy = trajectory.energy
+    ret = excited_return(model, trajectory.discretize(min(32, step_cap)))
+    zeno = energy / coherent_infidelity
+    # the larger root of I K^2 - E K + (E^2/2 + R) = 0, in Python floats
+    # (at I = inf and E = R = 0 the discriminant is NaN, without a warning)
+    discriminant = energy**2 - 4.0 * coherent_infidelity * (energy**2 / 2.0 + ret)
+    if discriminant >= 0:
+        zeno = (energy + math.sqrt(discriminant)) / (2.0 * coherent_infidelity)
     seed = max(1, math.ceil(zeno) if zeno < step_cap else step_cap)
     # invariant once bracketed: hi wins, lo loses (lo = 0 stands for "no steps")
     stride = 1

@@ -396,12 +396,16 @@ def cumulative_euclidean(points: np.ndarray) -> np.ndarray:
     return np.concatenate([[0.0], np.cumsum(seg)])
 
 
-def resample(points: np.ndarray, table: np.ndarray, count: int) -> np.ndarray:
+def resample(points: np.ndarray, table: np.ndarray, count) -> np.ndarray:
     """Resample a polyline at ``count + 1`` equal quantiles of a cumulative table.
 
-    The end points are copied rather than interpolated, so they stay exact.
+    ``count`` may instead be the targets themselves: an ascending array of
+    table values from 0 to ``table[-1]``, one output point each.  The first
+    and last output points are the polyline's end points, copied rather than
+    interpolated, so they stay exact.
     """
-    out = interpolate_at(points, table, np.linspace(0.0, table[-1], count + 1))
+    targets = np.linspace(0.0, table[-1], count + 1) if np.ndim(count) == 0 else count
+    out = interpolate_at(points, table, targets)
     out[0] = points[0]
     out[-1] = points[-1]
     return out

@@ -33,6 +33,21 @@ SEGMENTS_PER_STEP = 10
 ENERGY_BLOCK = 4096
 
 
+def check_resolution(segments: int, steps) -> int:
+    """``steps`` as an int, after checking it is >= 1 and that a table of
+    ``segments`` segments resolves it (``SEGMENTS_PER_STEP`` segments per step).
+
+    Raises ``ValueError`` naming both counts when the table is too coarse.
+    """
+    steps = check_count("steps", steps, 1)
+    if SEGMENTS_PER_STEP * steps > segments:
+        raise ValueError(
+            f"trajectory table too coarse: {segments} segments cannot "
+            f"resolve {steps} steps (need >= {SEGMENTS_PER_STEP * steps})"
+        )
+    return steps
+
+
 @dataclass(frozen=True)
 class Trajectory:
     """Densely sampled driving trajectory with precomputed length tables.
@@ -79,11 +94,7 @@ class Trajectory:
 
     def discretize(self, steps: int) -> np.ndarray:
         """Stroboscopic path, (steps+1, D) points, at the family's speed law."""
-        if check_count("steps", steps, 1) > self.max_steps:
-            raise ValueError(
-                f"trajectory table too coarse: {self.points.shape[0] - 1} segments cannot "
-                f"resolve {steps} steps (need >= {SEGMENTS_PER_STEP * steps})"
-            )
+        steps = check_resolution(self.points.shape[0] - 1, steps)
         return resample(self.points, self.law_cumlen, steps)
 
     def position_at(self, fractions: np.ndarray) -> np.ndarray:

@@ -117,6 +117,37 @@ class TestConfig:
         assert calls == []
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("command", ["zeno", "path"])
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--dense.steps", "100"],   # the geodesic table rounds up to 256 segments
+            ["--dense.steps", "499", "--path.family", "linear-v"],
+            ["--dense.steps", "300", "--geodesic.segments", "48"],   # 336 segments
+        ],
+    )
+    def test_too_coarse_dense_steps_rejected_before_the_geodesic(
+        self, tmp_path, monkeypatch, command, flags
+    ):
+        # it failed only after the relaxation (0.3 s at N = 10)
+        import zenodrive.trajectories as trajectories
+
+        def no_solve(*args, **kwargs):
+            raise AssertionError("geodesic relaxed")
+
+        monkeypatch.setattr(trajectories, "geodesic", no_solve)
+        with pytest.raises(ValueError, match=r"too coarse: \d+ segments cannot resolve 50 steps"):
+            main([command, "--model.N", "4", *flags, "--steps.K", "20,50",
+                  "--out", str(tmp_path / "out"), "--jobs", "1"])
+
+    def test_rounded_up_geodesic_table_is_accepted(self, tmp_path):
+        # 300 dense steps round up to 512 segments of a 256-segment geodesic,
+        # enough for K = 50
+        out = run_cli(tmp_path, "round", "zeno", "--model.N", "4", "--dense.steps", "300",
+                      "--steps.K", "50", "--jobs", "1")
+        _, rows = read_csv(out / "zeno.csv")
+        assert [row[1] for row in rows] == ["50"]
+
     def test_negative_jobs_rejected_before_any_output(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exit_info:
             main(["gadget", "--out", str(tmp_path / "out"), "--jobs", "-1"])
@@ -259,6 +290,25 @@ class TestCompare:
         assert rows[0][3] == "" and rows[0][4] == ""
         assert rows[0][5] == "1"
 
+    def test_equal_end_points_read_zero_without_a_chain_run(self, tmp_path, monkeypatch):
+        # the coherent fidelity rounds to 1 + 2.4e-14 on the constant path; it
+        # read I_coherent = -2.44e-14 and ran a 10 000-step chain to say "capped"
+        from zenodrive import coherent
+
+        runs = []
+        run_stroboscopic = coherent.run_stroboscopic
+        monkeypatch.setattr(
+            coherent, "run_stroboscopic", lambda *a: runs.append(1) or run_stroboscopic(*a)
+        )
+        out = run_cli(
+            tmp_path, "ceq", "compare", "--model.N", "4", "--path.start", "1,0.5",
+            "--path.end", "1,0.5", "--times.T", "5", "--jobs", "1",
+        )
+        _, rows = read_csv(out / "compare.csv")
+        assert rows == [["geodesic", "5.00000000000000000e+00", "0.00000000000000000e+00",
+                         "", "", "1"]]
+        assert runs == []
+
     def test_probe_budget_on_golden_config(self, tmp_path, monkeypatch):
         # work budget without a clock: at the compare-n4-linear-v golden
         # configuration the second-order Zeno seed is K_min on every row, so
@@ -329,6 +379,14 @@ class TestReproducibility:
         a = run_cli(tmp_path, "j1", *args, "--jobs", "1")
         b = run_cli(tmp_path, "j2", *args, "--jobs", "3")
         assert self._data_bytes(a) == self._data_bytes(b)
+
+    def test_jobs_do_not_change_the_default_ladder(self, tmp_path):
+        # one walk at --jobs 1, three interleaved walks at --jobs 3
+        args = ["zeno", "--model.N", "4", "--path.family", "linear-v"]
+        a = run_cli(tmp_path, "l1", *args, "--jobs", "1")
+        b = run_cli(tmp_path, "l3", *args, "--jobs", "3")
+        assert self._data_bytes(a) == self._data_bytes(b)
+        assert (a / "zeno.csv").read_text().count("\n") == 8   # header + 7 rows
 
     def test_config_round_trip(self, tmp_path):
         args = ["gadget", "--gadget.tau", "0.7", "--gadget.samples", "41"]

@@ -710,16 +710,27 @@ class TestMinimalSteps:
         with pytest.raises(ValueError, match="coherent_infidelity"):
             minimal_steps(two_level, two_level_trajectory, 5.0, coherent_infidelity=float("nan"))
         probes = counting_probes(monkeypatch)
-        # nothing beats a non-positive infidelity: one probe, at the cap
+        # nothing beats a non-positive infidelity, as the chain's excited sum is
+        # never negative: no chain run at all (one at the cap before)
         for i_coh in (0.0, -1.0):
             probes.clear()
             assert minimal_steps(
                 two_level, two_level_trajectory, 5.0, cap=64, coherent_infidelity=i_coh
             ) == (None, None)
-            assert probes == [64]
+            assert probes == []
         assert minimal_steps(
             two_level, two_level_trajectory, 5.0, coherent_infidelity=float("inf")
         ) == (1, 5.0)
+
+    def test_fidelity_rounded_above_one_reads_zero_infidelity(self):
+        # N = 4 on the constant path at (1, 0.5), T = 5: F = 1 + 2.4e-14
+        model = LipkinModel(4)
+        point = np.array([1.0, 0.5])
+        trajectory = build_trajectory(model, "geodesic", point, point, dense_steps=1000)
+        result = integrate_schrodinger(model, trajectory.position_at, 5.0)
+        assert result.fidelity > 1.0
+        assert result.infidelity == 0.0
+        assert coherent.CoherentResult(None, 0.75, 64, 2, 0.0).infidelity == 0.25
 
     @pytest.mark.parametrize("total_time", [1.0, 5.0, 20.0])
     def test_matches_linear_scan_on_golden_trajectory(self, golden_chord4, total_time):

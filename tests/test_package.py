@@ -49,7 +49,8 @@ print(code, sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy
 
 def test_integrator_runs_skip_numpy_ma(tmp_path):
     # np.unique and np.union1d import numpy.ma on first use, about 1.2 MB and
-    # 10 ms per process; a CLI run and an integration with a trace need neither
+    # 10 ms per process; CLI runs (the default-K zeno sweep merges its step
+    # grids) and an integration with a trace need neither
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     probe = f"""
@@ -63,6 +64,8 @@ from zenodrive.coherent import integrate_schrodinger
 
 code = zenodrive.cli.main(["compare", "--model.N", "4", "--times.T", "1",
                            "--out", {str(tmp_path / "out")!r}, "--jobs", "1"])
+code += zenodrive.cli.main(["zeno", "--model.N", "4", "--path.family", "linear-v",
+                            "--out", {str(tmp_path / "zeno")!r}, "--jobs", "1"])
 chord = lambda fractions: np.asarray(fractions)[..., None] * np.array([2.0, 0.5])
 integrate_schrodinger(LipkinModel(4), chord, 2.0, trace_times=[0.0, 0.5, 0.5, 2.0])
 print(code, "numpy.ma" in sys.modules)

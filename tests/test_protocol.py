@@ -5,6 +5,7 @@ import pytest
 from conftest import traced_peak
 
 from zenodrive import geometry, protocol
+from zenodrive.cli import CONFIG_SPEC, _parse_value
 from zenodrive.geometry import path_length, step_lengths_along
 from zenodrive.models import HamiltonianFamily, LipkinModel, TwoLevelModel
 from zenodrive.protocol import (
@@ -22,7 +23,7 @@ from zenodrive.spectral import (
     eigh_many,
     warn_if_degenerate,
 )
-from zenodrive.trajectories import build_trajectory
+from zenodrive.trajectories import Trajectory, build_trajectory
 
 LIPKIN4 = LipkinModel(4)
 START, END = np.array([0.0, 0.0]), np.array([2.0, 0.5])
@@ -261,6 +262,88 @@ class TestZenoSweep:
         full = zeno_sweep(lipkin10, trajectory, [50, 100])
         single = zeno_sweep(lipkin10, trajectory, [100])[0]
         assert full[1]["I_exact"] == single["I_exact"]
+
+
+ZENO_LISTS = {
+    "ladder": list(CONFIG_SPEC["steps.K"][1]),
+    "repeats": [1, 1, 3, 7, 64, 100, 100],
+    "geomspace": list(_parse_value("steps.K", "log:50:5000:13")),
+}
+
+
+def per_k_rows(model, trajectory, step_counts):
+    """The chain's infidelities with one ``run_stroboscopic`` walk per K."""
+    return [
+        run_stroboscopic(model, trajectory.discretize(k)).final_infidelity for k in step_counts
+    ]
+
+
+@pytest.fixture(scope="module", params=["default", "jittered", "zero-length"])
+def trajectories4(request):
+    end = {"default": END, "jittered": np.array([2.0071, 0.4932]), "zero-length": START}
+    return {
+        family: build_trajectory(LIPKIN4, family, START, end[request.param], dense_steps=50000)
+        for family in ("geodesic", "linear-v", "linear-u")
+    }
+
+
+class TestZenoWalk:
+    """One eigen-walk over the union of the step grids, row for row the per-K chains."""
+
+    @pytest.mark.parametrize("family", ["geodesic", "linear-v", "linear-u"])
+    @pytest.mark.parametrize("name", list(ZENO_LISTS))
+    def test_rows_equal_per_k_chains_n4(self, trajectories4, family, name):
+        trajectory, ks = trajectories4[family], ZENO_LISTS[name]
+        rows = zeno_sweep(LIPKIN4, trajectory, ks)
+        assert [r["K"] for r in rows] == ks
+        assert [r["I_exact"] for r in rows] == per_k_rows(LIPKIN4, trajectory, ks)
+
+    @pytest.mark.parametrize("family", ["geodesic", "linear-v", "linear-u"])
+    @pytest.mark.parametrize("name", ["ladder", "repeats"])
+    def test_rows_equal_per_k_chains_n10(self, lipkin10, trajectories10, family, name):
+        trajectory, ks = trajectories10[family], ZENO_LISTS[name]
+        rows = zeno_sweep(lipkin10, trajectory, ks)
+        assert [r["I_exact"] for r in rows] == per_k_rows(lipkin10, trajectory, ks)
+
+    def test_one_eigh_per_union_point(self, lipkin10, trajectories10, monkeypatch):
+        matrices = []
+
+        def counting(stack):
+            matrices.append(len(stack))
+            return eigh_many(stack)
+
+        monkeypatch.setattr(protocol, "eigh_many", counting)
+        trajectory, ks = trajectories10["geodesic"], ZENO_LISTS["ladder"]
+        zeno_sweep(lipkin10, trajectory, ks)
+        law = trajectory.law_cumlen[-1]
+        targets = np.concatenate([np.linspace(0.0, law, k + 1) for k in ks])
+        assert sum(matrices) == np.unique(targets).size < len(targets)
+        # the ladder's grids nest up to a few rounding-split targets
+        assert sum(matrices) < 0.7 * sum(k + 1 for k in ks)
+
+    def test_positional_end_points_on_a_table_of_zero_law_length(self):
+        # distinct points that the time law does not advance: every interior
+        # target is 0, which resamples to the table's last interior point,
+        # while each path still starts and ends on the table's end points
+        points = np.array([[0.0, 0.0], [0.4, 0.1], [1.0, 0.3], [2.0, 0.5]])
+        points = geometry.refine(points, 10)
+        zeros = np.zeros(len(points))
+        trajectory = Trajectory("linear-v", points, zeros, zeros)
+        ks = [1, 2, 3]
+        rows = zeno_sweep(LIPKIN4, trajectory, ks)
+        assert [r["I_exact"] for r in rows] == per_k_rows(LIPKIN4, trajectory, ks)
+        assert rows[0]["I_exact"] != rows[2]["I_exact"]
+
+    def test_too_coarse_rejected_before_any_work(self, monkeypatch):
+        trajectory = build_trajectory(LIPKIN4, "linear-v", START, END, dense_steps=499)
+
+        def no_walk(*args):
+            raise AssertionError("walked")
+
+        monkeypatch.setattr(protocol, "_eigenbases_along", no_walk)
+        with pytest.raises(ValueError, match="too coarse: 499 segments cannot resolve 50"):
+            zeno_sweep(LIPKIN4, trajectory, [5, 49, 50])
+        assert zeno_sweep(LIPKIN4, trajectory, []) == []
 
 
 class TestEquidistantOptimality:

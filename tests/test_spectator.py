@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from zenodrive.models import LipkinModel, brute_force_lipkin
-from zenodrive.protocol import run_stroboscopic
+from zenodrive.protocol import run_stroboscopic, zeno_sweep
 from zenodrive.spectator import (
     evolve_gadget,
     gadget_unitary,
@@ -241,6 +241,21 @@ class TestSpectatorChain:
         reference = spectator_chain_infidelity(n_qubits, path, 1.0)
         chain = run_stroboscopic(model, path).final_infidelity
         assert abs(chain - reference) <= 1e-12 * reference
+
+    @pytest.mark.parametrize("n_qubits", [3, 4])
+    def test_geodesic_sweep_is_the_spectator_chain(self, n_qubits):
+        # the 48-segment geodesic, its rows from one walk over the union of the
+        # three step grids
+        model = LipkinModel(n_qubits)
+        trajectory = build_trajectory(
+            model, "geodesic", np.array([0.0, 0.0]), np.array([2.0, 0.5]),
+            dense_steps=800, geodesic_steps=48,
+        )
+        for row in zeno_sweep(model, trajectory, [5, 20, 80]):
+            reference = spectator_chain_infidelity(
+                n_qubits, trajectory.discretize(row["K"]), 1.0
+            )
+            assert abs(row["I_exact"] - reference) <= 1e-12 * reference
 
     def test_no_decoherence_is_the_sudden_quench(self, chord):
         n_qubits, model, trajectory = chord
