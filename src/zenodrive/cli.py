@@ -35,6 +35,7 @@ from .trajectories import (
     Trajectory,
     build_trajectory,
     check_resolution,
+    table_segments,
 )
 
 # key -> (parser, default, help)
@@ -194,9 +195,9 @@ def _build_trajectory(model, config, max_steps=None) -> Trajectory:
     if needed <= 0:
         target = max_steps if max_steps else max(config["steps.K"])
         needed = max(20000, SEGMENTS_PER_STEP * int(target))
-    elif max_steps is None:   # the geodesic table rounds up to whole relaxed segments
-        per = config["geodesic.segments"] if config["path.family"] == "geodesic" else 1
-        check_resolution(per * -(-needed // per), max(config["steps.K"]))
+    elif max_steps is None:
+        segments = table_segments(config["path.family"], needed, config["geodesic.segments"])
+        check_resolution(segments, max(config["steps.K"]))
     return build_trajectory(
         model,
         config["path.family"],
@@ -245,15 +246,7 @@ def cmd_path(config, out_dir, jobs):
 def cmd_zeno(config, out_dir, jobs):
     model = LipkinModel(config["model.N"])
     trajectory = _build_trajectory(model, config)
-    counts = sorted(config["steps.K"])
-    # one sweep (one eigen-walk) per interleaved group of step counts, one group per job
-    groups = min(jobs, len(counts))
-    rows = [None] * len(counts)
-    swept = _parallel_map(
-        lambda g: zeno_sweep(model, trajectory, counts[g::groups]), range(groups), jobs
-    )
-    for g, group_rows in enumerate(swept):
-        rows[g::groups] = group_rows
+    rows = zeno_sweep(model, trajectory, sorted(config["steps.K"]))
     write_csv(
         out_dir / "zeno.csv",
         ["path_family", "K", "I_exact", "I_one_term", "I_two_term", "ell"],

@@ -4,13 +4,15 @@ Between consecutive parameter quenches the driven system fully decoheres in
 the running Hamiltonian eigenbasis, so the state is described by occupation
 probabilities alone and each quench acts as a doubly stochastic transition
 matrix of squared eigenvector overlaps.  The resulting chain is iterated here,
-on one path or, for a sweep over step counts, on all of their paths in one
-walk over the union of their points, together with the ground-state product
-approximation of the final fidelity, the small-step infidelity expansion, and
-the closed-form excited-return coefficient of its next order.
+on one path or, for a sweep over step counts whose grids share points, on all
+of their paths in one walk over the union of their points, together with the
+ground-state product approximation of the final fidelity, the small-step
+infidelity expansion, and the closed-form excited-return coefficient of its
+next order.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -115,22 +117,96 @@ def excited_return(model: HamiltonianFamily, path) -> float:
     return float(0.5 * np.sum(levels**2))
 
 
+def _walk_groups(step_counts) -> list[list[int]]:
+    """Positions in the ascending ``step_counts``, grouped into the counts that walk together.
+
+    In exact arithmetic the grid of K steps holds gcd(K, K') + 1 points of the
+    grid of K'.  From the largest count down, each K joins the first group whose
+    largest count shares at least half of its points, else it leads its own;
+    each group lists its counts largest first.  The default 1-2-5 ladder makes
+    one walk.  Counts that share few points (most ``lin:`` and ``log:`` lists)
+    walk alone, as ``run_stroboscopic`` would walk them.  In one joint walk
+    every streamed block would visit each of their chains for a handful of
+    points; on the ``lin:1000:10000:50`` list at N=2 that took 1.7 times the
+    CPU time of one walk per K (2-vCPU x86 host).
+    """
+    groups = []
+    for i in reversed(range(len(step_counts))):
+        k = step_counts[i]
+        for group in groups:
+            if 2 * math.gcd(k, step_counts[group[0]]) >= k:
+                group.append(i)
+                break
+        else:
+            groups.append([i])
+    return groups
+
+
+def _final_probabilities(
+    model: HamiltonianFamily, trajectory: Trajectory, step_counts
+) -> np.ndarray:
+    """Final probability rows of the chains of ``step_counts``, all in one eigen-walk.
+
+    The interior time-law targets of every K, ``linspace(0, W, K + 1)[1:-1]``
+    with W the law length, are merged into their sorted distinct union, placed
+    by ``resample`` between the table's two end points, and diagonalized once
+    each, streamed in blocks; each K's chain advances on its own index
+    subsequence of that walk and keeps only its probability row and last
+    eigenbasis.  A block that holds none of a chain's points skips it.
+    """
+    law = trajectory.law_cumlen
+
+    def interior(k):   # the interior time-law targets of K steps
+        return np.linspace(0.0, law[-1], k + 1)[1:-1]
+
+    targets = np.concatenate(
+        [[0.0], _sorted_distinct(np.concatenate([interior(k) for k in step_counts])), law[-1:]]
+    )
+    points = resample(trajectory.points, law, targets)
+    # each chain's indices into ``points``: start, its interior targets, end; formed
+    # after the resample, whose temporaries set the peak, so as not to add to it
+    walks = [np.concatenate([[0], 1 + np.searchsorted(targets[1:], interior(k)), [len(points) - 1]])
+             for k in step_counts]
+    strict = [bool(np.all(walk[1:] > walk[:-1])) for walk in walks]   # no repeated point
+    probs = np.zeros((len(walks), model.dim))
+    probs[:, 0] = 1.0
+    last = [None] * len(walks)   # each chain's last eigenbasis, a copy
+    reached = [0] * len(walks)   # position in each walk of that eigenbasis
+    first = 0   # index in ``points`` of the first eigenbasis of each streamed stack
+    for states in _eigenbases_along(model, points, eigh_many):
+        # largest K first: each smaller chain's block temporaries then fit in the
+        # memory the larger one freed (in ascending order they raised the peak
+        # resident set of the default sweep by 0.4 MB)
+        for c, walk in enumerate(walks):
+            upto = int(np.searchsorted(walk, first + len(states)))
+            if upto - 1 == reached[c] and first > 0:   # the first stack holds its start
+                continue   # no new point of this chain in this stack
+            at = walk[reached[c] : upto] - first   # its last point, then its new ones
+            if at[0] < 0:   # that last point lies in an earlier stack
+                stack = np.concatenate([last[c], states[at[1:]]])
+            elif strict[c] and at[-1] == len(at) - 1:   # the head of this stack: no copy
+                stack = states[: len(at)]
+            else:
+                stack = states[at]
+            for ratio in branching_along(stack):
+                probs[c] = ratio @ probs[c]
+            last[c], reached[c] = stack[-1:].copy(), upto - 1
+        first += len(states) - 1   # consecutive stacks overlap in one eigenbasis
+    return probs
+
+
 def zeno_sweep(model: HamiltonianFamily, trajectory: Trajectory, step_counts) -> list[dict]:
     """Exact and approximate infidelity versus step count on one trajectory.
 
     Each K's row is that of ``run_stroboscopic(model, trajectory.discretize(K))``
-    bit for bit, but all K share one walk over the eigenbases.  The interior
-    time-law targets of every K, ``linspace(0, W, K + 1)[1:-1]`` with W the
-    law length, are merged into their sorted distinct union, placed by
-    ``resample`` between the table's two end points, and diagonalized once
-    each, streamed in blocks; each K's chain advances on its own index
-    subsequence of that walk and keeps only its probability row and last
-    eigenbasis.  Nested grids (the default 1-2-5 ladder) share many of their
-    points; no list diagonalizes more points than one walk per K would.  The
-    infidelity-expansion columns use the trajectory's total metric length.
-    Emits at most one ``DegeneracyWarning`` per sweep.  Raises ``ValueError``
-    for a step count that is not an integer >= 1, a descending list, or a
-    table too coarse for the largest K, before any work.
+    bit for bit, but counts whose time-law grids share points (see
+    ``_walk_groups``) share one walk over the eigenbases, which diagonalizes
+    each distinct point of their grids once.  On the default 1-2-5 ladder,
+    whose grids nest, that is one walk.  The infidelity-expansion columns use
+    the trajectory's total metric length.  Emits at most one
+    ``DegeneracyWarning`` per walk.  Raises ``ValueError`` for a step count
+    that is not an integer >= 1, a descending list, or a table too coarse for
+    the largest K, before any work.
     """
     step_counts = [check_count("step count", k, 1) for k in step_counts]
     if step_counts != sorted(step_counts):
@@ -138,30 +214,9 @@ def zeno_sweep(model: HamiltonianFamily, trajectory: Trajectory, step_counts) ->
     if not step_counts:
         return []
     check_resolution(trajectory.points.shape[0] - 1, step_counts[-1])
-    law = trajectory.law_cumlen
-    interiors = [np.linspace(0.0, law[-1], k + 1)[1:-1] for k in step_counts]
-    union = _sorted_distinct(np.concatenate(interiors))
-    points = resample(trajectory.points, law, np.concatenate([[0.0], union, law[-1:]]))
-    # each chain's indices into ``points``: start, its interior targets, end
-    walks = [np.concatenate([[0], 1 + np.searchsorted(union, t), [len(points) - 1]])
-             for t in interiors]
-    probs = np.zeros((len(walks), model.dim))
-    probs[:, 0] = 1.0
-    last = [np.zeros((0, model.dim, model.dim))] * len(walks)   # no eigenbasis before the walk
-    reached = [-1] * len(walks)   # position in each walk of its last eigenbasis
-    first = 0   # index in ``points`` of the first eigenbasis of each streamed stack
-    for states in _eigenbases_along(model, points, eigh_many):
-        # largest K first: each smaller chain's block temporaries then fit in the
-        # memory the larger one freed (in ascending order they raised the peak
-        # resident set of the default sweep by 0.4 MB)
-        for c in reversed(range(len(walks))):
-            walk = walks[c]
-            upto = int(np.searchsorted(walk, first + len(states)))
-            stack = np.concatenate([last[c], states[walk[reached[c] + 1 : upto] - first]])
-            for ratio in branching_along(stack):
-                probs[c] = ratio @ probs[c]
-            last[c], reached[c] = stack[-1:].copy(), upto - 1
-        first += len(states) - 1   # consecutive stacks overlap in one eigenbasis
+    probs = np.zeros((len(step_counts), model.dim))
+    for group in _walk_groups(step_counts):
+        probs[group] = _final_probabilities(model, trajectory, [step_counts[i] for i in group])
     length = trajectory.length
     rows = []
     for steps, row in zip(step_counts, probs):

@@ -48,6 +48,18 @@ def check_resolution(segments: int, steps) -> int:
     return steps
 
 
+def table_segments(family: str, dense_steps: int, geodesic_steps: int = 256) -> int:
+    """Segments in the table ``build_trajectory`` makes for these counts.
+
+    The geodesic subdivides each of its ``geodesic_steps`` relaxed segments
+    ceil(``dense_steps`` / ``geodesic_steps``) times; the linear families have
+    ``dense_steps`` segments.
+    """
+    if family != "geodesic":
+        return dense_steps
+    return geodesic_steps * -(-dense_steps // geodesic_steps)
+
+
 @dataclass(frozen=True)
 class Trajectory:
     """Densely sampled driving trajectory with precomputed length tables.
@@ -138,7 +150,7 @@ def build_trajectory(
     end = np.asarray(end, dtype=float)
     if family == "geodesic":
         base = geodesic(model, start, end, geodesic_steps)
-        dense = refine(base, max(1, int(np.ceil(dense_steps / geodesic_steps))))
+        dense = refine(base, table_segments(family, dense_steps, geodesic_steps) // geodesic_steps)
     else:
         dense = refine(np.array([start, end]), dense_steps)
     metric = cumulative_lengths(model, dense)

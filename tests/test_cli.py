@@ -381,7 +381,7 @@ class TestReproducibility:
         assert self._data_bytes(a) == self._data_bytes(b)
 
     def test_jobs_do_not_change_the_default_ladder(self, tmp_path):
-        # one walk at --jobs 1, three interleaved walks at --jobs 3
+        # zeno makes one sweep, one walk on this ladder, at any --jobs
         args = ["zeno", "--model.N", "4", "--path.family", "linear-v"]
         a = run_cli(tmp_path, "l1", *args, "--jobs", "1")
         b = run_cli(tmp_path, "l3", *args, "--jobs", "3")

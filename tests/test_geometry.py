@@ -30,7 +30,7 @@ from zenodrive.spectral import (
     ground_step_lengths,
     warn_if_degenerate,
 )
-from zenodrive.trajectories import build_trajectory
+from zenodrive.trajectories import build_trajectory, table_segments
 
 START = np.array([0.0, 0.0])
 END = np.array([2.0, 0.5])
@@ -1349,6 +1349,15 @@ class TestReparameterize:
         assert np.array_equal(trajectory.points[[0, -1]], [start, end])
         assert np.array_equal(trajectory.discretize(10)[-1], end)
         assert np.array_equal(trajectory.position_at(np.array([1.0]))[0], end)
+
+    @pytest.mark.parametrize(
+        "family, dense, segments", [("geodesic", 100, 48), ("geodesic", 97, 48), ("linear-v", 97, 48)]
+    )
+    def test_table_segments_counts_the_built_table(self, family, dense, segments):
+        trajectory = build_trajectory(
+            LipkinModel(3), family, START, END, dense_steps=dense, geodesic_steps=segments
+        )
+        assert len(trajectory.points) - 1 == table_segments(family, dense, segments)
 
     def test_rejects_coarse_input(self, lipkin10):
         trajectory = build_trajectory(lipkin10, "linear-v", START, END, dense_steps=99)

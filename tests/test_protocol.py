@@ -264,10 +264,12 @@ class TestZenoSweep:
         assert full[1]["I_exact"] == single["I_exact"]
 
 
+DEFAULT_LADDER = list(CONFIG_SPEC["steps.K"][1])
+# for the N=4 tables of about 5 000 segments; the N=10 tests take the default ladder
 ZENO_LISTS = {
-    "ladder": list(CONFIG_SPEC["steps.K"][1]),
+    "ladder": [5, 10, 20, 50, 100, 200, 500],
     "repeats": [1, 1, 3, 7, 64, 100, 100],
-    "geomspace": list(_parse_value("steps.K", "log:50:5000:13")),
+    "geomspace": list(_parse_value("steps.K", "log:5:500:13")),
 }
 
 
@@ -282,13 +284,13 @@ def per_k_rows(model, trajectory, step_counts):
 def trajectories4(request):
     end = {"default": END, "jittered": np.array([2.0071, 0.4932]), "zero-length": START}
     return {
-        family: build_trajectory(LIPKIN4, family, START, end[request.param], dense_steps=50000)
+        family: build_trajectory(LIPKIN4, family, START, end[request.param], dense_steps=5000)
         for family in ("geodesic", "linear-v", "linear-u")
     }
 
 
 class TestZenoWalk:
-    """One eigen-walk over the union of the step grids, row for row the per-K chains."""
+    """One eigen-walk per group of step grids that share points, row for row the per-K chains."""
 
     @pytest.mark.parametrize("family", ["geodesic", "linear-v", "linear-u"])
     @pytest.mark.parametrize("name", list(ZENO_LISTS))
@@ -299,13 +301,31 @@ class TestZenoWalk:
         assert [r["I_exact"] for r in rows] == per_k_rows(LIPKIN4, trajectory, ks)
 
     @pytest.mark.parametrize("family", ["geodesic", "linear-v", "linear-u"])
-    @pytest.mark.parametrize("name", ["ladder", "repeats"])
-    def test_rows_equal_per_k_chains_n10(self, lipkin10, trajectories10, family, name):
-        trajectory, ks = trajectories10[family], ZENO_LISTS[name]
-        rows = zeno_sweep(lipkin10, trajectory, ks)
-        assert [r["I_exact"] for r in rows] == per_k_rows(lipkin10, trajectory, ks)
+    def test_rows_equal_per_k_chains_n10(self, lipkin10, trajectories10, family):
+        trajectory = trajectories10[family]
+        rows = zeno_sweep(lipkin10, trajectory, DEFAULT_LADDER)
+        assert [r["I_exact"] for r in rows] == per_k_rows(lipkin10, trajectory, DEFAULT_LADDER)
 
-    def test_one_eigh_per_union_point(self, lipkin10, trajectories10, monkeypatch):
+    def test_sparse_chains_of_a_joint_walk(self):
+        # K = 1 and 2 walk with K = 1000 but have no interior point in its
+        # first streamed block; K = 3 shares too few points and walks alone
+        trajectory = build_trajectory(LIPKIN4, "linear-v", START, END, dense_steps=10000)
+        ks = [1, 2, 3, 1000]
+        assert protocol._walk_groups(ks) == [[3, 1, 0], [2]]
+        rows = zeno_sweep(LIPKIN4, trajectory, ks)
+        assert [r["I_exact"] for r in rows] == per_k_rows(LIPKIN4, trajectory, ks)
+
+    def test_groups_of_counts_that_share_points(self):
+        assert protocol._walk_groups(DEFAULT_LADDER) == [[6, 5, 4, 3, 2, 1, 0]]
+        assert protocol._walk_groups(ZENO_LISTS["repeats"]) == [[6, 5, 1, 0], [4], [3], [2]]
+        # a lin: list shares few points: only 1000 divides another count
+        ks = sorted(_parse_value("steps.K", "lin:1000:10000:50"))
+        assert sorted(map(len, protocol._walk_groups(ks))) == [1] * 48 + [2]
+
+    @pytest.mark.parametrize("name", ["ladder", "geomspace"])
+    def test_one_eigh_per_distinct_point_of_each_group(
+        self, lipkin10, trajectories10, monkeypatch, name
+    ):
         matrices = []
 
         def counting(stack):
@@ -313,13 +333,20 @@ class TestZenoWalk:
             return eigh_many(stack)
 
         monkeypatch.setattr(protocol, "eigh_many", counting)
-        trajectory, ks = trajectories10["geodesic"], ZENO_LISTS["ladder"]
+        trajectory = trajectories10["geodesic"]
+        ks = DEFAULT_LADDER if name == "ladder" else list(_parse_value("steps.K", "log:50:5000:13"))
         zeno_sweep(lipkin10, trajectory, ks)
         law = trajectory.law_cumlen[-1]
-        targets = np.concatenate([np.linspace(0.0, law, k + 1) for k in ks])
-        assert sum(matrices) == np.unique(targets).size < len(targets)
-        # the ladder's grids nest up to a few rounding-split targets
-        assert sum(matrices) < 0.7 * sum(k + 1 for k in ks)
+        groups = protocol._walk_groups(ks)
+        distinct = [
+            np.unique(np.concatenate([np.linspace(0.0, law, ks[i] + 1) for i in g])).size
+            for g in groups
+        ]
+        assert sum(matrices) == sum(distinct) <= sum(k + 1 for k in ks)
+        if name == "ladder":
+            # one walk; the grids nest up to a few rounding-split targets
+            assert len(groups) == 1
+            assert sum(matrices) < 0.7 * sum(k + 1 for k in ks)
 
     def test_positional_end_points_on_a_table_of_zero_law_length(self):
         # distinct points that the time law does not advance: every interior
