@@ -6,12 +6,13 @@ J. Comput. Phys. 230, 5930 (2011): each step samples the Hamiltonian at its
 two Gauss nodes and applies two exponentials to the state in time order,
 so the evolution is fourth order in the step.  The exponentials are not
 diagonalized: a truncated Taylor series of cos and sin with scaling and
-double-angle steps (``_expm_minus_i``) builds them from matrix products, so
-they are unitary to rounding, not by construction.  On N=10 linear-v at
+double-angle steps (``_expm_minus_i``) builds them from eight matrix
+products plus two per double-angle step, so they are unitary to rounding,
+not by construction.  On N=10 linear-v (the 20k-segment table) at
 T = 1 ... 600, max|U^dagger U - I| per exponential is 3.3e-16 - 1.1e-15
-(6.0e-15 - 7.6e-15 through ``np.linalg.eigh``), and I_coh is within
-1.5e-17 ... 1.9e-14 of a long-double run on the same steps (eigh:
-1.6e-16 ... 3.0e-13).  The step count
+(6.0e-15 - 7.6e-15 through ``np.linalg.eigh``), and the finest grid's
+I_coh is within 0 ... 1.6e-14 of a long-double run on the same steps
+(eigh: 1.6e-16 ... 3.0e-13).  The step count
 doubles adaptively until the final ground-state fidelity is converged; trace
 times are exact step boundaries.  Once the changes shrink at CF4's fourth
 order, on a time law that resolves the grid, the last doubling is saved: the
@@ -57,7 +58,7 @@ GAUSS_NODES = np.array([0.5 - np.sqrt(3.0) / 6.0, 0.5 + np.sqrt(3.0) / 6.0])
 ALPHA = (3.0 + 2.0 * np.sqrt(3.0)) / 12.0
 BETA = (3.0 - 2.0 * np.sqrt(3.0)) / 12.0
 # Taylor coefficients of cos y (column 0) and sin y / y (column 1) in powers
-# of y^2, constant term first, through y^18 and y^19
+# of z = y^2, constant term first, through z^9 (y^18 and y^19)
 TAYLOR = np.array(
     [[(-1) ** k / math.factorial(2 * k + odd) for odd in (0, 1)] for k in range(10)]
 )
@@ -127,17 +128,20 @@ class _BlockWorkspace:
     """Buffers for the CF4 exponentials of one block, allocated once and reused block to block.
 
     ``buffers`` stacks five (size, dim, dim) arrays of the Hamiltonians'
-    dtype: the step exponents, scaled in place to y, then y^2 and three
-    buffers for the Horner ping-pong and the double-angle steps.
-    ``unitaries`` holds the complex results; until they are written its
-    memory also holds |x|, whose row sums give the norms.  A block of
-    ``count`` <= ``size`` exponentials uses the first ``count`` matrices of
-    each, so a short last block reads no stale entries.  Allocated per
-    block instead, about 25 such arrays were freed and their pages handed
-    back to the system after every block, to be faulted in again by the
-    next: with glibc's allocator, a ``coherent_sweep`` over the six benchmark
-    times on the 20k-segment N=10 table took 22.7k minor page faults, and
-    1.0k with one workspace per call.
+    dtype.  ``_step_unitaries`` builds the step exponents in the first and
+    uses the next two for its weighted sums; ``_expm_minus_i`` scales the
+    exponents in place to y, holds z = y^2, z^2 and z^3 in the next three
+    and sin y in the last, then takes y's buffer for cos y and z's three for
+    the double-angle steps.  ``unitaries`` holds the complex results; until
+    they are written its memory serves first as |x|, whose row sums give the
+    norms, then as one more buffer of the Hamiltonians' dtype for the series
+    sums.  A block of ``count`` <= ``size`` exponentials uses the first
+    ``count`` matrices of each, so a short last block reads no stale
+    entries.  Allocated per block instead, about 25 such arrays were freed
+    and their pages handed back to the system after every block, to be
+    faulted in again by the next: with glibc's allocator, a
+    ``coherent_sweep`` over the six benchmark times on the 20k-segment N=10
+    table took 22.7k minor page faults, and 1.0k with one workspace per call.
     """
 
     def __init__(self, size, dim, dtype=float):
@@ -152,55 +156,71 @@ def _expm_minus_i(x, workspace=None):
     SIAM J. Matrix Anal. Appl. 26, 1179 (2005); for cos and sin together,
     Al-Mohy, Higham & Relton, SIAM J. Sci. Comput. 37, A456 (2015)).  Each
     matrix is scaled to y = x / 2**s with s = ceil(log2 ||x||_inf) (s = 0
-    when ||x||_inf <= 1); cos y and sin y are summed by Horner in y^2
-    through y^18 and y^19, whose first omitted terms are below 1e-17 for
-    ||y|| <= 1; s double-angle steps cos 2y = (C - S)(C + S) and
-    sin 2y = 2SC, with C = cos y and S = sin y, undo the scaling.  Each
+    when ||x||_inf <= 1).  cos y and sin y / y are polynomials of degree 9
+    in z = y^2, through y^18 and y^19, whose first omitted terms are below
+    1e-17 for ||y|| <= 1.  Each is summed by Paterson & Stockmeyer (SIAM J.
+    Comput. 2, 60 (1973)) as p(z) = B_0 + z^3 (B_1 + z^3 B_2), where
+    B_j = c_3j + c_3j+1 z + c_3j+2 z^2 and B_2 also carries c_9 z^3: with
+    z, z^2 and z^3 formed once, each polynomial takes two products and
+    sin y = y (sin y / y) one more: eight in all, where Horner in z takes
+    twenty.  s double-angle steps cos 2y = (C - S)(C + S) and sin 2y = 2SC,
+    with C = cos y and S = sin y, two products each, undo the scaling.  Each
     matrix takes its own s, so a result does not depend on the rest of the
     batch.  The result is unitary to rounding, not by construction: the
     defect max|U^dagger U - I| is a few eps and about doubles with each
     double-angle step.
 
     Every product and sum is written into ``workspace`` (a ``_BlockWorkspace``
-    of at least B matrices of ``x``'s dtype, allocated here when omitted),
-    and the result is a view of its ``unitaries``, valid until the workspace
-    is used again.  ``x`` may be the workspace's first buffer, which is then
-    scaled in place; an ``x`` outside the workspace is left as it is.
+    of at least B matrices of ``x``'s dtype, allocated here when omitted;
+    see there for the buffers' roles), and the result is a view of its
+    ``unitaries``, valid until the workspace is used again.  ``x`` may be
+    the workspace's first buffer, which is then scaled in place; an ``x``
+    outside the workspace is left as it is.
     """
     count, n = x.shape[0], x.shape[-1]
     if workspace is None:
         workspace = _BlockWorkspace(count, n, x.dtype)
-    y, y2, a, b, c = workspace.buffers[:, :count]
+    y, z, z2, z3, sin = workspace.buffers[:, :count]
     unitaries = workspace.unitaries[:count]
-    # |x|, whose row sums give the norms, in the still unwritten memory of the result
+    # the still unwritten memory of the result: first |x|, whose row sums
+    # give the norms, then one more buffer of the workspace's dtype
     magnitudes = unitaries.view(float).reshape(2 * count, n, n)[:count]
+    spare = unitaries.view(y.dtype).reshape(-1, n, n)[:count]
     # norm = mantissa * 2**exponent with mantissa in [0.5, 1), so this is
     # ceil(log2 norm) exactly, also at powers of two
     norms = np.abs(x, out=magnitudes).sum(axis=-1).max(axis=-1, initial=0.0)
     mantissa, exponent = np.frexp(norms)
     squarings = np.maximum(exponent - (mantissa == 0.5), 0)
     np.multiply(x, (0.5**squarings)[:, None, None], out=y)
-    np.matmul(y, y, out=y2)
+    np.matmul(y, y, out=z)
+    np.matmul(z, z, out=z2)
+    np.matmul(z, z2, out=z3)
 
-    def horner(coefficients, poly, spare):
-        """Horner in y^2 from the top coefficient down in two ping-pong buffers: (sum, free one)."""
-        poly.fill(0.0)
-        poly.reshape(-1, n * n)[:, :: n + 1] = coefficients[-1]
-        for coefficient in coefficients[-2::-1]:
-            poly, spare = np.matmul(poly, y2, out=spare), poly
-            poly.reshape(-1, n * n)[:, :: n + 1] += coefficient
-        return poly, spare
+    def add_block(total, coefficients, scratch):
+        """total += c_0 + c_1 z + c_2 z^2, the smallest term first, through ``scratch``."""
+        total += np.multiply(z2, coefficients[2], out=scratch)
+        total += np.multiply(z, coefficients[1], out=scratch)
+        total.reshape(-1, n * n)[:, :: n + 1] += coefficients[0]
 
-    # cos y, then sin y / y and sin y; the last free buffer takes the doubled cos
-    cos, spare = horner(TAYLOR[:, 0], a, b)
-    series, spare = horner(TAYLOR[:, 1], spare, c)
-    sin = np.matmul(y, series, out=spare)
+    def series(coefficients, top, product):
+        """B_0 + z^3 (B_1 + z^3 B_2) in two ping-pong buffers, the sum in ``top``."""
+        np.multiply(z3, coefficients[9], out=top)
+        add_block(top, coefficients[6:9], product)
+        np.matmul(z3, top, out=product)
+        add_block(product, coefficients[3:6], top)
+        np.matmul(z3, product, out=top)
+        add_block(top, coefficients[0:3], product)
+        return top
+
+    # sin y first, so that y's buffer is free to take cos y
+    np.matmul(y, series(TAYLOR[:, 1], spare, sin), out=sin)
+    cos = series(TAYLOR[:, 0], y, spare)
     for done in range(squarings.max(initial=0)):
         more = (squarings > done)[:, None, None]
         doubled_cos = np.matmul(
-            np.subtract(cos, sin, out=y), np.add(cos, sin, out=y2), out=series
+            np.subtract(cos, sin, out=z), np.add(cos, sin, out=z2), out=z3
         )
-        doubled_sin = np.matmul(np.multiply(2.0, sin, out=y), cos, out=y2)
+        doubled_sin = np.matmul(np.multiply(2.0, sin, out=z), cos, out=z2)
         np.copyto(cos, doubled_cos, where=more)
         np.copyto(sin, doubled_sin, where=more)
     # cos - i sin, summed in place
@@ -300,16 +320,18 @@ def integrate_schrodinger(
     ``result.state``, ``substeps`` and ``trace_fidelity`` belong to the
     finest grid run; ``result.fidelity`` is the corrected value after exit 2,
     and ``result.passes`` and ``error_estimate`` say how the run stopped.
-    ``trace_times`` adds the ground-state fidelity at those times, clipped to
-    [0, T], sorted and deduplicated; they are exact step boundaries (the grid
-    is refined with them), so ``result.trace_times`` holds the requested
-    times themselves (at T = 0 every time clips to 0).
+    ``trace_times`` (a scalar is one time) adds the ground-state fidelity at
+    those times, clipped to [0, T], sorted and deduplicated; they are exact
+    step boundaries (the grid is refined with them), so
+    ``result.trace_times`` holds the requested times themselves (at T = 0
+    every time clips to 0).
 
     Raises
     ------
     ValueError
         If ``total_time`` is negative, infinite or NaN, ``tolerance`` is
-        negative or NaN, or ``trace_times`` holds NaN or infinity.
+        negative or NaN, or ``trace_times`` has more than one dimension or
+        holds NaN or infinity.
     IntegratorConvergenceError
         If the step cap or the rounding floor is reached first; carries the
         last two fidelities.
@@ -319,6 +341,9 @@ def integrate_schrodinger(
     if not tolerance >= 0:
         raise ValueError(f"tolerance must be >= 0 (inf allowed), got {tolerance!r}")
     trace = np.asarray([] if trace_times is None else trace_times, dtype=float)
+    if trace.ndim > 1:
+        raise ValueError(f"trace_times must be a scalar or 1-D, got shape {trace.shape}")
+    trace = trace.reshape(-1)   # a scalar is one time
     if not np.all(np.isfinite(trace)):
         raise ValueError("trace_times must be finite (got NaN or infinity)")
     trace = _sorted_distinct(np.clip(trace, 0.0, total_time))

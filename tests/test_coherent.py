@@ -1,4 +1,5 @@
 
+import math
 import warnings
 
 import numpy as np
@@ -243,6 +244,22 @@ class TestIntegrator:
                 integrate_schrodinger(two_level, ramp, 5.0, trace_times=[0.0, bad])
         assert not requested
 
+    def test_scalar_trace_time_is_one_time(self, two_level):
+        scalar = integrate_schrodinger(two_level, angle_ramp(np.pi), 5.0, trace_times=2.0)
+        listed = integrate_schrodinger(two_level, angle_ramp(np.pi), 5.0, trace_times=[2.0])
+        assert np.array_equal(scalar.trace_times, [2.0])
+        assert np.array_equal(scalar.trace_fidelity, listed.trace_fidelity)
+        assert scalar.fidelity == listed.fidelity
+        quench = integrate_schrodinger(two_level, angle_ramp(np.pi), 0.0, trace_times=2.0)
+        assert np.array_equal(quench.trace_times, [0.0]) and quench.trace_fidelity.shape == (1,)
+
+    @pytest.mark.parametrize("shape", [(0, 2), (2, 1), (1, 1, 1)])
+    def test_rejects_multidimensional_trace_times(self, two_level, shape, monkeypatch):
+        propagated = counting_propagations(monkeypatch)
+        with pytest.raises(ValueError, match="trace_times"):
+            integrate_schrodinger(two_level, angle_ramp(np.pi), 5.0, trace_times=np.ones(shape))
+        assert not propagated
+
     def test_matches_dop853_reference(self):
         # crossover regime: coherent infidelity ~2e-2
         reference, result = dop853_and_cf4(10.0)
@@ -367,6 +384,56 @@ class TestExpmMinusI:
         unitaries = coherent._step_unitaries(LipkinModel(10), linear_chord, 60.0, knots)
         assert unitaries.shape == (80, 11, 11)
         assert unitarity_defect(unitaries) <= 1e-14
+
+
+def long_double_expm_minus_i(matrix):
+    """exp(-i matrix) in long double, and the double-angle step count s it took.
+
+    y = matrix / 2**s with s = max(0, ceil(log2 ||matrix||_inf)); the Taylor
+    series of cos y and sin y / y in powers of y^2 are summed until a term
+    falls below 1e-30, then s double-angle steps undo the scaling, all in
+    np.longdouble (np.clongdouble for a complex matrix).
+    """
+    norm = np.abs(matrix).sum(axis=-1).max()
+    s = max(0, math.ceil(math.log2(norm))) if norm > 0 else 0
+    wide = np.clongdouble if np.iscomplexobj(matrix) else np.longdouble
+    y = matrix.astype(wide) / np.longdouble(2) ** s
+    y2 = y @ y
+    cos, series = np.eye(len(matrix), dtype=wide), np.eye(len(matrix), dtype=wide)
+    cos_term, series_term = cos.copy(), series.copy()
+    k = 0
+    while max(np.abs(cos_term).max(), np.abs(series_term).max()) >= 1e-30:
+        k += 1
+        cos_term = -(cos_term @ y2) / ((2 * k - 1) * (2 * k))
+        series_term = -(series_term @ y2) / ((2 * k) * (2 * k + 1))
+        cos, series = cos + cos_term, series + series_term
+    sin = y @ series
+    for _ in range(s):
+        cos, sin = (cos - sin) @ (cos + sin), 2 * sin @ cos
+    return cos - 1j * sin, s
+
+
+class TestExpmMinusIReference:
+    """The Taylor kernel against a long-double series summed to convergence."""
+
+    # s = 0 (at norm 1 some matrices round just above 1, s = 1), 1, 2 - 3 and 6
+    @pytest.mark.parametrize("norm", [0.0, 0.5, 1.0, 1.0 + 1e-9, 4.0, 40.0])
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_matches_long_double_series(self, norm, dtype):
+        eps = np.finfo(float).eps
+        # with a diagonal matrix whose spectral radius is its infinity-norm,
+        # the worst case for the truncated series
+        x = np.concatenate([
+            random_hermitian(np.random.default_rng(7), 8, 11, norm, dtype),
+            np.diag(np.linspace(-norm, norm, 11)).astype(dtype)[None],
+        ])
+        got = coherent._expm_minus_i(x)
+        for unitary, matrix in zip(got, x):
+            reference, s = long_double_expm_minus_i(matrix)
+            # the rounding grows with the double-angle steps: measured at most
+            # 0.35 eps at s = 0, 1.5 at s = 1, 3.0 at s = 2 - 3 and 35 at s = 6
+            error = np.abs(unitary.astype(np.clongdouble) - reference).max()
+            assert error <= 8 * eps * (1 + s)
 
 
 def linear_chord(fractions):
