@@ -13,7 +13,6 @@ configurations produce byte-identical CSV output.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import os
 import sys
 import time
@@ -180,6 +179,9 @@ def write_csv(path: Path, header: list[str], rows: list[tuple]) -> None:
 def _parallel_map(fn, items, jobs: int):
     if jobs <= 1 or len(items) <= 1:
         return [fn(item) for item in items]
+    # imported only here: about 4 ms of every start that runs one job
+    import concurrent.futures
+
     with concurrent.futures.ThreadPoolExecutor(max_workers=jobs) as pool:
         return list(pool.map(fn, items))
 

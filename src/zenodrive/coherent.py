@@ -12,12 +12,16 @@ not by construction.  On N=10 linear-v (the 20k-segment table) at
 T = 1 ... 600, max|U^dagger U - I| per exponential is 3.3e-16 - 1.1e-15
 (6.0e-15 - 7.6e-15 through ``np.linalg.eigh``), and the finest grid's
 I_coh is within 0 ... 1.6e-14 of a long-double run on the same steps
-(eigh: 1.6e-16 ... 3.0e-13).  The step count
-doubles adaptively until the final ground-state fidelity is converged; trace
-times are exact step boundaries.  Once the changes shrink at CF4's fourth
-order, on a time law that resolves the grid, the last doubling is saved: the
-run stops on the Richardson-corrected fidelity F_2n + (F_2n - F_n)/15, whose
-error estimate is |F_2n - F_n|/15.  On top of the integrator sit the
+(eigh: 1.6e-16 ... 3.0e-13).  Every block of every pass of one run is
+built in one ``geometry._Workspace``: five real stacks and the complex
+result, 1.7 MB at N=10, allocated once per run (a six-time
+``coherent_sweep`` on the 20k-segment N=10 table takes 0.9k minor page
+faults, 22.7k with per-block buffers).  The step count doubles adaptively
+until the final ground-state fidelity is converged; trace times are exact
+step boundaries.  Once the changes shrink at CF4's fourth order, on a time
+law that resolves the grid, the last doubling is saved: the run stops on
+the Richardson-corrected fidelity F_2n + (F_2n - F_n)/15, whose error
+estimate is |F_2n - F_n|/15.  On top of the integrator sit the
 infidelity-versus-time sweep and the search for the smallest stroboscopic
 step count that beats coherent driving on the same trajectory.
 """
@@ -28,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import EIGH_BLOCK
+from .geometry import EIGH_BLOCK, _Workspace
 from .models import HamiltonianFamily, check_count
 from .protocol import excited_return, run_stroboscopic
 from .spectral import _sorted_distinct, eigh_many
@@ -124,32 +128,7 @@ def _ground_states(model, position_fn, fractions):
     return eigh_many(model.hamiltonian_many(points))[1][..., :, 0]
 
 
-class _BlockWorkspace:
-    """Buffers for the CF4 exponentials of one block, allocated once and reused block to block.
-
-    ``buffers`` stacks five (size, dim, dim) arrays of the Hamiltonians'
-    dtype.  ``_step_unitaries`` builds the step exponents in the first and
-    uses the next two for its weighted sums; ``_expm_minus_i`` scales the
-    exponents in place to y, holds z = y^2, z^2 and z^3 in the next three
-    and sin y in the last, then takes y's buffer for cos y and z's three for
-    the double-angle steps.  ``unitaries`` holds the complex results; until
-    they are written its memory serves first as |x|, whose row sums give the
-    norms, then as one more buffer of the Hamiltonians' dtype for the series
-    sums.  A block of ``count`` <= ``size`` exponentials uses the first
-    ``count`` matrices of each, so a short last block reads no stale
-    entries.  Allocated per block instead, about 25 such arrays were freed
-    and their pages handed back to the system after every block, to be
-    faulted in again by the next: with glibc's allocator, a
-    ``coherent_sweep`` over the six benchmark times on the 20k-segment N=10
-    table took 22.7k minor page faults, and 1.0k with one workspace per call.
-    """
-
-    def __init__(self, size, dim, dtype=float):
-        self.buffers = np.empty((5, size, dim, dim), dtype=dtype)
-        self.unitaries = np.empty((size, dim, dim), dtype=complex)
-
-
-def _expm_minus_i(x, workspace=None):
+def _expm_minus_i(x, workspace):
     """exp(-ix) = cos x - i sin x for a stack ``x`` of Hermitian matrices, shape (B, n, n).
 
     Truncated Taylor series with scaling and double-angle steps (Higham,
@@ -170,20 +149,21 @@ def _expm_minus_i(x, workspace=None):
     defect max|U^dagger U - I| is a few eps and about doubles with each
     double-angle step.
 
-    Every product and sum is written into ``workspace`` (a ``_BlockWorkspace``
-    of at least B matrices of ``x``'s dtype, allocated here when omitted;
-    see there for the buffers' roles), and the result is a view of its
-    ``unitaries``, valid until the workspace is used again.  ``x`` may be
-    the workspace's first buffer, which is then scaled in place; an ``x``
-    outside the workspace is left as it is.
+    Every product and sum is written into ``workspace``, in two buffers:
+    ``"stacks"``, five (B, n, n) stacks of ``x``'s dtype, which hold y
+    (scaled from x in place), z = y^2, z^2, z^3 and sin y, then cos y in y's
+    and the double-angle products in z's three; and ``"unitaries"``, the
+    complex result, whose memory serves first as |x|, whose row sums give
+    the norms, then as one more stack of ``x``'s dtype for the series sums.
+    The result is a view of ``workspace``, valid until its next use.  ``x``
+    may be the first of the ``"stacks"``, which is then scaled in place; an
+    ``x`` outside the workspace is left as it is.
     """
     count, n = x.shape[0], x.shape[-1]
-    if workspace is None:
-        workspace = _BlockWorkspace(count, n, x.dtype)
-    y, z, z2, z3, sin = workspace.buffers[:, :count]
-    unitaries = workspace.unitaries[:count]
+    y, z, z2, z3, sin = workspace.take("stacks", (5, count, n, n), x.dtype)
+    unitaries = workspace.take("unitaries", (count, n, n), complex)
     # the still unwritten memory of the result: first |x|, whose row sums
-    # give the norms, then one more buffer of the workspace's dtype
+    # give the norms, then one more buffer of x's dtype
     magnitudes = unitaries.view(float).reshape(2 * count, n, n)[:count]
     spare = unitaries.view(y.dtype).reshape(-1, n, n)[:count]
     # norm = mantissa * 2**exponent with mantissa in [0.5, 1), so this is
@@ -229,21 +209,20 @@ def _expm_minus_i(x, workspace=None):
     return unitaries
 
 
-def _step_unitaries(model, position_fn, total_time, knots, workspace=None):
+def _step_unitaries(model, position_fn, total_time, knots, workspace):
     """CF4 exponentials of the steps between neighbouring ``knots``, two per step, in time order.
 
     Each is exp(-i tau (ALPHA H_1 + BETA H_2)) or its mirror, from
     ``_expm_minus_i``: matrix products only, no eigendecomposition, unitary
-    to rounding.  The exponents are built in ``workspace`` (allocated here
-    when omitted) and the result is a view of it, valid until its next use.
+    to rounding.  The exponents are built in the first three of
+    ``workspace``'s ``"stacks"`` and the result is a view of it, valid until
+    its next use.
     """
     starts, widths = knots[:-1], np.diff(knots)
     nodes = starts[:, None] + widths[:, None] * GAUSS_NODES
     hams = model.hamiltonian_many(position_fn(nodes.ravel()))
-    if workspace is None:
-        workspace = _BlockWorkspace(len(hams), hams.shape[-1], hams.dtype)
     h1, h2 = hams[0::2], hams[1::2]
-    exponents, h1_term, h2_term = workspace.buffers[:3, : len(hams)]
+    exponents, h1_term, h2_term = workspace.take("stacks", (5,) + hams.shape, hams.dtype)[:3]
     h1_term, h2_term = h1_term[: len(h1)], h2_term[: len(h2)]
     # exponents in time order: the H_1-heavy one acts first in each step
     np.add(np.multiply(ALPHA, h1, out=h1_term), np.multiply(BETA, h2, out=h2_term),
@@ -254,7 +233,7 @@ def _step_unitaries(model, position_fn, total_time, knots, workspace=None):
     return _expm_minus_i(exponents, workspace)
 
 
-def _propagate(model, position_fn, total_time, knots, marks, initial, workspace=None):
+def _propagate(model, position_fn, total_time, knots, marks, initial, workspace):
     """States of the CF4 chain over the step boundaries ``knots`` at the indices ``marks``.
 
     ``knots`` are increasing time fractions from 0 to 1; each interval
@@ -262,15 +241,11 @@ def _propagate(model, position_fn, total_time, knots, marks, initial, workspace=
     the caller's ground state at fraction 0.  The step unitaries (Taylor
     exponentials, not eigendecompositions; see ``_step_unitaries``) are
     built ``EIGH_BLOCK`` at a time and applied to the state one by one in
-    time order.  Every block is built in the same ``workspace``, a
-    ``_BlockWorkspace`` of ``EIGH_BLOCK`` exponentials (allocated here when
-    omitted; ``integrate_schrodinger`` passes one to all its runs), so the
-    working set is one block, allocated once.  Returns the states at
-    ``marks`` (indices into ``knots``), one row per entry, in the given order.
+    time order.  Every block is built in the same ``workspace``
+    (``integrate_schrodinger`` passes one to all its runs), so the working
+    set is one block, allocated once.  Returns the states at ``marks``
+    (indices into ``knots``), one row per entry, in the given order.
     """
-    if workspace is None:
-        # eigh returns the ground state in the Hamiltonians' dtype
-        workspace = _BlockWorkspace(EIGH_BLOCK, initial.size, initial.dtype)
     marks = [int(mark) for mark in marks]
     wanted = set(marks)
     psi = initial.astype(complex)
@@ -368,8 +343,13 @@ def integrate_schrodinger(
         states = np.repeat(initial[None].astype(complex), trace.size + 1, axis=0)
         return finish(0, states, fid, 0, 0.0)
 
-    # one block workspace for every block of every run (see ``_propagate``)
-    workspace = _BlockWorkspace(EIGH_BLOCK, initial.size, initial.dtype)
+    # one workspace for every block of every run (see ``_propagate``), its
+    # buffers taken for a whole block first, so that each is allocated once;
+    # eigh returns the ground state in the Hamiltonians' dtype
+    workspace = _Workspace()
+    block = (EIGH_BLOCK, initial.size, initial.size)
+    workspace.take("stacks", (5,) + block, initial.dtype)
+    workspace.take("unitaries", block, complex)
 
     def run(steps):
         """States at the trace fractions and at fraction 1 (last), and the fidelity."""

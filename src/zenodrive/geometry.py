@@ -12,15 +12,16 @@ those of the trial mid-points: the Hessian's forward-difference probes take
 their eigensystems from the mids' by first-order perturbation theory, from
 the same B^c = V^dagger dH_c V and mixing matrices that the mids' metric
 gradient contracts, each formed once per Newton iterate.  Every metric
-kernel of one solve works in one reused ``_MetricWorkspace``: at N=10 and
-256 points per block, seven stacks of (dim, dim) matrices and a mask,
-1.8 MB.  With it the default solve's traced peak is 3.3 MB, against 3.8 MB
-when every kernel allocated its own temporaries.
+kernel of one solve works in one reused ``_Workspace``, the named-buffer
+type the CF4 propagator shares: at N=10 and 256 points per block, seven
+stacks of (dim, dim) matrices and a mask, 1.8 MB.  With it the default
+solve's traced peak is 3.3 MB, against 3.8 MB when every kernel allocated
+its own temporaries, and its minor page faults 1.2k, against 29.3k.
 """
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,10 +30,6 @@ from .spectral import eigh_many, ground_step_lengths, warn_if_degenerate
 
 GAP_FLOOR = 1e-12
 METRIC_CAP = 1e12
-# matrices per batch in every batched kernel: the eigendecompositions of the
-# length table, the quench chain and the metric, and the CF4 step unitaries
-# (Taylor exponentials, which need no eigendecomposition)
-EIGH_BLOCK = 256
 # the geodesic relaxation stops once every interior gradient component is below this
 GEODESIC_GTOL = 1e-9
 # Newton iterations before the geodesic relaxation gives up
@@ -46,6 +43,42 @@ GEODESIC_FD_STEP = 1e-7
 # mid-point quadrature length it minimized; at the default end points clean
 # paths read at most 5.3e-3, those hopping over the small-gap region 0.44 to 1
 GEODESIC_ALIAS_GAP = 0.05
+# matrices per batch in every batched kernel: the eigendecompositions of the
+# length table, the quench chain and the metric, and the CF4 step unitaries
+# (Taylor exponentials, which need no eigendecomposition)
+EIGH_BLOCK = 256
+
+
+class _Workspace:
+    """Named buffers of the batched kernels, allocated once and reused block to block.
+
+    ``take`` hands out the first ``count`` matrices of a stack of (dim, dim)
+    matrices (of each of its stacks), so a short block reads no stale
+    entries; a buffer is allocated at its first ``take`` and again only when
+    a take needs more matrices, another stack shape or another dtype.  Every
+    private kernel takes one from its caller; only the entry points make
+    one: ``integrate_schrodinger`` for the CF4 exponentials of all its
+    blocks and doubling passes, ``geodesic`` for the metric kernels of all
+    its Newton steps and line searches, and ``metric_many`` and
+    ``metric_with_gradient_many`` for their blocks.  Allocated per use
+    instead, block-sized temporaries were freed and their pages handed back
+    to the system, to be faulted in again by the next block: with glibc's
+    allocator, a ``coherent_sweep`` over the six benchmark times on the
+    20k-segment N=10 table took 22.7k minor page faults, and 0.9k with one
+    workspace per call; the default N=10, 256-segment geodesic in a fresh
+    interpreter took 29.3k, and 1.2k.
+    """
+
+    def __init__(self):
+        self.buffers = {}
+
+    def take(self, name, shape, dtype=float):
+        """Buffer ``name`` as a view of ``shape``, ([stacks,] count, dim, dim)."""
+        buffer = self.buffers.get(name)
+        if (buffer is None or buffer.dtype != dtype or buffer.shape[-3] < shape[-3]
+                or buffer.shape[:-3] + buffer.shape[-2:] != shape[:-3] + shape[-2:]):
+            buffer = self.buffers[name] = np.empty(shape, dtype)
+        return buffer[..., : shape[-3], :, :]
 
 
 class DegenerateGroundStateError(RuntimeError):
@@ -72,8 +105,6 @@ class GeodesicDiagnostics:
 
     iterations: int = 0
     residual: float = np.inf
-    energy_trace: list = field(default_factory=list)
-    length_trace: list = field(default_factory=list)
     trials: int = 0   # line-search energy evaluations
     solves: int = 0   # Hessian solves, those finding H + damping I indefinite included
 
@@ -99,7 +130,7 @@ def metric_many(model: HamiltonianFamily, points: np.ndarray, *, with_gap: bool 
         ``EIGH_BLOCK`` flattened points that holds such a point; later
         blocks are not diagonalized.
     """
-    g, _, gap = _metric_impl(model, points, with_gradient=False)
+    g, _, gap = _metric_impl(model, points, _Workspace(), with_gradient=False)
     return (g, gap) if with_gap else g
 
 
@@ -114,22 +145,20 @@ def metric_with_gradient_many(
     standard first-order expressions for eigenvector and eigenvalue derivatives.
     Blocks, empty input and errors are as in ``metric_many``.
     """
-    return _metric_impl(model, points, with_gradient=True)[:2]
+    return _metric_impl(model, points, _Workspace(), with_gradient=True)[:2]
 
 
-def _metric_impl(model, points, *, with_gradient, eigensystem=None, workspace=None):
+def _metric_impl(model, points, workspace, *, with_gradient, eigensystem=None):
     """Metric, gradient (or None) and gap, ``EIGH_BLOCK`` flattened points at a time.
 
     ``eigensystem``, if given, is ``(energies, states)`` of the flattened
     points' Hamiltonians, shapes (P, dim) and (P, dim, dim), and replaces their
     diagonalization; the results are those of diagonalizing here.  Every
-    block is computed in the one ``workspace`` (made here when omitted).
+    block is computed in the one ``workspace``.
     """
     points = model.check_points(points)
     batch_shape, nparams = points.shape[:-1], model.nparams
     flat = points.reshape(-1, nparams)
-    if workspace is None:
-        workspace = _MetricWorkspace()
     g = np.empty((len(flat), nparams, nparams))
     dg = np.empty((len(flat),) + (nparams,) * 3) if with_gradient else None
     gap = np.empty(len(flat))
@@ -156,33 +185,6 @@ def _clip_metric(g, stacklevel):
             f"metric component exceeds cap {METRIC_CAP:.0e}; clipping (near-degenerate gap)",
             stacklevel=stacklevel + 1,
         )
-
-
-class _MetricWorkspace:
-    """Named buffers of the metric kernels, allocated once and reused call to call.
-
-    ``take`` hands out the first ``count`` matrices of a stack of (dim, dim)
-    matrices (of each of its stacks), so a call on a short block reads no
-    stale entries; a buffer is allocated at its first ``take`` and again
-    only when a take needs more matrices, another stack shape or another
-    dtype.  ``geodesic`` makes one per call.  Allocated per use instead,
-    about a dozen block-sized temporaries of each Newton iterate were freed
-    and their pages handed back to the system, to be faulted in again by
-    the next: with glibc's allocator, the default N=10, 256-segment solve
-    in a fresh interpreter took 29.3k minor page faults, and 1.1k with one
-    workspace per call.
-    """
-
-    def __init__(self):
-        self.buffers = {}
-
-    def take(self, name, shape, dtype=float):
-        """Buffer ``name`` as a view of ``shape``, ([stacks,] count, dim, dim)."""
-        buffer = self.buffers.get(name)
-        if (buffer is None or buffer.dtype != dtype or buffer.shape[-3] < shape[-3]
-                or buffer.shape[:-3] + buffer.shape[-2:] != shape[:-3] + shape[-2:]):
-            buffer = self.buffers[name] = np.empty(shape, dtype)
-        return buffer[..., : shape[-3], :, :]
 
 
 def _adjoint(matrices, workspace):
@@ -235,14 +237,12 @@ def _eigenproducts(model, points, eigensystem, with_gradient, workspace):
     return amps, second, bmats, _mixing(energies, bmats, workspace)
 
 
-def _metric_block(model, points, with_gradient, eigensystem=None, products=None, workspace=None):
+def _metric_block(model, points, with_gradient, eigensystem, products, workspace):
     """Unclipped metric, gradient (or None) and gap of one (B, D) block of points,
     diagonalized here unless their ``eigensystem`` is given, from their
     ``products`` (``_eigenproducts``, formed here unless given) in
-    ``workspace`` (made here when omitted)."""
+    ``workspace``."""
     nparams = model.nparams
-    if workspace is None:
-        workspace = _MetricWorkspace()
     if eigensystem is None:
         eigensystem = eigh_many(model.hamiltonian_many(points))
     energies, states = eigensystem
@@ -299,7 +299,7 @@ def _metric_block(model, points, with_gradient, eigensystem=None, products=None,
     return g, dg, gap
 
 
-def _mixing(energies, bmats, workspace=None):
+def _mixing(energies, bmats, workspace):
     """T^c[j, i] = B^c[j, i] / (E_i - E_j) for a (D, P, dim, dim) stack of
     B^c = V^dagger dH_c V: the first-order eigenvector mixing d_c v_i =
     sum_j v_j T^c[j, i].
@@ -307,11 +307,8 @@ def _mixing(energies, bmats, workspace=None):
     The diagonal and accidental excited-level crossings (|E_i - E_j| below
     1e2 ``GAP_FLOOR``) are guarded: those pair contributions are dropped.
     The level differences and their mask are built once for all axes.  The
-    result is a view of ``workspace`` (made here when omitted), valid until
-    its next use.
+    result is a view of ``workspace``, valid until its next use.
     """
-    if workspace is None:
-        workspace = _MetricWorkspace()
     denom = workspace.take("denom", bmats.shape[1:])
     np.subtract(energies[..., None, :], energies[..., :, None], out=denom)
     tmats = workspace.take("tmats", bmats.shape, np.result_type(bmats, float))
@@ -472,22 +469,22 @@ def refine(path, factor: int) -> np.ndarray:
 # geodesic relaxation
 # ---------------------------------------------------------------------------
 
-def _discrete_energy(model, points, workspace=None):
+def _discrete_energy(model, points, workspace):
     """Path energy sum_k g(mid_k)[delta_k, delta_k] and the mid-points' eigensystems.
 
     The eigensystems let ``_energy_grad_hess`` at the same points skip
     diagonalizing the mid-points again.  The metric is computed in
-    ``workspace`` (made here when omitted).
+    ``workspace``.
     """
     mids = 0.5 * (points[:-1] + points[1:])
     delta = points[1:] - points[:-1]
     eigensystem = eigh_many(model.hamiltonian_many(mids))
-    g = _metric_impl(model, mids, with_gradient=False, eigensystem=eigensystem,
-                     workspace=workspace)[0]
+    g = _metric_impl(model, mids, workspace, with_gradient=False,
+                     eigensystem=eigensystem)[0]
     return float(np.einsum("kab,ka,kb->", g, delta, delta)), eigensystem
 
 
-def _energy_grad_hess(model, points, eigensystem=None, workspace=None):
+def _energy_grad_hess(model, points, eigensystem, workspace):
     """Energy, gradient, and the block-tridiagonal Hessian blocks ``_solve_hessian`` takes.
 
     The energy is sum_k g(mid_k)[delta_k, delta_k].  Metric values and first
@@ -501,20 +498,18 @@ def _energy_grad_hess(model, points, eigensystem=None, workspace=None):
     does not only slow the convergence: it moves the relaxed points within
     the ``GEODESIC_GTOL`` basin.
 
-    The mids go ``EIGH_BLOCK`` at a time through one ``workspace`` (made here
-    when omitted).  A block's products (``_eigenproducts``: its B^c and
-    mixing matrices T^c, each formed once) serve both its metric gradient
-    and all its probes' eigensystems; then each probe's own products take
-    their place.  The mids' metric is clipped and warned about as by
-    ``metric_many``; the probes' metric is not used.
+    The mids go ``EIGH_BLOCK`` at a time through one ``workspace``.  A
+    block's products (``_eigenproducts``: its B^c and mixing matrices T^c,
+    each formed once) serve both its metric gradient and all its probes'
+    eigensystems; then each probe's own products take their place.  The
+    mids' metric is clipped and warned about as by ``metric_many``; the
+    probes' metric is not used.
     """
     nparams = model.nparams
     mids = 0.5 * (points[:-1] + points[1:])
     delta = points[1:] - points[:-1]
     if eigensystem is None:
         eigensystem = eigh_many(model.hamiltonian_many(mids))
-    if workspace is None:
-        workspace = _MetricWorkspace()
     g = np.empty((len(mids), nparams, nparams))
     dg = np.empty((len(mids),) + (nparams,) * 3)
     d2g = np.empty((len(mids),) + (nparams,) * 4)   # d2g[k, c] = d_c dg[k]
@@ -548,21 +543,17 @@ def _energy_grad_hess(model, points, eigensystem=None, workspace=None):
     return energy, grad, (h_low, h_high, h_cross)
 
 
-def _shifted_eigensystem(model, points, eigensystem, axis, step, products=None, workspace=None):
+def _shifted_eigensystem(model, points, eigensystem, axis, step, products, workspace):
     """Eigensystem at points + step e_axis to first order in ``step``, from the
     points' own ``eigensystem`` (energies, states) of shapes (P, dim), (P, dim, dim)
-    and their ``products`` (``_eigenproducts``, formed here unless given).
+    and their ``products`` (``_eigenproducts`` with the gradient).
 
     With B = V^dagger dH_axis V and its mixing matrix T: E_i + step B_ii and
     v_i + step sum_{j != i} v_j T_ji, both off by O(step^2).  The shifted
     states are the ``axis``-th (P, dim, dim) stack of one buffer of
-    ``workspace`` (made here when omitted), valid until the next call for
-    the same axis; beside them it holds only (P, dim) energies.
+    ``workspace``, valid until the next call for the same axis; beside them
+    it holds only (P, dim) energies.
     """
-    if workspace is None:
-        workspace = _MetricWorkspace()
-    if products is None:
-        products = _eigenproducts(model, points, eigensystem, True, workspace)
     energies, states = eigensystem
     bmat, tmat = products[2][axis], products[3][axis]
     shifted_energies = energies + step * np.real(np.diagonal(bmat, axis1=-2, axis2=-1))
@@ -640,13 +631,13 @@ def _interior_gradient(model, points, grad):
     return interior_grad
 
 
-def _alias_gap(model, points, eigensystem, workspace=None):
+def _alias_gap(model, points, eigensystem, workspace):
     """Relative excess of a path's vertex-chord length over its mid-point quadrature
     length (0 if both are 0), from the mid-points' ``eigensystem`` if given,
-    the metric computed in ``workspace`` (made here when omitted)."""
+    the metric computed in ``workspace``."""
     delta = points[1:] - points[:-1]
-    g = _metric_impl(model, 0.5 * (points[:-1] + points[1:]), with_gradient=False,
-                     eigensystem=eigensystem, workspace=workspace)[0]
+    g = _metric_impl(model, 0.5 * (points[:-1] + points[1:]), workspace, with_gradient=False,
+                     eigensystem=eigensystem)[0]
     quad = float(np.sqrt(np.einsum("kab,ka,kb->k", g, delta, delta)).sum())
     chords = float(step_lengths_along(model, points).sum())
     return (chords - quad) / chords if chords > 0 else 0.0
@@ -676,7 +667,7 @@ def geodesic(
     the accepted trial's eigensystems and builds its Hessian probes' from
     them.  Equal (projected) end points give the constant path at once, with
     no iteration, trial or solve.  Every metric kernel of the solve works in
-    one ``_MetricWorkspace``.  Returns the (steps+1, D) points, or
+    one ``_Workspace``.  Returns the (steps+1, D) points, or
     ``(points, diag)`` with ``return_diagnostics``.
 
     Raises
@@ -706,7 +697,7 @@ def geodesic(
     points = resample(points, cumulative_lengths(model, points), steps)
     points[:, :] = model.project_point(points)
 
-    workspace = _MetricWorkspace()   # for every metric kernel of this solve
+    workspace = _Workspace()   # for every metric kernel of this solve
     eigensystem = None   # of the current mid-points, once a trial has computed it
     energy, grad, blocks = _energy_grad_hess(model, points, None, workspace)
     damping = 0.0
@@ -718,9 +709,6 @@ def geodesic(
     scale = 1.0   # last accepted step fraction; the next line search starts at twice it
     segment_scale = max(float(np.linalg.norm(end - start)) / steps, 1e-300)
     for iteration in range(GEODESIC_MAX_ITERATIONS):
-        diag.energy_trace.append(energy)
-        if return_diagnostics:
-            diag.length_trace.append(path_length(model, points))
         interior_grad = _interior_gradient(model, points, grad)
         residual = float(np.abs(interior_grad).max())
         diag.iterations, diag.residual = iteration, residual

@@ -89,7 +89,9 @@ def collective_spin_ops(n_qubits: int) -> tuple[np.ndarray, np.ndarray]:
 
     Basis states are ordered by m = -j .. +j, so J_z = diag(m).  J_x follows
     from the standard ladder formula J+- |j,m> = sqrt(j(j+1) - m(m+-1)) |j,m+-1>.
+    ``n_qubits`` must be an integer >= 1 (``ValueError`` otherwise).
     """
+    n_qubits = check_count("n_qubits", n_qubits, 1)
     j = n_qubits / 2.0
     m = np.arange(-j, j + 1)
     jz = np.diag(m)
@@ -269,9 +271,10 @@ def dicke_states(n_qubits: int) -> np.ndarray:
 
     Column m (ordered m = -j .. +j) is the normalized equal-weight superposition
     of all product states with m + N/2 qubits in |1>; bit i of the row index
-    gives the state of qubit i (1 meaning |1>).
+    gives the state of qubit i (1 meaning |1>).  ``n_qubits`` must be an
+    integer >= 1 (``ValueError`` otherwise).
     """
-    n = n_qubits
+    n = check_count("n_qubits", n_qubits, 1)
     basis = np.zeros((2**n, n + 1))
     ones = np.array([bin(s).count("1") for s in range(2**n)])
     for k in range(n + 1):

@@ -26,7 +26,15 @@ def eigh_many(matrices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     neither enforced nor validated.  Inputs come from the ``HamiltonianFamily``
     maps, which build exactly Hermitian matrices and whose ``check_points``
     rejects bad parameter points before any matrix is built.
+
+    Raises
+    ------
+    ValueError
+        If an entry is NaN or infinite (LAPACK would fail to converge on NaN
+        and return NaN energies for infinity).
     """
+    if not np.isfinite(matrices).all():
+        raise ValueError("eigh_many needs finite matrices (got NaN or infinity)")
     return np.linalg.eigh(matrices)
 
 

@@ -19,6 +19,12 @@ def traced_peak(fn):
         tracemalloc.stop()
 
 
+def poisoned_takes(workspace):
+    """Fill every buffer ``workspace`` holds with NaN, so a stale read shows."""
+    for buffer in workspace.buffers.values():
+        buffer[...] = True if buffer.dtype == bool else np.nan
+
+
 @pytest.fixture(scope="session")
 def lipkin10():
     return LipkinModel(10)

@@ -4,7 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
-from conftest import traced_peak
+from conftest import poisoned_takes, traced_peak
 
 from zenodrive import coherent
 from zenodrive.coherent import (
@@ -12,6 +12,7 @@ from zenodrive.coherent import (
     integrate_schrodinger,
     minimal_steps,
 )
+from zenodrive.geometry import _Workspace
 from zenodrive.models import LipkinModel, TwoLevelModel
 from zenodrive.protocol import run_stroboscopic
 from zenodrive.spectral import eigh_many
@@ -80,7 +81,8 @@ class TestIntegrator:
         initial = coherent._ground_states(two_level, ramp, [0.0])[0]
         errs = []
         for n in (16, 32, 64, 128):
-            psi = _propagate(two_level, ramp, total_time, np.arange(n + 1) / n, [n], initial)[0]
+            knots = np.arange(n + 1) / n
+            psi = _propagate(two_level, ramp, total_time, knots, [n], initial, _Workspace())[0]
             errs.append(abs(float(np.abs(np.vdot(target, psi)) ** 2) - exact))
         ratios = [errs[i] / errs[i + 1] for i in range(3)]
         for ratio in ratios:
@@ -312,14 +314,37 @@ class TestSortedDistinct:
         assert traced.fidelity == plain.fidelity
 
 
+def infinity_norms(x):
+    """Infinity-norms of a stack of matrices, computed as ``_expm_minus_i`` computes them."""
+    return np.abs(x).sum(axis=-1).max(axis=-1)
+
+
+def squarings(x):
+    """The double-angle step counts s = ceil(log2 ||x||_inf) (0 up to norm 1) the kernel takes."""
+    mantissa, exponent = np.frexp(infinity_norms(x))
+    return np.maximum(exponent - (mantissa == 0.5), 0)
+
+
 def random_hermitian(rng, batch, dim, norm, dtype=float):
-    """``batch`` random Hermitian (dim, dim) matrices, each scaled to infinity-norm ``norm``."""
+    """``batch`` random Hermitian (dim, dim) matrices, each scaled to infinity-norm ``norm``.
+
+    The computed norm is never above ``norm``: where the scaled matrix's
+    rounds above it, its factor steps down one ulp at a time.
+    """
     shape = (batch, dim, dim)
     x = rng.standard_normal(shape)
     if dtype is complex:
         x = x + 1j * rng.standard_normal(shape)
     x = x + np.conj(x).swapaxes(-1, -2)
-    return x * (norm / np.abs(x).sum(axis=-1).max(axis=-1))[:, None, None]
+    factors = norm / infinity_norms(x)
+    while np.any(over := infinity_norms(x * factors[:, None, None]) > norm):
+        factors[over] = np.nextafter(factors[over], 0.0)
+    return x * factors[:, None, None]
+
+
+def expm_minus_i(x):
+    """``_expm_minus_i`` in a fresh workspace."""
+    return coherent._expm_minus_i(x, _Workspace())
 
 
 def unitarity_defect(unitaries):
@@ -339,7 +364,10 @@ class TestExpmMinusI:
         from scipy.linalg import expm
 
         x = random_hermitian(np.random.default_rng(7), 16, 11, norm, dtype)
-        got = coherent._expm_minus_i(x)
+        assert np.all(infinity_norms(x) <= norm)
+        if norm <= 1.0:   # no matrix takes a double-angle step
+            assert np.all(squarings(x) == 0)
+        got = expm_minus_i(x)
         assert got.shape == x.shape and got.dtype == complex
         expected = np.array([expm(-1j * matrix) for matrix in x])
         assert np.abs(got - expected).max() <= 1e-13
@@ -347,24 +375,32 @@ class TestExpmMinusI:
         # 1.4e-14 and 1.5e-14 at norm 40 (six steps), at most 8.9e-16 at the
         # other norms (none or one step)
         assert unitarity_defect(got) <= (4e-14 if norm > 2 else 1e-14)
-        # through a caller's workspace: the same bits, written into it alone
+        # the result lives in the workspace, and x is left as it is
         kept = x.copy()
-        workspace = coherent._BlockWorkspace(16, 11, dtype)
+        workspace = _Workspace()
         reused = coherent._expm_minus_i(x, workspace)
         assert np.array_equal(reused, got)
-        assert np.shares_memory(reused, workspace.unitaries)
+        assert np.shares_memory(reused, workspace.buffers["unitaries"])
         assert np.array_equal(x, kept)
-        # a smaller batch with other norms, three of them on the double-angle
-        # path, in the same workspace: its own bits, none left from the first
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_reuse_after_a_full_block_reads_no_stale_entries(self, dtype):
+        # a workspace filled by a full block of EIGH_BLOCK exponentials, then
+        # poisoned, serves a short block (other norms, three of them on the
+        # double-angle path) with the bits of a fresh workspace
         rng = np.random.default_rng(8)
-        other = np.concatenate(
-            [random_hermitian(rng, 1, 11, other_norm, dtype) for other_norm in (0.2, 3.0, 75.0, 1.7)]
+        workspace = _Workspace()
+        coherent._expm_minus_i(random_hermitian(rng, coherent.EIGH_BLOCK, 11, 40.0, dtype),
+                               workspace)
+        poisoned_takes(workspace)
+        short = np.concatenate(
+            [random_hermitian(rng, 1, 11, norm, dtype) for norm in (0.2, 3.0, 75.0, 1.7)]
         )
-        assert np.array_equal(coherent._expm_minus_i(other, workspace), coherent._expm_minus_i(other))
+        assert np.array_equal(coherent._expm_minus_i(short, workspace), expm_minus_i(short))
 
     def test_empty_batch(self):
         for dtype in (float, complex):
-            got = coherent._expm_minus_i(np.zeros((0, 5, 5), dtype=dtype))
+            got = expm_minus_i(np.zeros((0, 5, 5), dtype=dtype))
             assert got.shape == (0, 5, 5) and got.dtype == complex
 
     def test_each_matrix_independent_of_its_batch(self):
@@ -372,8 +408,8 @@ class TestExpmMinusI:
         # bits as each matrix alone (the CF4 block size cannot change them)
         rng = np.random.default_rng(3)
         x = np.concatenate([random_hermitian(rng, 1, 11, norm) for norm in (0.3, 1.5, 9.0, 40.0)])
-        alone = np.concatenate([coherent._expm_minus_i(matrix[None]) for matrix in x])
-        assert np.array_equal(coherent._expm_minus_i(x), alone)
+        alone = np.concatenate([expm_minus_i(matrix[None]) for matrix in x])
+        assert np.array_equal(expm_minus_i(x), alone)
 
     def test_step_unitaries_call_no_eigh(self, monkeypatch):
         def eigh(*args, **kwargs):
@@ -381,7 +417,8 @@ class TestExpmMinusI:
 
         monkeypatch.setattr(np.linalg, "eigh", eigh)
         knots = np.linspace(0.0, 1.0, 41)
-        unitaries = coherent._step_unitaries(LipkinModel(10), linear_chord, 60.0, knots)
+        unitaries = coherent._step_unitaries(LipkinModel(10), linear_chord, 60.0, knots,
+                                             _Workspace())
         assert unitaries.shape == (80, 11, 11)
         assert unitarity_defect(unitaries) <= 1e-14
 
@@ -416,7 +453,7 @@ def long_double_expm_minus_i(matrix):
 class TestExpmMinusIReference:
     """The Taylor kernel against a long-double series summed to convergence."""
 
-    # s = 0 (at norm 1 some matrices round just above 1, s = 1), 1, 2 - 3 and 6
+    # s = 0 (at norm 1 too: ``random_hermitian`` never rounds above it), 1, 2 - 3 and 6
     @pytest.mark.parametrize("norm", [0.0, 0.5, 1.0, 1.0 + 1e-9, 4.0, 40.0])
     @pytest.mark.parametrize("dtype", [float, complex])
     def test_matches_long_double_series(self, norm, dtype):
@@ -427,7 +464,7 @@ class TestExpmMinusIReference:
             random_hermitian(np.random.default_rng(7), 8, 11, norm, dtype),
             np.diag(np.linspace(-norm, norm, 11)).astype(dtype)[None],
         ])
-        got = coherent._expm_minus_i(x)
+        got = expm_minus_i(x)
         for unitary, matrix in zip(got, x):
             reference, s = long_double_expm_minus_i(matrix)
             # the rounding grows with the double-angle steps: measured at most
@@ -454,10 +491,11 @@ class TestStreamedProduct:
         psi = initial.astype(complex)
         expected = {0: psi}
         for k in range(knots.size - 1):
-            for unitary in coherent._step_unitaries(model, linear_chord, 30.0, knots[k : k + 2]):
+            for unitary in coherent._step_unitaries(model, linear_chord, 30.0, knots[k : k + 2],
+                                                    _Workspace()):
                 psi = unitary @ psi
             expected[k + 1] = psi
-        got = coherent._propagate(model, linear_chord, 30.0, knots, marks, initial)
+        got = coherent._propagate(model, linear_chord, 30.0, knots, marks, initial, _Workspace())
         assert np.array_equal(got, [expected[mark] for mark in marks])
 
     @pytest.mark.parametrize("block", [2, 4, 6, 64, 256])
@@ -472,33 +510,59 @@ class TestStreamedProduct:
         marks = np.append(np.searchsorted(knots, fractions), knots.size - 1)
         initial = coherent._ground_states(model, trajectory.position_at, [0.0])[0]
 
-        def states(size, workspace=None):
+        def states(size, workspace):
             monkeypatch.setattr(coherent, "EIGH_BLOCK", size)
             return coherent._propagate(
                 model, trajectory.position_at, 30.0, knots, marks, initial, workspace
             )
 
         # one block holds every exponential of the run
-        one_block = states(2 * knots.size)
-        assert np.array_equal(states(block), one_block)
-        # a caller-owned workspace serves every block of two runs in a row;
-        # the 4 503 steps end in a partial block at sizes 4, 64 and 256
-        workspace = coherent._BlockWorkspace(block, initial.size)
+        one_block = states(2 * knots.size, _Workspace())
+        assert np.array_equal(states(block, _Workspace()), one_block)
+        # one workspace serves every block of two runs in a row; the 4 503
+        # steps end in a partial block at sizes 4, 64 and 256
+        workspace = _Workspace()
         for _ in range(2):
             assert np.array_equal(states(block, workspace), one_block)
 
+    def test_reuse_after_a_full_block_reads_no_stale_entries(self):
+        # a workspace filled by a full block, then poisoned, serves a run of
+        # one short block with the bits of a fresh workspace
+        model = LipkinModel(10)
+        knots = np.arange(21) / 20   # 40 exponentials
+        initial = coherent._ground_states(model, linear_chord, [0.0])[0]
+        workspace = _Workspace()
+        coherent._propagate(model, linear_chord, 30.0, np.arange(201) / 200, [200], initial,
+                            workspace)
+        poisoned_takes(workspace)
+        got = coherent._propagate(model, linear_chord, 30.0, knots, [10, 20], initial, workspace)
+        fresh = coherent._propagate(model, linear_chord, 30.0, knots, [10, 20], initial,
+                                    _Workspace())
+        assert np.array_equal(got, fresh)
+
     def test_one_workspace_per_integrate_call(self, monkeypatch):
-        made = []
+        # one workspace serves every block of every pass, and its two buffers
+        # are allocated once each, for a whole block
+        made, allocated = [], []
 
-        class Counted(coherent._BlockWorkspace):
-            def __init__(self, *args):
-                made.append(args)
-                super().__init__(*args)
+        class Counted(_Workspace):
+            def __init__(self):
+                made.append(self)
+                super().__init__()
 
-        monkeypatch.setattr(coherent, "_BlockWorkspace", Counted)
+            def take(self, name, shape, dtype=float):
+                before = self.buffers.get(name)
+                view = super().take(name, shape, dtype)
+                if self.buffers[name] is not before:
+                    allocated.append((name, view.shape, view.dtype))
+                return view
+
+        monkeypatch.setattr(coherent, "_Workspace", Counted)
         result = integrate_schrodinger(LipkinModel(4), linear_chord, 30.0, trace_times=[3.0, 15.0])
         assert result.passes >= 3
-        assert made == [(coherent.EIGH_BLOCK, 5, np.dtype(float))]
+        block = (coherent.EIGH_BLOCK, 5, 5)
+        assert len(made) == 1
+        assert allocated == [("stacks", (5,) + block, float), ("unitaries", block, complex)]
 
     def test_working_set_is_one_block(self):
         # N=10 over 4 096 steps: 81.6 MB traced when all 8 192 step unitaries
@@ -508,9 +572,8 @@ class TestStreamedProduct:
         steps = 4096
         knots = np.arange(steps + 1) / steps
         initial = coherent._ground_states(model, linear_chord, [0.0])[0]
-        peak = traced_peak(
-            lambda: coherent._propagate(model, linear_chord, 40.0, knots, [steps], initial)
-        )
+        peak = traced_peak(lambda: coherent._propagate(
+            model, linear_chord, 40.0, knots, [steps], initial, _Workspace()))
         assert peak <= 16e6
 
 

@@ -2,7 +2,7 @@ import warnings
 
 import numpy as np
 import pytest
-from conftest import traced_peak
+from conftest import poisoned_takes, traced_peak
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
@@ -11,6 +11,7 @@ import zenodrive.geometry
 from zenodrive.geometry import (
     DegenerateGroundStateError,
     GeodesicConvergenceError,
+    _Workspace,
     cumulative_euclidean,
     cumulative_lengths,
     geodesic,
@@ -194,9 +195,42 @@ class TestModelContract:
 
 
 @pytest.fixture(scope="module")
-def lipkin_geodesic_diag(lipkin10):
-    path, diag = geodesic(lipkin10, START, END, 128, return_diagnostics=True)
-    return path, diag
+def lipkin_geodesic_run(lipkin10):
+    """The N=10, 128-segment geodesic, its diagnostics and its accepted iterates.
+
+    The iterates are (points, energy) pairs in order, recorded from the
+    solver's own calls: each Newton step is solved on the Hessian blocks of
+    the current iterate, which ``_energy_grad_hess`` returned with its
+    energy, and the last iterate is the returned path.
+    """
+    states, solved = [], []
+    energy_grad_hess = zenodrive.geometry._energy_grad_hess
+    solve_hessian = zenodrive.geometry._solve_hessian
+
+    def recording(model, points, eigensystem, workspace):
+        state = energy_grad_hess(model, points, eigensystem, workspace)
+        states.append((state[2], points.copy(), state[0]))
+        return state
+
+    def recording_solve(blocks, damping, rhs):
+        index = next(i for i, state in enumerate(states) if state[0] is blocks)
+        if index not in solved:   # the damping ladder solves one iterate again
+            solved.append(index)
+        return solve_hessian(blocks, damping, rhs)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(zenodrive.geometry, "_energy_grad_hess", recording)
+        patch.setattr(zenodrive.geometry, "_solve_hessian", recording_solve)
+        path, diag = geodesic(lipkin10, START, END, 128, return_diagnostics=True)
+    iterates = [states[i][1:] for i in solved] + [states[-1][1:]]
+    assert np.array_equal(iterates[-1][0], path)
+    assert len(iterates) == diag.iterations + 1
+    return path, diag, iterates
+
+
+@pytest.fixture(scope="module")
+def lipkin_geodesic_diag(lipkin_geodesic_run):
+    return lipkin_geodesic_run[:2]
 
 
 def overlap_metric_fd(model, point, d=1e-4):
@@ -471,19 +505,20 @@ class TestGeodesic:
         interior = slice(10, -10)
         assert np.all(path[interior, 1] > chord_chi[interior])
 
-    def test_length_trace_monotone(self, lipkin_geodesic_diag):
-        # non-increasing up to the discretization slack between the exact
-        # overlap length and the energy the solver actually descends on;
-        # endgame Newton polish wiggles the inscribed length at ~1e-7
-        _, diag = lipkin_geodesic_diag
-        lengths = np.array(diag.length_trace)
+    def test_length_trace_monotone(self, lipkin10, lipkin_geodesic_run):
+        # the accepted iterates' lengths are non-increasing up to the
+        # discretization slack between the exact overlap length and the energy
+        # the solver actually descends on; endgame Newton polish wiggles the
+        # inscribed length at ~1e-7
+        *_, iterates = lipkin_geodesic_run
+        lengths = np.array([path_length(lipkin10, points) for points, _ in iterates])
         assert np.all(np.diff(lengths) <= lengths[:-1] * 1e-6)
         assert lengths.argmax() == 0
         assert lengths[-1] < lengths[0]
 
-    def test_energy_trace_decreasing(self, lipkin_geodesic_diag):
-        _, diag = lipkin_geodesic_diag
-        energies = np.array(diag.energy_trace)
+    def test_energy_trace_decreasing(self, lipkin_geodesic_run):
+        *_, iterates = lipkin_geodesic_run
+        energies = np.array([energy for _, energy in iterates])
         assert np.all(np.diff(energies) < 0)
 
     def test_endpoints_fixed_exactly(self, lipkin_geodesic_diag):
@@ -505,28 +540,13 @@ class TestGeodesic:
         with pytest.raises(ValueError):
             geodesic(lipkin10, START, END, 1)
 
-    def test_length_trace_only_with_diagnostics(self, monkeypatch):
-        model = LipkinModel(4)
-        calls = []
-
-        def counting(*args):
-            calls.append(args)
-            return path_length(*args)
-
-        monkeypatch.setattr(zenodrive.geometry, "path_length", counting)
-        plain = geodesic(model, START, END, 32)
-        assert len(calls) == 0
-        traced, diag = geodesic(model, START, END, 32, return_diagnostics=True)
-        assert len(calls) == len(diag.length_trace) > 0
-        assert np.array_equal(plain, traced)
-
     def test_hessian_matches_gradient_difference(self):
         # the Hessian blocks applied to v against a central difference of the
         # analytic energy gradient along v, on a perturbed N=4 chord; the
         # block-tridiagonal solve against a dense solve of the same system
         rng = np.random.default_rng(3)
         points = perturbed_chord(np.array([0.2, 0.1]), np.array([1.8, 0.6]), 16, rng)
-        _, grad, blocks = zenodrive.geometry._energy_grad_hess(LipkinModel(4), points)
+        _, grad, blocks = energy_grad_hess(LipkinModel(4), points)
         hess = dense_hessian(blocks)
         assert hessian_gradient_gap(LipkinModel(4), points, rng.normal(size=(15, 2))) <= 1e-6
         assert np.array_equal(hess, hess.T)
@@ -560,7 +580,7 @@ class TestGeodesic:
         monkeypatch.setattr(zenodrive.geometry, "_metric_block", recording)
         rng = np.random.default_rng(3)
         points = perturbed_chord(START, END, 16, rng, axes=[0])
-        zenodrive.geometry._energy_grad_hess(model, points)
+        energy_grad_hess(model, points)
         assert sum(diagonalized) == 16
         mids, *probes = evaluated
         probes = np.concatenate([c.reshape(-1, model.nparams) for c in probes])
@@ -568,7 +588,7 @@ class TestGeodesic:
         assert np.all(probes >= model.lower_bounds)
         diagonalized.clear()
         eigensystem = eigh_many(model.hamiltonian_many(mids))
-        zenodrive.geometry._energy_grad_hess(model, points, eigensystem)
+        energy_grad_hess(model, points, eigensystem)
         assert diagonalized == []
 
     @pytest.mark.parametrize("model", [LipkinModel(4), LipkinModel(10), ComplexLipkin(4)],
@@ -594,13 +614,13 @@ class TestGeodesic:
         model = LipkinModel(model_size)
         rng = np.random.default_rng(model_size)
         points = perturbed_chord(np.array([0.2, 0.1]), np.array([1.8, 0.6]), 32, rng)
-        perturbative = zenodrive.geometry._energy_grad_hess(model, points)
+        perturbative = energy_grad_hess(model, points)
         monkeypatch.setattr(
             zenodrive.geometry, "_shifted_eigensystem",
             lambda model, points, eigensystem, axis, step, *workspace: eigh_many(
                 model.hamiltonian_many(points + step * np.eye(model.nparams)[axis])),
         )
-        diagonalized = zenodrive.geometry._energy_grad_hess(model, points)
+        diagonalized = energy_grad_hess(model, points)
         assert perturbative[0] == diagonalized[0]
         assert np.array_equal(perturbative[1], diagonalized[1])
         for a, b in zip(perturbative[2], diagonalized[2]):
@@ -654,21 +674,22 @@ class TestGeodesic:
         segs = zenodrive.geometry.EIGH_BLOCK + 44
         rng = np.random.default_rng(3)
         points = perturbed_chord(np.array([0.2, 0.1]), np.array([1.8, 0.6]), segs, rng)
-        energy, eigensystem = zenodrive.geometry._discrete_energy(model, points)
-        reused = zenodrive.geometry._energy_grad_hess(model, points, eigensystem)
-        fresh = zenodrive.geometry._energy_grad_hess(model, points)
+        energy, eigensystem = zenodrive.geometry._discrete_energy(model, points, _Workspace())
+        reused = energy_grad_hess(model, points, eigensystem)
+        fresh = energy_grad_hess(model, points)
         assert reused[0] == fresh[0] == energy
         assert np.array_equal(reused[1], fresh[1])
         for a, b in zip(reused[2], fresh[2]):
             assert np.array_equal(a, b)
         mids = 0.5 * (points[:-1] + points[1:])
         from_eigensystem = zenodrive.geometry._metric_impl(
-            model, mids, with_gradient=True, eigensystem=eigensystem
+            model, mids, _Workspace(), with_gradient=True, eigensystem=eigensystem
         )
         for a, b in zip(from_eigensystem, metric_with_gradient_many(model, mids)):
             assert np.array_equal(a, b)
 
     def test_diagnostics_count_trials_and_solves(self, monkeypatch):
+        plain = geodesic(LipkinModel(4), START, END, 48)
         energies, solves = [], []
         discrete_energy = zenodrive.geometry._discrete_energy
         solve_hessian = zenodrive.geometry._solve_hessian
@@ -683,9 +704,10 @@ class TestGeodesic:
 
         monkeypatch.setattr(zenodrive.geometry, "_discrete_energy", counting_energy)
         monkeypatch.setattr(zenodrive.geometry, "_solve_hessian", counting_solve)
-        _, diag = geodesic(LipkinModel(4), START, END, 48, return_diagnostics=True)
+        traced, diag = geodesic(LipkinModel(4), START, END, 48, return_diagnostics=True)
         assert diag.trials == len(energies) >= diag.iterations > 0
         assert diag.solves == len(solves) >= diag.iterations
+        assert np.array_equal(plain, traced)   # diagnostics do not change the path
 
     def test_trial_on_a_level_crossing_is_rejected(self, monkeypatch):
         # a trial whose mid-points include a degenerate one counts as a trial of
@@ -693,7 +715,7 @@ class TestGeodesic:
         discrete_energy = zenodrive.geometry._discrete_energy
         calls = []
 
-        def degenerate_first(model, points, workspace=None):
+        def degenerate_first(model, points, workspace):
             calls.append(1)
             if len(calls) == 1:
                 raise DegenerateGroundStateError(0.0)
@@ -724,12 +746,12 @@ class TestGeodesic:
         energy_grad_hess = zenodrive.geometry._energy_grad_hess
         current, calls = [], []
 
-        def recording(model, points, eigensystem=None, workspace=None):
+        def recording(model, points, eigensystem, workspace):
             state = energy_grad_hess(model, points, eigensystem, workspace)
             current.append(state[0])
             return state
 
-        def flat_after_three(model, points, workspace=None):
+        def flat_after_three(model, points, workspace):
             calls.append(1)
             energy, eigensystem = discrete_energy(model, points, workspace)
             return (energy if len(calls) <= 3 else current[-1]), eigensystem
@@ -776,7 +798,7 @@ class TestGeodesic:
             path = geodesic(model, START, END, segs)
         except GeodesicConvergenceError:
             return
-        blocks = zenodrive.geometry._energy_grad_hess(model, path)[2]
+        blocks = energy_grad_hess(model, path)[2]
         assert np.linalg.eigvalsh(dense_hessian(blocks))[0] > 0
 
     @pytest.mark.parametrize("model_size, segs, most", [(4, 48, 6), (6, 256, 7)])
@@ -808,7 +830,7 @@ class TestGeodesic:
                 steps.append(step)
             return step
 
-        def rejecting_two(model, points, workspace=None):
+        def rejecting_two(model, points, workspace):
             trials.append(points.copy())
             if len(trials) == 4:   # the first trial of the second search
                 raise Stop
@@ -910,14 +932,8 @@ class TestGeodesic:
             geodesic(LipkinModel(4), START, END, 32)
 
 
-def poisoned_takes(workspace):
-    """Fill every buffer ``workspace`` holds with NaN, so a stale read shows."""
-    for buffer in workspace.buffers.values():
-        buffer[...] = True if buffer.dtype == bool else np.nan
-
-
 class TestGeodesicWorkspace:
-    """One ``_MetricWorkspace`` per geodesic solve: the same bits as fresh buffers."""
+    """One ``_Workspace`` per geodesic solve: the same bits as fresh buffers."""
 
     @staticmethod
     def path(segs, seed=3):
@@ -936,16 +952,16 @@ class TestGeodesicWorkspace:
     def test_workspace_gives_the_allocating_bits(self, model, monkeypatch):
         # one workspace through a line-search energy and a Newton iterate,
         # across an EIGH_BLOCK boundary, against a fresh array at every take
-        workspace = zenodrive.geometry._MetricWorkspace()
+        workspace = _Workspace()
         points = self.path(zenodrive.geometry.EIGH_BLOCK + 44)
         energy, eigensystem = zenodrive.geometry._discrete_energy(model, points, workspace)
         shared = zenodrive.geometry._energy_grad_hess(model, points, eigensystem, workspace)
         assert workspace.buffers   # the kernels did use it
-        monkeypatch.setattr(zenodrive.geometry._MetricWorkspace, "take",
+        monkeypatch.setattr(_Workspace, "take",
                             lambda self, name, shape, dtype=float: np.empty(shape, dtype))
-        assert zenodrive.geometry._discrete_energy(model, points)[0] == energy
+        assert zenodrive.geometry._discrete_energy(model, points, _Workspace())[0] == energy
         self.assert_same_state(
-            shared, zenodrive.geometry._energy_grad_hess(model, points, eigensystem))
+            shared, energy_grad_hess(model, points, eigensystem))
 
     @pytest.mark.parametrize("model", [LipkinModel(4), ComplexLipkin(4)],
                              ids=["lipkin4", "complex-lipkin4"])
@@ -953,13 +969,13 @@ class TestGeodesicWorkspace:
         # a workspace filled by 48 segments, then poisoned, serves 16 and 48
         # segments with the bits of a stand-alone call
         monkeypatch.setattr(zenodrive.geometry, "EIGH_BLOCK", 40)   # a short second block
-        workspace = zenodrive.geometry._MetricWorkspace()
+        workspace = _Workspace()
         for segs in (48, 16, 48):
             points = self.path(segs, seed=segs)
             shared = zenodrive.geometry._energy_grad_hess(model, points, None, workspace)
-            self.assert_same_state(shared, zenodrive.geometry._energy_grad_hess(model, points))
+            self.assert_same_state(shared, energy_grad_hess(model, points))
             alias = zenodrive.geometry._alias_gap(model, points, None, workspace)
-            assert alias == zenodrive.geometry._alias_gap(model, points, None)
+            assert alias == zenodrive.geometry._alias_gap(model, points, None, _Workspace())
             poisoned_takes(workspace)
 
     def test_mid_products_formed_once_per_axis(self, monkeypatch):
@@ -982,7 +998,7 @@ class TestGeodesicWorkspace:
 
         monkeypatch.setattr(model, "derivative_many", recording_derivative)
         monkeypatch.setattr(zenodrive.geometry, "_mixing", recording_mixing)
-        zenodrive.geometry._energy_grad_hess(model, points, eigensystem)
+        energy_grad_hess(model, points, eigensystem)
         at_mids = sorted(axis for p, axis in derivatives if np.array_equal(p, mids))
         assert at_mids == list(range(model.nparams))
         assert len(derivatives) == model.nparams * (1 + model.nparams)   # mids, then each probe
@@ -993,15 +1009,20 @@ class TestGeodesicWorkspace:
     def test_one_workspace_per_solve(self, monkeypatch):
         made = []
 
-        class Counting(zenodrive.geometry._MetricWorkspace):
+        class Counting(_Workspace):
             def __init__(self):
                 made.append(self)
                 super().__init__()
 
-        monkeypatch.setattr(zenodrive.geometry, "_MetricWorkspace", Counting)
+        monkeypatch.setattr(zenodrive.geometry, "_Workspace", Counting)
         _, diag = geodesic(LipkinModel(4), START, END, 48, return_diagnostics=True)
         assert diag.iterations > 0 and diag.trials > 0
         assert len(made) == 1
+
+
+def energy_grad_hess(model, points, eigensystem=None):
+    """``_energy_grad_hess`` in a fresh workspace."""
+    return zenodrive.geometry._energy_grad_hess(model, points, eigensystem, _Workspace())
 
 
 def perturbed_chord(start, end, segs, rng, axes=(0, 1)):
@@ -1023,8 +1044,10 @@ def probe_eigensystem_error(model, points, axis, step):
     """Largest energy and projector errors of ``_shifted_eigensystem`` against
     ``np.linalg.eigh`` at points + step e_axis."""
     eigensystem = eigh_many(model.hamiltonian_many(points))
+    workspace = _Workspace()
+    products = zenodrive.geometry._eigenproducts(model, points, eigensystem, True, workspace)
     energies, states = zenodrive.geometry._shifted_eigensystem(
-        model, points, eigensystem, axis, step)
+        model, points, eigensystem, axis, step, products, workspace)
     shifted = points + step * np.eye(model.nparams)[axis]
     ref_energies, ref_states = np.linalg.eigh(model.hamiltonian_many(shifted))
 
@@ -1038,11 +1061,11 @@ def probe_eigensystem_error(model, points, axis, step):
 def hessian_gradient_gap(model, points, v, eps=1e-5):
     """Max gap between the Hessian applied to the interior step v and a central
     difference of the analytic energy gradient along v, relative to the difference."""
-    hess = dense_hessian(zenodrive.geometry._energy_grad_hess(model, points)[2])
+    hess = dense_hessian(energy_grad_hess(model, points)[2])
     shifted = [points.copy(), points.copy()]
     shifted[0][1:-1] += eps * v
     shifted[1][1:-1] -= eps * v
-    grads = [zenodrive.geometry._energy_grad_hess(model, p)[1][1:-1] for p in shifted]
+    grads = [energy_grad_hess(model, p)[1][1:-1] for p in shifted]
     difference = ((grads[0] - grads[1]) / (2 * eps)).ravel()
     return np.abs(hess @ v.ravel() - difference).max() / np.abs(difference).max()
 

@@ -126,6 +126,15 @@ def test_rejects_non_integer_qubit_count(n_qubits):
         LipkinModel(n_qubits)
 
 
+@pytest.mark.parametrize("n_qubits", [0, -1, 2.5, True])
+@pytest.mark.parametrize("build", [collective_spin_ops, dicke_states])
+def test_basis_builders_reject_bad_qubit_counts(build, n_qubits):
+    # 0 gave 1x1 matrices, -1 gave 0x0 ones (dicke_states: a numpy TypeError)
+    # and 2.5 a TypeError
+    with pytest.raises(ValueError, match="n_qubits must be >= 1 and an integer"):
+        build(n_qubits)
+
+
 def test_rejects_negative_chi():
     model = LipkinModel(4)
     with pytest.raises(ValueError, match="halfplane"):

@@ -47,6 +47,27 @@ print(code, sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy
     assert (tmp_path / "out" / "zeno.csv").read_text().count("\n") == 3   # header + 2 rows
 
 
+def test_single_job_run_skips_concurrent_futures(tmp_path):
+    # the thread pool is needed only for --jobs > 1; importing
+    # concurrent.futures costs about 4 ms of every CLI start
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    probe = f"""
+import sys
+
+import zenodrive.cli
+
+code = zenodrive.cli.main(["zeno", "--model.N", "4", "--geodesic.segments", "16",
+                           "--dense.steps", "400", "--steps.K", "10,20",
+                           "--out", {str(tmp_path / "out")!r}, "--jobs", "1"])
+print(code, "concurrent.futures" in sys.modules)
+"""
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "0 False"
+
+
 def test_integrator_runs_skip_numpy_ma(tmp_path):
     # np.unique and np.union1d import numpy.ma on first use, about 1.2 MB and
     # 10 ms per process; CLI runs (the default-K zeno sweep merges its step

@@ -57,6 +57,16 @@ def test_rejects_non_square():
         eigh_many(np.zeros((2, 3)))
 
 
+@pytest.mark.parametrize("entry", [np.nan, np.inf, -np.inf])
+def test_rejects_non_finite(entry):
+    # NaN failed inside LAPACK ("Eigenvalues did not converge"), and +inf
+    # returned NaN energies with identity eigenvectors
+    matrices = np.stack([np.eye(3), np.eye(3)])
+    matrices[1, 2, 2] = entry
+    with pytest.raises(ValueError, match="finite"):
+        eigh_many(matrices)
+
+
 @pytest.mark.parametrize("dim", [2, 5, 16, 64])
 @pytest.mark.parametrize("complex_entries", [False, True])
 def test_orthonormality_and_reconstruction(dim, complex_entries):
