@@ -6,8 +6,8 @@ one minus the squared ground-state overlap.  On top of it sit exact step
 lengths, discretized path lengths, a geodesic solver, and the polyline
 resampler behind constant-speed paths.  The solver relaxes the discrete path
 energy with modified Newton steps, damped until the block-tridiagonal Hessian
-is positive definite (its cyclic-reduction solve tells), and certifies the
-relaxed polyline against its exact length.  Its only diagonalizations are
+is positive definite, coarse to fine where that pays (see ``geodesic``), and
+certifies each relaxed polyline against its exact length.  Its only diagonalizations are
 those of the trial mid-points: the Hessian's forward-difference probes take
 their eigensystems from the mids' by first-order perturbation theory, from
 the same B^c = V^dagger dH_c V and mixing matrices that the mids' metric
@@ -20,8 +20,9 @@ its own temporaries, and its minor page faults 1.2k, against 29.3k.
 """
 from __future__ import annotations
 
+import contextlib
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -34,6 +35,10 @@ METRIC_CAP = 1e12
 GEODESIC_GTOL = 1e-9
 # Newton iterations before the geodesic relaxation gives up
 GEODESIC_MAX_ITERATIONS = 64
+# a geodesic of 4x this many segments or more is relaxed first at a quarter of them
+GEODESIC_COARSE_SEGMENTS = 64   # (from 32, which alias, N=10 and 12 at 128 got slower)
+# Newton steps of that level; the N = 4..16 sweep took least time at 16 (of 8 to 26)
+GEODESIC_COARSE_ITERATIONS = 16
 # forward-difference step for the second metric derivative in the geodesic Hessian;
 # the probes' eigensystems are first order in it, off by O(h^2), so the difference
 # error is still O(h); it moves the relaxed points within the GEODESIC_GTOL basin
@@ -101,12 +106,13 @@ class GeodesicConvergenceError(RuntimeError):
 
 @dataclass
 class GeodesicDiagnostics:
-    """Per-iteration record of the geodesic relaxation."""
+    """Work of a geodesic solve, summed over its levels."""
 
     iterations: int = 0
-    residual: float = np.inf
+    residual: float = np.inf   # of the last level
     trials: int = 0   # line-search energy evaluations
     solves: int = 0   # Hessian solves, those finding H + damping I indefinite included
+    levels: list = field(default_factory=list)   # segment counts relaxed, coarse first
 
 
 def metric_many(model: HamiltonianFamily, points: np.ndarray, *, with_gap: bool = False):
@@ -394,7 +400,7 @@ def cumulative_euclidean(points: np.ndarray) -> np.ndarray:
 
 
 def resample(points: np.ndarray, table: np.ndarray, count) -> np.ndarray:
-    """Resample a polyline at ``count + 1`` equal quantiles of a cumulative table.
+    """Resample a polyline at ``count + 1`` equal quantiles (``_fraction_grid``) of a table.
 
     ``count`` may instead be the targets themselves: an ascending array of
     table values from 0 to ``table[-1]``, one output point each.  The first
@@ -407,13 +413,20 @@ def resample(points: np.ndarray, table: np.ndarray, count) -> np.ndarray:
         If a scalar ``count`` is not an integer >= 1.
     """
     if np.ndim(count) == 0:
-        targets = np.linspace(0.0, table[-1], check_count("count", count, 1) + 1)
+        targets = _fraction_grid(table[-1], check_count("count", count, 1))
     else:
         targets = count
     out = interpolate_at(points, table, targets)
     out[0] = points[0]
     out[-1] = points[-1]
     return out
+
+
+def _fraction_grid(total, count):
+    """total i / count, i = 0 .. count, as p (total / q) with p / q = i / count in lowest terms:
+    equal fractions of any counts have equal bits (``linspace``'s where gcd(i, count) is 2^k)."""
+    common = np.gcd(np.arange(count + 1), count)
+    return np.arange(count + 1) // common * (total / (count // common))
 
 
 def interpolate_at(points: np.ndarray, cumlen: np.ndarray, targets: np.ndarray) -> np.ndarray:
@@ -518,8 +531,8 @@ def _energy_grad_hess(model, points, eigensystem, workspace):
         block, block_eig = mids[rows], (eigensystem[0][rows], eigensystem[1][rows])
         products = _eigenproducts(model, block, block_eig, True, workspace)
         g[rows], dg[rows], _ = _metric_block(model, block, True, block_eig, products, workspace)
-        probes = [_shifted_eigensystem(model, block, block_eig, c, GEODESIC_FD_STEP, products,
-                                       workspace) for c in range(nparams)]
+        probes = [_shifted_eigensystem(model, block_eig, c, GEODESIC_FD_STEP, products, workspace)
+                  for c in range(nparams)]
         for c, probe in enumerate(probes):
             probe_points = block + GEODESIC_FD_STEP * np.eye(nparams)[c]
             probe_dg = _metric_block(model, probe_points, True, probe, None, workspace)[1]
@@ -543,7 +556,7 @@ def _energy_grad_hess(model, points, eigensystem, workspace):
     return energy, grad, (h_low, h_high, h_cross)
 
 
-def _shifted_eigensystem(model, points, eigensystem, axis, step, products, workspace):
+def _shifted_eigensystem(model, eigensystem, axis, step, products, workspace):
     """Eigensystem at points + step e_axis to first order in ``step``, from the
     points' own ``eigensystem`` (energies, states) of shapes (P, dim), (P, dim, dim)
     and their ``products`` (``_eigenproducts`` with the gradient).
@@ -654,21 +667,24 @@ def geodesic(
     """Minimal-length driving path between two parameter points.
 
     Relaxes the discrete path energy sum_k g(mid_k)[delta_k, delta_k] over the
-    interior points from the constant-speed straight chord (its minimizer is a
-    constant-speed discretization) by modified Newton steps: the damping rises
-    in 10x rungs from 1e-8 until ``_solve_hessian`` finds H + damping I
-    positive definite, so the step descends, and the step is halved until the
-    energy falls, from twice the last accepted fraction of a step (at most
-    the full step).  Trials are projected onto the model domain (e.g. chi >= 0);
-    one with a mid-point on a level crossing has infinite energy.  As the
-    energy can be flat to rounding near the minimum, a full undamped step
-    without resampling is also kept if it lowers the gradient residual.  Only
-    the trials' mid-points are diagonalized: ``_energy_grad_hess`` reuses
-    the accepted trial's eigensystems and builds its Hessian probes' from
-    them.  Equal (projected) end points give the constant path at once, with
-    no iteration, trial or solve.  Every metric kernel of the solve works in
-    one ``_Workspace``.  Returns the (steps+1, D) points, or
-    ``(points, diag)`` with ``return_diagnostics``.
+    interior points (its minimizer is a constant-speed discretization) by
+    modified Newton steps: the damping rises in 10x rungs from 1e-8 until
+    ``_solve_hessian`` finds H + damping I positive definite, so the step
+    descends, and the step is halved until the energy falls, from twice the
+    last accepted fraction of a step (at most the full step).  Trials are
+    projected onto the model domain (e.g. chi >= 0), not resampled; one with
+    a mid-point on a level crossing has infinite energy.  As the energy can be
+    flat to rounding near the minimum, a full undamped step is also kept if it
+    lowers the gradient residual.  Only the trials' mid-points are
+    diagonalized: ``_energy_grad_hess`` reuses the accepted trial's
+    eigensystems and builds its Hessian probes' from them.  The start is the
+    straight chord, resampled once at constant speed; where ``steps // 4`` is a
+    whole number >= ``GEODESIC_COARSE_SEGMENTS``, its every fourth point is
+    relaxed first, until converged or ``GEODESIC_COARSE_ITERATIONS`` steps, and
+    ``refine``d by 4 starts the ``steps`` level instead, unless it raised.
+    Each level has the ``GEODESIC_GTOL`` stop and the aliasing certificate.
+    Equal (projected) end points give the constant path at once, with no
+    level.  Returns the (steps+1, D) points, or ``(points, diag)`` with ``return_diagnostics``.
 
     Raises
     ------
@@ -676,12 +692,11 @@ def geodesic(
         If ``steps`` is not an integer >= 2, or ``start`` or ``end`` fails
         ``model.check_points``.
     GeodesicConvergenceError
-        If the maximum gradient component stays above ``GEODESIC_GTOL`` for
-        ``GEODESIC_MAX_ITERATIONS``, or halving a step without resampling down
-        to 2^-29 of it finds no lower energy (it carries the residual); or if
-        the converged path is aliased, its vertex chords longer than its
-        mid-point quadrature by more than ``GEODESIC_ALIAS_GAP`` (the message
-        names the segments and gap).
+        If at ``steps`` segments the largest gradient component stays above
+        ``GEODESIC_GTOL`` for ``GEODESIC_MAX_ITERATIONS``, or halving a step down
+        to 2^-29 of it finds no lower energy (it carries the residual); or if the
+        converged path is aliased, its vertex chords longer than its mid-point
+        quadrature by more than ``GEODESIC_ALIAS_GAP`` (the message names both).
     """
     steps = check_count("steps", steps, 2)
     start = model.project_point(model.check_points(start))
@@ -698,26 +713,32 @@ def geodesic(
     points[:, :] = model.project_point(points)
 
     workspace = _Workspace()   # for every metric kernel of this solve
+    if steps % 4 == 0 and steps // 4 >= GEODESIC_COARSE_SEGMENTS:
+        with contextlib.suppress(GeodesicConvergenceError):   # else the chord starts
+            points = refine(_relax(model, points[::4], diag, workspace, coarse=True), 4)
+    points = _relax(model, points, diag, workspace)
+    return (points, diag) if return_diagnostics else points
+
+
+def _relax(model, points, diag, workspace, coarse=False):
+    """One certified level of ``geodesic``; a ``coarse`` one returns when its steps run out."""
+    diag.levels.append(steps := len(points) - 1)
+    most = GEODESIC_COARSE_ITERATIONS if coarse else GEODESIC_MAX_ITERATIONS
     eigensystem = None   # of the current mid-points, once a trial has computed it
     energy, grad, blocks = _energy_grad_hess(model, points, None, workspace)
     damping = 0.0
-    # Trials are resampled at constant speed while the curve reshapes globally,
-    # which keeps out parameterization slack, so the metric length falls with
-    # the energy; once a step is below 5 % of a segment, or a resampled line
-    # search fails, the resampling stops so its error cannot limit the endgame.
-    resample_active = True
     scale = 1.0   # last accepted step fraction; the next line search starts at twice it
-    segment_scale = max(float(np.linalg.norm(end - start)) / steps, 1e-300)
-    for iteration in range(GEODESIC_MAX_ITERATIONS):
+    for iteration in range(most + 1):
         interior_grad = _interior_gradient(model, points, grad)
-        residual = float(np.abs(interior_grad).max())
-        diag.iterations, diag.residual = iteration, residual
-        if residual < GEODESIC_GTOL:
+        residual = diag.residual = float(np.abs(interior_grad).max())
+        if residual < GEODESIC_GTOL or coarse and iteration == most:
             if (gap := _alias_gap(model, points, eigensystem, workspace)) > GEODESIC_ALIAS_GAP:
                 raise GeodesicConvergenceError(residual, iteration, (
                     f"geodesic of {steps} segments is aliased: its vertex chords are {gap:.1%} "
                     f"longer than its mid-point quadrature (limit {GEODESIC_ALIAS_GAP:.0%})"))
-            return (points, diag) if return_diagnostics else points
+            return points
+        if iteration == most:
+            raise GeodesicConvergenceError(residual, most)
 
         diag.solves += 1
         while (step := _solve_hessian(blocks, damping, -interior_grad)) is None:
@@ -730,9 +751,6 @@ def geodesic(
             trial = points.copy()
             trial[1:-1] = points[1:-1] + scale * step
             trial[:, :] = model.project_point(trial)
-            if resample_active:
-                trial = resample(trial, cumulative_lengths(model, trial), steps)
-                trial[:, :] = model.project_point(trial)
             diag.trials += 1
             try:
                 trial_energy, trial_eigensystem = _discrete_energy(model, trial, workspace)
@@ -741,18 +759,15 @@ def geodesic(
             if trial_energy < energy:
                 trial_state = _energy_grad_hess(model, trial, trial_eigensystem, workspace)
                 break
-            if not resample_active and scale == 1.0 and damping == 0.0 and trial_energy < np.inf:
+            if scale == 1.0 and damping == 0.0 and trial_energy < np.inf:
                 # near the minimum the energy can be flat to rounding
                 trial_state = _energy_grad_hess(model, trial, trial_eigensystem, workspace)
                 if float(np.abs(_interior_gradient(model, trial, trial_state[1])).max()) < residual:
                     break
             scale *= 0.5
             if scale < 2.0**-29:   # no lower energy down to 2^-29 of the step
-                if not resample_active:
-                    raise GeodesicConvergenceError(residual, iteration)
-                resample_active, scale = False, 1.0
-        resample_active &= float(np.abs(scale * step).max()) >= 0.05 * segment_scale
+                raise GeodesicConvergenceError(residual, iteration)
+        diag.iterations += 1
         points, eigensystem = trial, trial_eigensystem
         energy, grad, blocks = trial_state
         damping = damping / 10 if damping > 1e-11 else 0.0
-    raise GeodesicConvergenceError(float(np.abs(grad[1:-1]).max()), GEODESIC_MAX_ITERATIONS)

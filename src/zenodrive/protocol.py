@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import _eigenbases_along, resample, step_lengths_along
+from .geometry import _eigenbases_along, _fraction_grid, resample, step_lengths_along
 from .models import HamiltonianFamily, check_count
 from .spectral import _sorted_distinct, branching_along, eigh_many
 from .trajectories import Trajectory, check_resolution
@@ -147,17 +147,17 @@ def _final_probabilities(
 ) -> np.ndarray:
     """Final probability rows of the chains of ``step_counts``, all in one eigen-walk.
 
-    The interior time-law targets of every K, ``linspace(0, W, K + 1)[1:-1]``
-    with W the law length, are merged into their sorted distinct union, placed
-    by ``resample`` between the table's two end points, and diagonalized once
-    each, streamed in blocks; each K's chain advances on its own index
-    subsequence of that walk and keeps only its probability row and last
-    eigenbasis.  A block that holds none of a chain's points skips it.
+    The interior time-law targets of every K, ``_fraction_grid(W, K)[1:-1]`` as
+    ``resample`` forms them (W the law length), are merged into their exact sorted
+    distinct union, placed by ``resample`` between the table's two end points,
+    and diagonalized once each, streamed in blocks; each K's chain advances on
+    its own index subsequence of that walk and keeps only its probability row
+    and last eigenbasis.  A block that holds none of a chain's points skips it.
     """
     law = trajectory.law_cumlen
 
     def interior(k):   # the interior time-law targets of K steps
-        return np.linspace(0.0, law[-1], k + 1)[1:-1]
+        return _fraction_grid(law[-1], k)[1:-1]
 
     targets = np.concatenate(
         [[0.0], _sorted_distinct(np.concatenate([interior(k) for k in step_counts])), law[-1:]]

@@ -1,4 +1,5 @@
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -336,17 +337,14 @@ class TestZenoWalk:
         trajectory = trajectories10["geodesic"]
         ks = DEFAULT_LADDER if name == "ladder" else list(_parse_value("steps.K", "log:50:5000:13"))
         zeno_sweep(lipkin10, trajectory, ks)
-        law = trajectory.law_cumlen[-1]
         groups = protocol._walk_groups(ks)
-        distinct = [
-            np.unique(np.concatenate([np.linspace(0.0, law, ks[i] + 1) for i in g])).size
-            for g in groups
-        ]
+        # each group's exact union of the fractions i / K, whatever the law length
+        distinct = [len({Fraction(i, ks[j]) for j in g for i in range(ks[j] + 1)}) for g in groups]
         assert sum(matrices) == sum(distinct) <= sum(k + 1 for k in ks)
         if name == "ladder":
-            # one walk; the grids nest up to a few rounding-split targets
+            # one walk over the 6 001 distinct fractions of the ladder's 8 857 points
             assert len(groups) == 1
-            assert sum(matrices) < 0.7 * sum(k + 1 for k in ks)
+            assert sum(matrices) == 6001
 
     def test_positional_end_points_on_a_table_of_zero_law_length(self):
         # distinct points that the time law does not advance: every interior
