@@ -360,11 +360,11 @@ def integrate_schrodinger(
 
     resolved = _resolved_steps(position_fn)
     steps = max(64, math.ceil(total_time))
-    fid = previous = run(steps)[1]
+    fid = new_fid = run(steps)[1]
     passes = 1
     last_change, stalls = math.inf, 0
     while 2 * steps <= SUBSTEP_CAP:
-        steps *= 2
+        fid, steps = new_fid, 2 * steps
         states, new_fid = run(steps)
         passes += 1
         change = abs(new_fid - fid)
@@ -379,10 +379,10 @@ def integrate_schrodinger(
             return finish(steps, states, corrected, passes, change / RICHARDSON)
         at_floor = change < FLOOR_ULPS * steps * np.finfo(float).eps
         stalls = stalls + 1 if at_floor and FLOOR_SHRINK * change > last_change else 0
-        previous, fid, last_change = fid, new_fid, change
         if stalls == 2:
-            raise IntegratorConvergenceError(fid, previous, steps, floor=True)
-    raise IntegratorConvergenceError(fid, previous, steps)
+            raise IntegratorConvergenceError(new_fid, fid, steps, floor=True)
+        last_change = change
+    raise IntegratorConvergenceError(new_fid, fid, steps)
 
 
 def coherent_sweep(model: HamiltonianFamily, trajectory: Trajectory, times) -> list[dict]:

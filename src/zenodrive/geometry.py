@@ -170,9 +170,11 @@ def _metric_impl(model, points, workspace, *, with_gradient, eigensystem=None):
     gap = np.empty(len(flat))
     for lo in range(0, len(flat), EIGH_BLOCK):
         rows = slice(lo, lo + EIGH_BLOCK)
-        block_eig = None if eigensystem is None else (eigensystem[0][rows], eigensystem[1][rows])
-        g[rows], block_dg, gap[rows] = _metric_block(
-            model, flat[rows], with_gradient, block_eig, None, workspace)
+        block = flat[rows]
+        block_eig = (eigh_many(model.hamiltonian_many(block)) if eigensystem is None
+                     else (eigensystem[0][rows], eigensystem[1][rows]))
+        products = _eigenproducts(model, block, block_eig, with_gradient, workspace)
+        g[rows], block_dg, gap[rows] = _metric_block(block_eig, products, workspace)
         if with_gradient:
             dg[rows] = block_dg
     _clip_metric(g, stacklevel=3)
@@ -243,22 +245,17 @@ def _eigenproducts(model, points, eigensystem, with_gradient, workspace):
     return amps, second, bmats, _mixing(energies, bmats, workspace)
 
 
-def _metric_block(model, points, with_gradient, eigensystem, products, workspace):
-    """Unclipped metric, gradient (or None) and gap of one (B, D) block of points,
-    diagonalized here unless their ``eigensystem`` is given, from their
-    ``products`` (``_eigenproducts``, formed here unless given) in
-    ``workspace``."""
-    nparams = model.nparams
-    if eigensystem is None:
-        eigensystem = eigh_many(model.hamiltonian_many(points))
+def _metric_block(eigensystem, products, workspace):
+    """Unclipped metric, gradient (None unless ``products`` carry it) and gap of
+    one block of points, from their ``eigensystem`` and their ``products``
+    (``_eigenproducts``), in ``workspace``."""
     energies, states = eigensystem
     gap = energies[..., 1] - energies[..., 0]
     min_gap = float(gap.min())
     if min_gap <= GAP_FLOOR:
         raise DegenerateGroundStateError(min_gap)
-    if products is None:
-        products = _eigenproducts(model, points, eigensystem, with_gradient, workspace)
     amps, second, bmats, tmats = products
+    nparams = amps.shape[-1]
 
     # Every contraction is a batched matmul in the eigenbasis.  The metric
     # needs only amps, formed the same way with or without the gradient so
@@ -271,13 +268,13 @@ def _metric_block(model, points, with_gradient, eigensystem, products, workspace
     amps_h = np.conj(np.swapaxes(amps, -1, -2))
     g = np.real(amps_h @ (weight[..., None] * amps))
     g = 0.5 * (g + np.swapaxes(g, -1, -2))
-    if not with_gradient:
+    if bmats is None:
         return g, None, gap
 
     dim = states.shape[-1]
     # damp[..., c, i, m] = d_c <E_i|dH_m|E_0>, with the eigenvector derivatives
     # of first-order perturbation theory
-    damp = np.empty((len(points), nparams, dim, nparams), dtype=states.dtype)
+    damp = np.empty((len(states), nparams, dim, nparams), dtype=states.dtype)
     for c in range(nparams):
         tmat_h = _adjoint(tmats[c], workspace)
         tcol = tmats[c][..., :, :1]
@@ -328,7 +325,7 @@ def _mixing(energies, bmats, workspace):
 def _eigenbases_along(model: HamiltonianFamily, points: np.ndarray, eigh):
     """Eigenbases along a path, ``EIGH_BLOCK`` points at a time.
 
-    Every point is checked before any is diagonalized.  Each yielded
+    Every point and the path's shape are checked before any is diagonalized.  Each yielded
     (B, dim, dim) stack starts with the last eigenbasis of the previous
     block, so consecutive stacks overlap in one point, each point is
     diagonalized once, and the transitions within the stacks are those of
@@ -342,6 +339,8 @@ def _eigenbases_along(model: HamiltonianFamily, points: np.ndarray, eigh):
     path in the warning.
     """
     points = model.check_points(points)
+    if points.ndim > 2:
+        raise ValueError(f"expected a path of shape (M, {model.nparams}), got shape {points.shape}")
     closest, closest_spacing = np.zeros((0, model.dim)), np.inf
     previous = np.zeros((0, model.dim, model.dim))   # no eigenbasis before the first block
     for lo in range(0, len(points), EIGH_BLOCK):
@@ -483,33 +482,29 @@ def refine(path, factor: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def _discrete_energy(model, points, workspace):
-    """Path energy sum_k g(mid_k)[delta_k, delta_k] and the mid-points' eigensystems.
-
-    The eigensystems let ``_energy_grad_hess`` at the same points skip
-    diagonalizing the mid-points again.  The metric is computed in
-    ``workspace``.
-    """
+    """Path energy sum_k g(mid_k)[delta_k, delta_k], the mid-points' eigensystems
+    and their metric g, computed in ``workspace``: the one evaluation of an
+    iterate, whose eigensystems ``_energy_grad_hess`` and metric ``_alias_gap`` read."""
     mids = 0.5 * (points[:-1] + points[1:])
     delta = points[1:] - points[:-1]
     eigensystem = eigh_many(model.hamiltonian_many(mids))
     g = _metric_impl(model, mids, workspace, with_gradient=False,
                      eigensystem=eigensystem)[0]
-    return float(np.einsum("kab,ka,kb->", g, delta, delta)), eigensystem
+    return float(np.einsum("kab,ka,kb->", g, delta, delta)), eigensystem, g
 
 
 def _energy_grad_hess(model, points, eigensystem, workspace):
-    """Energy, gradient, and the block-tridiagonal Hessian blocks ``_solve_hessian`` takes.
+    """Gradient and the block-tridiagonal Hessian blocks ``_solve_hessian`` takes.
 
     The energy is sum_k g(mid_k)[delta_k, delta_k].  Metric values and first
     derivatives are analytic, at the mids from their ``eigensystem`` as
-    ``_discrete_energy`` returns it (diagonalized here if not given, the only
-    ``eigh_many`` call); the second metric derivative entering the Hessian is
-    a forward difference of the analytic gradient, one probe mid_k + h e_c
-    per axis, whose eigensystem ``_shifted_eigensystem`` takes from the
-    mid's to first order in h, so no probe is diagonalized.  The probes lie
-    above the mids and so inside the model domain.  The difference error
-    does not only slow the convergence: it moves the relaxed points within
-    the ``GEODESIC_GTOL`` basin.
+    ``_discrete_energy`` returns it; the second metric derivative entering
+    the Hessian is a forward difference of the analytic gradient, one probe
+    mid_k + h e_c per axis, whose eigensystem ``_shifted_eigensystem`` takes
+    from the mid's to first order in h, so no probe is diagonalized.  The
+    probes lie above the mids and so inside the model domain.  The
+    difference error does not only slow the convergence: it moves the
+    relaxed points within the ``GEODESIC_GTOL`` basin.
 
     The mids go ``EIGH_BLOCK`` at a time through one ``workspace``.  A
     block's products (``_eigenproducts``: its B^c and mixing matrices T^c,
@@ -521,8 +516,6 @@ def _energy_grad_hess(model, points, eigensystem, workspace):
     nparams = model.nparams
     mids = 0.5 * (points[:-1] + points[1:])
     delta = points[1:] - points[:-1]
-    if eigensystem is None:
-        eigensystem = eigh_many(model.hamiltonian_many(mids))
     g = np.empty((len(mids), nparams, nparams))
     dg = np.empty((len(mids),) + (nparams,) * 3)
     d2g = np.empty((len(mids),) + (nparams,) * 4)   # d2g[k, c] = d_c dg[k]
@@ -530,16 +523,16 @@ def _energy_grad_hess(model, points, eigensystem, workspace):
         rows = slice(lo, lo + EIGH_BLOCK)
         block, block_eig = mids[rows], (eigensystem[0][rows], eigensystem[1][rows])
         products = _eigenproducts(model, block, block_eig, True, workspace)
-        g[rows], dg[rows], _ = _metric_block(model, block, True, block_eig, products, workspace)
+        g[rows], dg[rows], _ = _metric_block(block_eig, products, workspace)
         probes = [_shifted_eigensystem(model, block_eig, c, GEODESIC_FD_STEP, products, workspace)
                   for c in range(nparams)]
         for c, probe in enumerate(probes):
             probe_points = block + GEODESIC_FD_STEP * np.eye(nparams)[c]
-            probe_dg = _metric_block(model, probe_points, True, probe, None, workspace)[1]
+            probe_products = _eigenproducts(model, probe_points, probe, True, workspace)
+            probe_dg = _metric_block(probe, probe_products, workspace)[1]
             d2g[rows, c] = (probe_dg - dg[rows]) / GEODESIC_FD_STEP
     _clip_metric(g, stacklevel=2)
 
-    energy = float(np.einsum("kab,ka,kb->", g, delta, delta))
     gdelta = np.einsum("kab,kb->ka", g, delta)
     quad = np.einsum("kxab,ka,kb->kx", dg, delta, delta)
     grad = np.zeros_like(points)
@@ -553,7 +546,7 @@ def _energy_grad_hess(model, points, eigensystem, workspace):
     h_low = qq - sym + 2 * g          # d2e_k / dP_k dP_k
     h_high = qq + sym + 2 * g         # d2e_k / dP_{k+1} dP_{k+1}
     h_cross = qq + w.transpose(0, 2, 1) - w - 2 * g   # d2e_k / dP_k dP_{k+1}
-    return energy, grad, (h_low, h_high, h_cross)
+    return grad, (h_low, h_high, h_cross)
 
 
 def _shifted_eigensystem(model, eigensystem, axis, step, products, workspace):
@@ -644,15 +637,12 @@ def _interior_gradient(model, points, grad):
     return interior_grad
 
 
-def _alias_gap(model, points, eigensystem, workspace):
+def _alias_gap(model, points, g):
     """Relative excess of a path's vertex-chord length over its mid-point quadrature
-    length (0 if both are 0), from the mid-points' ``eigensystem`` if given,
-    the metric computed in ``workspace``."""
+    length with the mid-points' metric ``g`` (0 if both are 0)."""
     delta = points[1:] - points[:-1]
-    g = _metric_impl(model, 0.5 * (points[:-1] + points[1:]), workspace, with_gradient=False,
-                     eigensystem=eigensystem)[0]
     quad = float(np.sqrt(np.einsum("kab,ka,kb->k", g, delta, delta)).sum())
-    chords = float(step_lengths_along(model, points).sum())
+    chords = path_length(model, points)
     return (chords - quad) / chords if chords > 0 else 0.0
 
 
@@ -721,18 +711,19 @@ def geodesic(
 
 
 def _relax(model, points, diag, workspace, coarse=False):
-    """One certified level of ``geodesic``; a ``coarse`` one returns when its steps run out."""
+    """One certified level of ``geodesic``; a ``coarse`` one returns when its steps run out.
+    Each iterate, the start and every trial, is evaluated once, by ``_discrete_energy``."""
     diag.levels.append(steps := len(points) - 1)
     most = GEODESIC_COARSE_ITERATIONS if coarse else GEODESIC_MAX_ITERATIONS
-    eigensystem = None   # of the current mid-points, once a trial has computed it
-    energy, grad, blocks = _energy_grad_hess(model, points, None, workspace)
+    energy, eigensystem, g = _discrete_energy(model, points, workspace)
+    grad, blocks = _energy_grad_hess(model, points, eigensystem, workspace)
     damping = 0.0
     scale = 1.0   # last accepted step fraction; the next line search starts at twice it
     for iteration in range(most + 1):
         interior_grad = _interior_gradient(model, points, grad)
         residual = diag.residual = float(np.abs(interior_grad).max())
         if residual < GEODESIC_GTOL or coarse and iteration == most:
-            if (gap := _alias_gap(model, points, eigensystem, workspace)) > GEODESIC_ALIAS_GAP:
+            if (gap := _alias_gap(model, points, g)) > GEODESIC_ALIAS_GAP:
                 raise GeodesicConvergenceError(residual, iteration, (
                     f"geodesic of {steps} segments is aliased: its vertex chords are {gap:.1%} "
                     f"longer than its mid-point quadrature (limit {GEODESIC_ALIAS_GAP:.0%})"))
@@ -753,21 +744,21 @@ def _relax(model, points, diag, workspace, coarse=False):
             trial[:, :] = model.project_point(trial)
             diag.trials += 1
             try:
-                trial_energy, trial_eigensystem = _discrete_energy(model, trial, workspace)
+                evaluated = _discrete_energy(model, trial, workspace)
             except DegenerateGroundStateError:
-                trial_energy = np.inf   # a mid-point on a level crossing
-            if trial_energy < energy:
-                trial_state = _energy_grad_hess(model, trial, trial_eigensystem, workspace)
+                evaluated = (np.inf,)   # a mid-point on a level crossing
+            if evaluated[0] < energy:
+                trial_state = _energy_grad_hess(model, trial, evaluated[1], workspace)
                 break
-            if scale == 1.0 and damping == 0.0 and trial_energy < np.inf:
+            if scale == 1.0 and damping == 0.0 and evaluated[0] < np.inf:
                 # near the minimum the energy can be flat to rounding
-                trial_state = _energy_grad_hess(model, trial, trial_eigensystem, workspace)
-                if float(np.abs(_interior_gradient(model, trial, trial_state[1])).max()) < residual:
+                trial_state = _energy_grad_hess(model, trial, evaluated[1], workspace)
+                if float(np.abs(_interior_gradient(model, trial, trial_state[0])).max()) < residual:
                     break
             scale *= 0.5
             if scale < 2.0**-29:   # no lower energy down to 2^-29 of the step
                 raise GeodesicConvergenceError(residual, iteration)
         diag.iterations += 1
-        points, eigensystem = trial, trial_eigensystem
-        energy, grad, blocks = trial_state
+        points, (energy, _, g) = trial, evaluated
+        grad, blocks = trial_state
         damping = damping / 10 if damping > 1e-11 else 0.0

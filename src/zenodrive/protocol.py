@@ -152,7 +152,8 @@ def _final_probabilities(
     distinct union, placed by ``resample`` between the table's two end points,
     and diagonalized once each, streamed in blocks; each K's chain advances on
     its own index subsequence of that walk and keeps only its probability row
-    and last eigenbasis.  A block that holds none of a chain's points skips it.
+    and last eigenbasis.  Each chain's stack in a block is that eigenbasis,
+    then its points in the block.
     """
     law = trajectory.law_cumlen
 
@@ -167,7 +168,6 @@ def _final_probabilities(
     # after the resample, whose temporaries set the peak, so as not to add to it
     walks = [np.concatenate([[0], 1 + np.searchsorted(targets[1:], interior(k)), [len(points) - 1]])
              for k in step_counts]
-    strict = [bool(np.all(walk[1:] > walk[:-1])) for walk in walks]   # no repeated point
     probs = np.zeros((len(walks), model.dim))
     probs[:, 0] = 1.0
     last = [None] * len(walks)   # each chain's last eigenbasis, a copy
@@ -179,15 +179,9 @@ def _final_probabilities(
         # resident set of the default sweep by 0.4 MB)
         for c, walk in enumerate(walks):
             upto = int(np.searchsorted(walk, first + len(states)))
-            if upto - 1 == reached[c] and first > 0:   # the first stack holds its start
-                continue   # no new point of this chain in this stack
             at = walk[reached[c] : upto] - first   # its last point, then its new ones
-            if at[0] < 0:   # that last point lies in an earlier stack
-                stack = np.concatenate([last[c], states[at[1:]]])
-            elif strict[c] and at[-1] == len(at) - 1:   # the head of this stack: no copy
-                stack = states[: len(at)]
-            else:
-                stack = states[at]
+            # its last eigenbasis, then its new points (the first stack holds its start)
+            stack = states[at] if first == 0 else np.concatenate([last[c], states[at[1:]]])
             for ratio in branching_along(stack):
                 probs[c] = ratio @ probs[c]
             last[c], reached[c] = stack[-1:].copy(), upto - 1

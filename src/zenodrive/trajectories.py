@@ -140,14 +140,15 @@ def build_trajectory(
     times, so its table has that multiple of ``geodesic_steps`` segments (at
     least ``dense_steps``); linear families subdivide the straight chord into
     ``dense_steps`` segments, with both end points exact.  Raises
-    ``ValueError`` for an unknown family, or a ``dense_steps`` that is not an
-    integer or is below 1.
+    ``ValueError`` for an unknown family, a ``dense_steps`` that is not an
+    integer or is below 1, or a ``start`` or ``end`` that fails
+    ``model.check_points``, before building anything.
     """
     if family not in FAMILIES:
         raise ValueError(f"unknown path family {family!r}; expected one of {FAMILIES}")
     dense_steps = check_count("dense_steps", dense_steps, 1)
-    start = np.asarray(start, dtype=float)
-    end = np.asarray(end, dtype=float)
+    start = model.check_points(start)
+    end = model.check_points(end)
     if family == "geodesic":
         base = geodesic(model, start, end, geodesic_steps)
         dense = refine(base, table_segments(family, dense_steps, geodesic_steps) // geodesic_steps)

@@ -106,6 +106,25 @@ class TestIntegrator:
         assert err.value.last_values[0] == at_128.fidelity
         assert err.value.last_values[0] != err.value.last_values[1]
 
+    @pytest.mark.parametrize("cap, total_time, first", [(100, 5.0, 64), (256, 200.0, 200)])
+    def test_first_grid_above_half_the_cap_is_not_doubled(self, two_level, monkeypatch, cap,
+                                                          total_time, first):
+        # no doubling fits under the cap: the one run raises with its own
+        # fidelity as both last values, and no grid runs past the cap
+        grids = []
+        propagate = coherent._propagate
+
+        def recording(model, position_fn, total_time, knots, *args):
+            grids.append(len(knots) - 1)
+            return propagate(model, position_fn, total_time, knots, *args)
+
+        monkeypatch.setattr(coherent, "SUBSTEP_CAP", cap)
+        monkeypatch.setattr(coherent, "_propagate", recording)
+        with pytest.raises(IntegratorConvergenceError) as err:
+            integrate_schrodinger(two_level, angle_ramp(np.pi), total_time, tolerance=0.0)
+        assert grids == [first] and err.value.substeps == first
+        assert err.value.last_values[0] == err.value.last_values[1]
+
     def test_stops_at_rounding_floor(self, golden_chord4, monkeypatch):
         # |dF| per doubling at T = 20 falls ~16x down to 4.9e-12 at 1 024
         # steps, then wanders at 1.4e-12 - 2.5e-12 up to 8 192 steps, so the

@@ -200,16 +200,24 @@ def lipkin_geodesic_run(lipkin10):
 
     The iterates are (points, energy) pairs in order, recorded from the
     solver's own calls: each Newton step is solved on the Hessian blocks of
-    the current iterate, which ``_energy_grad_hess`` returned with its
-    energy, and the last iterate is the returned path.
+    the current iterate, which ``_energy_grad_hess`` returned for the points
+    ``_discrete_energy`` evaluated last, and the last iterate is the
+    returned path.
     """
-    states, solved = [], []
+    states, solved, evaluated = [], [], []
+    discrete_energy = zenodrive.geometry._discrete_energy
     energy_grad_hess = zenodrive.geometry._energy_grad_hess
     solve_hessian = zenodrive.geometry._solve_hessian
 
+    def recording_energy(model, points, workspace):
+        result = discrete_energy(model, points, workspace)
+        evaluated.append((points.copy(), result[0]))
+        return result
+
     def recording(model, points, eigensystem, workspace):
         state = energy_grad_hess(model, points, eigensystem, workspace)
-        states.append((state[2], points.copy(), state[0]))
+        assert np.array_equal(evaluated[-1][0], points)
+        states.append((state[1],) + evaluated[-1])
         return state
 
     def recording_solve(blocks, damping, rhs):
@@ -219,6 +227,7 @@ def lipkin_geodesic_run(lipkin10):
         return solve_hessian(blocks, damping, rhs)
 
     with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(zenodrive.geometry, "_discrete_energy", recording_energy)
         patch.setattr(zenodrive.geometry, "_energy_grad_hess", recording)
         patch.setattr(zenodrive.geometry, "_solve_hessian", recording_solve)
         path, diag = geodesic(lipkin10, START, END, 128, return_diagnostics=True)
@@ -546,7 +555,7 @@ class TestGeodesic:
         # block-tridiagonal solve against a dense solve of the same system
         rng = np.random.default_rng(3)
         points = perturbed_chord(np.array([0.2, 0.1]), np.array([1.8, 0.6]), 16, rng)
-        _, grad, blocks = energy_grad_hess(LipkinModel(4), points)
+        grad, blocks = energy_grad_hess(LipkinModel(4), points)
         hess = dense_hessian(blocks)
         assert hessian_gradient_gap(LipkinModel(4), points, rng.normal(size=(15, 2))) <= 1e-6
         assert np.array_equal(hess, hess.T)
@@ -562,11 +571,11 @@ class TestGeodesic:
         assert hessian_gradient_gap(LipkinModel(4), points, v) <= 1e-7
 
     def test_probes_one_forward_set_per_axis(self, monkeypatch):
-        # only the mids go to eigh_many (none when their eigensystem is given);
-        # D probe points per segment get the metric gradient, none below the
-        # lower bounds, on a path that starts on chi = 0
+        # only the mids go to eigh_many, in the line-search energy, none in the
+        # Newton step; D probe points per segment get the metric gradient,
+        # none below the lower bounds, on a path that starts on chi = 0
         model, diagonalized, evaluated = LipkinModel(4), [], []
-        metric_block = zenodrive.geometry._metric_block
+        eigenproducts = zenodrive.geometry._eigenproducts
 
         def counting_eigh(matrices):
             diagonalized.append(len(matrices))
@@ -574,22 +583,22 @@ class TestGeodesic:
 
         def recording(model, points, *args):
             evaluated.append(np.asarray(points))
-            return metric_block(model, points, *args)
+            return eigenproducts(model, points, *args)
 
         monkeypatch.setattr(zenodrive.geometry, "eigh_many", counting_eigh)
-        monkeypatch.setattr(zenodrive.geometry, "_metric_block", recording)
+        monkeypatch.setattr(zenodrive.geometry, "_eigenproducts", recording)
         rng = np.random.default_rng(3)
         points = perturbed_chord(START, END, 16, rng, axes=[0])
-        energy_grad_hess(model, points)
+        eigensystem = zenodrive.geometry._discrete_energy(model, points, _Workspace())[1]
         assert sum(diagonalized) == 16
+        diagonalized.clear()
+        evaluated.clear()
+        zenodrive.geometry._energy_grad_hess(model, points, eigensystem, _Workspace())
+        assert diagonalized == []
         mids, *probes = evaluated
         probes = np.concatenate([c.reshape(-1, model.nparams) for c in probes])
         assert len(mids) == 16 and len(probes) == model.nparams * 16
         assert np.all(probes >= model.lower_bounds)
-        diagonalized.clear()
-        eigensystem = eigh_many(model.hamiltonian_many(mids))
-        energy_grad_hess(model, points, eigensystem)
-        assert diagonalized == []
 
     @pytest.mark.parametrize("model", [LipkinModel(4), LipkinModel(10), ComplexLipkin(4)],
                              ids=["lipkin4", "lipkin10", "complex-lipkin4"])
@@ -622,9 +631,8 @@ class TestGeodesic:
                 model.hamiltonian_many(mids + step * np.eye(model.nparams)[axis])),
         )
         diagonalized = energy_grad_hess(model, points)
-        assert perturbative[0] == diagonalized[0]
-        assert np.array_equal(perturbative[1], diagonalized[1])
-        for a, b in zip(perturbative[2], diagonalized[2]):
+        assert np.array_equal(perturbative[0], diagonalized[0])
+        for a, b in zip(perturbative[1], diagonalized[1]):
             assert np.abs(a - b).max() <= 1e-6 * np.abs(b).max()
 
     def test_solve_matches_dense_on_scalar_blocks(self):
@@ -669,20 +677,23 @@ class TestGeodesic:
             assert (x is not None) == positive
 
     def test_energy_grad_hess_from_line_search_eigensystem(self):
-        # the mid-point eigensystems the line-search energy keeps give the same
-        # bits as diagonalizing again, also across an EIGH_BLOCK boundary
+        # the mid-point eigensystems and metric the line-search energy keeps
+        # give the same bits as diagonalizing again, also across an EIGH_BLOCK
+        # boundary
         model = LipkinModel(4)
         segs = zenodrive.geometry.EIGH_BLOCK + 44
         rng = np.random.default_rng(3)
         points = perturbed_chord(np.array([0.2, 0.1]), np.array([1.8, 0.6]), segs, rng)
-        energy, eigensystem = zenodrive.geometry._discrete_energy(model, points, _Workspace())
+        energy, eigensystem, g = zenodrive.geometry._discrete_energy(model, points, _Workspace())
         reused = energy_grad_hess(model, points, eigensystem)
         fresh = energy_grad_hess(model, points)
-        assert reused[0] == fresh[0] == energy
-        assert np.array_equal(reused[1], fresh[1])
-        for a, b in zip(reused[2], fresh[2]):
+        assert np.array_equal(reused[0], fresh[0])
+        for a, b in zip(reused[1], fresh[1]):
             assert np.array_equal(a, b)
         mids = 0.5 * (points[:-1] + points[1:])
+        delta = points[1:] - points[:-1]
+        assert np.array_equal(g, metric_many(model, mids))
+        assert energy == float(np.einsum("kab,ka,kb->", metric_many(model, mids), delta, delta))
         from_eigensystem = zenodrive.geometry._metric_impl(
             model, mids, _Workspace(), with_gradient=True, eigensystem=eigensystem
         )
@@ -706,7 +717,9 @@ class TestGeodesic:
         monkeypatch.setattr(zenodrive.geometry, "_discrete_energy", counting_energy)
         monkeypatch.setattr(zenodrive.geometry, "_solve_hessian", counting_solve)
         traced, diag = geodesic(LipkinModel(4), START, END, 48, return_diagnostics=True)
-        assert diag.trials == len(energies) >= diag.iterations > 0
+        # one energy per level start, then one per trial
+        assert diag.trials + len(diag.levels) == len(energies)
+        assert diag.trials >= diag.iterations > 0
         assert diag.solves == len(solves) >= diag.iterations
         assert np.array_equal(plain, traced)   # diagnostics do not change the path
 
@@ -718,14 +731,16 @@ class TestGeodesic:
 
         def degenerate_first(model, points, workspace):
             calls.append(1)
-            if len(calls) == 1:
+            if len(calls) == 2:   # the first trial, after the level start
                 raise DegenerateGroundStateError(0.0)
             return discrete_energy(model, points, workspace)
 
         monkeypatch.setattr(zenodrive.geometry, "_discrete_energy", degenerate_first)
         _, diag = geodesic(LipkinModel(4), START, END, 32, return_diagnostics=True)
         assert diag.residual < zenodrive.geometry.GEODESIC_GTOL
-        assert diag.trials == len(calls) > diag.iterations
+        assert diag.levels == [32]
+        assert diag.trials + len(diag.levels) == len(calls)
+        assert diag.trials > diag.iterations
 
     @pytest.mark.parametrize("segs", [44, 48])
     def test_converges_where_the_energy_is_flat(self, lipkin10, segs):
@@ -748,20 +763,21 @@ class TestGeodesic:
         current, calls = [], []
 
         def recording(model, points, eigensystem, workspace):
-            state = energy_grad_hess(model, points, eigensystem, workspace)
-            current.append(state[0])
-            return state
+            current.append(discrete_energy(model, points, _Workspace())[0])
+            return energy_grad_hess(model, points, eigensystem, workspace)
 
         def flat_after_three(model, points, workspace):
             calls.append(1)
-            energy, eigensystem = discrete_energy(model, points, workspace)
-            return (energy if len(calls) <= 3 else current[-1]), eigensystem
+            energy, *rest = discrete_energy(model, points, workspace)
+            # the level start, then three trials
+            return (energy if len(calls) <= 4 else current[-1]), *rest
 
         monkeypatch.setattr(zenodrive.geometry, "_energy_grad_hess", recording)
         monkeypatch.setattr(zenodrive.geometry, "_discrete_energy", flat_after_three)
         path, diag = geodesic(model, START, END, 16, return_diagnostics=True)
         assert diag.residual < zenodrive.geometry.GEODESIC_GTOL
-        assert diag.trials == len(calls) <= 3 + diag.iterations
+        assert diag.trials + len(diag.levels) == len(calls)
+        assert diag.trials <= 3 + diag.iterations
         assert np.abs(path - relaxed).max() <= 1e-9
 
     @pytest.mark.parametrize("model_size, segs", [(10, 12), (10, 16), (12, 28)])
@@ -803,7 +819,7 @@ class TestGeodesic:
             path = geodesic(model, START, END, segs)
         except GeodesicConvergenceError:
             return
-        blocks = energy_grad_hess(model, path)[2]
+        blocks = energy_grad_hess(model, path)[1]
         assert np.linalg.eigvalsh(dense_hessian(blocks))[0] > 0
 
     @pytest.mark.parametrize("model_size, segs, most", [(4, 48, 6)])
@@ -828,6 +844,15 @@ class TestGeodesic:
         _, diag = eigh_counted_geodesic(lipkin10, 256, monkeypatch)
         assert diag.residual < zenodrive.geometry.GEODESIC_GTOL
         assert diag.matrices <= 10003 // 2
+
+    def test_default_solve_work(self, lipkin10, monkeypatch):
+        # the work of the default N=10, 256-segment solve, pinned so that a
+        # change to its Newton path shows: 15 Newton steps at 64 segments and
+        # 4 at 256, and every trial, solve and diagonalized matrix
+        _, diag = eigh_counted_geodesic(lipkin10, 256, monkeypatch)
+        assert diag.levels == [64, 256]
+        assert (diag.iterations, diag.trials, diag.solves) == (19, 28, 31)
+        assert diag.matrices == 3459
 
     @pytest.mark.parametrize("model_size", [6, 10, 12])
     def test_continuation_matches_the_direct_solve(self, model_size, monkeypatch):
@@ -867,7 +892,8 @@ class TestGeodesic:
         assert len(gaps) == 2 and gaps[-1] <= zenodrive.geometry.GEODESIC_ALIAS_GAP
         # the work of both levels: the failed coarse one, then the direct solve's
         assert diag.iterations > direct_diag.iterations
-        assert diag.trials == len(energies) > direct_diag.trials
+        assert diag.trials + len(diag.levels) == len(energies)
+        assert diag.trials > direct_diag.trials
         assert diag.solves == len(solves) > direct_diag.solves
 
     def test_coarse_level_stops_at_its_step_cap(self, monkeypatch):
@@ -897,7 +923,7 @@ class TestGeodesic:
 
         discrete_energy = zenodrive.geometry._discrete_energy
         solve_hessian = zenodrive.geometry._solve_hessian
-        trials, steps = [], []
+        evaluated, steps = [], []
 
         def recording_solve(blocks, damping, rhs):
             step = solve_hessian(blocks, damping, rhs)
@@ -906,11 +932,11 @@ class TestGeodesic:
             return step
 
         def rejecting_two(model, points, workspace):
-            trials.append(points.copy())
-            if len(trials) == 4:   # the first trial of the second search
+            evaluated.append(points.copy())
+            if len(evaluated) == 5:   # the first trial of the second search
                 raise Stop
-            energy, eigensystem = discrete_energy(model, points, workspace)
-            return (np.inf if len(trials) <= 2 else energy), eigensystem
+            energy, *rest = discrete_energy(model, points, workspace)
+            return (np.inf if 1 < len(evaluated) <= 3 else energy), *rest
 
         monkeypatch.setattr(zenodrive.geometry, "resample",
                             lambda points, table, count: points.copy())
@@ -919,6 +945,7 @@ class TestGeodesic:
         start, end = np.array([0.2, 0.1]), np.array([1.8, 0.6])
         with pytest.raises(Stop):
             geodesic(LipkinModel(4), start, end, 16)
+        trials = evaluated[1:]   # after the level start
         chord = start + np.linspace(0.0, 1.0, 17)[:, None] * (end - start)
         scales = [line_search_scale(chord, steps[0], trial) for trial in trials[:3]]
         assert scales == pytest.approx([1.0, 0.5, 0.25], abs=1e-12)
@@ -1018,9 +1045,8 @@ class TestGeodesicWorkspace:
 
     @staticmethod
     def assert_same_state(a, b):
-        assert a[0] == b[0]
-        assert np.array_equal(a[1], b[1])
-        for x, y in zip(a[2], b[2]):
+        assert np.array_equal(a[0], b[0])
+        for x, y in zip(a[1], b[1]):
             assert np.array_equal(x, y)
 
     @pytest.mark.parametrize("model", [LipkinModel(10), ComplexLipkin(4)],
@@ -1030,12 +1056,13 @@ class TestGeodesicWorkspace:
         # across an EIGH_BLOCK boundary, against a fresh array at every take
         workspace = _Workspace()
         points = self.path(zenodrive.geometry.EIGH_BLOCK + 44)
-        energy, eigensystem = zenodrive.geometry._discrete_energy(model, points, workspace)
+        energy, eigensystem, g = zenodrive.geometry._discrete_energy(model, points, workspace)
         shared = zenodrive.geometry._energy_grad_hess(model, points, eigensystem, workspace)
         assert workspace.buffers   # the kernels did use it
         monkeypatch.setattr(_Workspace, "take",
                             lambda self, name, shape, dtype=float: np.empty(shape, dtype))
-        assert zenodrive.geometry._discrete_energy(model, points, _Workspace())[0] == energy
+        allocating = zenodrive.geometry._discrete_energy(model, points, _Workspace())
+        assert allocating[0] == energy and np.array_equal(allocating[2], g)
         self.assert_same_state(
             shared, energy_grad_hess(model, points, eigensystem))
 
@@ -1048,10 +1075,12 @@ class TestGeodesicWorkspace:
         workspace = _Workspace()
         for segs in (48, 16, 48):
             points = self.path(segs, seed=segs)
-            shared = zenodrive.geometry._energy_grad_hess(model, points, None, workspace)
+            energy, eigensystem, g = zenodrive.geometry._discrete_energy(model, points, workspace)
+            alone = zenodrive.geometry._discrete_energy(model, points, _Workspace())
+            assert energy == alone[0] and np.array_equal(g, alone[2])
+            poisoned_takes(workspace)
+            shared = zenodrive.geometry._energy_grad_hess(model, points, eigensystem, workspace)
             self.assert_same_state(shared, energy_grad_hess(model, points))
-            alias = zenodrive.geometry._alias_gap(model, points, None, workspace)
-            assert alias == zenodrive.geometry._alias_gap(model, points, None, _Workspace())
             poisoned_takes(workspace)
 
     def test_mid_products_formed_once_per_axis(self, monkeypatch):
@@ -1097,7 +1126,10 @@ class TestGeodesicWorkspace:
 
 
 def energy_grad_hess(model, points, eigensystem=None):
-    """``_energy_grad_hess`` in a fresh workspace."""
+    """``_energy_grad_hess`` in a fresh workspace, with the mid-points'
+    ``eigensystem`` diagonalized here unless given."""
+    if eigensystem is None:
+        eigensystem = eigh_many(model.hamiltonian_many(0.5 * (points[:-1] + points[1:])))
     return zenodrive.geometry._energy_grad_hess(model, points, eigensystem, _Workspace())
 
 
@@ -1152,11 +1184,11 @@ def probe_eigensystem_error(model, points, axis, step):
 def hessian_gradient_gap(model, points, v, eps=1e-5):
     """Max gap between the Hessian applied to the interior step v and a central
     difference of the analytic energy gradient along v, relative to the difference."""
-    hess = dense_hessian(energy_grad_hess(model, points)[2])
+    hess = dense_hessian(energy_grad_hess(model, points)[1])
     shifted = [points.copy(), points.copy()]
     shifted[0][1:-1] += eps * v
     shifted[1][1:-1] -= eps * v
-    grads = [energy_grad_hess(model, p)[1][1:-1] for p in shifted]
+    grads = [energy_grad_hess(model, p)[0][1:-1] for p in shifted]
     difference = ((grads[0] - grads[1]) / (2 * eps)).ravel()
     return np.abs(hess @ v.ravel() - difference).max() / np.abs(difference).max()
 
@@ -1521,6 +1553,18 @@ class TestReparameterize:
     def test_rejects_unknown_mode(self, lipkin10):
         with pytest.raises(ValueError, match="unknown path family"):
             build_trajectory(lipkin10, "smooth", START, END, dense_steps=500)
+
+    @pytest.mark.parametrize("family", ["geodesic", "linear-v", "linear-u"])
+    def test_checks_end_points_before_building(self, family, monkeypatch):
+        # a 3-component end failed inside numpy on the linear families, with
+        # "setting an array element with a sequence"
+        for builder in ("geodesic", "refine"):   # nothing is built
+            monkeypatch.setattr(zenodrive.trajectories, builder, None)
+        model = LipkinModel(4)
+        with pytest.raises(ValueError, match=r"expected points of width 2, got shape \(3,\)"):
+            build_trajectory(model, family, START, np.append(END, 1.0), dense_steps=100)
+        with pytest.raises(ValueError, match="halfplane"):
+            build_trajectory(model, family, np.array([0.0, -0.5]), END, dense_steps=100)
 
     @pytest.mark.parametrize("family", ["geodesic", "linear-v", "linear-u"])
     @pytest.mark.parametrize("dense_steps", [0, -5])

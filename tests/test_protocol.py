@@ -111,6 +111,15 @@ class TestRunStroboscopic:
         )
 
 
+@pytest.mark.parametrize("consumer", [run_stroboscopic, fidelity_product, excited_return,
+                                      path_length])
+def test_rejects_a_path_of_more_than_two_dimensions(consumer):
+    # it failed in the degeneracy bookkeeping of the eigen-walk, with "too
+    # many values to unpack (expected 2)"
+    with pytest.raises(ValueError, match=r"path of shape \(M, 2\), got shape \(2, 2, 2\)"):
+        consumer(LIPKIN4, np.zeros((2, 2, 2)))
+
+
 class TestFidelityProduct:
     def test_identity_path(self, lipkin10):
         pts = np.tile(np.array([0.5, 0.2]), (6, 1))
