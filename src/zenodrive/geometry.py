@@ -160,7 +160,9 @@ def _metric_impl(model, points, workspace, *, with_gradient, eigensystem=None):
     ``eigensystem``, if given, is ``(energies, states)`` of the flattened
     points' Hamiltonians, shapes (P, dim) and (P, dim, dim), and replaces their
     diagonalization; the results are those of diagonalizing here.  Every
-    block is computed in the one ``workspace``.
+    block is computed in the one ``workspace``.  The metric is clipped to
+    +-``METRIC_CAP``, with one warning, at the caller's caller, if any
+    component exceeded it.
     """
     points = model.check_points(points)
     batch_shape, nparams = points.shape[:-1], model.nparams
@@ -177,22 +179,16 @@ def _metric_impl(model, points, workspace, *, with_gradient, eigensystem=None):
         g[rows], block_dg, gap[rows] = _metric_block(block_eig, products, workspace)
         if with_gradient:
             dg[rows] = block_dg
-    _clip_metric(g, stacklevel=3)
-    g = g.reshape(batch_shape + (nparams, nparams))
-    if with_gradient:
-        dg = dg.reshape(batch_shape + (nparams,) * 3)
-    return g, dg, gap.reshape(batch_shape)
-
-
-def _clip_metric(g, stacklevel):
-    """Clip metric tensors ``g`` in place to +-``METRIC_CAP``; if any component
-    exceeded it, warn once, ``stacklevel`` counted from the caller."""
     if g.size and np.abs(g).max() > METRIC_CAP:
         np.clip(g, -METRIC_CAP, METRIC_CAP, out=g)
         warnings.warn(
             f"metric component exceeds cap {METRIC_CAP:.0e}; clipping (near-degenerate gap)",
-            stacklevel=stacklevel + 1,
+            stacklevel=3,
         )
+    g = g.reshape(batch_shape + (nparams, nparams))
+    if with_gradient:
+        dg = dg.reshape(batch_shape + (nparams,) * 3)
+    return g, dg, gap.reshape(batch_shape)
 
 
 def _adjoint(matrices, workspace):
@@ -325,7 +321,8 @@ def _mixing(energies, bmats, workspace):
 def _eigenbases_along(model: HamiltonianFamily, points: np.ndarray, eigh):
     """Eigenbases along a path, ``EIGH_BLOCK`` points at a time.
 
-    Every point and the path's shape are checked before any is diagonalized.  Each yielded
+    This is the one check of a path: every point and the path's shape are checked
+    before any is diagonalized, and a single (D,) point is a one-point path.  Each yielded
     (B, dim, dim) stack starts with the last eigenbasis of the previous
     block, so consecutive stacks overlap in one point, each point is
     diagonalized once, and the transitions within the stacks are those of
@@ -338,7 +335,7 @@ def _eigenbases_along(model: HamiltonianFamily, points: np.ndarray, eigh):
     spectrum with the smallest level spacing so far, which stands in for the
     path in the warning.
     """
-    points = model.check_points(points)
+    points = np.atleast_2d(model.check_points(points))
     if points.ndim > 2:
         raise ValueError(f"expected a path of shape (M, {model.nparams}), got shape {points.shape}")
     closest, closest_spacing = np.zeros((0, model.dim)), np.inf
@@ -361,7 +358,7 @@ def step_lengths_along(model: HamiltonianFamily, points: np.ndarray) -> np.ndarr
     through ``eigh_many`` once and working memory is bounded by one block of
     (dim, dim) matrices (about 0.25 MB per temporary at dim 11), not the
     whole table.  Emits at most one ``DegeneracyWarning``, naming the
-    smallest level spacing on the path.
+    smallest level spacing on the path.  A single (D,) point has no steps.
     """
     lengths = [
         ground_step_lengths(states) for states in _eigenbases_along(model, points, eigh_many)
@@ -370,12 +367,9 @@ def step_lengths_along(model: HamiltonianFamily, points: np.ndarray) -> np.ndarr
 
 
 def path_length(model: HamiltonianFamily, path) -> float:
-    """Sum of exact step lengths over consecutive path points; for two points, their
-    ground-state distance from the full overlap, valid at any separation."""
-    points = np.atleast_2d(model.check_points(path))
-    if points.shape[0] < 2:
-        return 0.0
-    return float(step_lengths_along(model, points).sum())
+    """Sum of ``step_lengths_along`` the path (0 for fewer than two points); for two
+    points, their ground-state distance from the full overlap, valid at any separation."""
+    return float(step_lengths_along(model, path).sum())
 
 
 def cumulative_lengths(model: HamiltonianFamily, points: np.ndarray) -> np.ndarray:
@@ -383,8 +377,9 @@ def cumulative_lengths(model: HamiltonianFamily, points: np.ndarray) -> np.ndarr
 
     Each block's step lengths, as ``step_lengths_along`` gives them, are
     written into the one returned array, which then holds their running sum.
+    A single (D,) point gives ``[0.0]``.
     """
-    table = np.zeros(max(len(points), 1))
+    table = np.zeros(max(len(np.atleast_2d(points)), 1))
     done = 1
     for states in _eigenbases_along(model, points, eigh_many):
         lengths = ground_step_lengths(states)
@@ -483,8 +478,8 @@ def refine(path, factor: int) -> np.ndarray:
 
 def _discrete_energy(model, points, workspace):
     """Path energy sum_k g(mid_k)[delta_k, delta_k], the mid-points' eigensystems
-    and their metric g, computed in ``workspace``: the one evaluation of an
-    iterate, whose eigensystems ``_energy_grad_hess`` and metric ``_alias_gap`` read."""
+    and their clipped metric g, computed in ``workspace``: the one evaluation of an
+    iterate, whose eigensystems and metric ``_energy_grad_hess`` and ``_alias_gap`` read."""
     mids = 0.5 * (points[:-1] + points[1:])
     delta = points[1:] - points[:-1]
     eigensystem = eigh_many(model.hamiltonian_many(mids))
@@ -493,12 +488,13 @@ def _discrete_energy(model, points, workspace):
     return float(np.einsum("kab,ka,kb->", g, delta, delta)), eigensystem, g
 
 
-def _energy_grad_hess(model, points, eigensystem, workspace):
+def _energy_grad_hess(model, points, eigensystem, g, workspace):
     """Gradient and the block-tridiagonal Hessian blocks ``_solve_hessian`` takes.
 
-    The energy is sum_k g(mid_k)[delta_k, delta_k].  Metric values and first
-    derivatives are analytic, at the mids from their ``eigensystem`` as
-    ``_discrete_energy`` returns it; the second metric derivative entering
+    The energy is sum_k g(mid_k)[delta_k, delta_k].  The mids' metric ``g``
+    and ``eigensystem`` are those ``_discrete_energy`` returns, so the metric
+    is neither formed nor clipped here.  Its first derivatives are analytic,
+    at the mids from that eigensystem; the second metric derivative entering
     the Hessian is a forward difference of the analytic gradient, one probe
     mid_k + h e_c per axis, whose eigensystem ``_shifted_eigensystem`` takes
     from the mid's to first order in h, so no probe is diagonalized.  The
@@ -510,20 +506,18 @@ def _energy_grad_hess(model, points, eigensystem, workspace):
     block's products (``_eigenproducts``: its B^c and mixing matrices T^c,
     each formed once) serve both its metric gradient and all its probes'
     eigensystems; then each probe's own products take their place.  The
-    mids' metric is clipped and warned about as by ``metric_many``; the
     probes' metric is not used.
     """
     nparams = model.nparams
     mids = 0.5 * (points[:-1] + points[1:])
     delta = points[1:] - points[:-1]
-    g = np.empty((len(mids), nparams, nparams))
     dg = np.empty((len(mids),) + (nparams,) * 3)
     d2g = np.empty((len(mids),) + (nparams,) * 4)   # d2g[k, c] = d_c dg[k]
     for lo in range(0, len(mids), EIGH_BLOCK):
         rows = slice(lo, lo + EIGH_BLOCK)
         block, block_eig = mids[rows], (eigensystem[0][rows], eigensystem[1][rows])
         products = _eigenproducts(model, block, block_eig, True, workspace)
-        g[rows], dg[rows], _ = _metric_block(block_eig, products, workspace)
+        dg[rows] = _metric_block(block_eig, products, workspace)[1]
         probes = [_shifted_eigensystem(model, block_eig, c, GEODESIC_FD_STEP, products, workspace)
                   for c in range(nparams)]
         for c, probe in enumerate(probes):
@@ -531,7 +525,6 @@ def _energy_grad_hess(model, points, eigensystem, workspace):
             probe_products = _eigenproducts(model, probe_points, probe, True, workspace)
             probe_dg = _metric_block(probe, probe_products, workspace)[1]
             d2g[rows, c] = (probe_dg - dg[rows]) / GEODESIC_FD_STEP
-    _clip_metric(g, stacklevel=2)
 
     gdelta = np.einsum("kab,kb->ka", g, delta)
     quad = np.einsum("kxab,ka,kb->kx", dg, delta, delta)
@@ -667,7 +660,7 @@ def geodesic(
     flat to rounding near the minimum, a full undamped step is also kept if it
     lowers the gradient residual.  Only the trials' mid-points are
     diagonalized: ``_energy_grad_hess`` reuses the accepted trial's
-    eigensystems and builds its Hessian probes' from them.  The start is the
+    eigensystems and metric, and builds its Hessian probes' from them.  The start is the
     straight chord, resampled once at constant speed; where ``steps // 4`` is a
     whole number >= ``GEODESIC_COARSE_SEGMENTS``, its every fourth point is
     relaxed first, until converged or ``GEODESIC_COARSE_ITERATIONS`` steps, and
@@ -712,11 +705,12 @@ def geodesic(
 
 def _relax(model, points, diag, workspace, coarse=False):
     """One certified level of ``geodesic``; a ``coarse`` one returns when its steps run out.
-    Each iterate, the start and every trial, is evaluated once, by ``_discrete_energy``."""
+    Each iterate, the start and every trial, is evaluated once, by ``_discrete_energy``,
+    whose eigensystems and clipped metric ``_energy_grad_hess`` reuses for the accepted one."""
     diag.levels.append(steps := len(points) - 1)
     most = GEODESIC_COARSE_ITERATIONS if coarse else GEODESIC_MAX_ITERATIONS
     energy, eigensystem, g = _discrete_energy(model, points, workspace)
-    grad, blocks = _energy_grad_hess(model, points, eigensystem, workspace)
+    grad, blocks = _energy_grad_hess(model, points, eigensystem, g, workspace)
     damping = 0.0
     scale = 1.0   # last accepted step fraction; the next line search starts at twice it
     for iteration in range(most + 1):
@@ -748,16 +742,18 @@ def _relax(model, points, diag, workspace, coarse=False):
             except DegenerateGroundStateError:
                 evaluated = (np.inf,)   # a mid-point on a level crossing
             if evaluated[0] < energy:
-                trial_state = _energy_grad_hess(model, trial, evaluated[1], workspace)
+                trial_state = _energy_grad_hess(model, trial, *evaluated[1:], workspace)
                 break
             if scale == 1.0 and damping == 0.0 and evaluated[0] < np.inf:
                 # near the minimum the energy can be flat to rounding
-                trial_state = _energy_grad_hess(model, trial, evaluated[1], workspace)
+                trial_state = _energy_grad_hess(model, trial, *evaluated[1:], workspace)
                 if float(np.abs(_interior_gradient(model, trial, trial_state[0])).max()) < residual:
                     break
             scale *= 0.5
-            if scale < 2.0**-29:   # no lower energy down to 2^-29 of the step
-                raise GeodesicConvergenceError(residual, iteration)
+            if scale < 2.0**-29:
+                raise GeodesicConvergenceError(residual, iteration, (
+                    f"geodesic line search found no lower energy at iteration {iteration}: "
+                    f"halving the step down to 2^-29 of it failed at max gradient {residual:.3e}"))
         diag.iterations += 1
         points, (energy, _, g) = trial, evaluated
         grad, blocks = trial_state

@@ -80,7 +80,7 @@ def fidelity_product(model: HamiltonianFamily, path) -> float:
     which return non-negative probability, so it never exceeds the exact
     final fidelity.
     """
-    dl = step_lengths_along(model, np.atleast_2d(np.asarray(path, dtype=float)))
+    dl = step_lengths_along(model, path)
     return float(np.prod(1.0 - dl**2))
 
 
@@ -108,12 +108,12 @@ def excited_return(model: HamiltonianFamily, path) -> float:
     the mean makes R invariant under path reversal and its error O(1/K^2).
     One walk over the path, the one ``run_stroboscopic`` makes.
     """
-    points = np.atleast_2d(model.check_points(path))
-    split = np.zeros(model.dim)
-    for states in _eigenbases_along(model, points, eigh_many):
+    split, steps = np.zeros(model.dim), 0
+    for states in _eigenbases_along(model, path, eigh_many):
         ratios = branching_along(states)
         split += ratios[:, :, 0].sum(axis=0) + ratios[:, 0, :].sum(axis=0)
-    levels = 0.5 * (len(points) - 1) * split[1:]
+        steps += len(ratios)
+    levels = 0.5 * steps * split[1:]
     return float(0.5 * np.sum(levels**2))
 
 

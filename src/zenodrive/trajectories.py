@@ -141,12 +141,14 @@ def build_trajectory(
     least ``dense_steps``); linear families subdivide the straight chord into
     ``dense_steps`` segments, with both end points exact.  Raises
     ``ValueError`` for an unknown family, a ``dense_steps`` that is not an
-    integer or is below 1, or a ``start`` or ``end`` that fails
-    ``model.check_points``, before building anything.
+    integer or is below 1, a ``geodesic_steps`` that is not an integer or is
+    below 2, or a ``start`` or ``end`` that fails ``model.check_points``,
+    before building anything.
     """
     if family not in FAMILIES:
         raise ValueError(f"unknown path family {family!r}; expected one of {FAMILIES}")
     dense_steps = check_count("dense_steps", dense_steps, 1)
+    geodesic_steps = check_count("geodesic_steps", geodesic_steps, 2)
     start = model.check_points(start)
     end = model.check_points(end)
     if family == "geodesic":

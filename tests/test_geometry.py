@@ -214,8 +214,8 @@ def lipkin_geodesic_run(lipkin10):
         evaluated.append((points.copy(), result[0]))
         return result
 
-    def recording(model, points, eigensystem, workspace):
-        state = energy_grad_hess(model, points, eigensystem, workspace)
+    def recording(model, points, eigensystem, g, workspace):
+        state = energy_grad_hess(model, points, eigensystem, g, workspace)
         assert np.array_equal(evaluated[-1][0], points)
         states.append((state[1],) + evaluated[-1])
         return state
@@ -589,11 +589,11 @@ class TestGeodesic:
         monkeypatch.setattr(zenodrive.geometry, "_eigenproducts", recording)
         rng = np.random.default_rng(3)
         points = perturbed_chord(START, END, 16, rng, axes=[0])
-        eigensystem = zenodrive.geometry._discrete_energy(model, points, _Workspace())[1]
+        _, eigensystem, g = zenodrive.geometry._discrete_energy(model, points, _Workspace())
         assert sum(diagonalized) == 16
         diagonalized.clear()
         evaluated.clear()
-        zenodrive.geometry._energy_grad_hess(model, points, eigensystem, _Workspace())
+        zenodrive.geometry._energy_grad_hess(model, points, eigensystem, g, _Workspace())
         assert diagonalized == []
         mids, *probes = evaluated
         probes = np.concatenate([c.reshape(-1, model.nparams) for c in probes])
@@ -685,7 +685,7 @@ class TestGeodesic:
         rng = np.random.default_rng(3)
         points = perturbed_chord(np.array([0.2, 0.1]), np.array([1.8, 0.6]), segs, rng)
         energy, eigensystem, g = zenodrive.geometry._discrete_energy(model, points, _Workspace())
-        reused = energy_grad_hess(model, points, eigensystem)
+        reused = energy_grad_hess(model, points, eigensystem, g)
         fresh = energy_grad_hess(model, points)
         assert np.array_equal(reused[0], fresh[0])
         for a, b in zip(reused[1], fresh[1]):
@@ -762,9 +762,9 @@ class TestGeodesic:
         energy_grad_hess = zenodrive.geometry._energy_grad_hess
         current, calls = [], []
 
-        def recording(model, points, eigensystem, workspace):
+        def recording(model, points, eigensystem, g, workspace):
             current.append(discrete_energy(model, points, _Workspace())[0])
-            return energy_grad_hess(model, points, eigensystem, workspace)
+            return energy_grad_hess(model, points, eigensystem, g, workspace)
 
         def flat_after_three(model, points, workspace):
             calls.append(1)
@@ -988,6 +988,45 @@ class TestGeodesic:
             geodesic(LipkinModel(4), START, END, 16)
         assert err.value.iterations == 0 and err.value.residual > 0
 
+    @pytest.mark.parametrize("accepted", [0, 2])
+    def test_stall_error_names_the_failed_line_search(self, accepted, monkeypatch):
+        # after ``accepted`` Newton steps no trial lowers the energy: the error
+        # names the failed line search and its iteration, where it read
+        # "stalled ... after 2 iterations", as if the cap of 64 had been reached
+        discrete_energy = zenodrive.geometry._discrete_energy
+        calls = []
+
+        def never_lower(model, points, workspace):
+            calls.append(1)
+            energy, *rest = discrete_energy(model, points, workspace)
+            # the level start, then one accepted trial per Newton step (N=4, 16 segments)
+            return (energy if len(calls) <= 1 + accepted else np.inf), *rest
+
+        monkeypatch.setattr(zenodrive.geometry, "_discrete_energy", never_lower)
+        message = rf"no lower energy at iteration {accepted}: halving the step down to 2\^-29"
+        with pytest.raises(GeodesicConvergenceError, match=message) as err:
+            geodesic(LipkinModel(4), START, END, 16)
+        assert err.value.iterations == accepted
+        assert err.value.residual > zenodrive.geometry.GEODESIC_GTOL
+        assert len(calls) == 1 + accepted + 30   # then trials at 1, 1/2, ..., 2^-29
+
+    def test_one_cap_warning_per_metric_evaluation(self, monkeypatch):
+        # each iterate's metric is formed, clipped and warned about once, by
+        # _discrete_energy, and the Newton step reuses it: this solve warned
+        # 130 times for its 65 evaluations when the step formed its own
+        monkeypatch.setattr(zenodrive.geometry, "METRIC_CAP", 0.5)
+        discrete_energy = zenodrive.geometry._discrete_energy
+        calls = []
+        monkeypatch.setattr(zenodrive.geometry, "_discrete_energy",
+                            lambda *args: calls.append(1) or discrete_energy(*args))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(GeodesicConvergenceError) as err:
+                geodesic(LipkinModel(4), START, END, 48)
+        assert err.value.iterations == zenodrive.geometry.GEODESIC_MAX_ITERATIONS
+        capped = [w for w in caught if "exceeds cap" in str(w.message)]
+        assert len(capped) == len(calls) == 65   # the level start and 64 trials
+
     @pytest.mark.parametrize("pivot", [np.zeros((2, 2)), np.diag([1.0, -1.0])],
                              ids=["zero", "indefinite"])
     def test_singular_or_indefinite_pivot_gives_none(self, pivot):
@@ -1057,14 +1096,14 @@ class TestGeodesicWorkspace:
         workspace = _Workspace()
         points = self.path(zenodrive.geometry.EIGH_BLOCK + 44)
         energy, eigensystem, g = zenodrive.geometry._discrete_energy(model, points, workspace)
-        shared = zenodrive.geometry._energy_grad_hess(model, points, eigensystem, workspace)
+        shared = zenodrive.geometry._energy_grad_hess(model, points, eigensystem, g, workspace)
         assert workspace.buffers   # the kernels did use it
         monkeypatch.setattr(_Workspace, "take",
                             lambda self, name, shape, dtype=float: np.empty(shape, dtype))
         allocating = zenodrive.geometry._discrete_energy(model, points, _Workspace())
         assert allocating[0] == energy and np.array_equal(allocating[2], g)
         self.assert_same_state(
-            shared, energy_grad_hess(model, points, eigensystem))
+            shared, energy_grad_hess(model, points, eigensystem, g))
 
     @pytest.mark.parametrize("model", [LipkinModel(4), ComplexLipkin(4)],
                              ids=["lipkin4", "complex-lipkin4"])
@@ -1079,7 +1118,8 @@ class TestGeodesicWorkspace:
             alone = zenodrive.geometry._discrete_energy(model, points, _Workspace())
             assert energy == alone[0] and np.array_equal(g, alone[2])
             poisoned_takes(workspace)
-            shared = zenodrive.geometry._energy_grad_hess(model, points, eigensystem, workspace)
+            shared = zenodrive.geometry._energy_grad_hess(model, points, eigensystem, g,
+                                                          workspace)
             self.assert_same_state(shared, energy_grad_hess(model, points))
             poisoned_takes(workspace)
 
@@ -1090,6 +1130,7 @@ class TestGeodesicWorkspace:
         points = self.path(16)
         mids = 0.5 * (points[:-1] + points[1:])
         eigensystem = eigh_many(model.hamiltonian_many(mids))
+        g = metric_many(model, mids)
         derivatives, mixed = [], []
         derivative, mixing = model.derivative_many, zenodrive.geometry._mixing
 
@@ -1103,7 +1144,7 @@ class TestGeodesicWorkspace:
 
         monkeypatch.setattr(model, "derivative_many", recording_derivative)
         monkeypatch.setattr(zenodrive.geometry, "_mixing", recording_mixing)
-        energy_grad_hess(model, points, eigensystem)
+        energy_grad_hess(model, points, eigensystem, g)
         at_mids = sorted(axis for p, axis in derivatives if np.array_equal(p, mids))
         assert at_mids == list(range(model.nparams))
         assert len(derivatives) == model.nparams * (1 + model.nparams)   # mids, then each probe
@@ -1125,12 +1166,16 @@ class TestGeodesicWorkspace:
         assert len(made) == 1
 
 
-def energy_grad_hess(model, points, eigensystem=None):
+def energy_grad_hess(model, points, eigensystem=None, g=None):
     """``_energy_grad_hess`` in a fresh workspace, with the mid-points'
-    ``eigensystem`` diagonalized here unless given."""
+    ``eigensystem`` diagonalized here and their metric ``g`` from ``metric_many``
+    unless given."""
+    mids = 0.5 * (points[:-1] + points[1:])
     if eigensystem is None:
-        eigensystem = eigh_many(model.hamiltonian_many(0.5 * (points[:-1] + points[1:])))
-    return zenodrive.geometry._energy_grad_hess(model, points, eigensystem, _Workspace())
+        eigensystem = eigh_many(model.hamiltonian_many(mids))
+    if g is None:
+        g = metric_many(model, mids)
+    return zenodrive.geometry._energy_grad_hess(model, points, eigensystem, g, _Workspace())
 
 
 def eigh_counted_geodesic(model, segs, monkeypatch):
@@ -1570,9 +1615,13 @@ class TestReparameterize:
     @pytest.mark.parametrize("dense_steps", [0, -5])
     def test_rejects_dense_steps_below_one(self, lipkin10, family, dense_steps):
         # without the check linear-v built a 0-segment table, -5 failed inside
-        # numpy, and the geodesic family ignored both
+        # numpy, and the geodesic family ignored both; a geodesic_steps below 2
+        # failed in the geodesic as "steps must be >= 2", naming no argument
+        # of the call, and the linear families ignored it
         with pytest.raises(ValueError, match="dense_steps must be >= 1"):
             build_trajectory(lipkin10, family, START, END, dense_steps=dense_steps)
+        with pytest.raises(ValueError, match="geodesic_steps must be >= 2"):
+            build_trajectory(lipkin10, family, START, END, geodesic_steps=dense_steps + 1)
 
     @pytest.mark.parametrize("family", ["geodesic", "linear-v", "linear-u"])
     @pytest.mark.parametrize("dense_steps", [2.5, 400.0, True, "400"])
@@ -1581,6 +1630,8 @@ class TestReparameterize:
         # the geodesic family took it (and True) as a count
         with pytest.raises(ValueError, match="dense_steps"):
             build_trajectory(lipkin10, family, START, END, dense_steps=dense_steps)
+        with pytest.raises(ValueError, match="geodesic_steps"):
+            build_trajectory(lipkin10, family, START, END, geodesic_steps=dense_steps)
 
     @pytest.mark.parametrize("factor", [2.5, 2.0, True])
     def test_refine_rejects_non_integer_factor(self, factor):

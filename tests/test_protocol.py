@@ -458,7 +458,12 @@ def test_path_is_a_plain_point_array(producer):
     # a single (D,) point is a one-point path
     assert run_stroboscopic(LIPKIN4, path[0]).final_fidelity == 1.0
     assert geometry.path_length(LIPKIN4, path[0]) == 0.0
-    for consumer in (run_stroboscopic, geometry.path_length):
+    assert step_lengths_along(LIPKIN4, path[0]).shape == (0,)
+    assert geometry.cumulative_lengths(LIPKIN4, path[0]).tolist() == [0.0]
+    for lengths in (step_lengths_along, geometry.cumulative_lengths):
+        assert np.array_equal(lengths(LIPKIN4, path[0]), lengths(LIPKIN4, path[:1]))
+    for consumer in (run_stroboscopic, geometry.path_length, step_lengths_along,
+                     geometry.cumulative_lengths):
         with pytest.raises(ValueError, match="width"):
             consumer(LIPKIN4, [1.0, 2.0, 3.0])
 
