@@ -4,13 +4,14 @@ The metric tensor measures the distinguishability of neighboring ground states:
 its quadratic form reproduces, to leading order in the parameter displacement,
 one minus the squared ground-state overlap.  On top of it sit exact step
 lengths, discretized path lengths, a geodesic solver, and the polyline
-resampler behind constant-speed paths.  The solver relaxes the discrete path
-energy with modified Newton steps, damped until the block-tridiagonal Hessian
-is positive definite, coarse to fine where that pays (see ``geodesic``), and
-certifies each relaxed polyline against its exact length.  Its only diagonalizations are
-those of the trial mid-points: the Hessian's forward-difference probes take
-their eigensystems from the mids' by first-order perturbation theory, from
-the same B^c = V^dagger dH_c V and mixing matrices that the mids' metric
+resampler behind constant-speed paths, whose targets ``Trajectory.discretize_many``
+forms.  The solver relaxes the discrete path energy with modified Newton
+steps, damped until the block-tridiagonal Hessian is positive definite,
+coarse to fine where that pays (see ``geodesic``), and certifies each relaxed
+polyline against its exact length.  Its only diagonalizations are those of
+the trial mid-points: the Hessian's forward-difference probes take their
+eigensystems from the mids' by first-order perturbation theory, from the
+same B^c = V^dagger dH_c V and mixing matrices that the mids' metric
 gradient contracts, each formed once per Newton iterate.  Every metric
 kernel of one solve works in one reused ``_Workspace``, the named-buffer
 type the CF4 propagator shares: at N=10 and 256 points per block, seven
@@ -322,7 +323,8 @@ def _eigenbases_along(model: HamiltonianFamily, points: np.ndarray, eigh):
     """Eigenbases along a path, ``EIGH_BLOCK`` points at a time.
 
     This is the one check of a path: every point and the path's shape are checked
-    before any is diagonalized, and a single (D,) point is a one-point path.  Each yielded
+    before any is diagonalized, a single (D,) point is a one-point path, and a
+    path without points raises ``ValueError``.  Each yielded
     (B, dim, dim) stack starts with the last eigenbasis of the previous
     block, so consecutive stacks overlap in one point, each point is
     diagonalized once, and the transitions within the stacks are those of
@@ -338,6 +340,8 @@ def _eigenbases_along(model: HamiltonianFamily, points: np.ndarray, eigh):
     points = np.atleast_2d(model.check_points(points))
     if points.ndim > 2:
         raise ValueError(f"expected a path of shape (M, {model.nparams}), got shape {points.shape}")
+    if len(points) == 0:
+        raise ValueError("path needs at least one point")
     closest, closest_spacing = np.zeros((0, model.dim)), np.inf
     previous = np.zeros((0, model.dim, model.dim))   # no eigenbasis before the first block
     for lo in range(0, len(points), EIGH_BLOCK):
@@ -360,14 +364,13 @@ def step_lengths_along(model: HamiltonianFamily, points: np.ndarray) -> np.ndarr
     whole table.  Emits at most one ``DegeneracyWarning``, naming the
     smallest level spacing on the path.  A single (D,) point has no steps.
     """
-    lengths = [
-        ground_step_lengths(states) for states in _eigenbases_along(model, points, eigh_many)
-    ]
-    return np.concatenate(lengths) if lengths else np.zeros(0)
+    return np.concatenate(
+        [ground_step_lengths(states) for states in _eigenbases_along(model, points, eigh_many)]
+    )
 
 
 def path_length(model: HamiltonianFamily, path) -> float:
-    """Sum of ``step_lengths_along`` the path (0 for fewer than two points); for two
+    """Sum of ``step_lengths_along`` the path (0 for a one-point path); for two
     points, their ground-state distance from the full overlap, valid at any separation."""
     return float(step_lengths_along(model, path).sum())
 
@@ -379,7 +382,7 @@ def cumulative_lengths(model: HamiltonianFamily, points: np.ndarray) -> np.ndarr
     written into the one returned array, which then holds their running sum.
     A single (D,) point gives ``[0.0]``.
     """
-    table = np.zeros(max(len(np.atleast_2d(points)), 1))
+    table = np.zeros(len(np.atleast_2d(points)))
     done = 1
     for states in _eigenbases_along(model, points, eigh_many):
         lengths = ground_step_lengths(states)
@@ -393,23 +396,13 @@ def cumulative_euclidean(points: np.ndarray) -> np.ndarray:
     return np.concatenate([[0.0], np.cumsum(seg)])
 
 
-def resample(points: np.ndarray, table: np.ndarray, count) -> np.ndarray:
-    """Resample a polyline at ``count + 1`` equal quantiles (``_fraction_grid``) of a table.
+def resample(points: np.ndarray, table: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """Resample a polyline at ``targets``, ascending table values from 0 to ``table[-1]``.
 
-    ``count`` may instead be the targets themselves: an ascending array of
-    table values from 0 to ``table[-1]``, one output point each.  The first
-    and last output points are the polyline's end points, copied rather than
-    interpolated, so they stay exact.
-
-    Raises
-    ------
-    ValueError
-        If a scalar ``count`` is not an integer >= 1.
+    The first and last output points are the polyline's end points, copied
+    rather than interpolated, so they stay exact.  ``Trajectory.discretize_many``
+    forms the targets of every stroboscopic path.
     """
-    if np.ndim(count) == 0:
-        targets = _fraction_grid(table[-1], check_count("count", count, 1))
-    else:
-        targets = count
     out = interpolate_at(points, table, targets)
     out[0] = points[0]
     out[-1] = points[-1]
@@ -418,7 +411,8 @@ def resample(points: np.ndarray, table: np.ndarray, count) -> np.ndarray:
 
 def _fraction_grid(total, count):
     """total i / count, i = 0 .. count, as p (total / q) with p / q = i / count in lowest terms:
-    equal fractions of any counts have equal bits (``linspace``'s where gcd(i, count) is 2^k)."""
+    equal fractions of any counts have equal bits (``linspace``'s where gcd(i, count) is 2^k).
+    Called by ``Trajectory.discretize_many`` for every stroboscopic path, and by ``geodesic``."""
     common = np.gcd(np.arange(count + 1), count)
     return np.arange(count + 1) // common * (total / (count // common))
 
@@ -692,7 +686,8 @@ def geodesic(
         points = np.repeat(start[None], steps + 1, axis=0)
         return (points, diag) if return_diagnostics else points
     points = start + np.linspace(0.0, 1.0, steps + 1)[:, None] * (end - start)
-    points = resample(points, cumulative_lengths(model, points), steps)
+    table = cumulative_lengths(model, points)
+    points = resample(points, table, _fraction_grid(table[-1], steps))
     points[:, :] = model.project_point(points)
 
     workspace = _Workspace()   # for every metric kernel of this solve
@@ -728,7 +723,9 @@ def _relax(model, points, diag, workspace, coarse=False):
         diag.solves += 1
         while (step := _solve_hessian(blocks, damping, -interior_grad)) is None:
             if not np.isfinite(damping):   # only a non-finite Hessian gets here
-                raise GeodesicConvergenceError(residual, iteration)
+                raise GeodesicConvergenceError(residual, iteration, (
+                    f"geodesic Hessian is not finite at iteration {iteration}: no damping "
+                    f"made H + damping I positive definite"))
             diag.solves += 1
             damping = max(damping * 10, 1e-8)
         scale = min(1.0, 2.0 * scale)

@@ -17,10 +17,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import _eigenbases_along, _fraction_grid, resample, step_lengths_along
+from .geometry import _eigenbases_along, step_lengths_along
 from .models import HamiltonianFamily, check_count
-from .spectral import _sorted_distinct, branching_along, eigh_many
-from .trajectories import Trajectory, check_resolution
+from .spectral import branching_along, eigh_many
+from .trajectories import Trajectory
 
 
 @dataclass
@@ -60,10 +60,8 @@ def run_stroboscopic(model: HamiltonianFamily, path) -> ProtocolResult:
     path.  Raises ``ValueError`` for a path without points.
     """
     points = np.atleast_2d(np.asarray(path, dtype=float))
-    if len(points) == 0:
-        raise ValueError("path needs at least one point")
     probs = np.zeros((len(points), model.dim))
-    probs[0, 0] = 1.0
+    probs[:1, 0] = 1.0   # no row on a path without points, which the walk rejects
     k = 0
     for states in _eigenbases_along(model, points, eigh_many):
         for ratio in branching_along(states):
@@ -147,27 +145,12 @@ def _final_probabilities(
 ) -> np.ndarray:
     """Final probability rows of the chains of ``step_counts``, all in one eigen-walk.
 
-    The interior time-law targets of every K, ``_fraction_grid(W, K)[1:-1]`` as
-    ``resample`` forms them (W the law length), are merged into their exact sorted
-    distinct union, placed by ``resample`` between the table's two end points,
-    and diagonalized once each, streamed in blocks; each K's chain advances on
-    its own index subsequence of that walk and keeps only its probability row
-    and last eigenbasis.  Each chain's stack in a block is that eigenbasis,
-    then its points in the block.
+    The points ``trajectory.discretize_many`` forms are diagonalized once each,
+    streamed in blocks; each K's chain advances on its own walk over them and
+    keeps only its probability row and last eigenbasis, with which its stack in
+    the next block starts.
     """
-    law = trajectory.law_cumlen
-
-    def interior(k):   # the interior time-law targets of K steps
-        return _fraction_grid(law[-1], k)[1:-1]
-
-    targets = np.concatenate(
-        [[0.0], _sorted_distinct(np.concatenate([interior(k) for k in step_counts])), law[-1:]]
-    )
-    points = resample(trajectory.points, law, targets)
-    # each chain's indices into ``points``: start, its interior targets, end; formed
-    # after the resample, whose temporaries set the peak, so as not to add to it
-    walks = [np.concatenate([[0], 1 + np.searchsorted(targets[1:], interior(k)), [len(points) - 1]])
-             for k in step_counts]
+    points, walks = trajectory.discretize_many(step_counts)
     probs = np.zeros((len(walks), model.dim))
     probs[:, 0] = 1.0
     last = [None] * len(walks)   # each chain's last eigenbasis, a copy
@@ -194,20 +177,17 @@ def zeno_sweep(model: HamiltonianFamily, trajectory: Trajectory, step_counts) ->
 
     Each K's row is that of ``run_stroboscopic(model, trajectory.discretize(K))``
     bit for bit, but counts whose time-law grids share points (see
-    ``_walk_groups``) share one walk over the eigenbases, which diagonalizes
-    each distinct point of their grids once.  On the default 1-2-5 ladder,
-    whose grids nest, that is one walk.  The infidelity-expansion columns use
-    the trajectory's total metric length.  Emits at most one
-    ``DegeneracyWarning`` per walk.  Raises ``ValueError`` for a step count
-    that is not an integer >= 1, a descending list, or a table too coarse for
-    the largest K, before any work.
+    ``_walk_groups``) share one walk over the points ``trajectory.discretize_many``
+    forms, which diagonalizes each distinct point of their grids once.  On the
+    default 1-2-5 ladder, whose grids nest, that is one walk.  The
+    infidelity-expansion columns use the trajectory's total metric length.
+    Emits at most one ``DegeneracyWarning`` per walk.  Raises ``ValueError``
+    for a step count that is not an integer >= 1, a descending list, or a
+    table too coarse for the largest K (in the first group), before any work.
     """
     step_counts = [check_count("step count", k, 1) for k in step_counts]
     if step_counts != sorted(step_counts):
         raise ValueError("step counts must be ascending")
-    if not step_counts:
-        return []
-    check_resolution(trajectory.points.shape[0] - 1, step_counts[-1])
     probs = np.zeros((len(step_counts), model.dim))
     for group in _walk_groups(step_counts):
         probs[group] = _final_probabilities(model, trajectory, [step_counts[i] for i in group])

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import (
+    _fraction_grid,
     cumulative_euclidean,
     cumulative_lengths,
     geodesic,
@@ -24,6 +25,7 @@ from .geometry import (
     resample,
 )
 from .models import HamiltonianFamily, check_count
+from .spectral import _sorted_distinct
 
 FAMILIES = ("geodesic", "linear-v", "linear-u")
 # dense segments a table needs per output step before it resolves a resampling
@@ -106,8 +108,27 @@ class Trajectory:
 
     def discretize(self, steps: int) -> np.ndarray:
         """Stroboscopic path, (steps+1, D) points, at the family's speed law."""
-        steps = check_resolution(self.points.shape[0] - 1, steps)
-        return resample(self.points, self.law_cumlen, steps)
+        points, (walk,) = self.discretize_many([steps])
+        return points[walk]
+
+    def discretize_many(self, step_counts) -> tuple[np.ndarray, list[np.ndarray]]:
+        """Points of the stroboscopic paths of ``step_counts``, and each count's walk over them.
+
+        The one rule for K-step paths, the fractions ``_fraction_grid(W, K)`` of the law
+        length W: all counts' interior targets are resampled once, as their exact sorted
+        distinct union, and each walk is its count's K + 1 indices into the points, with the
+        table's end points at its ends even at W = 0.  Raises ``ValueError``, before any
+        resampling, for a count that is not an integer >= 1 or that the table cannot resolve.
+        """
+        step_counts = [check_resolution(len(self.points) - 1, k) for k in step_counts]
+        law = self.law_cumlen
+        interiors = [_fraction_grid(law[-1], k)[1:-1] for k in step_counts]
+        merged = _sorted_distinct(np.concatenate([[], *interiors]))
+        points = resample(self.points, law, np.concatenate([[0.0], merged, law[-1:]]))
+        # formed after the resample, whose temporaries set a zeno sweep's peak
+        walks = [np.concatenate([[0], 1 + np.searchsorted(merged, interior), [len(points) - 1]])
+                 for interior in interiors]
+        return points, walks
 
     def position_at(self, fractions: np.ndarray) -> np.ndarray:
         """Points at given fractions of elapsed driving time.

@@ -11,6 +11,7 @@ import zenodrive.geometry
 from zenodrive.geometry import (
     DegenerateGroundStateError,
     GeodesicConvergenceError,
+    _fraction_grid,
     _Workspace,
     cumulative_euclidean,
     cumulative_lengths,
@@ -31,7 +32,7 @@ from zenodrive.spectral import (
     ground_step_lengths,
     warn_if_degenerate,
 )
-from zenodrive.trajectories import build_trajectory, table_segments
+from zenodrive.trajectories import Trajectory, build_trajectory, table_segments
 
 START = np.array([0.0, 0.0])
 END = np.array([2.0, 0.5])
@@ -939,7 +940,7 @@ class TestGeodesic:
             return (np.inf if 1 < len(evaluated) <= 3 else energy), *rest
 
         monkeypatch.setattr(zenodrive.geometry, "resample",
-                            lambda points, table, count: points.copy())
+                            lambda points, table, targets: points.copy())
         monkeypatch.setattr(zenodrive.geometry, "_solve_hessian", recording_solve)
         monkeypatch.setattr(zenodrive.geometry, "_discrete_energy", rejecting_two)
         start, end = np.array([0.2, 0.1]), np.array([1.8, 0.6])
@@ -987,6 +988,27 @@ class TestGeodesic:
         with pytest.raises(GeodesicConvergenceError) as err:
             geodesic(LipkinModel(4), START, END, 16)
         assert err.value.iterations == 0 and err.value.residual > 0
+
+    def test_non_finite_hessian_error_names_the_damping_ladder(self, monkeypatch):
+        # no damping makes H + damping I positive definite: the ladder runs to
+        # an infinite damping, where the error read "stalled ... after 0 iterations"
+        interior_gradient = zenodrive.geometry._interior_gradient
+        residuals = []
+
+        def recording(model, points, grad):
+            interior_grad = interior_gradient(model, points, grad)
+            residuals.append(float(np.abs(interior_grad).max()))
+            return interior_grad
+
+        monkeypatch.setattr(zenodrive.geometry, "_solve_hessian", lambda blocks, damping, rhs: None)
+        monkeypatch.setattr(zenodrive.geometry, "_interior_gradient", recording)
+        message = (r"geodesic Hessian is not finite at iteration 0: no damping made "
+                   r"H \+ damping I positive definite")
+        with pytest.raises(GeodesicConvergenceError, match=message) as err:
+            geodesic(LipkinModel(4), START, END, 16)
+        assert err.value.iterations == 0
+        assert err.value.residual == residuals[0] > zenodrive.geometry.GEODESIC_GTOL
+        assert len(residuals) == 1   # the level start's, and no Newton step
 
     @pytest.mark.parametrize("accepted", [0, 2])
     def test_stall_error_names_the_failed_line_search(self, accepted, monkeypatch):
@@ -1391,7 +1413,7 @@ class TestStreamedLengths:
         model = LipkinModel(10)
         assert traced_peak(lambda: cumulative_lengths(model, chord)) <= 3e6
 
-    @pytest.mark.parametrize("count", [0, 1, 2, 8, 100])
+    @pytest.mark.parametrize("count", [1, 2, 8, 100])
     def test_table_is_the_running_sum_of_the_step_lengths(self, count, batch_sizes):
         model = LipkinModel(4)
         points = START + np.linspace(0, 1, count)[:, None] * (END - START)
@@ -1522,7 +1544,7 @@ class TestInterpolateAt:
         # targets, the 1.6 MB output and three scratch numbers per target
         cumlen = np.linspace(0.0, 1.0, 1001)
         points = np.column_stack([cumlen, cumlen**2])
-        peak = traced_peak(lambda: resample(points, cumlen, 100000))
+        peak = traced_peak(lambda: resample(points, cumlen, _fraction_grid(1.0, 100000)))
         assert peak <= 5.5e6
 
     def test_few_targets_read_few_segments(self):
@@ -1697,11 +1719,11 @@ class TestResampleProperties:
     @given(polylines(), st.integers(1, 40))
     def test_resample_at_equal_quantiles(self, line, count):
         points, table = line
-        out = resample(points, table, count)
+        out = resample(points, table, _fraction_grid(table[-1], count))
         assert out.shape == (count + 1, points.shape[1])
         assert np.array_equal(out[0], points[0]) and np.array_equal(out[-1], points[-1])
         # carry the table along as one more coordinate: it reads back the targets
-        tagged = resample(np.column_stack([points, table]), table, count)
+        tagged = resample(np.column_stack([points, table]), table, _fraction_grid(table[-1], count))
         assert np.array_equal(tagged[1:-1, :-1], out[1:-1])
         quantiles = np.linspace(0.0, table[-1], count + 1)
         assert np.abs(tagged[1:-1, -1] - quantiles[1:-1]).max(initial=0.0) <= 1e-12 * table[-1]
@@ -1709,9 +1731,14 @@ class TestResampleProperties:
 
     @pytest.mark.parametrize("count", [0, -1, True, 2.0])
     def test_resample_rejects_a_bad_count(self, count):
-        points = np.array([[0.0, 0.0], [1.0, 0.5]])
-        with pytest.raises(ValueError, match="count"):
-            resample(points, np.array([0.0, 1.0]), count)
+        # the step count of a resampled path is checked where the grid is formed
+        points = refine(np.array([[0.0, 0.0], [1.0, 0.5]]), 10)
+        table = cumulative_euclidean(points)
+        trajectory = Trajectory("linear-u", points, table, table)
+        with pytest.raises(ValueError, match="steps must be >= 1 and an integer"):
+            trajectory.discretize(count)
+        with pytest.raises(ValueError, match="steps must be >= 1 and an integer"):
+            trajectory.discretize_many([1, count])
 
     @settings(max_examples=200, deadline=None)
     @given(polylines(), st.integers(1, 8))

@@ -1,3 +1,4 @@
+import ast
 import os
 import subprocess
 import sys
@@ -119,3 +120,20 @@ print("numpy.ma" in sys.modules)
         "2416, 3079, 3924, 5000) (1, 2, 3, 4, 5)"
     )
     assert imported == "False"
+
+
+def test_time_law_grid_is_formed_by_trajectory_alone():
+    # the length tables and the K-step grid on them are read in one module, so
+    # a new representation of the time law changes ``trajectories.py`` alone;
+    # ``geodesic`` forms its own chord start before any table exists
+    tables, grids = set(), set()
+    for path in sorted((SRC / "zenodrive").glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            where = f"{path.stem}.{getattr(top, 'name', '')}"
+            for node in ast.walk(top):
+                if isinstance(node, ast.Attribute) and node.attr in ("law_cumlen", "metric_cumlen"):
+                    tables.add(path.stem)
+                if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_fraction_grid":
+                    grids.add(path.stem if path.stem == "trajectories" else where)
+    assert tables == {"trajectories"}
+    assert grids == {"trajectories", "geometry.geodesic"}

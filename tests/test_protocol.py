@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 from conftest import traced_peak
 
-from zenodrive import geometry, protocol
+from zenodrive import geometry, protocol, trajectories
 from zenodrive.cli import CONFIG_SPEC, _parse_value
-from zenodrive.geometry import path_length, step_lengths_along
+from zenodrive.geometry import cumulative_lengths, path_length, step_lengths_along
 from zenodrive.models import HamiltonianFamily, LipkinModel, TwoLevelModel
 from zenodrive.protocol import (
     ProtocolResult,
@@ -118,6 +118,15 @@ def test_rejects_a_path_of_more_than_two_dimensions(consumer):
     # many values to unpack (expected 2)"
     with pytest.raises(ValueError, match=r"path of shape \(M, 2\), got shape \(2, 2, 2\)"):
         consumer(LIPKIN4, np.zeros((2, 2, 2)))
+
+
+@pytest.mark.parametrize("consumer", [cumulative_lengths, step_lengths_along, path_length,
+                                      excited_return, fidelity_product])
+def test_rejects_a_path_without_points(consumer):
+    # the one path check rejects it, as ``run_stroboscopic`` did alone: the
+    # others returned a table [0.], no steps, a length of 0, R = 0 and F = 1
+    with pytest.raises(ValueError, match="path needs at least one point"):
+        consumer(LIPKIN4, np.zeros((0, 2)))
 
 
 class TestFidelityProduct:
@@ -283,6 +292,14 @@ ZENO_LISTS = {
 }
 
 
+def zero_law_trajectory():
+    """Distinct points on a time-law table of zero length, 30 segments."""
+    points = np.array([[0.0, 0.0], [0.4, 0.1], [1.0, 0.3], [2.0, 0.5]])
+    points = geometry.refine(points, 10)
+    zeros = np.zeros(len(points))
+    return Trajectory("linear-v", points, zeros, zeros)
+
+
 def per_k_rows(model, trajectory, step_counts):
     """The chain's infidelities with one ``run_stroboscopic`` walk per K."""
     return [
@@ -359,10 +376,7 @@ class TestZenoWalk:
         # distinct points that the time law does not advance: every interior
         # target is 0, which resamples to the table's last interior point,
         # while each path still starts and ends on the table's end points
-        points = np.array([[0.0, 0.0], [0.4, 0.1], [1.0, 0.3], [2.0, 0.5]])
-        points = geometry.refine(points, 10)
-        zeros = np.zeros(len(points))
-        trajectory = Trajectory("linear-v", points, zeros, zeros)
+        trajectory = zero_law_trajectory()
         ks = [1, 2, 3]
         rows = zeno_sweep(LIPKIN4, trajectory, ks)
         assert [r["I_exact"] for r in rows] == per_k_rows(LIPKIN4, trajectory, ks)
@@ -378,6 +392,55 @@ class TestZenoWalk:
         with pytest.raises(ValueError, match="too coarse: 499 segments cannot resolve 50"):
             zeno_sweep(LIPKIN4, trajectory, [5, 49, 50])
         assert zeno_sweep(LIPKIN4, trajectory, []) == []
+
+
+class TestDiscretizeMany:
+    """The one rule for K-step paths, shared by ``discretize`` and the zeno walk."""
+
+    @staticmethod
+    def assert_walks_reproduce_discretize(trajectory, ks):
+        points, walks = trajectory.discretize_many(ks)
+        assert len(walks) == len(ks)
+        law = trajectory.law_cumlen
+        for k, walk in zip(ks, walks):
+            path = trajectory.discretize(k)
+            assert np.array_equal(points[walk], path)
+            # the equal fractions of the time law, ends copied: the path of one resample
+            grid = geometry.resample(trajectory.points, law, geometry._fraction_grid(law[-1], k))
+            assert np.array_equal(path, grid)
+
+    @pytest.mark.parametrize("family", ["geodesic", "linear-v", "linear-u"])
+    def test_walks_reproduce_discretize_on_the_default_ladder(self, trajectories10, family):
+        self.assert_walks_reproduce_discretize(trajectories10[family], DEFAULT_LADDER)
+
+    @pytest.mark.parametrize("family", ["geodesic", "linear-v", "linear-u"])
+    def test_walks_reproduce_discretize_on_a_list_that_does_not_nest(self, trajectories4, family):
+        self.assert_walks_reproduce_discretize(trajectories4[family], [7, 12, 50])
+
+    def test_walks_reproduce_discretize_on_a_table_of_zero_law_length(self):
+        trajectory = zero_law_trajectory()
+        self.assert_walks_reproduce_discretize(trajectory, [1, 2, 3])
+        points, walks = trajectory.discretize_many([1, 2, 3])
+        # the interior targets collapse to 0, the ends stay apart
+        assert len(points) == 3 and [walk.tolist() for walk in walks] == [
+            [0, 2], [0, 1, 2], [0, 1, 1, 2]
+        ]
+
+    def test_no_counts_give_no_walks(self):
+        # the table's end points and no path
+        trajectory = zero_law_trajectory()
+        points, walks = trajectory.discretize_many([])
+        assert walks == [] and np.array_equal(points, trajectory.points[[0, -1]])
+
+    def test_too_coarse_rejected_before_any_resample(self, monkeypatch):
+        trajectory = build_trajectory(LIPKIN4, "linear-v", START, END, dense_steps=499)
+
+        def no_resample(*args):
+            raise AssertionError("resampled")
+
+        monkeypatch.setattr(trajectories, "resample", no_resample)
+        with pytest.raises(ValueError, match="too coarse: 499 segments cannot resolve 50"):
+            trajectory.discretize_many([5, 49, 50])
 
 
 class TestEquidistantOptimality:
