@@ -23,9 +23,7 @@ from .models import (
     HamiltonianFamily,
     LipkinModel,
     TwoLevelModel,
-    brute_force_lipkin,
     collective_spin_ops,
-    dicke_states,
 )
 from .protocol import (
     ProtocolResult,
@@ -57,11 +55,9 @@ __all__ = [
     "ReducedDensityMatrix",
     "TwoLevelModel",
     "Trajectory",
-    "brute_force_lipkin",
     "build_trajectory",
     "coherent_sweep",
     "collective_spin_ops",
-    "dicke_states",
     "eigh_many",
     "evolve_gadget",
     "excited_return",

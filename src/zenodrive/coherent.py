@@ -14,9 +14,8 @@ T = 1 ... 600, max|U^dagger U - I| per exponential is 3.3e-16 - 1.1e-15
 I_coh is within 0 ... 1.6e-14 of a long-double run on the same steps
 (eigh: 1.6e-16 ... 3.0e-13).  Every block of every pass of one run is
 built in one ``geometry._Workspace``: five real stacks and the complex
-result, 1.7 MB at N=10, allocated once per run (a six-time
-``coherent_sweep`` on the 20k-segment N=10 table takes 0.9k minor page
-faults, 22.7k with per-block buffers).  The step count doubles adaptively
+result, 1.7 MB at N=10, each allocated once per ``integrate_schrodinger``
+call, not once per block.  The step count doubles adaptively
 until the final ground-state fidelity is converged; trace times are exact
 step boundaries.  Once the changes shrink at CF4's fourth order, on a time
 law that resolves the grid, the last doubling is saved: the run stops on

@@ -15,9 +15,8 @@ same B^c = V^dagger dH_c V and mixing matrices that the mids' metric
 gradient contracts, each formed once per Newton iterate.  Every metric
 kernel of one solve works in one reused ``_Workspace``, the named-buffer
 type the CF4 propagator shares: at N=10 and 256 points per block, seven
-stacks of (dim, dim) matrices and a mask, 1.8 MB.  With it the default
-solve's traced peak is 3.3 MB, against 3.8 MB when every kernel allocated
-its own temporaries, and its minor page faults 1.2k, against 29.3k.
+stacks of (dim, dim) matrices and a mask, 1.8 MB, each allocated once per
+relaxed level, not once per Newton step or trial.
 """
 from __future__ import annotations
 
@@ -66,13 +65,10 @@ class _Workspace:
     one: ``integrate_schrodinger`` for the CF4 exponentials of all its
     blocks and doubling passes, ``geodesic`` for the metric kernels of all
     its Newton steps and line searches, and ``metric_many`` and
-    ``metric_with_gradient_many`` for their blocks.  Allocated per use
-    instead, block-sized temporaries were freed and their pages handed back
-    to the system, to be faulted in again by the next block: with glibc's
-    allocator, a ``coherent_sweep`` over the six benchmark times on the
-    20k-segment N=10 table took 22.7k minor page faults, and 0.9k with one
-    workspace per call; the default N=10, 256-segment geodesic in a fresh
-    interpreter took 29.3k, and 1.2k.
+    ``metric_with_gradient_many`` for their blocks.  Each buffer is then
+    allocated once per call (once per relaxed level in ``geodesic``), where
+    block-sized temporaries allocated per use were freed and their pages
+    handed back to the system, to be faulted in again by the next block.
     """
 
     def __init__(self):

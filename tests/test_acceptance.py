@@ -8,10 +8,11 @@ import functools
 
 import numpy as np
 import pytest
+from lipkin_oracle import brute_force_lipkin
 
 from zenodrive.coherent import integrate_schrodinger, minimal_steps
 from zenodrive.geometry import interpolate_at, metric_many, step_lengths_along
-from zenodrive.models import LipkinModel, TwoLevelModel, brute_force_lipkin
+from zenodrive.models import LipkinModel, TwoLevelModel
 from zenodrive.protocol import infidelity_terms, run_stroboscopic, zeno_sweep
 from zenodrive.spectator import evolve_gadget, reduced_density
 from zenodrive.spectral import eigh_many

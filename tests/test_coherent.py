@@ -19,6 +19,12 @@ from zenodrive.spectral import eigh_many
 from zenodrive.trajectories import Trajectory, build_trajectory
 
 
+def ground_states(model, position_fn, fractions):
+    """Ground states at the time fractions, one row each, where the integrator starts and scores."""
+    points = position_fn(np.asarray(fractions, dtype=float))
+    return eigh_many(model.hamiltonian_many(points))[1][..., 0]
+
+
 def angle_ramp(total_angle):
     def position(fractions):
         return np.asarray(fractions, dtype=float)[..., None] * total_angle
@@ -69,6 +75,7 @@ class TestIntegrator:
         assert 4 <= infids[1] / infids[2] <= 64
 
     def test_fourth_order_step_convergence(self, two_level):
+        # private route kept: a unit test of a kernel that stays
         # halving the CF4 step shrinks the fidelity error ~16x (measured 15.98,
         # 15.99, 15.99); the midpoint rule gives ~4x, and CF4 with its two
         # exponentials swapped is only second order
@@ -78,7 +85,7 @@ class TestIntegrator:
         ramp = angle_ramp(np.pi)
         target = eigh_many(two_level.hamiltonian_many(np.array([np.pi])))[1][:, 0]
         exact = integrate_schrodinger(two_level, ramp, total_time, tolerance=1e-13).fidelity
-        initial = coherent._ground_states(two_level, ramp, [0.0])[0]
+        initial = ground_states(two_level, ramp, [0.0])[0]
         errs = []
         for n in (16, 32, 64, 128):
             knots = np.arange(n + 1) / n
@@ -109,6 +116,7 @@ class TestIntegrator:
     @pytest.mark.parametrize("cap, total_time, first", [(100, 5.0, 64), (256, 200.0, 200)])
     def test_first_grid_above_half_the_cap_is_not_doubled(self, two_level, monkeypatch, cap,
                                                           total_time, first):
+        # private route kept: a count of work that no public output reports yet
         # no doubling fits under the cap: the one run raises with its own
         # fidelity as both last values, and no grid runs past the cap
         grids = []
@@ -166,7 +174,7 @@ class TestIntegrator:
         unitaries = eye
         for order in range(29, 0, -1):
             unitaries = eye + (generators / order) @ unitaries
-        initial, target = coherent._ground_states(model, golden_chord4.position_at, [0.0, 1.0])
+        initial, target = ground_states(model, golden_chord4.position_at, [0.0, 1.0])
         psi = initial.astype(np.clongdouble)
         for unitary in unitaries:
             psi = unitary @ psi
@@ -306,6 +314,7 @@ class TestSortedDistinct:
 
     @pytest.mark.parametrize("seed", range(5))
     def test_matches_numpy_set_routines(self, seed):
+        # private route kept: a unit test of a kernel that stays
         rng = np.random.default_rng(seed)
         steps = int(rng.integers(1, 300))
         grid = np.arange(steps + 1) / steps
@@ -319,6 +328,7 @@ class TestSortedDistinct:
         assert self.bits(knots).tolist() == self.bits(np.union1d(grid, fractions)).tolist()
 
     def test_empty_and_single(self):
+        # private route kept: a unit test of a kernel that stays
         for values in (np.zeros(0), np.array([0.25])):
             got = coherent._sorted_distinct(values)
             assert got.dtype == float
@@ -363,6 +373,7 @@ def random_hermitian(rng, batch, dim, norm, dtype=float):
 
 def expm_minus_i(x):
     """``_expm_minus_i`` in a fresh workspace."""
+    # private route kept: a unit test of a kernel that stays
     return coherent._expm_minus_i(x, _Workspace())
 
 
@@ -380,6 +391,7 @@ class TestExpmMinusI:
     @pytest.mark.parametrize("norm", [0.0, 0.5, 1.0, 1.0 + 1e-9, 40.0])
     @pytest.mark.parametrize("dtype", [float, complex])
     def test_matches_expm(self, norm, dtype):
+        # private route kept: a unit test of a kernel that stays
         from scipy.linalg import expm
 
         x = random_hermitian(np.random.default_rng(7), 16, 11, norm, dtype)
@@ -404,6 +416,7 @@ class TestExpmMinusI:
 
     @pytest.mark.parametrize("dtype", [float, complex])
     def test_reuse_after_a_full_block_reads_no_stale_entries(self, dtype):
+        # private route kept: a unit test of a kernel that stays
         # a workspace filled by a full block of EIGH_BLOCK exponentials, then
         # poisoned, serves a short block (other norms, three of them on the
         # double-angle path) with the bits of a fresh workspace
@@ -431,6 +444,7 @@ class TestExpmMinusI:
         assert np.array_equal(expm_minus_i(x), alone)
 
     def test_step_unitaries_call_no_eigh(self, monkeypatch):
+        # private route kept: a unit test of a kernel that stays
         def eigh(*args, **kwargs):
             raise AssertionError("np.linalg.eigh called")
 
@@ -499,13 +513,14 @@ def linear_chord(fractions):
 
 class TestStreamedProduct:
     def test_propagate_folds_one_step_at_a_time(self):
+        # private route kept: a unit test of a kernel that stays
         model = LipkinModel(4)
         steps = 300   # three blocks of EIGH_BLOCK // 2 = 128 steps
         fractions = [0.10011, 0.37013, 0.5, 0.91234]
         knots = np.union1d(np.arange(steps + 1) / steps, fractions)
         marks = np.append(np.searchsorted(knots, fractions), knots.size - 1)
         assert np.all(marks % (coherent.EIGH_BLOCK // 2))   # off the block grid
-        initial = coherent._ground_states(model, linear_chord, [0.0])[0]
+        initial = ground_states(model, linear_chord, [0.0])[0]
         # reference: each step's two exponentials applied to the state in turn
         psi = initial.astype(complex)
         expected = {0: psi}
@@ -519,6 +534,7 @@ class TestStreamedProduct:
 
     @pytest.mark.parametrize("block", [2, 4, 6, 64, 256])
     def test_propagate_matches_one_block_per_chunk(self, block, monkeypatch):
+        # private route kept: a unit test of a kernel that stays
         model = LipkinModel(4)
         trajectory = build_trajectory(
             model, "linear-v", np.array([0.0, 0.0]), np.array([2.0, 0.5]), dense_steps=400
@@ -527,7 +543,7 @@ class TestStreamedProduct:
         fractions = [0.10011, 0.37013, 0.5, 0.91234]   # off the block grid
         knots = np.union1d(np.arange(steps + 1) / steps, fractions)
         marks = np.append(np.searchsorted(knots, fractions), knots.size - 1)
-        initial = coherent._ground_states(model, trajectory.position_at, [0.0])[0]
+        initial = ground_states(model, trajectory.position_at, [0.0])[0]
 
         def states(size, workspace):
             monkeypatch.setattr(coherent, "EIGH_BLOCK", size)
@@ -545,11 +561,12 @@ class TestStreamedProduct:
             assert np.array_equal(states(block, workspace), one_block)
 
     def test_reuse_after_a_full_block_reads_no_stale_entries(self):
+        # private route kept: a unit test of a kernel that stays
         # a workspace filled by a full block, then poisoned, serves a run of
         # one short block with the bits of a fresh workspace
         model = LipkinModel(10)
         knots = np.arange(21) / 20   # 40 exponentials
-        initial = coherent._ground_states(model, linear_chord, [0.0])[0]
+        initial = ground_states(model, linear_chord, [0.0])[0]
         workspace = _Workspace()
         coherent._propagate(model, linear_chord, 30.0, np.arange(201) / 200, [200], initial,
                             workspace)
@@ -560,6 +577,7 @@ class TestStreamedProduct:
         assert np.array_equal(got, fresh)
 
     def test_one_workspace_per_integrate_call(self, monkeypatch):
+        # private route kept: a count of work that no public output reports yet
         # one workspace serves every block of every pass, and its two buffers
         # are allocated once each, for a whole block
         made, allocated = [], []
@@ -584,13 +602,14 @@ class TestStreamedProduct:
         assert allocated == [("stacks", (5,) + block, float), ("unitaries", block, complex)]
 
     def test_working_set_is_one_block(self):
+        # private route kept: a unit test of a kernel that stays
         # N=10 over 4 096 steps: 81.6 MB traced when all 8 192 step unitaries
         # are built at once, 2.20 MB with one reused workspace of 256
         # exponentials (2.38 MB with fresh arrays for every block)
         model = LipkinModel(10)
         steps = 4096
         knots = np.arange(steps + 1) / steps
-        initial = coherent._ground_states(model, linear_chord, [0.0])[0]
+        initial = ground_states(model, linear_chord, [0.0])[0]
         peak = traced_peak(lambda: coherent._propagate(
             model, linear_chord, 40.0, knots, [steps], initial, _Workspace()))
         assert peak <= 16e6
@@ -626,6 +645,7 @@ def dop853_and_cf4(total_time):
 
 def counting_propagations(monkeypatch):
     """Calls to ``coherent._propagate`` made from here on."""
+    # private route kept: a count of work that no public output reports yet
     calls = []
     propagate = coherent._propagate
 
@@ -675,7 +695,7 @@ def dop853_two_level(total_time, total_angle):
     from scipy.integrate import solve_ivp
 
     model, ramp = TwoLevelModel(), angle_ramp(total_angle)
-    initial, target = coherent._ground_states(model, ramp, [0.0, 1.0])
+    initial, target = ground_states(model, ramp, [0.0, 1.0])
 
     def rhs(t, y):
         return -1j * (model.hamiltonian_many(ramp(t / total_time)) @ y)
@@ -698,7 +718,7 @@ class TestOrderAwareStop:
         assert result.error_estimate < coherent.DEFAULT_TOLERANCE <= 15 * result.error_estimate
         assert plain.error_estimate < coherent.DEFAULT_TOLERANCE
         # the state belongs to the 512-step grid; only the fidelity is corrected
-        _, target = coherent._ground_states(model, sweep_chord10.position_at, [0.0, 1.0])
+        _, target = ground_states(model, sweep_chord10.position_at, [0.0, 1.0])
         fine = abs(np.vdot(target, result.state)) ** 2
         assert abs(result.fidelity - fine) == pytest.approx(result.error_estimate, rel=1e-6)
         # measured 3.2e-11 from the tolerance=1e-10 run (the uncorrected
@@ -731,8 +751,8 @@ class TestOrderAwareStop:
         assert result.fidelity == plain.fidelity
         assert np.array_equal(result.state, plain.state)
         assert (result.passes, result.error_estimate) == (plain.passes, plain.error_estimate)
-        monkeypatch.setattr(coherent, "_resolved_steps", lambda position_fn: np.inf)
-        unguarded = integrate_schrodinger(model, trajectory.position_at, 60.0)
+        # the same time law behind a plain callable, which has no resolution limit
+        unguarded = integrate_schrodinger(model, lambda f: trajectory.position_at(f), 60.0)
         assert unguarded.substeps == 256
 
     def test_never_worse_than_tolerance_or_the_plain_rule(self, monkeypatch):

@@ -205,6 +205,7 @@ def lipkin_geodesic_run(lipkin10):
     ``_discrete_energy`` evaluated last, and the last iterate is the
     returned path.
     """
+    # private route kept: a count of work that no public output reports yet
     states, solved, evaluated = [], [], []
     discrete_energy = zenodrive.geometry._discrete_energy
     energy_grad_hess = zenodrive.geometry._energy_grad_hess
@@ -572,6 +573,7 @@ class TestGeodesic:
         assert hessian_gradient_gap(LipkinModel(4), points, v) <= 1e-7
 
     def test_probes_one_forward_set_per_axis(self, monkeypatch):
+        # private route kept: a count of work that no public output reports yet
         # only the mids go to eigh_many, in the line-search energy, none in the
         # Newton step; D probe points per segment get the metric gradient,
         # none below the lower bounds, on a path that starts on chi = 0
@@ -619,6 +621,7 @@ class TestGeodesic:
 
     @pytest.mark.parametrize("model_size", [4, 10])
     def test_hessian_matches_eigh_probes(self, model_size, monkeypatch):
+        # private route kept: a unit test of a kernel that stays
         # the Hessian blocks from perturbative probe eigensystems against
         # those from diagonalizing every probe
         model = LipkinModel(model_size)
@@ -661,6 +664,7 @@ class TestGeodesic:
     @pytest.mark.parametrize("nparams", [1, 2, 3])
     @pytest.mark.parametrize("size", [1, 2, 3, 7, 255])
     def test_cyclic_reduction_returns_none_unless_positive_definite(self, nparams, size):
+        # private route kept: a unit test of a kernel that stays
         # random symmetric (indefinite) block-tridiagonal systems, shifted to
         # put their smallest eigenvalue just above and just below zero
         rng = np.random.default_rng(100 * nparams + size)
@@ -678,6 +682,7 @@ class TestGeodesic:
             assert (x is not None) == positive
 
     def test_energy_grad_hess_from_line_search_eigensystem(self):
+        # private route kept: a unit test of a kernel that stays
         # the mid-point eigensystems and metric the line-search energy keeps
         # give the same bits as diagonalizing again, also across an EIGH_BLOCK
         # boundary
@@ -702,6 +707,7 @@ class TestGeodesic:
             assert np.array_equal(a, b)
 
     def test_diagnostics_count_trials_and_solves(self, monkeypatch):
+        # private route kept: a count of work that no public output reports yet
         plain = geodesic(LipkinModel(4), START, END, 48)
         energies, solves = [], []
         discrete_energy = zenodrive.geometry._discrete_energy
@@ -725,6 +731,7 @@ class TestGeodesic:
         assert np.array_equal(plain, traced)   # diagnostics do not change the path
 
     def test_trial_on_a_level_crossing_is_rejected(self, monkeypatch):
+        # private route kept: a fault injection that no public input reaches
         # a trial whose mid-points include a degenerate one counts as a trial of
         # infinite energy: the line search halves the step instead of raising
         discrete_energy = zenodrive.geometry._discrete_energy
@@ -752,6 +759,7 @@ class TestGeodesic:
         assert diag.residual < zenodrive.geometry.GEODESIC_GTOL
 
     def test_full_steps_at_once_where_the_energy_is_flat(self, monkeypatch):
+        # private route kept: a fault injection that no public input reaches
         # after the first three trials every trial energy equals the current
         # one bit for bit, as near the minimum: each full undamped step that
         # lowers the residual is kept at once, and they reach the same minimum
@@ -866,6 +874,7 @@ class TestGeodesic:
         assert np.abs(path - direct).max() <= 1e-6
 
     def test_failed_coarse_level_falls_back_to_the_chord(self, monkeypatch):
+        # private route kept: a fault injection that no public input reaches
         # a coarse level whose certificate fails raises; the fine level then
         # relaxes from the chord, as the direct solve does, to the same bits
         model = LipkinModel(6)
@@ -916,6 +925,7 @@ class TestGeodesic:
         assert diag.levels == levels
 
     def test_line_search_starts_at_twice_the_accepted_step(self, monkeypatch):
+        # private route kept: a fault injection that no public input reaches
         # the first two trials are rejected, so the first step is taken at a
         # quarter; the next search starts at a half (the chord's resampling is
         # replaced by a copy, so the relaxation starts from the plain chord)
@@ -981,6 +991,7 @@ class TestGeodesic:
             build_trajectory(lipkin10, "geodesic", START, END, geodesic_steps=steps)
 
     def test_undamped_step_that_does_not_lower_the_residual_raises(self, monkeypatch):
+        # private route kept: a fault injection that no public input reaches
         # a zero step never lowers the energy or the residual: its trial is
         # the current path, so the error comes at iteration 0
         monkeypatch.setattr(zenodrive.geometry, "_solve_hessian",
@@ -990,6 +1001,7 @@ class TestGeodesic:
         assert err.value.iterations == 0 and err.value.residual > 0
 
     def test_non_finite_hessian_error_names_the_damping_ladder(self, monkeypatch):
+        # private route kept: a fault injection that no public input reaches
         # no damping makes H + damping I positive definite: the ladder runs to
         # an infinite damping, where the error read "stalled ... after 0 iterations"
         interior_gradient = zenodrive.geometry._interior_gradient
@@ -1012,6 +1024,7 @@ class TestGeodesic:
 
     @pytest.mark.parametrize("accepted", [0, 2])
     def test_stall_error_names_the_failed_line_search(self, accepted, monkeypatch):
+        # private route kept: a fault injection that no public input reaches
         # after ``accepted`` Newton steps no trial lowers the energy: the error
         # names the failed line search and its iteration, where it read
         # "stalled ... after 2 iterations", as if the cap of 64 had been reached
@@ -1033,6 +1046,7 @@ class TestGeodesic:
         assert len(calls) == 1 + accepted + 30   # then trials at 1, 1/2, ..., 2^-29
 
     def test_one_cap_warning_per_metric_evaluation(self, monkeypatch):
+        # private route kept: a count of work that no public output reports yet
         # each iterate's metric is formed, clipped and warned about once, by
         # _discrete_energy, and the Newton step reuses it: this solve warned
         # 130 times for its 65 evaluations when the step formed its own
@@ -1052,6 +1066,7 @@ class TestGeodesic:
     @pytest.mark.parametrize("pivot", [np.zeros((2, 2)), np.diag([1.0, -1.0])],
                              ids=["zero", "indefinite"])
     def test_singular_or_indefinite_pivot_gives_none(self, pivot):
+        # private route kept: a unit test of a kernel that stays
         rng = np.random.default_rng(7)
         h_low, h_high, h_cross = spd_blocks(rng, 8, 2)
         rhs = np.ones((7, 2))
@@ -1061,6 +1076,7 @@ class TestGeodesic:
         assert zenodrive.geometry._solve_hessian((h_low, h_high, h_cross), 0.0, rhs) is None
 
     def test_failed_solve_retries_with_damping(self, monkeypatch):
+        # private route kept: a fault injection that no public input reaches
         # a solve that finds H indefinite (None) is retried with more damping
         solve = zenodrive.geometry._solve_hessian
         dampings = []
@@ -1075,6 +1091,7 @@ class TestGeodesic:
         assert dampings[0] == 0.0 and dampings[1] > 0.0
 
     def test_solve_that_never_succeeds_raises(self, monkeypatch):
+        # private route kept: a fault injection that no public input reaches
         # as from a non-finite Hessian: the damping overflows, and the ladder
         # ends with an error instead of looping
         dampings = []
@@ -1088,6 +1105,7 @@ class TestGeodesic:
         assert err.value.iterations == 0 and dampings[-1] == np.inf
 
     def test_coding_error_in_solve_is_not_retried(self, monkeypatch):
+        # private route kept: a fault injection that no public input reaches
         def broken(blocks, damping, rhs):
             raise TypeError("not a failed solve")
 
@@ -1113,6 +1131,7 @@ class TestGeodesicWorkspace:
     @pytest.mark.parametrize("model", [LipkinModel(10), ComplexLipkin(4)],
                              ids=["lipkin10", "complex-lipkin4"])
     def test_workspace_gives_the_allocating_bits(self, model, monkeypatch):
+        # private route kept: a unit test of a kernel that stays
         # one workspace through a line-search energy and a Newton iterate,
         # across an EIGH_BLOCK boundary, against a fresh array at every take
         workspace = _Workspace()
@@ -1130,6 +1149,7 @@ class TestGeodesicWorkspace:
     @pytest.mark.parametrize("model", [LipkinModel(4), ComplexLipkin(4)],
                              ids=["lipkin4", "complex-lipkin4"])
     def test_reuse_after_a_larger_count_reads_no_stale_entries(self, model, monkeypatch):
+        # private route kept: a unit test of a kernel that stays
         # a workspace filled by 48 segments, then poisoned, serves 16 and 48
         # segments with the bits of a stand-alone call
         monkeypatch.setattr(zenodrive.geometry, "EIGH_BLOCK", 40)   # a short second block
@@ -1146,6 +1166,7 @@ class TestGeodesicWorkspace:
             poisoned_takes(workspace)
 
     def test_mid_products_formed_once_per_axis(self, monkeypatch):
+        # private route kept: a count of work that no public output reports yet
         # B^c and T^c at the mids serve both the metric gradient and the
         # probes: one derivative_many per axis and one _mixing (of all axes) there
         model = LipkinModel(4)
@@ -1175,6 +1196,7 @@ class TestGeodesicWorkspace:
         assert len(mixed) == 1 + model.nparams
 
     def test_one_workspace_per_solve(self, monkeypatch):
+        # private route kept: a count of work that no public output reports yet
         made = []
 
         class Counting(_Workspace):
@@ -1187,11 +1209,46 @@ class TestGeodesicWorkspace:
         assert diag.iterations > 0 and diag.trials > 0
         assert len(made) == 1
 
+    def test_each_buffer_allocated_once_per_level(self, monkeypatch):
+        # private route kept: a count of work that no public output reports yet
+        allocated = counting_allocations(monkeypatch)
+        _, diag = geodesic(LipkinModel(4), START, END, 256, return_diagnostics=True)
+        assert diag.levels == [64, 256]
+        # the coarse level's blocks of 64 mid-points, then the fine level's 256
+        assert sorted(allocated) == sorted(2 * ["bmats", "denom", "keep", "shifted", "tmats"])
+
+    def test_metric_kernels_allocate_each_buffer_once(self, monkeypatch):
+        # private route kept: a count of work that no public output reports yet
+        allocated = counting_allocations(monkeypatch)
+        points = self.path(2 * zenodrive.geometry.EIGH_BLOCK + 88)   # a short last block
+        metric_many(ComplexLipkin(4), points)
+        assert allocated == ["adjoint"]
+        allocated.clear()
+        metric_with_gradient_many(LipkinModel(4), points)
+        assert sorted(allocated) == ["bmats", "denom", "keep", "tmats"]
+
+
+def counting_allocations(monkeypatch):
+    """Names of the ``geometry._Workspace`` buffers allocated from here on, in order."""
+    allocated = []
+
+    class Counting(_Workspace):
+        def take(self, name, shape, dtype=float):
+            before = self.buffers.get(name)
+            view = super().take(name, shape, dtype)
+            if self.buffers[name] is not before:
+                allocated.append(name)
+            return view
+
+    monkeypatch.setattr(zenodrive.geometry, "_Workspace", Counting)
+    return allocated
+
 
 def energy_grad_hess(model, points, eigensystem=None, g=None):
     """``_energy_grad_hess`` in a fresh workspace, with the mid-points'
     ``eigensystem`` diagonalized here and their metric ``g`` from ``metric_many``
     unless given."""
+    # private route kept: a unit test of a kernel that stays
     mids = 0.5 * (points[:-1] + points[1:])
     if eigensystem is None:
         eigensystem = eigh_many(model.hamiltonian_many(mids))
@@ -1233,6 +1290,7 @@ def line_search_scale(points, step, trial):
 def probe_eigensystem_error(model, points, axis, step):
     """Largest energy and projector errors of ``_shifted_eigensystem`` against
     ``np.linalg.eigh`` at points + step e_axis."""
+    # private route kept: a unit test of a kernel that stays
     eigensystem = eigh_many(model.hamiltonian_many(points))
     workspace = _Workspace()
     products = zenodrive.geometry._eigenproducts(model, points, eigensystem, True, workspace)
@@ -1292,6 +1350,7 @@ def spd_blocks(rng, segs, nparams):
 
 
 def assert_solve_matches_dense(blocks, rhs):
+    # private route kept: a unit test of a kernel that stays
     for damping in (0.0, 1e-3):
         step = zenodrive.geometry._solve_hessian(blocks, damping, rhs)
         reference = np.linalg.solve(dense_hessian(blocks, damping), rhs.ravel())
@@ -1539,6 +1598,7 @@ class TestInterpolateAt:
             assert np.array_equal(got, gathered_interpolate_at(points, cumlen, shaped))
 
     def test_resample_scratch_is_a_few_numbers_per_target(self):
+        # private route kept: a unit test of a kernel that stays
         # 100 000 targets at D = 2: 8.07 MB traced with whole-array gathers
         # (about eleven temporaries per target), 4.81 MB in place: the
         # targets, the 1.6 MB output and three scratch numbers per target
@@ -1718,6 +1778,7 @@ class TestResampleProperties:
     @settings(max_examples=200, deadline=None)
     @given(polylines(), st.integers(1, 40))
     def test_resample_at_equal_quantiles(self, line, count):
+        # private route kept: a unit test of a kernel that stays
         points, table = line
         out = resample(points, table, _fraction_grid(table[-1], count))
         assert out.shape == (count + 1, points.shape[1])

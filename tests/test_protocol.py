@@ -6,7 +6,7 @@ import pytest
 from conftest import traced_peak
 
 from zenodrive import geometry, protocol, trajectories
-from zenodrive.cli import CONFIG_SPEC, _parse_value
+from zenodrive.cli import CONFIG_SPEC, load_config
 from zenodrive.geometry import cumulative_lengths, path_length, step_lengths_along
 from zenodrive.models import HamiltonianFamily, LipkinModel, TwoLevelModel
 from zenodrive.protocol import (
@@ -89,9 +89,8 @@ class TestRunStroboscopic:
         result = run_stroboscopic(LIPKIN4, path)
         probs = np.zeros(LIPKIN4.dim, dtype=np.longdouble)
         probs[0] = 1
-        for states in geometry._eigenbases_along(LIPKIN4, path, eigh_many):
-            for ratio in branching_along(states):
-                probs = ratio.astype(np.longdouble) @ probs
+        for ratio in branching_along(eigh_many(LIPKIN4.hamiltonian_many(path))[1]):
+            probs = ratio.astype(np.longdouble) @ probs
         reference = float(probs[1:].sum())
         assert 1e-4 < reference < 2e-4
         assert abs(result.final_infidelity - reference) <= 1e-12 * reference
@@ -284,11 +283,18 @@ class TestZenoSweep:
 
 
 DEFAULT_LADDER = list(CONFIG_SPEC["steps.K"][1])
+
+
+def parsed_steps(raw):
+    """The step counts of a ``steps.K`` value such as ``log:50:5000:13``, as the CLI reads it."""
+    return list(load_config(None, {"steps.K": raw})["steps.K"])
+
+
 # for the N=4 tables of about 5 000 segments; the N=10 tests take the default ladder
 ZENO_LISTS = {
     "ladder": [5, 10, 20, 50, 100, 200, 500],
     "repeats": [1, 1, 3, 7, 64, 100, 100],
-    "geomspace": list(_parse_value("steps.K", "log:5:500:13")),
+    "geomspace": parsed_steps("log:5:500:13"),
 }
 
 
@@ -334,6 +340,7 @@ class TestZenoWalk:
         assert [r["I_exact"] for r in rows] == per_k_rows(lipkin10, trajectory, DEFAULT_LADDER)
 
     def test_sparse_chains_of_a_joint_walk(self):
+        # private route kept: a count of work that no public output reports yet
         # K = 1 and 2 walk with K = 1000 but have no interior point in its
         # first streamed block; K = 3 shares too few points and walks alone
         trajectory = build_trajectory(LIPKIN4, "linear-v", START, END, dense_steps=10000)
@@ -343,16 +350,18 @@ class TestZenoWalk:
         assert [r["I_exact"] for r in rows] == per_k_rows(LIPKIN4, trajectory, ks)
 
     def test_groups_of_counts_that_share_points(self):
+        # private route kept: a unit test of a kernel that stays
         assert protocol._walk_groups(DEFAULT_LADDER) == [[6, 5, 4, 3, 2, 1, 0]]
         assert protocol._walk_groups(ZENO_LISTS["repeats"]) == [[6, 5, 1, 0], [4], [3], [2]]
         # a lin: list shares few points: only 1000 divides another count
-        ks = sorted(_parse_value("steps.K", "lin:1000:10000:50"))
+        ks = parsed_steps("lin:1000:10000:50")
         assert sorted(map(len, protocol._walk_groups(ks))) == [1] * 48 + [2]
 
     @pytest.mark.parametrize("name", ["ladder", "geomspace"])
     def test_one_eigh_per_distinct_point_of_each_group(
         self, lipkin10, trajectories10, monkeypatch, name
     ):
+        # private route kept: a count of work that no public output reports yet
         matrices = []
 
         def counting(stack):
@@ -361,7 +370,7 @@ class TestZenoWalk:
 
         monkeypatch.setattr(protocol, "eigh_many", counting)
         trajectory = trajectories10["geodesic"]
-        ks = DEFAULT_LADDER if name == "ladder" else list(_parse_value("steps.K", "log:50:5000:13"))
+        ks = DEFAULT_LADDER if name == "ladder" else parsed_steps("log:50:5000:13")
         zeno_sweep(lipkin10, trajectory, ks)
         groups = protocol._walk_groups(ks)
         # each group's exact union of the fractions i / K, whatever the law length
@@ -385,10 +394,10 @@ class TestZenoWalk:
     def test_too_coarse_rejected_before_any_work(self, monkeypatch):
         trajectory = build_trajectory(LIPKIN4, "linear-v", START, END, dense_steps=499)
 
-        def no_walk(*args):
+        def no_walk(stack):
             raise AssertionError("walked")
 
-        monkeypatch.setattr(protocol, "_eigenbases_along", no_walk)
+        monkeypatch.setattr(protocol, "eigh_many", no_walk)
         with pytest.raises(ValueError, match="too coarse: 499 segments cannot resolve 50"):
             zeno_sweep(LIPKIN4, trajectory, [5, 49, 50])
         assert zeno_sweep(LIPKIN4, trajectory, []) == []
@@ -399,6 +408,7 @@ class TestDiscretizeMany:
 
     @staticmethod
     def assert_walks_reproduce_discretize(trajectory, ks):
+        # private route kept: a unit test of a kernel that stays
         points, walks = trajectory.discretize_many(ks)
         assert len(walks) == len(ks)
         law = trajectory.law_cumlen

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
+from lipkin_oracle import brute_force_lipkin
 
-from zenodrive.models import LipkinModel, brute_force_lipkin
+from zenodrive.models import LipkinModel
 from zenodrive.protocol import run_stroboscopic, zeno_sweep
 from zenodrive.spectator import (
     evolve_gadget,
