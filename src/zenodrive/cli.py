@@ -13,7 +13,6 @@ configurations produce byte-identical CSV output.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 import time
 from pathlib import Path
@@ -176,16 +175,6 @@ def write_csv(path: Path, header: list[str], rows: list[tuple]) -> None:
             handle.write(",".join(_fmt_cell(cell) for cell in row) + "\n")
 
 
-def _parallel_map(fn, items, jobs: int):
-    if jobs <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    # imported only here: about 4 ms of every start that runs one job
-    import concurrent.futures
-
-    with concurrent.futures.ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, items))
-
-
 def _build_trajectory(model, config, max_steps=None) -> Trajectory:
     """The configured trajectory, its table sized for ``max_steps`` or max(steps.K).
 
@@ -210,7 +199,7 @@ def _build_trajectory(model, config, max_steps=None) -> Trajectory:
     )
 
 
-def cmd_metric_map(config, out_dir, jobs):
+def cmd_metric_map(config, out_dir):
     model = LipkinModel(config["model.N"])
     lams = np.linspace(*config["grid.lambda"])
     chis = np.linspace(*config["grid.chi"])
@@ -223,7 +212,7 @@ def cmd_metric_map(config, out_dir, jobs):
     write_csv(out_dir / "metric_map.csv", ["lambda", "chi", "gap", "g_ll", "g_lc", "g_cc"], rows)
 
 
-def cmd_path(config, out_dir, jobs):
+def cmd_path(config, out_dir):
     model = LipkinModel(config["model.N"])
     steps = max(config["steps.K"])
     trajectory = _build_trajectory(model, config)
@@ -245,7 +234,7 @@ def cmd_path(config, out_dir, jobs):
     )
 
 
-def cmd_zeno(config, out_dir, jobs):
+def cmd_zeno(config, out_dir):
     model = LipkinModel(config["model.N"])
     trajectory = _build_trajectory(model, config)
     rows = zeno_sweep(model, trajectory, sorted(config["steps.K"]))
@@ -259,30 +248,20 @@ def cmd_zeno(config, out_dir, jobs):
     )
 
 
-def cmd_compare(config, out_dir, jobs):
+def cmd_compare(config, out_dir):
     model = LipkinModel(config["model.N"])
     cap = config["compare.cap"]
     trajectory = _build_trajectory(model, config, max_steps=min(cap, 10000))
-
-    def one(total_time):
-        result = integrate_schrodinger(model, trajectory.position_at, float(total_time))
+    rows = []
+    for total_time in sorted(config["times.T"]):
+        total_time = float(total_time)
+        infidelity = integrate_schrodinger(model, trajectory.position_at, total_time).infidelity
         k_min, tau = minimal_steps(
-            model,
-            trajectory,
-            float(total_time),
-            cap=cap,
-            coherent_infidelity=result.infidelity,
+            model, trajectory, total_time, cap=cap, coherent_infidelity=infidelity
         )
-        return (
-            trajectory.family,
-            float(total_time),
-            result.infidelity,
-            k_min,
-            tau,
-            0 if k_min is not None else 1,
+        rows.append(
+            (trajectory.family, total_time, infidelity, k_min, tau, 0 if k_min is not None else 1)
         )
-
-    rows = _parallel_map(one, sorted(config["times.T"]), jobs)
     write_csv(
         out_dir / "compare.csv",
         ["path_family", "T", "I_coherent", "K_min", "tau_min", "capped"],
@@ -290,7 +269,7 @@ def cmd_compare(config, out_dir, jobs):
     )
 
 
-def cmd_gadget(config, out_dir, jobs):
+def cmd_gadget(config, out_dir):
     a0, a1 = config["gadget.a0"], config["gadget.a1"]
     tau = config["gadget.tau"]
     times = np.linspace(0.0, config["gadget.tmax"] * tau, config["gadget.samples"])
@@ -328,8 +307,8 @@ def build_parser() -> argparse.ArgumentParser:
         cmd = sub.add_parser(name, help=f"write {name.replace('-', '_')}.csv")
         cmd.add_argument("--config", help="flat key=value config file")
         cmd.add_argument("--out", default=None, help="output directory (default out-<command>)")
-        cmd.add_argument("--jobs", type=non_negative_int, default=0,
-                         help="worker threads (0 = machine parallelism)")
+        cmd.add_argument("--jobs", type=non_negative_int,
+                         help="ignored: every command runs serially")
         for key, (_, _, help_text) in CONFIG_SPEC.items():
             cmd.add_argument(f"--{key}", dest=f"cfg::{key}", metavar="V", help=help_text)
     return parser
@@ -345,9 +324,8 @@ def main(argv=None) -> int:
     config = load_config(args.config, overrides)
     out_dir = Path(args.out or f"out-{args.command}")
     out_dir.mkdir(parents=True, exist_ok=True)
-    jobs = args.jobs or os.cpu_count() or 1
     started = time.perf_counter()
-    COMMANDS[args.command](config, out_dir, jobs)
+    COMMANDS[args.command](config, out_dir)
     write_config_snapshot(config, out_dir)
     write_metadata(out_dir, args.command, time.perf_counter() - started)
     return 0

@@ -35,7 +35,7 @@ from .geometry import EIGH_BLOCK, _Workspace
 from .models import HamiltonianFamily, check_count
 from .protocol import excited_return, run_stroboscopic
 from .spectral import _sorted_distinct, eigh_many
-from .trajectories import Trajectory, check_resolution
+from .trajectories import Trajectory
 
 DEFAULT_TOLERANCE = 1e-8
 DEFAULT_STEP_CAP = 10**6
@@ -342,13 +342,7 @@ def integrate_schrodinger(
         states = np.repeat(initial[None].astype(complex), trace.size + 1, axis=0)
         return finish(0, states, fid, 0, 0.0)
 
-    # one workspace for every block of every run (see ``_propagate``), its
-    # buffers taken for a whole block first, so that each is allocated once;
-    # eigh returns the ground state in the Hamiltonians' dtype
-    workspace = _Workspace()
-    block = (EIGH_BLOCK, initial.size, initial.size)
-    workspace.take("stacks", (5,) + block, initial.dtype)
-    workspace.take("unitaries", block, complex)
+    workspace = _Workspace()   # for every block of every run (see ``_propagate``)
 
     def run(steps):
         """States at the trace fractions and at fraction 1 (last), and the fidelity."""
@@ -447,7 +441,8 @@ def minimal_steps(
     coherent_infidelity = float(coherent_infidelity)
     if math.isnan(coherent_infidelity):
         raise ValueError(f"coherent_infidelity must not be NaN, got {coherent_infidelity!r}")
-    check_resolution(trajectory.points.shape[0] - 1, 1)
+    if trajectory.max_steps < 1:
+        trajectory.discretize(1)   # raises: the table is too coarse for a single step
     if coherent_infidelity <= 0:   # the chain's excited sum is never negative
         return None, None
 

@@ -16,7 +16,7 @@ gradient contracts, each formed once per Newton iterate.  Every metric
 kernel of one solve works in one reused ``_Workspace``, the named-buffer
 type the CF4 propagator shares: at N=10 and 256 points per block, seven
 stacks of (dim, dim) matrices and a mask, 1.8 MB, each allocated once per
-relaxed level, not once per Newton step or trial.
+solve, not once per level, Newton step or trial.
 """
 from __future__ import annotations
 
@@ -59,14 +59,15 @@ class _Workspace:
 
     ``take`` hands out the first ``count`` matrices of a stack of (dim, dim)
     matrices (of each of its stacks), so a short block reads no stale
-    entries; a buffer is allocated at its first ``take`` and again only when
-    a take needs more matrices, another stack shape or another dtype.  Every
-    private kernel takes one from its caller; only the entry points make
-    one: ``integrate_schrodinger`` for the CF4 exponentials of all its
-    blocks and doubling passes, ``geodesic`` for the metric kernels of all
-    its Newton steps and line searches, and ``metric_many`` and
-    ``metric_with_gradient_many`` for their blocks.  Each buffer is then
-    allocated once per call (once per relaxed level in ``geodesic``), where
+    entries; a buffer is allocated at its first ``take``, for a whole
+    ``EIGH_BLOCK`` of matrices (the largest block any kernel takes) or
+    ``count`` if more, and again only when a take needs more matrices,
+    another stack shape or another dtype.  Every private kernel takes one
+    from its caller; only the entry points make one: ``integrate_schrodinger``
+    for the CF4 exponentials of all its blocks and doubling passes,
+    ``geodesic`` for the metric kernels of all its levels, Newton steps and
+    line searches, and ``metric_many`` and ``metric_with_gradient_many`` for
+    their blocks.  Each buffer is then allocated once per call, where
     block-sized temporaries allocated per use were freed and their pages
     handed back to the system, to be faulted in again by the next block.
     """
@@ -79,7 +80,8 @@ class _Workspace:
         buffer = self.buffers.get(name)
         if (buffer is None or buffer.dtype != dtype or buffer.shape[-3] < shape[-3]
                 or buffer.shape[:-3] + buffer.shape[-2:] != shape[:-3] + shape[-2:]):
-            buffer = self.buffers[name] = np.empty(shape, dtype)
+            whole = shape[:-3] + (max(shape[-3], EIGH_BLOCK),) + shape[-2:]
+            buffer = self.buffers[name] = np.empty(whole, dtype)
         return buffer[..., : shape[-3], :, :]
 
 

@@ -158,16 +158,6 @@ class LipkinModel(HamiltonianFamily):
             monomial.ravel()[self._band] for monomial in monomials
         )
 
-    @property
-    def total_spin(self) -> float:
-        return self.n_qubits / 2.0
-
-    @property
-    def m_values(self) -> np.ndarray:
-        """Collective magnetic quantum numbers labelling the basis."""
-        j = self.total_spin
-        return np.arange(-j, j + 1)
-
     def hamiltonian_many(self, points: np.ndarray) -> np.ndarray:
         points = self.check_points(points)
         lam = points[..., 0, None]
@@ -223,7 +213,3 @@ class TwoLevelModel(HamiltonianFamily):
 
     def second_derivative_many(self, points: np.ndarray, axis1: int, axis2: int) -> np.ndarray:
         return -self.hamiltonian_many(self.check_points(points, axis1, axis2))
-
-    def ground_state_exact(self, theta: float) -> np.ndarray:
-        return np.array([np.sin(theta / 2.0), np.cos(theta / 2.0)])
-

@@ -375,10 +375,14 @@ class TestReproducibility:
         assert self._data_bytes(a) == self._data_bytes(b)
 
     def test_jobs_do_not_change_output(self, tmp_path):
-        args = ["zeno", *SMALL, "--path.family", "linear-v", "--steps.K", "20,40,80"]
-        a = run_cli(tmp_path, "j1", *args, "--jobs", "1")
-        b = run_cli(tmp_path, "j2", *args, "--jobs", "3")
-        assert self._data_bytes(a) == self._data_bytes(b)
+        # compare is the one command whose execution --jobs ever changed
+        for name, args in (
+            ("zeno", ["zeno", *SMALL, "--path.family", "linear-v", "--steps.K", "20,40,80"]),
+            ("compare", ["compare", *SMALL, "--path.family", "linear-v", "--times.T", "1,5,20"]),
+        ):
+            a = run_cli(tmp_path, f"{name}1", *args, "--jobs", "1")
+            b = run_cli(tmp_path, f"{name}3", *args, "--jobs", "3")
+            assert self._data_bytes(a) == self._data_bytes(b)
 
     def test_jobs_do_not_change_the_default_ladder(self, tmp_path):
         # zeno makes one sweep, one walk on this ladder, at any --jobs

@@ -150,6 +150,18 @@ class TestIntegrator:
         # kinked time law, the 50-segment table of test_matches_dop853_reference
         # (|dF| 1.2e-7, 1.5e-7, 8.5e-8 over 128 - 512 steps, converged at 2 048)
 
+    def test_stops_at_rounding_floor_on_the_analytic_chord(self, monkeypatch):
+        # no table: |dF| per doubling at T = 20 falls ~16x from 2.1e-8 at 128
+        # steps to 2.0e-15 at 8 192, then grows to 9.8e-15 and 2.5e-14, far
+        # below 64 * steps * eps; so tolerance=0 stops at the floor at 32 768
+        # steps, while 1e-15 is met by the Richardson estimate at 8 192
+        monkeypatch.setattr(coherent, "SUBSTEP_CAP", 2**16)
+        with pytest.raises(IntegratorConvergenceError, match="rounding floor") as err:
+            integrate_schrodinger(LipkinModel(4), linear_chord, 20.0, tolerance=0.0)
+        assert err.value.substeps == 2**15
+        result = integrate_schrodinger(LipkinModel(4), linear_chord, 20.0, tolerance=1e-15)
+        assert result.substeps == 2**13
+
     def test_rounding_error_against_long_double_fold(self, golden_chord4):
         # the compare-n4-linear-v golden's T = 20 row against the same CF4
         # chain on the same knots, with 30-term Taylor exponentials and the
@@ -579,7 +591,8 @@ class TestStreamedProduct:
     def test_one_workspace_per_integrate_call(self, monkeypatch):
         # private route kept: a count of work that no public output reports yet
         # one workspace serves every block of every pass, and its two buffers
-        # are allocated once each, for a whole block
+        # are allocated once each, for a whole block, though the first pass
+        # (65 steps) takes only 130 exponentials
         made, allocated = [], []
 
         class Counted(_Workspace):
@@ -590,8 +603,9 @@ class TestStreamedProduct:
             def take(self, name, shape, dtype=float):
                 before = self.buffers.get(name)
                 view = super().take(name, shape, dtype)
-                if self.buffers[name] is not before:
-                    allocated.append((name, view.shape, view.dtype))
+                buffer = self.buffers[name]
+                if buffer is not before:
+                    allocated.append((name, buffer.shape, buffer.dtype))
                 return view
 
         monkeypatch.setattr(coherent, "_Workspace", Counted)

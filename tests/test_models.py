@@ -9,6 +9,17 @@ from zenodrive.spectral import eigh_many
 GRID = [(0.0, 0.0), (2.0, 0.5), (1.0, 0.3), (3.0, 1.0), (0.5, 0.8), (-1.0, 0.2)]
 
 
+def m_values(n_qubits):
+    """Collective magnetic quantum numbers labelling the ``LipkinModel`` basis."""
+    j = n_qubits / 2.0
+    return np.arange(-j, j + 1)
+
+
+def two_level_ground_state(theta):
+    """Closed-form ground state of ``TwoLevelModel`` at angle ``theta``."""
+    return np.array([np.sin(theta / 2.0), np.cos(theta / 2.0)])
+
+
 def test_collective_ops_commutator():
     jx, jz = collective_spin_ops(6)
     # [Jz, Jx] = i Jy and [Jx, [Jx, Jz]] = -Jz closure imply the quadratic Casimir;
@@ -309,7 +320,7 @@ def test_parity_symmetry_at_chi_zero():
         model = LipkinModel(n)
         h = model.hamiltonian_many(np.array([lam, 0.0]))
         j = n / 2
-        parity = np.diag([(-1.0) ** (j - m) for m in model.m_values])
+        parity = np.diag([(-1.0) ** (j - m) for m in m_values(model.n_qubits)])
         assert np.abs(h @ parity - parity @ h).max() <= 1e-12
         states = eigh_many(h)[1]
         cross = states.T @ parity @ states
@@ -321,7 +332,7 @@ def test_parity_symmetry_at_chi_zero():
 def test_parity_broken_at_positive_chi():
     model = LipkinModel(4)
     h = model.hamiltonian_many(np.array([0.8, 0.5]))
-    parity = np.diag([(-1.0) ** (2 - m) for m in model.m_values])
+    parity = np.diag([(-1.0) ** (2 - m) for m in m_values(model.n_qubits)])
     assert np.abs(h @ parity - parity @ h).max() > 1e-3
 
 
@@ -391,7 +402,7 @@ class TestTwoLevel:
         model = TwoLevelModel()
         for theta in (0.0, 0.7, 2.0):
             ground = eigh_many(model.hamiltonian_many(np.array([theta])))[1][:, 0]
-            exact = model.ground_state_exact(theta)
+            exact = two_level_ground_state(theta)
             assert min(
                 np.abs(ground - exact).max(),
                 np.abs(ground + exact).max(),

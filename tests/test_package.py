@@ -72,9 +72,9 @@ print(code, sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy
     assert (tmp_path / "out" / "zeno.csv").read_text().count("\n") == 3   # header + 2 rows
 
 
-def test_single_job_run_skips_concurrent_futures(tmp_path):
-    # the thread pool is needed only for --jobs > 1; importing
-    # concurrent.futures costs about 4 ms of every CLI start
+def test_cli_runs_skip_concurrent_futures(tmp_path):
+    # every command runs serially, whatever --jobs says: not even a two-row
+    # compare at --jobs 3 imports concurrent.futures (about 4 ms of a start)
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     probe = f"""
@@ -82,15 +82,16 @@ import sys
 
 import zenodrive.cli
 
-code = zenodrive.cli.main(["zeno", "--model.N", "4", "--geodesic.segments", "16",
-                           "--dense.steps", "400", "--steps.K", "10,20",
-                           "--out", {str(tmp_path / "out")!r}, "--jobs", "1"])
+code = zenodrive.cli.main(["compare", "--model.N", "4", "--path.family", "linear-v",
+                           "--times.T", "1,5", "--out", {str(tmp_path / "out")!r},
+                           "--jobs", "3"])
 print(code, "concurrent.futures" in sys.modules)
 """
     out = subprocess.run(
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
     )
     assert out.stdout.strip() == "0 False"
+    assert (tmp_path / "out" / "compare.csv").read_text().count("\n") == 3   # header + 2 rows
 
 
 def test_integrator_runs_skip_numpy_ma(tmp_path):
@@ -148,15 +149,17 @@ print("numpy.ma" in sys.modules)
 
 
 def test_time_law_grid_is_formed_by_trajectory_alone():
-    # the length tables and the K-step grid on them are read in one module, so
-    # a new representation of the time law changes ``trajectories.py`` alone;
-    # ``geodesic`` forms its own chord start before any table exists
+    # the table's points, its length tables and the K-step grid on them are
+    # read in one module, so a new representation of the time law changes
+    # ``trajectories.py`` alone; ``geodesic`` forms its own chord start before
+    # any table exists
     tables, grids = set(), set()
     for path in sorted((SRC / "zenodrive").glob("*.py")):
         for top in ast.parse(path.read_text()).body:
             where = f"{path.stem}.{getattr(top, 'name', '')}"
             for node in ast.walk(top):
-                if isinstance(node, ast.Attribute) and node.attr in ("law_cumlen", "metric_cumlen"):
+                if isinstance(node, ast.Attribute) and node.attr in ("points", "law_cumlen",
+                                                                     "metric_cumlen"):
                     tables.add(path.stem)
                 if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_fraction_grid":
                     grids.add(path.stem if path.stem == "trajectories" else where)
